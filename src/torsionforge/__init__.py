@@ -41,8 +41,6 @@ from .curves import (
     OrderError,
     POINT_AT_INFINITY,
     RepeatedRootError,
-    genus,
-    new_curve,
     normalize_monic,
     on_curve,
     order_d_points,
@@ -110,13 +108,11 @@ __all__ = [
     "exact_div",
     "exactness_rule_for",
     "gcd",
-    "genus",
     "infer_style",
     "is_prime",
     "is_squarefree",
     "map_certificate",
     "neg",
-    "new_curve",
     "norm_poly",
     "normalize_monic",
     "on_curve",

@@ -42,12 +42,21 @@ d or at least n.  The stored rule names the extra fact forcing k == m:
 
 For the first three rules the verifier also requires y(P) != 0, which
 rules out k == d.
+
+Validation
+----------
+
+A curve is validated once, by the ``Curve`` type, when it is constructed
+or parsed; ``Curve`` and ``Poly`` are immutable, so the verifier takes
+``cert.curve`` as it is.  Outside input is checked when it is parsed: a
+certificate whose curve data is invalid becomes a single failed
+``curve-valid`` line.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Optional
@@ -59,7 +68,7 @@ from .curves import (
     MonicNormalization,
 )
 from .polyring import Poly, poly_from_json, poly_to_json
-from .scalars import GaussianRational, Scalar, is_prime, scalar_from_json, scalar_to_json
+from .scalars import Scalar, is_prime, scalar_from_json, scalar_to_json
 
 
 class PreconditionError(ValueError):
@@ -82,7 +91,12 @@ RULE_ODD_BELOW_THRICE = "odd-below-thrice-degree"
 RULE_ZERO_ORDINATE = "zero-ordinate"
 RULE_TWO_TORSION = "two-torsion-link"
 
-_DIVISOR_RULES = (RULE_BELOW_TWICE, RULE_PRIME, RULE_ODD_BELOW_THRICE)
+# The divisor-to-exact-order rules, in the order exactness_rule_for tries them.
+_DIVISOR_RULES = {
+    RULE_BELOW_TWICE: lambda m, n: m < 2 * n,
+    RULE_PRIME: lambda m, n: is_prime(m),
+    RULE_ODD_BELOW_THRICE: lambda m, n: m % 2 == 1 and m < 3 * n,
+}
 
 
 def norm_poly(u: Poly, w: Poly, f: Poly, d: int) -> Poly:
@@ -100,23 +114,22 @@ def norm_poly(u: Poly, w: Poly, f: Poly, d: int) -> Poly:
 
 def exactness_rule_for(m: int, n: int) -> Optional[str]:
     """First divisor-to-exact-order rule applicable to (m, n), if any."""
-    if m < 2 * n:
-        return RULE_BELOW_TWICE
-    if is_prime(m):
-        return RULE_PRIME
-    if m % 2 == 1 and m < 3 * n:
-        return RULE_ODD_BELOW_THRICE
-    return None
+    return next((rule for rule, holds in _DIVISOR_RULES.items() if holds(m, n)), None)
 
 
 def exactness_rule_holds(rule: str, m: int, n: int) -> bool:
-    if rule == RULE_BELOW_TWICE:
-        return m < 2 * n
-    if rule == RULE_PRIME:
-        return is_prime(m)
-    if rule == RULE_ODD_BELOW_THRICE:
-        return m % 2 == 1 and m < 3 * n
-    return False
+    holds = _DIVISOR_RULES.get(rule)
+    return holds is not None and holds(m, n)
+
+
+def check_shape(n: int, d: int):
+    """Require integers with n > d >= 2 and gcd(n, d) = 1."""
+    if not (isinstance(n, int) and isinstance(d, int)):
+        raise PreconditionError("n and d must be integers, got n=%r d=%r" % (n, d))
+    if d < 2 or n <= d:
+        raise PreconditionError("requires n > d >= 2, got n=%d d=%d" % (n, d))
+    if int_gcd(n, d) != 1:
+        raise PreconditionError("requires gcd(n, d) = 1, got n=%d d=%d" % (n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -242,34 +255,40 @@ def _match_scaled_power(q: Poly, base: Poly, m: int):
     return None
 
 
-def verify_certificate_json(obj: dict) -> tuple[bool, list[CheckLine]]:
-    """Verify a certificate given as a parsed JSON dict.
+def parse_and_verify(obj: dict) -> tuple[Optional[TorsionCertificate], list[CheckLine]]:
+    """Parse a certificate given as a parsed JSON dict, once, and verify it.
 
-    A structurally well-formed certificate whose curve data is invalid
-    (wrong degree, repeated root, gcd violation) counts as a failed
-    verification, not a parse error; malformed structure still raises.
+    Returns the certificate and the report.  A structurally well-formed
+    certificate whose curve data is invalid (wrong degree, repeated root,
+    gcd violation) counts as a failed verification, not a parse error:
+    the certificate is None and the report is the one failed
+    ``curve-valid`` line.  Malformed structure still raises.
     """
     try:
-        Curve.from_json_dict(obj["curve"])
+        cert = TorsionCertificate.from_json_dict(obj)
     except CurveError as exc:
-        return False, [CheckLine("curve-valid", False, str(exc))]
-    cert = TorsionCertificate.from_json_dict(obj)
-    return verify_certificate(cert)
+        return None, [CheckLine("curve-valid", False, str(exc))]
+    return cert, verify_certificate(cert)[1]
+
+
+def verify_certificate_json(obj: dict) -> tuple[bool, list[CheckLine]]:
+    """Verify a certificate given as a parsed JSON dict; see :func:`parse_and_verify`."""
+    _, lines = parse_and_verify(obj)
+    return all(line.ok for line in lines), lines
 
 
 def verify_certificate(cert: TorsionCertificate) -> tuple[bool, list[CheckLine]]:
     """Recheck every claim of a certificate from first principles.
 
     Returns (all_ok, report).  Mathematically invalid certificates never
-    raise; each failed fact becomes a failed line in the report.
+    raise; each failed fact becomes a failed line in the report.  The
+    curve is not validated again: a ``Curve`` is validated once, when it
+    is constructed or parsed, and is immutable, so the ``curve-valid``
+    line only reports its shape.
     """
     r = _Report()
-    try:
-        curve = Curve(cert.curve.d, cert.curve.n, cert.curve.f)
-        r.check("curve-valid", True, "d=%d n=%d genus=%d" % (curve.d, curve.n, curve.genus))
-    except CurveError as exc:
-        r.check("curve-valid", False, str(exc))
-        return False, r.lines
+    curve = cert.curve
+    r.check("curve-valid", True, "d=%d n=%d genus=%d" % (curve.d, curve.n, curve.genus))
 
     kind = cert.identity_kind
     if not r.check(
@@ -277,8 +296,7 @@ def verify_certificate(cert: TorsionCertificate) -> tuple[bool, list[CheckLine]]
     ):
         return False, r.lines
 
-    d, n, f, m = curve.d, curve.n, curve.f, cert.m
-    if not r.check("order-positive", m >= 2, "m=%d" % (m,)):
+    if not r.check("order-positive", cert.m >= 2, "m=%d" % (cert.m,)):
         return False, r.lines
 
     if kind == ORDER_D:
@@ -494,78 +512,31 @@ def map_certificate(norm: MonicNormalization, cert: TorsionCertificate) -> Torsi
     (x, y) |-> (c0**-j * x, c0**i * y).  The order m is unchanged.
     """
     c0, i, j = norm.c0, norm.i, norm.j
-    d, n = norm.target.d, norm.target.n
-    source = Curve(d, n, norm.source_f)
-    sx = c0 ** j  # model x = sx * source-curve x ... composed as scale_x(sx)
-    ax = c0 ** (-j)
-
-    def move_v(v: Poly) -> Poly:
-        return v.scale_x(sx) * c0 ** i
-
-    def move_point(pt: Optional[AffinePoint]) -> Optional[AffinePoint]:
-        return None if pt is None else norm.map_point(pt)
-
-    kind = cert.identity_kind
-    if kind == ORDER_D:
-        return TorsionCertificate(
-            curve=source,
-            m=cert.m,
-            identity_kind=ORDER_D,
-            v=None,
-            a=ax * cert.a,
-            point=move_point(cert.point),
-            exactness_rule=cert.exactness_rule,
-        )
-    if kind == PURE_POWER:
-        return TorsionCertificate(
-            curve=source,
-            m=cert.m,
-            identity_kind=PURE_POWER,
-            v=move_v(cert.v),
-            a=ax * cert.a,
-            point=move_point(cert.point),
-            exactness_rule=cert.exactness_rule,
-        )
-    if kind == SHIFT_POWER:
-        return TorsionCertificate(
-            curve=source,
-            m=cert.m,
-            identity_kind=SHIFT_POWER,
-            u=cert.u.scale_x(sx),
-            v=move_v(cert.v),
-            a=ax * cert.a,
-            point=move_point(cert.point),
-            exactness_rule=cert.exactness_rule,
-        )
+    sx, ax = c0 ** j, c0 ** (-j)  # model x = sx * source x, source x = ax * model x
+    kind, u, a = cert.identity_kind, cert.u, cert.a
     if kind == INFINITY_SHIFT:
         # x^(ed) * h + v^d == A(1+x)^m becomes a shift-power identity at
         # a = -c0^-j with u = (c0^j x)^e.
-        u_new = Poly.monomial(sx ** cert.e, cert.e)
-        pt = cert.point
-        return TorsionCertificate(
-            curve=source,
-            m=cert.m,
-            identity_kind=SHIFT_POWER,
-            u=u_new,
-            v=move_v(cert.v),
-            a=ax * Fraction(-1),
-            point=move_point(pt),
-            point_symbolic=cert.point_symbolic,
-            exactness_rule=cert.exactness_rule,
-        )
-    if kind == TWO_TORSION_LINK:
-        w = -cert.u[0]
-        return TorsionCertificate(
-            curve=source,
-            m=cert.m,
-            identity_kind=TWO_TORSION_LINK,
-            u=Poly.x_minus(ax * w),
-            v=move_v(cert.v),
-            a=ax * cert.a,
-            point=move_point(cert.point),
-            exactness_rule=cert.exactness_rule,
-        )
-    raise ValueError("unknown identity kind %r" % (kind,))
+        kind, u, a = SHIFT_POWER, Poly.monomial(sx ** cert.e, cert.e), Fraction(-1)
+    elif kind == SHIFT_POWER:
+        u = u.scale_x(sx)
+    elif kind == TWO_TORSION_LINK:
+        u = Poly.x_minus(ax * -u[0])  # the link root w = -u[0] moves like x
+    elif kind in (ORDER_D, PURE_POWER):
+        u = None
+    else:
+        raise ValueError("unknown identity kind %r" % (kind,))
+    return replace(
+        cert,
+        curve=Curve(norm.target.d, norm.target.n, norm.source_f),
+        identity_kind=kind,
+        u=u,
+        v=None if cert.v is None else cert.v.scale_x(sx) * c0 ** i,
+        a=ax * a,
+        e=0,
+        lam=None,
+        point=None if cert.point is None else norm.map_point(cert.point),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +544,6 @@ def map_certificate(norm: MonicNormalization, cert: TorsionCertificate) -> Torsi
 # ---------------------------------------------------------------------------
 
 STATUS_CONSTRUCTIVE = "reachable-constructive"
-STATUS_EXISTENCE = "reachable-existence"
 STATUS_UNREACHABLE = "unreachable"
 STATUS_UNDECIDED = "undecided"
 
@@ -632,10 +602,7 @@ def reachability_verdict(n: int, d: int, m: int) -> Verdict:
     The battery runs the strongest applicable rule; triples no rule
     decides come back "undecided" (the honest answer, never a guess).
     """
-    if d < 2 or n <= d:
-        raise PreconditionError("requires n > d >= 2, got n=%r d=%r" % (n, d))
-    if int_gcd(n, d) != 1:
-        raise PreconditionError("requires gcd(n, d) = 1, got n=%d d=%d" % (n, d))
+    check_shape(n, d)
     if m < 2:
         raise PreconditionError("orders below 2 are not meaningful, got m=%d" % (m,))
 

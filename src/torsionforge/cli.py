@@ -22,16 +22,16 @@ import json
 import os
 import sys
 from math import gcd as int_gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .certify import (
     PreconditionError,
     STATUS_CONSTRUCTIVE,
     TorsionCertificate,
     canonical_json,
+    parse_and_verify,
     reachability_verdict,
     verify_certificate,
-    verify_certificate_json,
 )
 from .constructors import (
     ConstructionRequest,
@@ -40,7 +40,7 @@ from .constructors import (
     ZeroOrdinateError,
     construct,
 )
-from .curves import Curve, CurveError
+from .curves import CurveError
 from .jacobian2 import OrderNotFoundError, embed_point, order_of
 from .series import HypothesisError
 
@@ -112,6 +112,66 @@ def _oracle_check(cert: TorsionCertificate) -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
+# the certify pipeline: construct, self-verify, optional oracle
+# ---------------------------------------------------------------------------
+
+class CertifyResult(NamedTuple):
+    """An exit code, the certificate (set when the code is 0), the error
+    JSON for stdout (empty when the code is 0) and the lines for stderr."""
+
+    code: int
+    cert: Optional[TorsionCertificate] = None
+    error: str = ""
+    notes: tuple[str, ...] = ()
+
+    def write(self):
+        for line in self.notes:
+            print(line, file=sys.stderr)
+        sys.stdout.write(self.error)
+
+
+def certify_request(
+    request: ConstructionRequest, oracle: bool = False, scan_row: bool = False
+) -> CertifyResult:
+    """Construct a certificate, verify it, and optionally confirm its order
+    by the d = 2 divisor oracle.
+
+    With ``scan_row`` the request is one row of a scan: its n and m go
+    into the error JSON, the oracle line is prefixed with them, and a
+    failed self-verification names the row.
+    """
+    n, m = request.n, request.m
+    where = {"n": n, "m": m} if scan_row else {}
+    try:
+        cert = construct(request)
+    except (SearchExhausted, *_PRECONDITION_ERRORS) as exc:
+        code = EXIT_SEARCH_EXHAUSTED if isinstance(exc, SearchExhausted) else EXIT_PRECONDITION
+        return CertifyResult(code, error=_error_json(type(exc).__name__, str(exc), **where))
+
+    ok, lines = verify_certificate(cert)
+    if not ok:
+        if scan_row:
+            message = "certificate for n=%d m=%d failed verification" % (n, m)
+        else:
+            message = "constructed certificate failed self-verification"
+        return CertifyResult(
+            EXIT_VERIFY_FAILED,
+            error=_error_json("VerificationError", message),
+            notes=tuple(str(line) for line in lines),
+        )
+
+    if not oracle:
+        return CertifyResult(EXIT_OK, cert)
+    ok, message = _oracle_check(cert)
+    notes = ("n=%d m=%d %s" % (n, m, message) if scan_row else message,)
+    if not ok:
+        return CertifyResult(
+            EXIT_VERIFY_FAILED, error=_error_json("OracleMismatch", message, **where), notes=notes
+        )
+    return CertifyResult(EXIT_OK, cert, notes=notes)
+
+
+# ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
 
@@ -139,36 +199,14 @@ def cmd_construct(args, parser) -> int:
         )
         return EXIT_PRECONDITION
 
-    request = ConstructionRequest(
-        n=args.n, d=args.d, m=m, style=args.style, search_limit=args.c_range
+    result = certify_request(
+        ConstructionRequest(n=args.n, d=args.d, m=m, style=args.style, search_limit=args.c_range),
+        args.oracle,
     )
-    try:
-        cert = construct(request)
-    except SearchExhausted as exc:
-        sys.stdout.write(_error_json(type(exc).__name__, str(exc)))
-        return EXIT_SEARCH_EXHAUSTED
-    except _PRECONDITION_ERRORS as exc:
-        sys.stdout.write(_error_json(type(exc).__name__, str(exc)))
-        return EXIT_PRECONDITION
-
-    ok, lines = verify_certificate(cert)
-    if not ok:
-        for line in lines:
-            print(line, file=sys.stderr)
-        sys.stdout.write(
-            _error_json("VerificationError", "constructed certificate failed self-verification")
-        )
-        return EXIT_VERIFY_FAILED
-
-    if args.oracle:
-        ok, message = _oracle_check(cert)
-        print(message, file=sys.stderr)
-        if not ok:
-            sys.stdout.write(_error_json("OracleMismatch", message))
-            return EXIT_VERIFY_FAILED
-
-    _emit(cert.to_json_str(), args.out)
-    return EXIT_OK
+    result.write()
+    if result.code == EXIT_OK:
+        _emit(result.cert.to_json_str(), args.out)
+    return result.code
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +221,7 @@ def cmd_verify(args) -> int:
         print("cannot read certificate: %s" % (exc,), file=sys.stderr)
         return EXIT_BAD_ARGS
     try:
-        ok, lines = verify_certificate_json(obj)
+        cert, lines = parse_and_verify(obj)
     except (KeyError, TypeError, ValueError) as exc:
         print("malformed certificate: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_BAD_ARGS
@@ -198,7 +236,6 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY_FAILED
 
     if args.oracle:
-        cert = TorsionCertificate.from_json_dict(obj)
         ok, message = _oracle_check(cert)
         print(message, file=sys.stderr)
         if not ok:
@@ -250,33 +287,15 @@ def cmd_scan(args, parser) -> int:
         }
         cert = None
         if args.construct and verdict.status == STATUS_CONSTRUCTIVE:
-            try:
-                cert = construct(
-                    ConstructionRequest(n=n, d=args.d, m=m, search_limit=args.c_range)
-                )
-            except SearchExhausted as exc:
-                sys.stdout.write(_error_json(type(exc).__name__, str(exc), n=n, m=m))
-                return EXIT_SEARCH_EXHAUSTED
-            except _PRECONDITION_ERRORS as exc:
-                sys.stdout.write(_error_json(type(exc).__name__, str(exc), n=n, m=m))
-                return EXIT_PRECONDITION
-            ok, lines = verify_certificate(cert)
-            if not ok:
-                for line in lines:
-                    print(line, file=sys.stderr)
-                sys.stdout.write(
-                    _error_json(
-                        "VerificationError",
-                        "certificate for n=%d m=%d failed verification" % (n, m),
-                    )
-                )
-                return EXIT_VERIFY_FAILED
-            if args.oracle:
-                ok, message = _oracle_check(cert)
-                print("n=%d m=%d %s" % (n, m, message), file=sys.stderr)
-                if not ok:
-                    sys.stdout.write(_error_json("OracleMismatch", message, n=n, m=m))
-                    return EXIT_VERIFY_FAILED
+            result = certify_request(
+                ConstructionRequest(n=n, d=args.d, m=m, search_limit=args.c_range),
+                args.oracle,
+                scan_row=True,
+            )
+            result.write()
+            if result.code != EXIT_OK:
+                return result.code
+            cert = result.cert
         rows.append(row)
         certs.append(cert)
         cert_paths.append(None)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
 from typing import Iterator, Optional
 
 from .certify import (
@@ -47,6 +46,7 @@ from .certify import (
     TWO_TORSION_LINK,
     PreconditionError,
     TorsionCertificate,
+    check_shape,
     exactness_rule_for,
 )
 from .curves import AffinePoint, Curve, CurveError
@@ -108,15 +108,6 @@ def lambda_for_cover_degree(d: int) -> Scalar:
     )
 
 
-def _check_shape(n: int, d: int):
-    if not (isinstance(n, int) and isinstance(d, int)):
-        raise PreconditionError("n and d must be integers, got n=%r d=%r" % (n, d))
-    if d < 2 or n <= d:
-        raise PreconditionError("requires n > d >= 2, got n=%d d=%d" % (n, d))
-    if int_gcd(n, d) != 1:
-        raise PreconditionError("requires gcd(n, d) = 1, got n=%d d=%d" % (n, d))
-
-
 def _constants(skip: set, limit: int) -> Iterator[Fraction]:
     """1, -1, 2, -2, ... with the given values skipped; at most `limit`
     candidates in total."""
@@ -139,7 +130,7 @@ def _constants(skip: set, limit: int) -> Iterator[Fraction]:
 
 def construct_order_d(n: int, d: int, a: Scalar = Fraction(1)) -> TorsionCertificate:
     """Curve with the point (a, 0) of exact order d: f = x**n - a**n."""
-    _check_shape(n, d)
+    check_shape(n, d)
     if isinstance(a, int):
         a = Fraction(a)
     if a == 0:
@@ -173,7 +164,7 @@ def construct_order_n(
     When v is omitted, candidates x + 1, x + 2, ... are tried until f is
     square-free.
     """
-    _check_shape(n, d)
+    check_shape(n, d)
     if isinstance(a, int):
         a = Fraction(a)
     if v is not None:
@@ -235,7 +226,7 @@ def construct_div_d(
     Requires the deficit n - m + m/d to be nonnegative; below zero no
     member of this family reaches order m.
     """
-    _check_shape(n, d)
+    check_shape(n, d)
     if m % d != 0:
         raise PreconditionError("requires d | m, got m=%d d=%d" % (m, d))
     if m <= n:
@@ -360,7 +351,7 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
     Requires m > d*(e*d - 1); otherwise the truncated series does not
     leave a degree-n quotient and a HypothesisError is raised.
     """
-    _check_shape(n, d)
+    check_shape(n, d)
     if e < 1:
         raise PreconditionError("requires e >= 1, got e=%d" % (e,))
     m = n + e * d
@@ -443,16 +434,19 @@ class ConstructionRequest:
 
 
 def infer_style(n: int, d: int, m: int) -> str:
-    """Which construction family covers order m on degree-(n, d) curves."""
-    _check_shape(n, d)
+    """Which construction family covers order m on degree-(n, d) curves.
+
+    The shape of (n, d) is checked once, by the family's constructor.
+    """
     if m == d:
         return STYLE_ORDER_D
     if m == n:
         return STYLE_ORDER_N
-    if m > n and m % d == 0:
-        return STYLE_DIV_D
-    if m > n and (m - n) % d == 0:
-        return STYLE_N_PLUS_ED
+    if m > n and d != 0:
+        if m % d == 0:
+            return STYLE_DIV_D
+        if (m - n) % d == 0:
+            return STYLE_N_PLUS_ED
     raise PreconditionError(
         "no construction family covers m=%d on (n=%d, d=%d) curves" % (m, n, d)
     )

@@ -83,15 +83,6 @@ class Curve:
         return cls(int(obj["d"]), int(obj["n"]), poly_from_json(obj["f"]))
 
 
-def new_curve(d: int, n: int, f: Poly) -> Curve:
-    """Validated constructor; raises a CurveError subclass on bad data."""
-    return Curve(d, n, f)
-
-
-def genus(curve: Curve) -> int:
-    return curve.genus
-
-
 @dataclass(frozen=True)
 class AffinePoint:
     x: Scalar
@@ -153,9 +144,6 @@ class MonicNormalization:
         return AffinePoint(
             self.c0 ** (-self.j) * point.x, self.c0 ** (self.i) * point.y
         )
-
-    def map_x(self, x: Scalar) -> Scalar:
-        return self.c0 ** (-self.j) * x
 
 
 def normalize_monic(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .scalars import GaussianRational, Scalar, rational_from_str, scalar_from_json, scalar_to_json
+from .scalars import GaussianRational, scalar_from_json, scalar_to_json
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -225,14 +225,6 @@ class Poly:
             return self
         return Poly(tuple(c / lead for c in self._coeffs))
 
-    def shift(self, a) -> "Poly":
-        """The composition f(x + a), computed by Horner over Poly((a, 1))."""
-        xa = Poly((a, 1))
-        acc = Poly.zero()
-        for c in reversed(self._coeffs):
-            acc = acc * xa + Poly.constant(c)
-        return acc
-
     def scale_x(self, lam) -> "Poly":
         """The composition f(lam * x)."""
         out, p = [], None
@@ -275,18 +267,6 @@ class Poly:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def derivative(f: Poly) -> Poly:
-    return f.derivative()
-
-
-def shift(f: Poly, a) -> Poly:
-    return f.shift(a)
-
-
-def valuation_at_zero(f: Poly) -> int:
-    return f.valuation_at_zero()
-
 
 def exact_div(f: Poly, g: Poly) -> Poly:
     """Quotient f/g when g divides f exactly; DivisibilityError otherwise."""
@@ -358,7 +338,3 @@ def poly_from_json(obj) -> Poly:
     if not isinstance(obj, list):
         raise ValueError("polynomial encoding must be a JSON array, got %r" % (obj,))
     return Poly(tuple(scalar_from_json(c) for c in obj))
-
-
-def poly_from_strs(coeffs: Iterable[str]) -> Poly:
-    return Poly(tuple(rational_from_str(s) for s in coeffs))

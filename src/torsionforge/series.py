@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .polyring import Poly, exact_div, valuation_at_zero
+from .polyring import Poly, exact_div
 from .scalars import PAdicValue, gen_binom, is_prime, padic_valuation
 
 
@@ -83,7 +83,7 @@ def check_truncation_valuation(spec: TruncationSpec) -> int:
     diff = Poly((1, 1)) ** spec.m - v ** spec.d
     if diff.is_zero:
         raise HypothesisError("(1+x)^m equals V^d; no finite vanishing order")
-    return valuation_at_zero(diff)
+    return diff.valuation_at_zero()
 
 
 def truncation_quotient(spec: TruncationSpec) -> Poly:

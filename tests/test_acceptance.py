@@ -18,18 +18,15 @@ import pytest
 from torsionforge.certify import (
     pole_order_congruence,
     reachability_verdict,
-    verify_certificate,
     PreconditionError,
     STATUS_CONSTRUCTIVE,
     STATUS_UNREACHABLE,
 )
-from torsionforge.cli import main
+from torsionforge.cli import certify_request, main
 from torsionforge.constructors import (
     ConstructionRequest,
-    construct,
     construct_div_d,
     construct_n_plus_ed,
-    infer_style,
 )
 from torsionforge.curves import AffinePoint, Curve
 from torsionforge.jacobian2 import (
@@ -55,17 +52,14 @@ from torsionforge.series import (
 
 def build_and_check(n: int, d: int, m: int, oracle: bool = True):
     """Construct order m on a degree-(n, d) curve, verify, and (for d = 2)
-    confirm the order independently by divisor arithmetic."""
-    cert = construct(ConstructionRequest(n=n, d=d, m=m, style=infer_style(n, d, m)))
-    assert cert.m == m
-    ok, lines = verify_certificate(cert)
-    assert ok, "verification failed for (n=%d, d=%d, m=%d):\n%s" % (
-        n, d, m, "\n".join(str(line) for line in lines),
+    confirm the order independently by divisor arithmetic, through the
+    same pipeline as ``construct`` and ``scan --construct``."""
+    result = certify_request(ConstructionRequest(n=n, d=d, m=m), oracle)
+    assert result.code == 0, "pipeline failed for (n=%d, d=%d, m=%d):\n%s%s" % (
+        n, d, m, "".join(line + "\n" for line in result.notes), result.error,
     )
-    if oracle and d == 2 and cert.point is not None:
-        divisor = embed_point(cert.curve, cert.point)
-        assert order_of(cert.curve, divisor, bound=m) == m
-    return cert
+    assert result.cert.m == m
+    return result.cert
 
 
 def ladder_orders(n: int) -> list[int]:

@@ -1,0 +1,133 @@
+"""CLI output pinned byte for byte: stdout, stderr and exit code.
+
+Two corpora are replayed through ``cli.main``, read-only:
+
+* a fast subset of the benchmark's frozen outputs in ``bench/expected/``:
+  the d = 2 ``construct --oracle`` ladders for n <= 9, the d = 3
+  ``scan --construct`` rows for n <= 11, and the ``verify`` reports of
+  the certificates those invocations emit;
+* ``data/cli_exit_paths.json``: the construct / scan / verify exit paths
+  that corpus does not reach (exit 3 and 4, oracle lines and mismatches,
+  self-verification failures, invalid and malformed certificates).  Its
+  bytes were captured from commit 7929b6e, before the construct ->
+  verify -> oracle pipeline was merged into one function.  Paths that
+  cannot be reached from the command line are reached by the named
+  monkeypatches in ``PATCHES``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import re
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from torsionforge import cli
+from torsionforge.certify import STATUS_CONSTRUCTIVE, CheckLine
+from torsionforge.jacobian2 import OrderNotFoundError
+
+TESTS_DIR = Path(__file__).resolve().parent
+BENCH_EXPECTED = TESTS_DIR.parent / "bench" / "expected"
+
+
+def _load(path: Path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _flag(argv: list[str], name: str) -> int:
+    return int(argv[argv.index(name) + 1])
+
+
+def _bench_cases() -> list[tuple[str, list[str], str, int, str, str]]:
+    """(id, argv, input text, exit, stdout, stderr) from bench/expected/."""
+    cases = []
+    for entry in _load(BENCH_EXPECTED / "ladder-d2.json")["invocations"]:
+        argv = entry["argv"]
+        if _flag(argv, "--n") <= 9:
+            cases.append((" ".join(argv), argv, None,
+                          entry["exit"], entry["stdout"], entry["stderr"]))
+    for entry in _load(BENCH_EXPECTED / "sweep-d3to7.json")["invocations"]:
+        argv = entry["argv"]
+        if _flag(argv, "--d") == 3 and _flag(argv, "--n") <= 11:
+            cases.append((" ".join(argv), argv, None,
+                          entry["exit"], entry["stdout"], entry["stderr"]))
+    subset = re.compile(r"(ladder-d2/n[579]|sweep-d3to7/d3-n([4-9]|1[01]))-m\d+")
+    for entry in _load(BENCH_EXPECTED / "replay-verify.json")["certificates"]:
+        if subset.fullmatch(entry["id"]):
+            cases.append(("verify " + entry["id"], ["verify", "{input}"], entry["text"],
+                          0, entry["report"], ""))
+    return cases
+
+
+BENCH_CASES = _bench_cases()
+EXIT_PATHS = _load(TESTS_DIR / "data" / "cli_exit_paths.json")["cases"]
+
+
+def _failing_self_verification(monkeypatch):
+    report = [CheckLine("identity", False, "forced failure")]
+    monkeypatch.setattr(cli, "verify_certificate", lambda cert: (False, report))
+
+
+def _oracle_order_off_by_one(monkeypatch):
+    monkeypatch.setattr(cli, "order_of", lambda curve, divisor, bound: bound + 1)
+
+
+def _oracle_finds_no_order(monkeypatch):
+    def order_of(curve, divisor, bound):
+        raise OrderNotFoundError("forced")
+
+    monkeypatch.setattr(cli, "order_of", order_of)
+
+
+def _every_row_constructive(monkeypatch):
+    verdict = cli.reachability_verdict
+    monkeypatch.setattr(
+        cli, "reachability_verdict",
+        lambda n, d, m: dataclasses.replace(verdict(n, d, m), status=STATUS_CONSTRUCTIVE),
+    )
+
+
+PATCHES = {
+    "failing-self-verification": _failing_self_verification,
+    "oracle-order-off-by-one": _oracle_order_off_by_one,
+    "oracle-finds-no-order": _oracle_finds_no_order,
+    "every-row-constructive": _every_row_constructive,
+}
+
+
+def run_cli(capsys, tmp_path, argv, text):
+    if text is not None:
+        path = tmp_path / "cert.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [str(path) if arg == "{input}" else arg for arg in argv]
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_bench_subset_size():
+    kinds = Counter(case[1][0] for case in BENCH_CASES)
+    assert kinds == {"construct": 30, "scan": 6, "verify": 59}
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, out, err", [case[1:] for case in BENCH_CASES],
+    ids=[case[0] for case in BENCH_CASES],
+)
+def test_frozen_bench_output(capsys, tmp_path, argv, text, code, out, err):
+    assert run_cli(capsys, tmp_path, argv, text) == (code, out, err)
+
+
+@pytest.mark.parametrize("case", EXIT_PATHS, ids=[case["name"] for case in EXIT_PATHS])
+def test_exit_path_bytes(capsys, tmp_path, monkeypatch, case):
+    if case["patch"] is not None:
+        PATCHES[case["patch"]](monkeypatch)
+    got = run_cli(capsys, tmp_path, case["argv"], case["input"])
+    assert got == (case["exit"], case["stdout"], case["stderr"])

@@ -254,6 +254,14 @@ def test_infer_style():
         infer_style(5, 2, 4)
 
 
+@pytest.mark.parametrize(
+    "n, d, m", [(5, 0, 7), (5, 1, 7), (4, 2, 6), (3, 5, 8), (6, 3, 6), (5, 2, 3)]
+)
+def test_construct_rejects_bad_shapes(n, d, m):
+    with pytest.raises(PreconditionError):
+        construct(ConstructionRequest(n=n, d=d, m=m))
+
+
 def test_construct_dispatch_round_trip():
     for m in (2, 5, 6, 7, 8, 9, 10, 11):
         cert = construct(ConstructionRequest(n=5, d=2, m=m))

@@ -16,8 +16,6 @@ from torsionforge.curves import (
     POINT_AT_INFINITY,
     RepeatedRootError,
     field_roots,
-    genus,
-    new_curve,
     normalize_monic,
     on_curve,
     order_d_points,
@@ -36,7 +34,6 @@ X5_MINUS_1 = Poly((-1, 0, 0, 0, 0, 1))
 def test_valid_curve_and_genus():
     c = Curve(2, 5, X5_MINUS_1)
     assert c.genus == 2
-    assert genus(c) == 2
     assert Curve(3, 7, Poly((-2, 0, 0, 0, 0, 0, 0, 1))).genus == 6
     assert Curve(2, 7, Poly((1, 1, 0, 0, 0, 0, 0, 1))).genus == 3
 
@@ -75,10 +72,6 @@ def test_validation_order_gcd_before_squarefree():
     bad = Poly((0, 0, 0, 0, 0, 0, 1))                  # x^6
     with pytest.raises(GcdError):
         Curve(2, 6, bad)
-
-
-def test_new_curve_wrapper():
-    assert new_curve(2, 5, X5_MINUS_1) == Curve(2, 5, X5_MINUS_1)
 
 
 def test_curve_json_round_trip():

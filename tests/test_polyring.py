@@ -188,12 +188,6 @@ def test_is_squarefree_rejects_constants():
 # substitution helpers
 # ---------------------------------------------------------------------------
 
-@given(polys, st.fractions(min_value=-5, max_value=5, max_denominator=3),
-       st.fractions(min_value=-5, max_value=5, max_denominator=3))
-def test_shift_evaluates_consistently(p, a, t):
-    assert p.shift(a)(t) == p(t + a)
-
-
 @given(polys, st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(lambda x: x != 0),
        st.fractions(min_value=-5, max_value=5, max_denominator=3))
 def test_scale_x_evaluates_consistently(p, lam, t):
