@@ -13,8 +13,6 @@ from .certify import (
     TorsionCertificate,
     Verdict,
     exactness_rule_for,
-    map_certificate,
-    norm_poly,
     pole_order_congruence,
     reachability_verdict,
     verify_certificate,
@@ -39,11 +37,8 @@ from .curves import (
     DegreeError,
     GcdError,
     OrderError,
-    POINT_AT_INFINITY,
     RepeatedRootError,
-    normalize_monic,
     on_curve,
-    order_d_points,
 )
 from .jacobian2 import (
     IDENTITY,
@@ -85,7 +80,6 @@ __all__ = [
     "MumfordDivisor",
     "OrderError",
     "OrderNotFoundError",
-    "POINT_AT_INFINITY",
     "Poly",
     "PreconditionError",
     "Rational",
@@ -111,12 +105,8 @@ __all__ = [
     "infer_style",
     "is_prime",
     "is_squarefree",
-    "map_certificate",
     "neg",
-    "norm_poly",
-    "normalize_monic",
     "on_curve",
-    "order_d_points",
     "order_of",
     "padic_valuation",
     "pole_order_congruence",

@@ -16,7 +16,9 @@ pure-power        f - v**d == A*(x-a)**m, A != 0, with pole bookkeeping
 shift-power       u**d * f + v**d == A*(x-a)**m with
                   max(d*deg u + n, d*deg v) == m and v(a) != 0.  Witness
                   u(x)*y - mu*v(x) for a constant mu with mu**d == -1;
-                  P = (a, c) with (u(a)*c)**d == -v(a)**d.
+                  P = (a, c) with (u(a)*c)**d == -v(a)**d.  No
+                  constructor emits this kind; the verifier accepts it
+                  as outside input.
 infinity-shift    x**(e*d) * f + v**d == A*(1+x)**m with d*deg v < m and
                   v(-1) != 0.  P = (-1, lam*(-1)**e*v(-1)), lam**d == -1.
 order-d           f(a) == 0 and m == d; P = (a, 0).  A zero ordinate
@@ -56,17 +58,12 @@ certificate whose curve data is invalid becomes a single failed
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Optional
 
-from .curves import (
-    AffinePoint,
-    Curve,
-    CurveError,
-    MonicNormalization,
-)
+from .curves import AffinePoint, Curve, CurveError, on_curve
 from .polyring import Poly, poly_from_json, poly_to_json
 from .scalars import Scalar, is_prime, scalar_from_json, scalar_to_json
 
@@ -97,19 +94,6 @@ _DIVISOR_RULES = {
     RULE_PRIME: lambda m, n: is_prime(m),
     RULE_ODD_BELOW_THRICE: lambda m, n: m % 2 == 1 and m < 3 * n,
 }
-
-
-def norm_poly(u: Poly, w: Poly, f: Poly, d: int) -> Poly:
-    """w**d - u**d * f: the norm of the function u(x)*y - w(x).
-
-    The product of w - gamma*u*y over the d-th roots of unity gamma
-    collapses to this polynomial because y**d == f on the curve.  When
-    it equals a nonzero scalar times (x-a)**m, every zero of the witness
-    function sits over x = a.
-    """
-    if d < 2:
-        raise ValueError("d must be at least 2, got %r" % (d,))
-    return w ** d - u ** d * f
 
 
 def exactness_rule_for(m: int, n: int) -> Optional[str]:
@@ -318,8 +302,7 @@ def _check_point_on_curve(r: _Report, cert: TorsionCertificate, curve: Curve) ->
     if pt is None:
         r.check("point-present", False, "certificate has no point")
         return None
-    on = pt.y ** curve.d == curve.f(pt.x)
-    r.check("point-on-curve", on, str(pt))
+    r.check("point-on-curve", on_curve(curve, pt), str(pt))
     return pt
 
 
@@ -421,14 +404,20 @@ def _verify_infinity_shift(r: _Report, cert: TorsionCertificate, curve: Curve):
         return
     v, e = cert.v, cert.e
     r.check("order-form", m == n + e * d, "m=%d n=%d e=%d d=%d" % (m, n, e, d))
-    q = Poly.x_power(e * d) * f + v ** d
-    A = _match_scaled_power(q, Poly((1, 1)), m)
+    dv = 0 if v.is_zero else d * v.degree
+    # x^(ed)*f + v^d has no term strictly between dv and ed, and degree
+    # max(ed + n, dv) unless the two are equal; A*(1+x)^m has every term
+    # up to degree m.  Either mismatch fails the identity before
+    # x^(ed), whose size the input does not bound, is built.
+    A = None
+    if e * d <= dv + 1 and (e * d + n == dv or max(e * d + n, dv) == m):
+        q = Poly.x_power(e * d) * f + v ** d
+        A = _match_scaled_power(q, Poly((1, 1)), m)
     r.check(
         "identity",
         A is not None,
         "x^(ed)*f + v^%d == A*(1+x)^%d%s" % (d, m, "" if A is None else ", A=%s" % (A,)),
     )
-    dv = 0 if v.is_zero else d * v.degree
     r.check("pole-order", max(e * d + n, dv) == m, "pole order %s" % (max(e * d + n, dv),))
     vm1 = v(Fraction(-1))
     r.check("witness-nonzero-at-a", vm1 != 0, "v(-1)=%s" % (vm1,))
@@ -496,46 +485,6 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
         "exactness-rule",
         cert.exactness_rule == RULE_TWO_TORSION,
         cert.exactness_rule,
-    )
-
-
-# ---------------------------------------------------------------------------
-# transport along a monic normalization
-# ---------------------------------------------------------------------------
-
-def map_certificate(norm: MonicNormalization, cert: TorsionCertificate) -> TorsionCertificate:
-    """Carry a certificate on the monic model back to the original curve.
-
-    Substituting x -> c0**j * x into the model identity and clearing the
-    c0 powers yields an identity of the same shape (infinity-shift turns
-    into shift-power because the root -1 moves), with the point mapped by
-    (x, y) |-> (c0**-j * x, c0**i * y).  The order m is unchanged.
-    """
-    c0, i, j = norm.c0, norm.i, norm.j
-    sx, ax = c0 ** j, c0 ** (-j)  # model x = sx * source x, source x = ax * model x
-    kind, u, a = cert.identity_kind, cert.u, cert.a
-    if kind == INFINITY_SHIFT:
-        # x^(ed) * h + v^d == A(1+x)^m becomes a shift-power identity at
-        # a = -c0^-j with u = (c0^j x)^e.
-        kind, u, a = SHIFT_POWER, Poly.monomial(sx ** cert.e, cert.e), Fraction(-1)
-    elif kind == SHIFT_POWER:
-        u = u.scale_x(sx)
-    elif kind == TWO_TORSION_LINK:
-        u = Poly.x_minus(ax * -u[0])  # the link root w = -u[0] moves like x
-    elif kind in (ORDER_D, PURE_POWER):
-        u = None
-    else:
-        raise ValueError("unknown identity kind %r" % (kind,))
-    return replace(
-        cert,
-        curve=Curve(norm.target.d, norm.target.n, norm.source_f),
-        identity_kind=kind,
-        u=u,
-        v=None if cert.v is None else cert.v.scale_x(sx) * c0 ** i,
-        a=ax * a,
-        e=0,
-        lam=None,
-        point=None if cert.point is None else norm.map_point(cert.point),
     )
 
 

@@ -50,8 +50,8 @@ from .certify import (
     exactness_rule_for,
 )
 from .curves import AffinePoint, Curve, CurveError
-from .polyring import Poly, poly_from_json
-from .scalars import GAUSSIAN_I, Scalar, scalar_from_json
+from .polyring import Poly
+from .scalars import GAUSSIAN_I, Scalar
 from .series import HypothesisError, TruncationSpec, check_truncation_valuation, truncated_binomial, truncation_quotient
 
 SEARCH_LIMIT_ENV = "TORSION_FORGE_SEARCH_LIMIT"
@@ -408,29 +408,7 @@ class ConstructionRequest:
     d: int
     m: int
     style: Optional[str] = None
-    a: Optional[Scalar] = None
-    v: Optional[Poly] = None
-    c: Optional[Scalar] = None
     search_limit: Optional[int] = None
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ConstructionRequest":
-        v = obj.get("v")
-        a = obj.get("a")
-        c = obj.get("c")
-        style = obj.get("style")
-        return cls(
-            n=int(obj["n"]),
-            d=int(obj["d"]),
-            m=int(obj["m"]),
-            style=str(style) if style is not None else None,
-            a=scalar_from_json(a) if a is not None else None,
-            v=poly_from_json(v) if v is not None else None,
-            c=scalar_from_json(c) if c is not None else None,
-            search_limit=(
-                int(obj["search_limit"]) if obj.get("search_limit") is not None else None
-            ),
-        )
 
 
 def infer_style(n: int, d: int, m: int) -> str:
@@ -461,19 +439,14 @@ def construct(request: ConstructionRequest) -> TorsionCertificate:
     if style == STYLE_ORDER_D:
         if m != d:
             raise PreconditionError("style %s requires m = d" % (style,))
-        a = request.a if request.a is not None else Fraction(1)
-        return construct_order_d(n, d, a=a)
+        return construct_order_d(n, d)
     if style == STYLE_ORDER_N:
         if m != n:
             raise PreconditionError("style %s requires m = n" % (style,))
-        a = request.a if request.a is not None else Fraction(0)
-        return construct_order_n(
-            n, d, v=request.v, a=a, search_limit=request.search_limit
-        )
+        return construct_order_n(n, d, search_limit=request.search_limit)
     if style == STYLE_DIV_D:
-        return construct_div_d(
-            n, d, m, c=request.c, search_limit=request.search_limit
-        )
+        return construct_div_d(n, d, m, search_limit=request.search_limit)
+    check_shape(n, d)
     if m <= n or (m - n) % d != 0:
         raise PreconditionError(
             "style %s requires m = n + e*d with e >= 1, got m=%d" % (style, m)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import AffinePoint, Curve
+from .curves import AffinePoint, Curve, on_curve
 from .polyring import Poly, exact_div, xgcd
 
 
@@ -72,7 +72,7 @@ def validate(curve: Curve, D: MumfordDivisor):
 def embed_point(curve: Curve, point: AffinePoint) -> MumfordDivisor:
     """The class of P - O for an affine point P on the curve."""
     _require_d2(curve)
-    if point.y ** 2 != curve.f(point.x):
+    if not on_curve(curve, point):
         raise ValueError("point %s is not on the curve" % (point,))
     D = MumfordDivisor(Poly((-point.x, 1)), Poly.constant(point.y))
     validate(curve, D)

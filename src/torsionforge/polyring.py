@@ -225,14 +225,6 @@ class Poly:
             return self
         return Poly(tuple(c / lead for c in self._coeffs))
 
-    def scale_x(self, lam) -> "Poly":
-        """The composition f(lam * x)."""
-        out, p = [], None
-        for k, c in enumerate(self._coeffs):
-            p = 1 if k == 0 else p * lam
-            out.append(c * p)
-        return Poly(out)
-
     def valuation_at_zero(self) -> int:
         """Multiplicity of the root 0, i.e. the index of the lowest nonzero coefficient."""
         if self.is_zero:

@@ -110,17 +110,6 @@ class GaussianRational:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("GaussianRational is immutable")
 
-    @classmethod
-    def i(cls) -> "GaussianRational":
-        return cls(0, 1)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.im == 0
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm(self) -> Fraction:
         """Field norm a^2 + b^2; zero only for the zero element."""
         return self.re * self.re + self.im * self.im

@@ -1,4 +1,4 @@
-"""Certificates: verdict engine, verifier, JSON round-trips, transport."""
+"""Certificates: verdict engine, verifier, JSON round-trips."""
 
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from torsionforge.certify import (
     TorsionCertificate,
     exactness_rule_for,
     exactness_rule_holds,
-    map_certificate,
-    norm_poly,
     pole_order_congruence,
     reachability_verdict,
     verify_certificate,
@@ -30,18 +28,9 @@ from torsionforge.constructors import (
     construct_order_d,
     construct_order_n,
 )
-from torsionforge.curves import AffinePoint, normalize_monic
+from torsionforge.curves import AffinePoint
 from torsionforge.polyring import Poly
 from torsionforge.scalars import GAUSSIAN_I
-
-
-def scaled_model(cert, c0):
-    """A non-monic model of the certificate's curve with leading coefficient c0."""
-    d, n, f = cert.curve.d, cert.curve.n, cert.curve.f
-    i0 = pow(d, -1, n)
-    i = min((i0, i0 - n), key=abs)
-    j = (1 - d * i) // n
-    return f.scale_x(c0 ** j) * c0 ** (d * i)
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +145,6 @@ def test_exactness_rule_holds():
 
 
 # ---------------------------------------------------------------------------
-# norm polynomial
-# ---------------------------------------------------------------------------
-
-def test_norm_poly_is_the_function_norm():
-    f = Poly((1, 0, 1, 2, Fraction(1, 4), 1))
-    v = Poly((1, 0, Fraction(1, 2), 1))
-    # the div-d identity: v^2 - f = x^6
-    assert norm_poly(Poly.zero() + Poly.one(), v, f, 2) == Poly.x_power(6)
-
-
-def test_norm_poly_validates_d():
-    with pytest.raises(ValueError):
-        norm_poly(Poly.one(), Poly.one(), Poly((1, 1)), 1)
-
-
-# ---------------------------------------------------------------------------
 # verifier: positive and negative paths
 # ---------------------------------------------------------------------------
 
@@ -279,6 +252,27 @@ def test_two_torsion_link_requires_witness_vanishing_at_link():
     assert "witness-vanishes-at-link" in failed or "identity" in failed
 
 
+@pytest.mark.parametrize("consistent_m", [False, True])
+def test_infinity_shift_rejects_huge_e_without_building_the_product(monkeypatch, consistent_m):
+    """x^(ed) is never built when the identity's degree or low terms cannot match."""
+    x_power = Poly.x_power
+
+    def bounded_x_power(k):
+        assert k <= 10 ** 4, "x^%d built" % (k,)
+        return x_power(k)
+
+    monkeypatch.setattr(Poly, "x_power", staticmethod(bounded_x_power))
+    cert = construct_n_plus_ed(5, 2, 1)
+    e = 10 ** 9
+    bad = replace(cert, e=e, m=5 + 2 * e if consistent_m else cert.m)
+    ok, lines = verify_certificate(bad)
+    assert not ok
+    failed = {l.name for l in lines if not l.ok}
+    assert "identity" in failed
+    assert ("order-form" in failed) is not consistent_m
+    assert verify_certificate(cert)[0]
+
+
 # ---------------------------------------------------------------------------
 # JSON round-trip
 # ---------------------------------------------------------------------------
@@ -316,41 +310,3 @@ def test_verify_certificate_json_raises_on_malformed_structure():
     del obj["m"]
     with pytest.raises(KeyError):
         verify_certificate_json(obj)
-
-
-# ---------------------------------------------------------------------------
-# transport along monic normalization
-# ---------------------------------------------------------------------------
-
-def test_transport_preserves_validity_for_every_kind():
-    for cert in certificates_of_every_kind():
-        g = scaled_model(cert, Fraction(4))
-        norm = normalize_monic(cert.curve.d, cert.curve.n, g)
-        assert norm.target.f == cert.curve.f
-        mapped = map_certificate(norm, cert)
-        assert mapped.m == cert.m
-        assert mapped.curve.f == g
-        ok, lines = verify_certificate(mapped)
-        assert ok, (cert.identity_kind, [str(l) for l in lines if not l.ok])
-
-
-def test_transport_turns_infinity_shift_into_shift_power():
-    cert = construct_n_plus_ed(5, 2, 1)
-    g = scaled_model(cert, Fraction(9, 2))
-    norm = normalize_monic(2, 5, g)
-    mapped = map_certificate(norm, cert)
-    assert mapped.identity_kind == "shift-power"
-    assert mapped.u is not None and not mapped.u.is_zero
-    ok, lines = verify_certificate(mapped)
-    assert ok, [str(l) for l in lines if not l.ok]
-
-
-def test_transport_moves_the_point_onto_the_model():
-    from torsionforge.curves import Curve, on_curve
-
-    cert = construct_div_d(7, 2, 8)
-    g = scaled_model(cert, Fraction(3))
-    norm = normalize_monic(2, 7, g)
-    mapped = map_certificate(norm, cert)
-    assert on_curve(Curve(2, 7, g), mapped.point)
-    assert mapped.point != cert.point

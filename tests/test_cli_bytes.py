@@ -10,9 +10,12 @@ Two corpora are replayed through ``cli.main``, read-only:
   that corpus does not reach (exit 3 and 4, oracle lines and mismatches,
   self-verification failures, invalid and malformed certificates).  Its
   bytes were captured from commit 7929b6e, before the construct ->
-  verify -> oracle pipeline was merged into one function.  Paths that
-  cannot be reached from the command line are reached by the named
-  monkeypatches in ``PATCHES``.
+  verify -> oracle pipeline was merged into one function; the
+  shift-power and large-e ``verify`` cases were captured from commit
+  67cb2f2, the last one that could still produce shift-power
+  certificates (by carrying a constructed certificate onto a non-monic
+  model of its curve).  Paths that cannot be reached from the command
+  line are reached by the named monkeypatches in ``PATCHES``.
 """
 
 from __future__ import annotations

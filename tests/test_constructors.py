@@ -254,12 +254,19 @@ def test_infer_style():
         infer_style(5, 2, 4)
 
 
+BAD_SHAPES = [
+    (5, 0, 7, None), (5, 1, 7, None), (4, 2, 6, None), (3, 5, 8, None), (6, 3, 6, None),
+    (5, 2, 3, None), (5, 0, 7, "n-plus-ed"),
+]
+
+
 @pytest.mark.parametrize(
-    "n, d, m", [(5, 0, 7), (5, 1, 7), (4, 2, 6), (3, 5, 8), (6, 3, 6), (5, 2, 3)]
+    "n, d, m, style", BAD_SHAPES,
+    ids=["-".join(str(x) for x in case if x is not None) for case in BAD_SHAPES],
 )
-def test_construct_rejects_bad_shapes(n, d, m):
+def test_construct_rejects_bad_shapes(n, d, m, style):
     with pytest.raises(PreconditionError):
-        construct(ConstructionRequest(n=n, d=d, m=m))
+        construct(ConstructionRequest(n=n, d=d, m=m, style=style))
 
 
 def test_construct_dispatch_round_trip():
@@ -278,20 +285,6 @@ def test_construct_rejects_style_order_mismatch():
         construct(ConstructionRequest(n=5, d=2, m=6, style="n-plus-ed"))
     with pytest.raises(PreconditionError):
         construct(ConstructionRequest(n=5, d=2, m=6, style="mystery"))
-
-
-def test_construct_request_from_json():
-    req = ConstructionRequest.from_json_dict(
-        {"n": 5, "d": 2, "m": 6, "c": "2", "search_limit": 5}
-    )
-    assert req.c == Fraction(2)
-    cert = construct(req)
-    assert cert.point.y == 2
-    req2 = ConstructionRequest.from_json_dict(
-        {"n": 7, "d": 3, "m": 7, "a": "1", "v": ["2", "1"]}
-    )
-    cert2 = construct(req2)
-    assert cert2.point == AffinePoint(Fraction(1), Fraction(3))
 
 
 def test_shape_validation():

@@ -185,14 +185,8 @@ def test_is_squarefree_rejects_constants():
 
 
 # ---------------------------------------------------------------------------
-# substitution helpers
+# derivative
 # ---------------------------------------------------------------------------
-
-@given(polys, st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(lambda x: x != 0),
-       st.fractions(min_value=-5, max_value=5, max_denominator=3))
-def test_scale_x_evaluates_consistently(p, lam, t):
-    assert p.scale_x(lam)(t) == p(lam * t)
-
 
 def test_derivative_product_rule():
     p = Poly((1, 2, 3))

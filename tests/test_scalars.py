@@ -124,12 +124,6 @@ def test_gaussian_multiplicative_inverse(z):
         assert z ** -1 * z == 1
 
 
-@given(gaussians)
-def test_gaussian_norm_is_conjugate_product(z):
-    assert GaussianRational(z.norm()) == z * z.conjugate()
-    assert z.norm() >= 0
-
-
 def test_gaussian_mixes_with_fractions():
     z = GaussianRational(Fraction(1, 2), Fraction(3, 4))
     assert z + Fraction(1, 2) == GaussianRational(1, Fraction(3, 4))
