@@ -65,7 +65,7 @@ from typing import Optional
 
 from .curves import AffinePoint, Curve, CurveError, on_curve
 from .polyring import Poly, poly_from_json, poly_to_json
-from .scalars import Scalar, is_prime, scalar_from_json, scalar_to_json
+from .scalars import Scalar, int_from_json, is_prime, scalar_from_json, scalar_to_json
 
 
 class PreconditionError(ValueError):
@@ -181,12 +181,12 @@ class TorsionCertificate:
         lam = obj.get("lambda")
         return cls(
             curve=curve,
-            m=int(obj["m"]),
+            m=int_from_json("m", obj["m"]),
             identity_kind=str(obj["identity_kind"]),
             v=poly_from_json(v) if v is not None else None,
             u=poly_from_json(u) if u is not None else None,
             a=scalar_from_json(a) if a is not None else None,
-            e=int(obj.get("e", 0)),
+            e=int_from_json("e", obj.get("e", 0)),
             lam=scalar_from_json(lam) if lam is not None else None,
             exactness_rule=str(obj["exactness_rule"]),
             point=point,

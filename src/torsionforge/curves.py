@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 
 from .polyring import Poly, is_squarefree, poly_from_json, poly_to_json
-from .scalars import Scalar
+from .scalars import Scalar, int_from_json
 
 
 class CurveError(ValueError):
@@ -75,7 +75,9 @@ class Curve:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Curve":
-        return cls(int(obj["d"]), int(obj["n"]), poly_from_json(obj["f"]))
+        return cls(
+            int_from_json("d", obj["d"]), int_from_json("n", obj["n"]), poly_from_json(obj["f"])
+        )
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,33 @@ reduction), which works uniformly over any exact field the coefficient
 types support - here the rationals and the Gaussian rationals - and for
 any genus.  Nothing assumes f monic.
 
-Orders are found by linear scan: the orders this package meets are tiny
-(a few dozen at most), and a scan is the only approach that proves
-exactness rather than divisibility.
+Orders are found by scanning the multiples k*D, and the scan stops at
+the half-way point when it can.  Two facts keep that work over Q and
+short:
+
+* Quadratic twist.  When f and u are rational and v is a nonzero
+  element of i*Q[x] (the points the infinity-shift constructor emits),
+  (x, y) -> (x, y/i) is an isomorphism over Q(i) from y**2 = f onto
+  y**2 = -f that fixes O, so (u, v/i) on the twist has the same order
+  and every Cantor step runs on rationals.
+* Half-length scan.  Once 2k >= bound, k*D + (bound-k)*D = bound*D, so
+  bound*D = 0 exactly when k*D equals -(bound-k)*D (reduced Mumford
+  pairs are unique).  Then the order divides bound, and each proper
+  divisor of bound is at most bound/2 <= k and was already checked
+  against the identity, so the order is bound itself.  Otherwise the
+  scan goes on to bound, so the least k with k*D = 0 is still found
+  exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import AffinePoint, Curve, on_curve
 from .polyring import Poly, exact_div, xgcd
+from .scalars import GaussianRational
 
 
 class UnsupportedDegreeError(ValueError):
@@ -130,20 +146,56 @@ def scalar_mul(curve: Curve, k: int, D: MumfordDivisor) -> MumfordDivisor:
     return acc
 
 
-def order_of(curve: Curve, D: MumfordDivisor, bound: int) -> int:
-    """Least k >= 1 with k*D = 0, by linear scan up to bound.
+class _Twist(NamedTuple):
+    """The model y**2 = -f, with the fields Cantor's algorithm reads.
 
-    The scan certifies exactness: every intermediate multiple is checked
-    against the identity, so the returned k cannot be a proper multiple
-    of the true order.  Raises OrderNotFoundError past the bound.
+    Not a ``Curve``: -f is square-free exactly when f is, so the twist
+    needs no second validation.
+    """
+
+    d: int
+    f: Poly
+    genus: int
+
+
+def _rational(p: Poly) -> bool:
+    return all(isinstance(c, Fraction) for c in p.coeffs)
+
+
+def _imaginary(c) -> bool:
+    return c == 0 or isinstance(c, GaussianRational) and c.re == 0
+
+
+def _over_q(curve: Curve, D: MumfordDivisor):
+    """(curve, D), or (y**2 = -f, (u, v/i)) when that puts D over Q."""
+    v = D.v.coeffs
+    if not (v and _rational(curve.f) and _rational(D.u) and all(map(_imaginary, v))):
+        return curve, D
+    v_over_i = Poly([c.im if isinstance(c, GaussianRational) else c for c in v])
+    return _Twist(curve.d, -curve.f, curve.genus), MumfordDivisor(D.u, v_over_i)
+
+
+def order_of(curve: Curve, D: MumfordDivisor, bound: int) -> int:
+    """Least k >= 1 with k*D = 0, for k up to bound.
+
+    Runs on the quadratic twist when that puts D over Q, and returns
+    bound after ceil(bound/2) multiples when bound*D = 0 (see the module
+    docstring); otherwise every multiple up to bound is checked against
+    the identity.  Either way the returned k is the exact order, never a
+    proper multiple of it.  Raises OrderNotFoundError past the bound.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %r" % (bound,))
-    acc = D
+    model, E = _over_q(curve, D)
+    half = (bound + 1) // 2
+    acc, prev = E, IDENTITY
     for k in range(1, bound + 1):
         if acc.is_identity():
             return k
-        acc = add(curve, acc, D)
+        # at k = ceil(bound/2): is k*E == -(bound-k)*E, i.e. bound*E = 0?
+        if k == half and acc == neg(model, prev if bound % 2 else acc):
+            return bound
+        acc, prev = add(model, acc, E), acc
     raise OrderNotFoundError(
         "no order <= %d found for %s" % (bound, D)
     )

@@ -243,6 +243,13 @@ def scalar_to_json(x: Scalar | int):
     return rational_to_str(x)
 
 
+def int_from_json(name: str, obj) -> int:
+    """A JSON integer field: an ``int`` that is not a ``bool``, else TypeError."""
+    if type(obj) is not int:
+        raise TypeError("%s must be a JSON integer, got %r" % (name, obj))
+    return obj
+
+
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, str):
         return rational_from_str(obj)

@@ -174,6 +174,33 @@ def test_verify_missing_key_exits_2(cert_file, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("m",), 6.9),
+        (("m",), "6"),
+        (("m",), True),
+        (("e",), 1.0),
+        (("curve", "n"), "5"),
+    ],
+    ids=["m-float", "m-string", "m-bool", "e-float", "curve-n-string"],
+)
+def test_verify_non_integer_json_field_exits_2(cert_file, tmp_path, capsys, keys, value):
+    # integer fields must be JSON ints: int() would truncate 6.9 to 6 and
+    # accept the string "6"
+    obj = json.loads(cert_file.read_text())
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    bad = tmp_path / "nonint.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("malformed certificate: TypeError: %s must be a JSON integer" % keys[-1])
+
+
 def test_verify_invalid_curve_data_exits_1(cert_file, tmp_path, capsys):
     # structurally fine JSON whose f has a repeated root: a verification
     # failure, not a parse error

@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from torsionforge.constructors import construct_div_d, construct_n_plus_ed
+from torsionforge import jacobian2
+from torsionforge.constructors import (
+    ConstructionRequest,
+    construct,
+    construct_div_d,
+    construct_n_plus_ed,
+)
 from torsionforge.curves import AffinePoint, Curve
 from torsionforge.jacobian2 import (
     IDENTITY,
@@ -22,6 +28,7 @@ from torsionforge.jacobian2 import (
     validate,
 )
 from torsionforge.polyring import Poly
+from torsionforge.scalars import GaussianRational
 
 
 # genus 2 with five rational branch points: x(x^2-1)(x^2-4)
@@ -206,3 +213,98 @@ def test_order_of_gaussian_point():
     assert order_of(cert.curve, D, bound=7) == 7
     assert not scalar_mul(cert.curve, 7, D).u == Poly((1, 1))  # sanity: reduced to identity
     assert scalar_mul(cert.curve, 7, D).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# order_of: the half-length scan and the quadratic twist
+# ---------------------------------------------------------------------------
+
+def reference_order(curve, D, bound):
+    """The plain linear scan on the given model: least k <= bound with k*D = 0, or None."""
+    acc = D
+    for k in range(1, bound + 1):
+        if acc.is_identity():
+            return k
+        acc = add(curve, acc, D)
+    return None
+
+
+def assert_agrees_with_reference(curve, D, bounds):
+    """order_of at each bound gives what a plain scan up to max(bounds) implies."""
+    first = reference_order(curve, D, max(bounds))
+    for bound in bounds:
+        if first is not None and first <= bound:
+            assert order_of(curve, D, bound) == first, bound
+        else:
+            with pytest.raises(OrderNotFoundError):
+                order_of(curve, D, bound)
+
+
+def rational_generator():
+    cert = construct_div_d(5, 2, 6)
+    return cert.curve, embed_point(cert.curve, cert.point), 6
+
+
+def gaussian_generator():
+    cert = construct_n_plus_ed(5, 2, 1)
+    return cert.curve, embed_point(cert.curve, cert.point), 7
+
+
+@pytest.mark.parametrize("generator", [rational_generator, gaussian_generator])
+def test_order_of_contract(generator):
+    curve, D, m = generator()
+    for bound in (m, 2 * m, 3 * m):
+        assert order_of(curve, D, bound) == m
+    # (m + 1)*D != 0, so the half-way test fails and the scan goes on to m
+    assert order_of(curve, D, m + 1) == m
+    with pytest.raises(OrderNotFoundError):
+        order_of(curve, D, m - 1)
+
+
+def test_order_of_small_bounds_on_a_weierstrass_point():
+    D = embed_point(GENUS2_SPLIT, weierstrass_points(GENUS2_SPLIT)[0])
+    with pytest.raises(OrderNotFoundError):
+        order_of(GENUS2_SPLIT, D, bound=1)
+    assert order_of(GENUS2_SPLIT, D, bound=2) == 2
+    assert order_of(GENUS2_SPLIT, D, bound=3) == 2
+    assert order_of(GENUS2_SPLIT, IDENTITY, bound=1) == 1
+    with pytest.raises(ValueError):
+        order_of(GENUS2_SPLIT, D, bound=0)
+
+
+def test_twisted_pair_is_valid_on_the_twist():
+    curve, D, _ = gaussian_generator()
+    model, E = jacobian2._over_q(curve, D)
+    assert model.f == -curve.f
+    assert E.u == D.u
+    assert E.v * Poly.constant(GaussianRational(0, 1)) == D.v
+    assert all(isinstance(c, Fraction) for c in E.v.coeffs)
+    validate(model, E)
+    validate(Curve(2, curve.n, -curve.f), E)
+
+
+def test_mixed_ordinate_divisor_is_not_twisted():
+    # y^2 = x^5 + x^2 + 2x + 1 carries (0, 1) and (-1, i)
+    cert = construct(ConstructionRequest(n=5, d=2, m=5))
+    curve = cert.curve
+    P = embed_point(curve, AffinePoint(Fraction(0), Fraction(1)))
+    Q = embed_point(curve, AffinePoint(Fraction(-1), GaussianRational(0, 1)))
+    D = add(curve, P, Q)
+    assert D.v == Poly((1, GaussianRational(1, -1)))
+    assert jacobian2._over_q(curve, D) == (curve, D)
+    assert_agrees_with_reference(curve, D, (1, 2, 5, 6))
+
+
+def ladder_certificates(max_n):
+    for n in range(5, max_n + 1, 2):
+        for m in [2, n] + list(range(n + 1, 2 * n + 2)):
+            yield construct(ConstructionRequest(n=n, d=2, m=m))
+
+
+def test_order_of_matches_the_reference_scan_on_the_ladders():
+    certs = list(ladder_certificates(9))
+    assert len(certs) == 30
+    for cert in certs:
+        m = cert.m
+        D = embed_point(cert.curve, cert.point)
+        assert_agrees_with_reference(cert.curve, D, (m - 1, m, m + 1, 2 * m))
