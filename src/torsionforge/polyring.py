@@ -7,6 +7,17 @@ their coefficient tuples are.  The coefficient field is either
 mix freely because the scalar types coerce each other.  Integer
 coefficients passed to the constructor are normalized to ``Fraction``.
 
+When every coefficient of both operands is a ``Fraction``, ``*`` and
+``divmod`` run on integers: each operand is scaled to integer numerators
+over the lcm of its denominators, the product is a schoolbook
+convolution of those numerators, and division is fraction-free long
+division over a running denominator.  Each output coefficient is then
+one ``Fraction``, in lowest terms as always, so results are exactly those
+of coefficient-wise ``Fraction`` arithmetic, with one normalising gcd
+per output coefficient rather than one per coefficient product.  A
+polynomial with any ``GaussianRational`` coefficient takes the plain
+coefficient loop instead.
+
 The degree of the zero polynomial is the distinguished sentinel
 :data:`NEG_INFINITY` (``float('-inf')``), never an ordinary integer, so
 degree comparisons behave correctly without special cases.
@@ -15,6 +26,7 @@ degree comparisons behave correctly without special cases.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .scalars import GaussianRational, scalar_from_json, scalar_to_json
@@ -33,6 +45,66 @@ def _coerce_coeff(c):
     if isinstance(c, (Fraction, GaussianRational)):
         return c
     raise TypeError("unsupported coefficient type: %r" % (type(c).__name__,))
+
+
+def _all_rational(cs) -> bool:
+    return all(type(c) is Fraction for c in cs)
+
+
+def _over_lcm(cs) -> tuple[list, int]:
+    """Integer numerators of ``cs`` over the lcm of their denominators."""
+    dens = [c.denominator for c in cs]
+    den = lcm(*dens)
+    return [c.numerator * (den // d) for c, d in zip(cs, dens)], den
+
+
+def _canonical(cs: list) -> "Poly":
+    """A Poly of canonical scalars, trailing zeros stripped, without re-coercion."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(Poly)
+    object.__setattr__(p, "_coeffs", tuple(cs))
+    return p
+
+
+def _mul_rational(a: tuple, b: tuple) -> "Poly":
+    """Schoolbook product of nonzero all-``Fraction`` a and b on integer numerators."""
+    na, da = _over_lcm(a)
+    nb, db = _over_lcm(b)
+    acc = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(na):
+        if x:
+            for j, y in enumerate(nb, i):
+                acc[j] += x * y
+    den = da * db
+    return _canonical([Fraction(c, den) for c in acc])
+
+
+def _divmod_rational(a: tuple, b: tuple) -> tuple["Poly", "Poly"]:
+    """Fraction-free long division of all-``Fraction`` a by b, deg a >= deg b.
+
+    With a = R/den and b = B/db, each step removes the top term c of R:
+    the quotient coefficient is c*db/(den*L), L the leading numerator of
+    B, and the remainder becomes (L*R - c*x^k*B)/(den*L).  When L == 1
+    the rescale is skipped.
+    """
+    rem, den = _over_lcm(a)
+    nb, db = _over_lcm(b)
+    dv = len(b) - 1
+    lead = nb[-1]
+    quot = [Fraction(0)] * (len(a) - dv)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + dv]
+        if not c:
+            continue
+        quot[k] = Fraction(c * db, den * lead)
+        if lead != 1:
+            for j in range(k + dv):
+                rem[j] *= lead
+            den *= lead
+        for j, y in enumerate(nb[:-1], k):
+            rem[j] -= c * y
+    return _canonical(quot), _canonical([Fraction(c, den) for c in rem[:dv]])
 
 
 class Poly:
@@ -151,6 +223,8 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly.zero()
         a, b = self._coeffs, other._coeffs
+        if _all_rational(a) and _all_rational(b):
+            return _mul_rational(a, b)
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
@@ -167,25 +241,30 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        result = Poly.one()
+        if k == 0:
+            return Poly.one()
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        if self.degree < other.degree:
+            return Poly.zero(), self
+        if _all_rational(self._coeffs) and _all_rational(other._coeffs):
+            return _divmod_rational(self._coeffs, other._coeffs)
         rem = list(self._coeffs)
         dd, dv = len(rem) - 1, other.degree
         lead = other.leading_coefficient
-        if dd < dv:
-            return Poly.zero(), self
         quot = [Fraction(0)] * (dd - dv + 1)
         for k in range(dd - dv, -1, -1):
             c = rem[k + dv]

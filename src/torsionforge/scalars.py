@@ -30,14 +30,45 @@ PAdicValue = Union[int, float]
 Scalar = Union[Fraction, "GaussianRational"]
 
 
+#: Prime bases that make Miller-Rabin exact below :data:`_MR_BOUND`.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: Sorenson and Webster (2015): no composite below this is a strong
+#: probable prime to every base in :data:`_MR_BASES`.
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division (inputs here are small)."""
+    """Deterministic primality.
+
+    Below :data:`_MR_BOUND` this is Miller-Rabin with the thirteen prime
+    bases 2..41, which is exact there; above it, trial division.
+    """
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_BOUND:
+        return _is_prime_by_trial_division(p)
+    s, t = 0, p - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _MR_BASES:
+        x = pow(a, t, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_prime_by_trial_division(p: int) -> bool:
+    """Primality of an odd p by trial division with odd k up to sqrt(p)."""
     k = 3
     r = isqrt(p)
     while k <= r:

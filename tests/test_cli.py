@@ -201,6 +201,44 @@ def test_verify_non_integer_json_field_exits_2(cert_file, tmp_path, capsys, keys
     assert err.startswith("malformed certificate: TypeError: %s must be a JSON integer" % keys[-1])
 
 
+def test_verify_prime_order_rule_with_huge_m_finishes(tmp_path, capsys, monkeypatch):
+    # a 300-byte certificate claiming the prime-order rule for m = 2^61 - 1
+    # must not make the verifier trial-divide up to sqrt(m)
+    from torsionforge import scalars
+
+    def refuse(p):
+        raise AssertionError("trial division below the Miller-Rabin bound")
+
+    monkeypatch.setattr(scalars, "_is_prime_by_trial_division", refuse)
+    code, out, _ = run_cli(capsys, "construct", "--n", "5", "--d", "2", "--m", "6")
+    assert code == 0
+    obj = json.loads(out)
+    obj["m"] = 2**61 - 1
+    obj["exactness_rule"] = "prime-order"
+    bad = tmp_path / "huge-prime-m.json"
+    bad.write_text(json.dumps(obj))
+    assert len(bad.read_bytes()) < 300
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    m = obj["m"]
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "ok  curve-valid            d=2 n=5 genus=2",
+        "ok  identity-kind          kind='pure-power'",
+        "ok  order-positive         m=%d" % m,
+        "FAIL identity               f - v^2 == A*(x-a)^%d, a=0" % m,
+        "FAIL pole-order             max(n, d*deg v) = 6, m = %d" % m,
+        "ok  witness-nonzero-at-a   v(a)=1",
+        "ok  point-on-curve         (0, 1)",
+        "ok  point-abscissa         ",
+        "ok  point-ordinate         y(P)=1 v(a)=1",
+        "ok  ordinate-nonzero       ",
+        "ok  exactness-rule-known   prime-order",
+        "ok  exactness-rule         prime-order with m=%d n=5" % m,
+        "identity check failed",
+        "certificate INVALID (identity, pole-order)",
+    ]
+
+
 def test_verify_invalid_curve_data_exits_1(cert_file, tmp_path, capsys):
     # structurally fine JSON whose f has a repeated root: a verification
     # failure, not a parse error

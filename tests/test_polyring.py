@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from torsionforge import polyring
 from torsionforge.polyring import (
     DivisibilityError,
     NEG_INFINITY,
@@ -86,12 +87,22 @@ def test_evaluation_is_a_ring_map(p, t):
     assert (p * q)(t) == p(t) * q(t)
 
 
-@given(polys, st.integers(min_value=0, max_value=4))
+@given(polys, st.integers(min_value=0, max_value=9))
 def test_power_matches_repeated_product(p, k):
     expected = Poly.one()
     for _ in range(k):
         expected = expected * p
     assert p ** k == expected
+
+
+@pytest.mark.parametrize("p", [Poly.zero(), Poly.one(), Poly((Fraction(-2, 3),)), Poly((1, -1))],
+                         ids=["zero", "one", "constant", "linear"])
+def test_power_of_edge_operands(p):
+    expected = Poly.one()
+    for k in range(10):
+        assert p ** k == expected
+        expected = expected * p
+    assert p ** 0 == Poly.one()
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +230,129 @@ def test_poly_json_round_trip(p):
 def test_poly_json_is_ascending_strings():
     p = Poly((Fraction(35, 4), 35, 35, 21, 7, 1))
     assert poly_to_json(p) == ["35/4", "35", "35", "21", "7", "1"]
+
+
+# ---------------------------------------------------------------------------
+# integer kernels for all-Fraction operands, against a plain Fraction reference
+# ---------------------------------------------------------------------------
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_mul(a, b):
+    """Schoolbook product on coefficient lists, one Fraction operation at a time."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def _ref_divmod(a, b):
+    """Schoolbook long division on coefficient lists."""
+    rem = list(a)
+    dv = len(b) - 1
+    if len(rem) - 1 < dv:
+        return [], _strip(rem)
+    quot = [Fraction(0)] * (len(rem) - dv)
+    for k in range(len(quot) - 1, -1, -1):
+        q = rem[k + dv] / b[-1]
+        quot[k] = q
+        for j, y in enumerate(b):
+            rem[k + j] -= q * y
+    return _strip(quot), _strip(rem[:dv])
+
+
+def _assert_canonical(p):
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+# Unrelated and large denominators and negative coefficients.
+wide_fractions = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**25)),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+)
+wide_coeffs = st.lists(wide_fractions, min_size=0, max_size=7)
+wide_nonzero = wide_coeffs.filter(lambda cs: any(cs))
+
+
+@given(wide_coeffs, wide_coeffs)
+def test_mul_kernel_matches_reference(a, b):
+    p = Poly(a) * Poly(b)
+    _assert_canonical(p)
+    assert list(p.coeffs) == _ref_mul(_strip(a), _strip(b))
+
+
+@given(wide_coeffs, wide_nonzero)
+def test_divmod_kernel_matches_reference(a, b):
+    pa, pb = Poly(a), Poly(b)
+    q, r = divmod(pa, pb)
+    _assert_canonical(q)
+    _assert_canonical(r)
+    assert (list(q.coeffs), list(r.coeffs)) == _ref_divmod(_strip(a), _strip(b))
+    assert q * pb + r == pa
+    assert r.degree < pb.degree
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((), (3, 1)),                                                # zero dividend
+        ((5,), (Fraction(2, 7),)),                                   # constant by degree 0
+        ((1, 2, 3, 4), (Fraction(-3, 5),)),                          # degree-0 divisor
+        ((1, Fraction(1, 3)), (1, 2, Fraction(5, 11))),              # dividend shorter
+        ((Fraction(1, 6), 0, Fraction(-7, 10), 0, 1), (Fraction(2, 9), Fraction(-4, 15))),
+        ((Fraction(3, 10**20 + 39), -1, 0, Fraction(5, 7)), (1, 0, Fraction(-6, 13))),
+        ((Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 5), Fraction(1, 7)), (0, -2, Fraction(4, 3))),
+        ((1, 0, 0, 0, 0, 0, 0, 1), (1, 1)),                          # monic, integral
+    ],
+)
+def test_kernels_on_edge_operands(a, b):
+    pa, pb = Poly(a), Poly(b)
+    for p in (pa * pb, pb * pa, *divmod(pa, pb)):
+        _assert_canonical(p)
+    assert list((pa * pb).coeffs) == _ref_mul(list(pa.coeffs), list(pb.coeffs))
+    q, r = divmod(pa, pb)
+    assert (list(q.coeffs), list(r.coeffs)) == _ref_divmod(list(pa.coeffs), list(pb.coeffs))
+    assert q * pb + r == pa and r.degree < pb.degree
+
+
+def test_mul_by_zero_and_constants():
+    p = Poly((Fraction(1, 3), -2, Fraction(5, 4)))
+    assert (p * Poly.zero()).is_zero and (Poly.zero() * p).is_zero
+    assert p * Poly.one() == p
+    assert p * Poly((Fraction(-4, 5),)) == p * Fraction(-4, 5)
+
+
+@pytest.mark.parametrize("im", [0, Fraction(1, 2)], ids=["real-gaussian", "gaussian"])
+def test_gaussian_operands_take_the_generic_loop(monkeypatch, im):
+    a = (Fraction(1, 3), GaussianRational(2, im), -1, Fraction(5, 4))
+    b = (Fraction(-2, 7), GaussianRational(0, 1), 3)
+    expected_mul = _ref_mul(list(a), list(b))
+    expected_divmod = _ref_divmod(list(a), list(b))
+    # with a zero imaginary part the generic loop must agree with the kernel
+    real_a = Poly((Fraction(1, 3), 2, -1, Fraction(5, 4)))
+    real_b = Poly((Fraction(-2, 7), 1, 3))
+    kernel_mul, kernel_divmod = real_a * real_b, divmod(real_a, real_b)
+
+    def refuse(*args):
+        raise AssertionError("integer kernel used on a Gaussian operand")
+
+    monkeypatch.setattr(polyring, "_mul_rational", refuse)
+    monkeypatch.setattr(polyring, "_divmod_rational", refuse)
+    pa, pb = Poly(a), Poly(b)
+    assert list((pa * pb).coeffs) == expected_mul
+    q, r = divmod(pa, pb)
+    assert (list(q.coeffs), list(r.coeffs)) == expected_divmod
+    assert q * pb + r == pa
+    if im == 0:
+        assert pa * real_b == kernel_mul
+        assert divmod(pa, real_b) == kernel_divmod

@@ -65,6 +65,26 @@ def test_is_prime_small_table():
         assert is_prime(k) is (k in primes)
 
 
+def test_is_prime_agrees_with_trial_division_below_20000():
+    def by_trial_division(p):
+        return p >= 2 and all(p % k for k in range(2, math.isqrt(p) + 1))
+
+    for p in range(-3, 20000):
+        assert is_prime(p) is by_trial_division(p), p
+
+
+@pytest.mark.parametrize("p", [3215031751, 3825123056546413051, 1000003 * 1000033, 41 * 43])
+def test_is_prime_rejects_strong_pseudoprimes(p):
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7;
+    # 3825123056546413051 to every prime base up to 23.
+    assert is_prime(p) is False
+
+
+@pytest.mark.parametrize("p", [41, 43, 1000003, 2**31 - 1, 2**61 - 1])
+def test_is_prime_accepts_large_primes(p):
+    assert is_prime(p) is True
+
+
 @given(st.integers(min_value=-2000, max_value=2000).filter(lambda q: q != 0),
        st.sampled_from([2, 3, 5, 7]))
 def test_padic_valuation_extracts_exact_power(q, p):
