@@ -13,15 +13,12 @@ from .certify import (
     TorsionCertificate,
     Verdict,
     exactness_rule_for,
-    pole_order_congruence,
     reachability_verdict,
     verify_certificate,
-    verify_certificate_json,
 )
 from .constructors import (
     ConstructionRequest,
     SearchExhausted,
-    UnsupportedFieldError,
     ZeroOrdinateError,
     construct,
     construct_div_d,
@@ -49,11 +46,10 @@ from .jacobian2 import (
     embed_point,
     neg,
     order_of,
-    scalar_mul,
     validate,
 )
 from .polyring import DivisibilityError, Poly, exact_div, gcd, is_squarefree, xgcd
-from .scalars import GAUSSIAN_I, GaussianRational, Rational, is_prime, padic_valuation
+from .scalars import GAUSSIAN_I, GaussianRational, is_prime, padic_valuation
 from .series import (
     HypothesisError,
     TruncationSpec,
@@ -82,13 +78,11 @@ __all__ = [
     "OrderNotFoundError",
     "Poly",
     "PreconditionError",
-    "Rational",
     "RepeatedRootError",
     "SearchExhausted",
     "TorsionCertificate",
     "TruncationSpec",
     "UnsupportedDegreeError",
-    "UnsupportedFieldError",
     "Verdict",
     "ZeroOrdinateError",
     "add",
@@ -109,13 +103,10 @@ __all__ = [
     "on_curve",
     "order_of",
     "padic_valuation",
-    "pole_order_congruence",
     "reachability_verdict",
-    "scalar_mul",
     "truncated_binomial",
     "truncation_quotient",
     "validate",
     "verify_certificate",
-    "verify_certificate_json",
     "xgcd",
 ]

@@ -52,13 +52,15 @@ A curve is validated once, by the ``Curve`` type, when it is constructed
 or parsed; ``Curve`` and ``Poly`` are immutable, so the verifier takes
 ``cert.curve`` as it is.  Outside input is checked when it is parsed: a
 certificate whose curve data is invalid becomes a single failed
-``curve-valid`` line.
+``curve-valid`` line.  Scalars, polynomials and a symbolic point's
+abscissa must be spelled as the serializer spells them; any other
+spelling is malformed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Optional
@@ -179,7 +181,7 @@ class TorsionCertificate:
         v = obj.get("v")
         a = obj.get("a")
         lam = obj.get("lambda")
-        return cls(
+        cert = cls(
             curve=curve,
             m=int_from_json("m", obj["m"]),
             identity_kind=str(obj["identity_kind"]),
@@ -192,6 +194,10 @@ class TorsionCertificate:
             point=point,
             point_symbolic=symbolic,
         )
+        # the serializer writes a symbolic point's abscissa from a
+        if symbolic and scalar_from_json(pt["x"]) != cert.a:
+            raise ValueError("symbolic point abscissa %r is not a = %s" % (pt["x"], cert.a))
+        return cert
 
 
 def canonical_json(obj) -> str:
@@ -255,17 +261,13 @@ def parse_and_verify(obj: dict) -> tuple[Optional[TorsionCertificate], list[Chec
     return cert, verify_certificate(cert)[1]
 
 
-def verify_certificate_json(obj: dict) -> tuple[bool, list[CheckLine]]:
-    """Verify a certificate given as a parsed JSON dict; see :func:`parse_and_verify`."""
-    _, lines = parse_and_verify(obj)
-    return all(line.ok for line in lines), lines
-
-
 def verify_certificate(cert: TorsionCertificate) -> tuple[bool, list[CheckLine]]:
     """Recheck every claim of a certificate from first principles.
 
     Returns (all_ok, report).  Mathematically invalid certificates never
-    raise; each failed fact becomes a failed line in the report.  The
+    raise; each failed fact becomes a failed line in the report.  The one
+    refusal: a ``prime-order`` claim whose m is too large for ``is_prime``
+    raises its ValueError, which ``verify`` reports with exit 2.  The
     curve is not validated again: a ``Curve`` is validated once, when it
     is constructed or parsed, and is immutable, so the ``curve-valid``
     line only reports its shape.
@@ -509,35 +511,18 @@ RULE_UNDECIDED = "undecided"
 
 @dataclass(frozen=True)
 class Verdict:
-    n: int
-    d: int
-    m: int
+    """Whether an order is reachable, and the rule that decided it."""
+
     status: str
     deciding_rule: str
-    detail: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "status": self.status,
-            "deciding_rule": self.deciding_rule,
-            "detail": dict(self.detail),
-        }
-
-
-def pole_order_congruence(n: int, d: int, M: int) -> bool:
-    """Whether a function with pole divisor M*(O) can exist with a single
-    affine zero: requires M to be congruent to j*n mod d for some
-    0 <= j <= floor(M/n).  Only meaningful for 1 < M < n*d.
-    """
-    if not (1 < M < n * d):
-        raise PreconditionError("congruence test needs 1 < M < n*d, got M=%d" % (M,))
-    return _congruence_witness(n, d, M) is not None
 
 
 def _congruence_witness(n: int, d: int, M: int) -> Optional[int]:
+    """A j with 0 <= j <= M//n and M = j*n mod d, if any.
+
+    For 1 < M < n*d, a function with pole divisor M*(O) and a single
+    affine zero exists only if such a j does.
+    """
     k = M // n
     for j in range(k + 1):
         if (M - j * n) % d == 0:
@@ -555,50 +540,30 @@ def reachability_verdict(n: int, d: int, m: int) -> Verdict:
     if m < 2:
         raise PreconditionError("orders below 2 are not meaningful, got m=%d" % (m,))
 
-    l0 = (n + d) // d
-    m0 = d * l0
-    m1 = n + d
-    detail = {
-        "k": m // n,
-        "j": None,
-        "l": m // d if m % d == 0 else None,
-        "m0": m0,
-        "l0": l0,
-        "m1": m1,
-    }
-
-    def verdict(status, rule):
-        return Verdict(n=n, d=d, m=m, status=status, deciding_rule=rule, detail=detail)
-
     if m == d:
-        return verdict(STATUS_CONSTRUCTIVE, RULE_COVER_DEGREE)
+        return Verdict(STATUS_CONSTRUCTIVE, RULE_COVER_DEGREE)
     if m < n:
-        return verdict(STATUS_UNREACHABLE, RULE_DEGREE_FLOOR)
+        return Verdict(STATUS_UNREACHABLE, RULE_DEGREE_FLOOR)
     if m == n:
-        return verdict(STATUS_CONSTRUCTIVE, RULE_CURVE_DEGREE)
+        return Verdict(STATUS_CONSTRUCTIVE, RULE_CURVE_DEGREE)
 
-    if m < n * d:
-        j = _congruence_witness(n, d, m)
-        detail["j"] = j
-        if j is None:
-            return verdict(STATUS_UNREACHABLE, RULE_POLE_CONGRUENCE)
+    if m < n * d and _congruence_witness(n, d, m) is None:
+        return Verdict(STATUS_UNREACHABLE, RULE_POLE_CONGRUENCE)
 
     if m % d == 0:
-        deficit = n - m + m // d
-        detail["deficit"] = deficit
-        if deficit >= 0:
-            return verdict(STATUS_CONSTRUCTIVE, RULE_DIVISIBLE_MULTIPLE)
-        if m == m0:
-            return verdict(STATUS_UNREACHABLE, RULE_MULTIPLE_DEFICIT)
-        return verdict(STATUS_UNDECIDED, RULE_UNDECIDED)
+        if n - m + m // d >= 0:
+            return Verdict(STATUS_CONSTRUCTIVE, RULE_DIVISIBLE_MULTIPLE)
+        # the least multiple of d above n
+        if m == d * ((n + d) // d):
+            return Verdict(STATUS_UNREACHABLE, RULE_MULTIPLE_DEFICIT)
+        return Verdict(STATUS_UNDECIDED, RULE_UNDECIDED)
 
     if (m - n) % d == 0:
         e = (m - n) // d
-        detail["e"] = e
         if e * d * d - (e + 1) * d < n:
-            return verdict(STATUS_CONSTRUCTIVE, RULE_CONGRUENT_STEP)
+            return Verdict(STATUS_CONSTRUCTIVE, RULE_CONGRUENT_STEP)
         if e == 1:
-            return verdict(STATUS_UNREACHABLE, RULE_STEP_THRESHOLD)
-        return verdict(STATUS_UNDECIDED, RULE_UNDECIDED)
+            return Verdict(STATUS_UNREACHABLE, RULE_STEP_THRESHOLD)
+        return Verdict(STATUS_UNDECIDED, RULE_UNDECIDED)
 
-    return verdict(STATUS_UNDECIDED, RULE_UNDECIDED)
+    return Verdict(STATUS_UNDECIDED, RULE_UNDECIDED)

@@ -36,7 +36,6 @@ from .certify import (
 from .constructors import (
     ConstructionRequest,
     SearchExhausted,
-    UnsupportedFieldError,
     ZeroOrdinateError,
     construct,
 )
@@ -56,7 +55,6 @@ _PRECONDITION_ERRORS = (
     PreconditionError,
     HypothesisError,
     ZeroOrdinateError,
-    UnsupportedFieldError,
     CurveError,
 )
 

@@ -22,12 +22,13 @@ div-d         m = d*l > n.  With s = n - m + l >= 1 the witness
 n-plus-ed     m = n + e*d.  Truncating the binomial series of
               (1+x)**(m/d) at x**(e*d) yields V with
               (1+x)**m - V**d = x**(e*d)*f exactly, and P sits over
-              x = -1 with ordinate proportional to V(-1).
+              x = -1 with ordinate lam*(-1)**e*V(-1), lam**d == -1;
+              for even d > 2 no lam lies in Q(i) and P is symbolic.
 
 Search is deterministic: constants are tried in the fixed order
 1, -1, 2, -2, ... up to a budget taken from the TORSION_FORGE_SEARCH_LIMIT
 environment variable (default 64), so rerunning a construction always
-reproduces the same certificate.
+reproduces the same certificate.  Every search runs through ``_search``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .certify import (
     INFINITY_SHIFT,
@@ -56,6 +57,10 @@ from .series import HypothesisError, TruncationSpec, check_truncation_valuation,
 
 SEARCH_LIMIT_ENV = "TORSION_FORGE_SEARCH_LIMIT"
 DEFAULT_SEARCH_LIMIT = 64
+_BUDGET_MESSAGE = (
+    "no square-free curve with a point of order %s found within the budget ({}); "
+    "raise " + SEARCH_LIMIT_ENV + " to widen the search"
+)
 
 STYLE_ORDER_D = "order-d"
 STYLE_ORDER_N = "order-n"
@@ -72,11 +77,6 @@ class SearchExhausted(RuntimeError):
 class ZeroOrdinateError(ValueError):
     """The requested witness would place the point on the x-axis, where
     the order is d rather than the intended one."""
-
-
-class UnsupportedFieldError(ValueError):
-    """The requested value does not exist over the rationals or the
-    Gaussian rationals."""
 
 
 def default_search_limit() -> int:
@@ -96,18 +96,6 @@ def default_search_limit() -> int:
     return limit
 
 
-def lambda_for_cover_degree(d: int) -> Scalar:
-    """A constant lam with lam**d == -1, when one exists in the supported
-    fields: -1 for odd d, the imaginary unit for d = 2."""
-    if d == 2:
-        return GAUSSIAN_I
-    if d % 2 == 1:
-        return Fraction(-1)
-    raise UnsupportedFieldError(
-        "no d-th root of -1 exists over the Gaussian rationals for d=%d" % (d,)
-    )
-
-
 def _constants(skip: set, limit: int) -> Iterator[Fraction]:
     """1, -1, 2, -2, ... with the given values skipped; at most `limit`
     candidates in total."""
@@ -122,6 +110,20 @@ def _constants(skip: set, limit: int) -> Iterator[Fraction]:
             if produced >= limit:
                 return
         k += 1
+
+
+def _search(
+    candidates: Iterable, build: Callable[..., TorsionCertificate], message: str
+) -> TorsionCertificate:
+    """``build`` of the first candidate it does not reject with CurveError;
+    else SearchExhausted, with the last such error in ``message``'s {}."""
+    last_error: Optional[CurveError] = None
+    for cand in candidates:
+        try:
+            return build(cand)
+        except CurveError as exc:
+            last_error = exc
+    raise SearchExhausted(message.format(last_error))
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +172,12 @@ def construct_order_n(
     if v is not None:
         return _order_n_with(n, d, v, a)
     limit = default_search_limit() if search_limit is None else search_limit
-    max_deg = (n - 1) // d
-    last_error: Optional[CurveError] = None
-    for k in range(1, limit + 1):
-        shift = Fraction(k)
-        cand = Poly((shift, Fraction(1))) if max_deg >= 1 else Poly.constant(shift)
-        if cand(a) == 0:
-            continue
-        try:
-            return _order_n_with(n, d, cand, a)
-        except CurveError as exc:
-            last_error = exc
-    raise SearchExhausted(
-        "no square-free curve of order n=%d found within %d candidates (%s)"
-        % (n, limit, last_error)
+    # n > d admits deg v = 1; a candidate vanishing at a still uses budget
+    shifts = (Poly((k, 1)) for k in range(1, limit + 1))
+    return _search(
+        (cand for cand in shifts if cand(a) != 0),
+        lambda cand: _order_n_with(n, d, cand, a),
+        "no square-free curve of order n=%d found within %d candidates ({})" % (n, limit),
     )
 
 
@@ -246,21 +240,10 @@ def construct_div_d(
         return _div_d_with(n, d, m, l, s, Fraction(0))
 
     limit = default_search_limit() if search_limit is None else search_limit
-    D = Fraction(1, d)
-    if c is not None:
-        candidates = [c]
-    else:
-        candidates = _constants({Fraction(0), -D}, limit)
-    last_error: Optional[CurveError] = None
-    for cand in candidates:
-        try:
-            return _div_d_with(n, d, m, l, s, cand)
-        except CurveError as exc:
-            last_error = exc
-    raise SearchExhausted(
-        "no square-free curve with a point of order m=%d found within the "
-        "budget (%s); raise %s to widen the search"
-        % (m, last_error, SEARCH_LIMIT_ENV)
+    return _search(
+        [c] if c is not None else _constants({Fraction(0), -Fraction(1, d)}, limit),
+        lambda cand: _div_d_with(n, d, m, l, s, cand),
+        _BUDGET_MESSAGE % ("m=%d" % (m,)),
     )
 
 
@@ -299,7 +282,6 @@ def _two_torsion_link(
     class of (w,0) - (O), which is nonzero two-torsion, so P - O has
     exact order 2n.
     """
-    w = Fraction(1)
     k = (n - 1) // 2
     limit = default_search_limit() if search_limit is None else search_limit
     if c is not None:
@@ -309,35 +291,31 @@ def _two_torsion_link(
         candidates = [Fraction(1)]
     else:
         candidates = _constants({Fraction(0)}, limit)
-    last_error: Optional[CurveError] = None
-    for cand in candidates:
-        if cand == 0:
-            raise ZeroOrdinateError("c = 0 places the point on the x-axis")
-        if k == 1:
-            t = Poly((cand, Fraction(1)))
-        else:
-            t = Poly.x_power(k) + Poly.x_power(k - 1) + Poly.constant(cand)
-        v = Poly.x_minus(w) * t
-        f = Poly.x_minus(w) * (Poly.x_minus(w) * t ** 2 - Poly.x_power(n))
-        try:
-            curve = Curve(2, n, f)
-        except CurveError as exc:
-            last_error = exc
-            continue
-        return TorsionCertificate(
-            curve=curve,
-            m=2 * n,
-            identity_kind=TWO_TORSION_LINK,
-            u=Poly.x_minus(w),
-            v=v,
-            a=Fraction(0),
-            point=AffinePoint(Fraction(0), t(Fraction(0))),
-            exactness_rule=RULE_TWO_TORSION,
-        )
-    raise SearchExhausted(
-        "no square-free curve with a point of order 2n=%d found within the "
-        "budget (%s); raise %s to widen the search"
-        % (2 * n, last_error, SEARCH_LIMIT_ENV)
+    return _search(
+        candidates,
+        lambda cand: _two_torsion_link_with(n, k, cand),
+        _BUDGET_MESSAGE % ("2n=%d" % (2 * n,)),
+    )
+
+
+def _two_torsion_link_with(n: int, k: int, c: Scalar) -> TorsionCertificate:
+    if c == 0:
+        raise ZeroOrdinateError("c = 0 places the point on the x-axis")
+    w = Fraction(1)
+    if k == 1:
+        t = Poly((c, Fraction(1)))
+    else:
+        t = Poly.x_power(k) + Poly.x_power(k - 1) + Poly.constant(c)
+    f = Poly.x_minus(w) * (Poly.x_minus(w) * t ** 2 - Poly.x_power(n))
+    return TorsionCertificate(
+        curve=Curve(2, n, f),
+        m=2 * n,
+        identity_kind=TWO_TORSION_LINK,
+        u=Poly.x_minus(w),
+        v=Poly.x_minus(w) * t,
+        a=Fraction(0),
+        point=AffinePoint(Fraction(0), t(Fraction(0))),
+        exactness_rule=RULE_TWO_TORSION,
     )
 
 
@@ -370,21 +348,11 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
         raise PreconditionError(
             "order m=%d admits no exactness rule on degree n=%d curves" % (m, n)
         )
-    vm1 = V(Fraction(-1))
-    try:
-        lam = lambda_for_cover_degree(d)
-    except UnsupportedFieldError:
-        return TorsionCertificate(
-            curve=curve,
-            m=m,
-            identity_kind=INFINITY_SHIFT,
-            v=V,
-            a=Fraction(-1),
-            e=e,
-            exactness_rule=rule,
-            point_symbolic=True,
-        )
-    y0 = lam * (Fraction(-1) ** e) * vm1
+    symbolic = d % 2 == 0 and d > 2
+    lam = point = None
+    if not symbolic:
+        lam = GAUSSIAN_I if d == 2 else Fraction(-1)
+        point = AffinePoint(Fraction(-1), lam * Fraction(-1) ** e * V(Fraction(-1)))
     return TorsionCertificate(
         curve=curve,
         m=m,
@@ -394,7 +362,8 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
         e=e,
         lam=lam,
         exactness_rule=rule,
-        point=AffinePoint(Fraction(-1), y0),
+        point=point,
+        point_symbolic=symbolic,
     )
 
 

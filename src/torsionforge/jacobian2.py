@@ -132,20 +132,6 @@ def add(curve: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
     return out
 
 
-def scalar_mul(curve: Curve, k: int, D: MumfordDivisor) -> MumfordDivisor:
-    """k*D by doubling; k may be any integer."""
-    if k < 0:
-        return scalar_mul(curve, -k, neg(curve, D))
-    acc = IDENTITY
-    base = D
-    while k:
-        if k & 1:
-            acc = add(curve, acc, base)
-        base = add(curve, base, base)
-        k >>= 1
-    return acc
-
-
 class _Twist(NamedTuple):
     """The model y**2 = -f, with the fields Cantor's algorithm reads.
 

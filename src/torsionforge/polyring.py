@@ -408,4 +408,7 @@ def poly_to_json(f: Poly) -> list:
 def poly_from_json(obj) -> Poly:
     if not isinstance(obj, list):
         raise ValueError("polynomial encoding must be a JSON array, got %r" % (obj,))
-    return Poly(tuple(scalar_from_json(c) for c in obj))
+    p = Poly(tuple(scalar_from_json(c) for c in obj))
+    if len(p.coeffs) != len(obj):
+        raise ValueError("polynomial encoding ends in a zero coefficient: %r" % (obj,))
+    return p

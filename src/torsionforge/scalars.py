@@ -2,10 +2,10 @@
 binomial coefficients, and p-adic valuations.
 
 Two coefficient fields are supported.  Plain rationals are
-``fractions.Fraction`` values (re-exported as :data:`Rational`); the
-Fraction type keeps every value in lowest terms with a positive
-denominator, so equality is plain component comparison and string
-serialization is canonical.  :class:`GaussianRational` adjoins a square
+``fractions.Fraction`` values; the Fraction type keeps every value in
+lowest terms with a positive denominator, so equality is plain component
+comparison and string serialization is canonical, and parsing accepts
+only that canonical form.  :class:`GaussianRational` adjoins a square
 root of -1.  It is the only field extension the package needs: it houses
 the constant ``lam`` with ``lam**2 == -1`` that appears in point
 ordinates on curves of cover degree 2.  Larger cyclotomic fields are
@@ -16,11 +16,9 @@ Everything in this module is immutable and purely functional.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import isqrt
 from typing import Union
-
-Rational = Fraction
 
 #: p-adic valuation of zero; compares greater than every integer.
 INFINITY = float("inf")
@@ -42,7 +40,8 @@ def is_prime(p: int) -> bool:
     """Deterministic primality.
 
     Below :data:`_MR_BOUND` this is Miller-Rabin with the thirteen prime
-    bases 2..41, which is exact there; above it, trial division.
+    bases 2..41, which is exact there.  At or above it, a p with no prime
+    factor up to 41 raises ValueError rather than take unbounded work.
     """
     if p < 2:
         return False
@@ -50,7 +49,7 @@ def is_prime(p: int) -> bool:
         if p % q == 0:
             return p == q
     if p >= _MR_BOUND:
-        return _is_prime_by_trial_division(p)
+        raise ValueError("primality of %d is not decided at or above %d" % (p, _MR_BOUND))
     s, t = 0, p - 1
     while t % 2 == 0:
         s, t = s + 1, t // 2
@@ -64,17 +63,6 @@ def is_prime(p: int) -> bool:
                 break
         else:
             return False
-    return True
-
-
-def _is_prime_by_trial_division(p: int) -> bool:
-    """Primality of an odd p by trial division with odd k up to sqrt(p)."""
-    k = 3
-    r = isqrt(p)
-    while k <= r:
-        if p % k == 0:
-            return False
-        k += 2
     return True
 
 
@@ -260,8 +248,21 @@ def rational_to_str(q: Union[int, Fraction]) -> str:
     return str(Fraction(q))
 
 
+#: What ``str(Fraction)`` emits, short of the lowest-terms condition.
+_CANONICAL_RATIONAL = re.compile(r"0|-?[1-9][0-9]*(/([2-9]|[1-9][0-9]+))?")
+
+
 def rational_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """The rational that ``str(Fraction)`` spells as exactly s, else
+    ValueError.  The form is checked before any integer is built."""
+    if not (isinstance(s, str) and _CANONICAL_RATIONAL.fullmatch(s)):
+        raise ValueError("Invalid literal for Fraction: %r" % (s,))
+    num, _, den_text = s.partition("/")
+    den = int(den_text or 1)
+    q = Fraction(int(num), den)
+    if q.denominator != den:
+        raise ValueError("rational %r is not the canonical spelling %r" % (s, str(q)))
+    return q
 
 
 def scalar_to_json(x: Scalar | int):
@@ -285,5 +286,9 @@ def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, str):
         return rational_from_str(obj)
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:
-        return GaussianRational(rational_from_str(obj["re"]), rational_from_str(obj["im"]))
+        re_part, im_part = rational_from_str(obj["re"]), rational_from_str(obj["im"])
+        if im_part == 0:
+            # scalar_to_json writes such a value as a rational string
+            raise ValueError("Gaussian scalar with zero imaginary part: %r" % (obj,))
+        return GaussianRational(re_part, im_part)
     raise ValueError("not a scalar encoding: %r" % (obj,))

@@ -16,7 +16,6 @@ from math import gcd
 import pytest
 
 from torsionforge.certify import (
-    pole_order_congruence,
     reachability_verdict,
     PreconditionError,
     STATUS_CONSTRUCTIVE,
@@ -35,7 +34,6 @@ from torsionforge.jacobian2 import (
     embed_point,
     neg,
     order_of,
-    scalar_mul,
     validate,
 )
 from torsionforge.polyring import Poly, is_squarefree
@@ -220,7 +218,10 @@ def test_criterion_08_divisor_arithmetic_bulk_check():
     for n, m in ((5, 6), (5, 10), (7, 8), (7, 14)):
         cert = construct_div_d(n, 2, m)
         D = embed_point(cert.curve, cert.point)
-        pools.append((cert.curve, [scalar_mul(cert.curve, k, D) for k in range(1, m)]))
+        multiples = [D]
+        while len(multiples) < m - 1:
+            multiples.append(add(cert.curve, multiples[-1], D))
+        pools.append((cert.curve, multiples))
 
     rng = random.Random(20260816)
     additions = 0
@@ -265,7 +266,8 @@ def test_criterion_09_certificates_obey_the_pole_congruence():
         total += 1
         n, d = cert.curve.n, cert.curve.d
         if 1 < cert.m < n * d:
-            assert pole_order_congruence(n, d, cert.m), (n, d, cert.m)
+            # m = j*n mod d for some 0 <= j <= m // n
+            assert any((cert.m - j * n) % d == 0 for j in range(cert.m // n + 1)), (n, d, cert.m)
             checked += 1
     assert checked >= 40
     print(

@@ -10,7 +10,6 @@ from torsionforge.certify import PreconditionError, verify_certificate
 from torsionforge.constructors import (
     ConstructionRequest,
     SearchExhausted,
-    UnsupportedFieldError,
     ZeroOrdinateError,
     construct,
     construct_div_d,
@@ -19,7 +18,6 @@ from torsionforge.constructors import (
     construct_order_n,
     default_search_limit,
     infer_style,
-    lambda_for_cover_degree,
 )
 from torsionforge.curves import AffinePoint, RepeatedRootError
 from torsionforge.jacobian2 import embed_point, order_of
@@ -116,6 +114,17 @@ def test_order_n_surfaces_repeated_roots_for_explicit_witness():
     # check the search path skips such candidates transparently
     cert = construct_order_n(5, 2, search_limit=8)
     assert_verifies(cert)
+
+
+def test_order_n_search_counts_the_skipped_candidate():
+    # at a = -1 the first candidate x + 1 vanishes at a; it is skipped but
+    # still spends one unit of the budget
+    with pytest.raises(SearchExhausted) as info:
+        construct_order_n(5, 2, a=Fraction(-1), search_limit=1)
+    assert str(info.value) == "no square-free curve of order n=5 found within 1 candidates (None)"
+    cert = assert_verifies(construct_order_n(5, 2, a=Fraction(-1), search_limit=2))
+    assert cert.v == Poly((2, 1))
+    assert cert.point == AffinePoint(Fraction(-1), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +237,13 @@ def test_n_plus_ed_tight_boundary():
     assert cert.exactness_rule == "odd-below-thrice-degree"
 
 
-def test_lambda_for_cover_degree():
-    assert lambda_for_cover_degree(2) == GAUSSIAN_I
-    assert lambda_for_cover_degree(3) == Fraction(-1)
-    assert lambda_for_cover_degree(7) ** 7 == -1
-    with pytest.raises(UnsupportedFieldError):
-        lambda_for_cover_degree(4)
-    with pytest.raises(UnsupportedFieldError):
-        lambda_for_cover_degree(6)
+@pytest.mark.parametrize("n, d, lam", [(36, 7, Fraction(-1)), (25, 6, None)])
+def test_n_plus_ed_lambda_at_larger_cover_degrees(n, d, lam):
+    # odd d: lam = -1 with lam**d == -1; even d > 2: no d-th root of -1
+    # in Q(i), so the point is symbolic
+    cert = assert_verifies(construct_n_plus_ed(n, d, 1))
+    assert cert.lam == lam
+    assert cert.point_symbolic is (lam is None)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from torsionforge.jacobian2 import (
     embed_point,
     neg,
     order_of,
-    scalar_mul,
     validate,
 )
 from torsionforge.polyring import Poly
@@ -42,6 +41,14 @@ GENUS3_SPLIT = Curve(
     * (Poly.x_power(2) - Poly((4,)))
     * (Poly.x_power(2) - Poly((9,))),
 )
+
+
+def multiples(curve, D, count):
+    """[0*D, 1*D, ..., (count-1)*D] by repeated addition."""
+    out = [IDENTITY]
+    while len(out) < count:
+        out.append(add(curve, out[-1], D))
+    return out
 
 
 def weierstrass_points(curve):
@@ -122,20 +129,8 @@ def test_identity_is_neutral():
 
 def test_inverse_law():
     for curve, D, m in torsion_generators():
-        for k in range(1, min(m, 6)):
-            E = scalar_mul(curve, k, D)
+        for E in multiples(curve, D, min(m, 6))[1:]:
             assert add(curve, E, neg(curve, E)).is_identity()
-
-
-def test_scalar_mul_matches_repeated_addition():
-    curve, D, m = torsion_generators()[0]
-    acc = IDENTITY
-    for k in range(1, m + 1):
-        acc = add(curve, acc, D)
-        assert scalar_mul(curve, k, D) == acc
-    assert acc.is_identity()
-    assert scalar_mul(curve, -3, D) == neg(curve, scalar_mul(curve, 3, D))
-    assert scalar_mul(curve, 0, D).is_identity()
 
 
 def test_500_random_additions_preserve_invariants():
@@ -145,7 +140,7 @@ def test_500_random_additions_preserve_invariants():
         pool = [embed_point(curve, P) for P in weierstrass_points(curve)]
         pools.append((curve, pool))
     for curve, D, m in torsion_generators():
-        pool = [scalar_mul(curve, k, D) for k in range(1, m)]
+        pool = multiples(curve, D, m)[1:]
         pools.append((curve, pool))
 
     additions = 0
@@ -166,7 +161,7 @@ def test_associativity_on_random_triples():
     rng = random.Random(7)
     triples_checked = 0
     for curve, D, m in torsion_generators():
-        elements = [scalar_mul(curve, k, D) for k in range(m)]
+        elements = multiples(curve, D, m)
         for _ in range(6):
             a, b, c = (elements[rng.randrange(m)] for _ in range(3))
             assert add(curve, add(curve, a, b), c) == add(curve, a, add(curve, b, c))
@@ -211,8 +206,7 @@ def test_order_of_gaussian_point():
     cert = construct_n_plus_ed(5, 2, 1)
     D = embed_point(cert.curve, cert.point)
     assert order_of(cert.curve, D, bound=7) == 7
-    assert not scalar_mul(cert.curve, 7, D).u == Poly((1, 1))  # sanity: reduced to identity
-    assert scalar_mul(cert.curve, 7, D).is_identity()
+    assert multiples(cert.curve, D, 8)[7].is_identity()
 
 
 # ---------------------------------------------------------------------------

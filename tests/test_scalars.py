@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from torsionforge import scalars
 from torsionforge.scalars import (
     GAUSSIAN_I,
     GaussianRational,
@@ -65,12 +66,35 @@ def test_is_prime_small_table():
         assert is_prime(k) is (k in primes)
 
 
-def test_is_prime_agrees_with_trial_division_below_20000():
-    def by_trial_division(p):
-        return p >= 2 and all(p % k for k in range(2, math.isqrt(p) + 1))
+def is_prime_by_trial_division(p: int) -> bool:
+    """Reference primality: trial division by every k up to sqrt(p)."""
+    return p >= 2 and all(p % k for k in range(2, math.isqrt(p) + 1))
 
+
+def test_is_prime_agrees_with_trial_division_below_20000():
     for p in range(-3, 20000):
-        assert is_prime(p) is by_trial_division(p), p
+        assert is_prime(p) is is_prime_by_trial_division(p), p
+
+
+# _MR_BOUND = 1287836182261 * 2575672364521, and the least prime above it
+# (p - 1 = 2q with q prime below the bound, so Lucas's test proves p prime)
+@pytest.mark.parametrize("p", [scalars._MR_BOUND, 3317044064679887385962123, 2**89 - 1])
+def test_is_prime_refuses_at_or_above_the_bound(p):
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(p)
+
+
+def test_is_prime_above_the_bound_still_finds_small_factors():
+    assert is_prime(2 * scalars._MR_BOUND) is False
+    assert is_prime(41 * 3317044064679887385962123) is False
+
+
+def test_the_prime_above_the_bound_is_prime():
+    p = 3317044064679887385962123
+    q = (p - 1) // 2
+    assert is_prime(q)
+    # Lucas: 2^(p-1) = 1 while 2^((p-1)/r) != 1 for both primes r in {2, q}
+    assert pow(2, p - 1, p) == 1 and pow(2, q, p) != 1 and pow(2, 2, p) != 1
 
 
 @pytest.mark.parametrize("p", [3215031751, 3825123056546413051, 1000003 * 1000033, 41 * 43])
@@ -170,6 +194,36 @@ def test_gaussian_is_immutable():
 @given(small_fractions)
 def test_rational_string_round_trip(q):
     assert rational_from_str(rational_to_str(q)) == q
+
+
+NON_CANONICAL = [
+    "2/2", "+1", "01", "-0", "1e0", " 1", "1 ", " 1 ", "0.5", "1/1", "-2/4", "0/3",
+    "1_0", "\u0661", "1e200000", "1/0", "", "-", "1/", "/2", "--1", "1/-2", "1\n",
+]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL)
+def test_rational_from_str_rejects_non_canonical_spellings(text):
+    with pytest.raises(ValueError):
+        rational_from_str(text)
+
+
+@pytest.mark.parametrize("text", [t for t in NON_CANONICAL if t not in ("2/2", "-2/4")])
+def test_rational_from_str_checks_the_form_before_building_a_number(monkeypatch, text):
+    def refuse(*args):
+        raise AssertionError("a number was built from %r" % (text,))
+
+    monkeypatch.setattr(scalars, "Fraction", refuse)
+    with pytest.raises(ValueError):
+        rational_from_str(text)
+
+
+@pytest.mark.parametrize("obj", [{"re": "1", "im": "0"}, {"re": "0", "im": "0"},
+                                 {"re": "2/2", "im": "1"}, {"re": "1", "im": "-0"},
+                                 {"re": 1, "im": "1"}, 1, ["1"]])
+def test_scalar_from_json_rejects_non_canonical_encodings(obj):
+    with pytest.raises(ValueError):
+        scalar_from_json(obj)
 
 
 def test_rational_to_str_is_canonical():

@@ -2,11 +2,15 @@
 
 ``bench/tracer.py`` hooks entry points of the package by name, from
 outside it; a deletion or rename under ``src/`` that drops one of those
-names breaks the traced benchmark, which no other test here runs.
+names breaks the traced benchmark, which no other test here runs.  Every
+exported name must also be used inside the package, so that surface only
+tests reach does not build up again; the exceptions are listed with
+their reasons.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -15,6 +19,13 @@ from torsionforge import certify, cli, constructors, curves, jacobian2, polyring
 from torsionforge.scalars import GaussianRational
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+PACKAGE = Path(torsionforge.__file__).resolve().parent
+
+# Exported names that no command reaches, each with its reason.
+UNUSED_EXPORTS = {
+    "nonvanishing_at_minus_one": "acceptance criterion 6: V(-1) is d-adically non-integral",
+    "padic_valuation": "read only by nonvanishing_at_minus_one, for criterion 6",
+}
 
 HOOKED = (
     certify, cli, constructors, curves, jacobian2, polyring, series,
@@ -25,6 +36,34 @@ HOOKED = (
 def test_every_public_name_resolves():
     missing = [name for name in torsionforge.__all__ if not hasattr(torsionforge, name)]
     assert missing == []
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read in a module, except a top-level definition's own name
+    inside its body (a recursive call is not a use)."""
+    found = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        found |= names
+    return found
+
+
+def test_every_public_name_is_used_inside_the_package():
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= _references(tree)
+    dead = sorted(set(torsionforge.__all__) - used - set(UNUSED_EXPORTS))
+    assert dead == []
+    assert all(hasattr(torsionforge, name) for name in UNUSED_EXPORTS)
 
 
 def test_tracer_install_and_restore(capsys):
