@@ -19,7 +19,6 @@ from .certify import (
 from .constructors import (
     ConstructionRequest,
     SearchExhausted,
-    ZeroOrdinateError,
     construct,
     construct_div_d,
     construct_n_plus_ed,
@@ -84,7 +83,6 @@ __all__ = [
     "TruncationSpec",
     "UnsupportedDegreeError",
     "Verdict",
-    "ZeroOrdinateError",
     "add",
     "check_truncation_valuation",
     "construct",

@@ -83,6 +83,9 @@ TWO_TORSION_LINK = "two-torsion-link"
 
 IDENTITY_KINDS = (PURE_POWER, SHIFT_POWER, INFINITY_SHIFT, ORDER_D, TWO_TORSION_LINK)
 
+# the keys of a serialized certificate, in the serializer's order
+_CERT_KEYS = ("curve", "point", "m", "identity_kind", "u", "v", "a", "e", "lambda", "exactness_rule")
+
 # exactness rules
 RULE_PRIME = "prime-order"
 RULE_BELOW_TWICE = "below-twice-degree"
@@ -166,31 +169,35 @@ class TorsionCertificate:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TorsionCertificate":
+        """Parse the exact shape ``to_json_dict`` writes; anything else raises
+        KeyError, TypeError or ValueError (after the curve is parsed, so an
+        invalid curve is reported first)."""
         curve = Curve.from_json_dict(obj["curve"])
-        pt = obj.get("point")
+        unknown = set(obj) - set(_CERT_KEYS)
+        if unknown:
+            raise ValueError("unknown certificate keys %s" % (sorted(unknown),))
+        pt = obj["point"]
+        if pt is not None and (
+            not isinstance(pt, dict)
+            or set(pt) not in ({"x", "y"}, {"x", "symbolic"})
+            or pt.get("symbolic", True) is not True
+        ):
+            raise ValueError('point must be null, {"x", "y"} or {"x", "symbolic": true}, got %r' % (pt,))
+        symbolic = pt is not None and "symbolic" in pt
         point = None
-        symbolic = False
-        if isinstance(pt, dict):
-            if pt.get("symbolic"):
-                symbolic = True
-            else:
-                point = AffinePoint(
-                    scalar_from_json(pt["x"]), scalar_from_json(pt["y"])
-                )
-        u = obj.get("u")
-        v = obj.get("v")
-        a = obj.get("a")
-        lam = obj.get("lambda")
+        if pt is not None and not symbolic:
+            point = AffinePoint(scalar_from_json(pt["x"]), scalar_from_json(pt["y"]))
+        u, v, a, lam = obj["u"], obj["v"], obj["a"], obj["lambda"]
         cert = cls(
             curve=curve,
             m=int_from_json("m", obj["m"]),
-            identity_kind=str(obj["identity_kind"]),
+            identity_kind=_str_from_json("identity_kind", obj["identity_kind"]),
             v=poly_from_json(v) if v is not None else None,
             u=poly_from_json(u) if u is not None else None,
             a=scalar_from_json(a) if a is not None else None,
-            e=int_from_json("e", obj.get("e", 0)),
+            e=int_from_json("e", obj["e"]),
             lam=scalar_from_json(lam) if lam is not None else None,
-            exactness_rule=str(obj["exactness_rule"]),
+            exactness_rule=_str_from_json("exactness_rule", obj["exactness_rule"]),
             point=point,
             point_symbolic=symbolic,
         )
@@ -198,6 +205,12 @@ class TorsionCertificate:
         if symbolic and scalar_from_json(pt["x"]) != cert.a:
             raise ValueError("symbolic point abscissa %r is not a = %s" % (pt["x"], cert.a))
         return cert
+
+
+def _str_from_json(name: str, obj) -> str:
+    if not isinstance(obj, str):
+        raise TypeError("%s must be a JSON string, got %r" % (name, obj))
+    return obj
 
 
 def canonical_json(obj) -> str:

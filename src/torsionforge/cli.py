@@ -33,12 +33,7 @@ from .certify import (
     reachability_verdict,
     verify_certificate,
 )
-from .constructors import (
-    ConstructionRequest,
-    SearchExhausted,
-    ZeroOrdinateError,
-    construct,
-)
+from .constructors import ConstructionRequest, SearchExhausted, construct
 from .curves import CurveError
 from .jacobian2 import OrderNotFoundError, embed_point, order_of
 from .series import HypothesisError
@@ -51,12 +46,7 @@ EXIT_BAD_ARGS = 2
 EXIT_PRECONDITION = 3
 EXIT_SEARCH_EXHAUSTED = 4
 
-_PRECONDITION_ERRORS = (
-    PreconditionError,
-    HypothesisError,
-    ZeroOrdinateError,
-    CurveError,
-)
+_PRECONDITION_ERRORS = (PreconditionError, HypothesisError, CurveError)
 
 
 def _error_json(exc_type: str, message: str, **extra) -> str:
@@ -271,9 +261,9 @@ def cmd_scan(args, parser) -> int:
     if args.n is None:
         parser.error("scan needs --n")
 
+    # one dict per row; a constructed row also carries its "certificate"
+    # and, with --out, the "certificate_path" it was written to
     rows = []
-    cert_paths: list[Optional[str]] = []
-    certs: list[Optional[TorsionCertificate]] = []
     for n, m in _scan_rows(args, parser):
         verdict = reachability_verdict(n, args.d, m)
         row = {
@@ -283,7 +273,6 @@ def cmd_scan(args, parser) -> int:
             "status": verdict.status,
             "deciding_rule": verdict.deciding_rule,
         }
-        cert = None
         if args.construct and verdict.status == STATUS_CONSTRUCTIVE:
             result = certify_request(
                 ConstructionRequest(n=n, d=args.d, m=m, search_limit=args.c_range),
@@ -293,20 +282,17 @@ def cmd_scan(args, parser) -> int:
             result.write()
             if result.code != EXIT_OK:
                 return result.code
-            cert = result.cert
+            row["certificate"] = result.cert
         rows.append(row)
-        certs.append(cert)
-        cert_paths.append(None)
 
-    if args.out is not None and args.construct:
+    if args.out is not None:
         base, _ = os.path.splitext(args.out)
-        for idx, cert in enumerate(certs):
-            if cert is None:
-                continue
-            path = "%s-n%d-m%d.cert.json" % (base, rows[idx]["n"], rows[idx]["m"])
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(cert.to_json_str())
-            cert_paths[idx] = path
+        for row in rows:
+            if "certificate" in row:
+                path = "%s-n%d-m%d.cert.json" % (base, row["n"], row["m"])
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(row["certificate"].to_json_str())
+                row["certificate_path"] = path
 
     if args.format == "csv":
         import io
@@ -314,21 +300,18 @@ def cmd_scan(args, parser) -> int:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["n", "d", "m", "status", "deciding_rule", "certificate_path"])
-        for row, path in zip(rows, cert_paths):
+        for row in rows:
             writer.writerow(
-                [row["n"], row["d"], row["m"], row["status"], row["deciding_rule"], path or ""]
+                [row["n"], row["d"], row["m"], row["status"], row["deciding_rule"],
+                 row.get("certificate_path", "")]
             )
         _emit(buffer.getvalue(), args.out)
     else:
-        payload = {"d": args.d, "rows": []}
-        for row, cert, path in zip(rows, certs, cert_paths):
-            entry = dict(row)
-            if cert is not None:
-                entry["certificate"] = cert.to_json_dict()
-            if path is not None:
-                entry["certificate_path"] = path
-            payload["rows"].append(entry)
-        _emit(canonical_json(payload), args.out)
+        entries = [
+            {key: value.to_json_dict() if key == "certificate" else value for key, value in row.items()}
+            for row in rows
+        ]
+        _emit(canonical_json({"d": args.d, "rows": entries}), args.out)
     return EXIT_OK
 
 

@@ -4,20 +4,20 @@ Every function here returns a TorsionCertificate whose claims the verifier
 in certify.py rechecks from scratch; nothing is trusted to the algebra in
 this module.  Four families cover the constructive verdicts:
 
-order-d       f = x**n - a**n, P = (a, 0).  The zero ordinate pins the
+order-d       f = x**n - 1, P = (1, 0).  The zero ordinate pins the
               order to exactly d.
-order-n       f = (x-a)**n + v**d with d*deg v < n and v(a) != 0, so
-              f - v**d = (x-a)**n and P = (a, v(a)) has order n.
-div-d         m = d*l > n.  With s = n - m + l >= 1 the witness
+order-n       f = x**n + v**d with v = x + k, so d*deg v < n, v(0) = k != 0,
+              f - v**d = x**n and P = (0, k) has order n.
+div-d         m = d*l > n.  With s = n - m + l >= 0 the witness
               v = x**l + x**s/d + C gives f = v**d - x**m monic of degree
-              n, so f - v**d = -(x**m) and P = (0, C) has order m.  The
-              constant C is searched so that f stays square-free.  At
-              s = 0 the witness collapses: for d >= 3 the single monic
-              representative v = x**l + 1/d works, while for d = 2 the
-              family degenerates (every member certifies order n, not
-              2n) and a different identity is needed: f = (x-w)*g with
-              g = (x-w)*t**2 - x**n makes v = (x-w)*t satisfy
-              v**2 - f = x**n*(x-w), linking P = (0, t(0)) to the
+              n, so f - v**d = -(x**m) and P = (0, v(0)) has order m.  For
+              s >= 1 the constant C is searched so that f stays
+              square-free.  At s = 0 the x**s/d term is the constant 1/d
+              and C = 0: for d >= 3, v = x**l + 1/d with no search, while
+              for d = 2 the family degenerates (every member certifies
+              order n, not 2n) and a different identity is needed:
+              f = (x-w)*g with g = (x-w)*t**2 - x**n makes v = (x-w)*t
+              satisfy v**2 - f = x**n*(x-w), linking P = (0, t(0)) to the
               two-torsion point (w, 0).
 n-plus-ed     m = n + e*d.  Truncating the binomial series of
               (1+x)**(m/d) at x**(e*d) yields V with
@@ -25,10 +25,13 @@ n-plus-ed     m = n + e*d.  Truncating the binomial series of
               x = -1 with ordinate lam*(-1)**e*V(-1), lam**d == -1;
               for even d > 2 no lam lies in Q(i) and P is symbolic.
 
-Search is deterministic: constants are tried in the fixed order
-1, -1, 2, -2, ... up to a budget taken from the TORSION_FORGE_SEARCH_LIMIT
-environment variable (default 64), so rerunning a construction always
-reproduces the same certificate.  Every search runs through ``_search``.
+Search is deterministic, so rerunning a construction always reproduces
+the same certificate.  Three constructions search: order-n tries
+v = x + 1, x + 2, ...; div-d and the d = 2 two-torsion link try the
+constants 1, -1, 2, -2, ...  Every search runs through ``_search``, which
+alone applies the budget: the caller's limit, else the
+TORSION_FORGE_SEARCH_LIMIT environment variable (default 64).  The n = 3
+link and the zero-deficit div-d witness are fixed and ignore the budget.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .certify import (
@@ -52,13 +56,13 @@ from .certify import (
 )
 from .curves import AffinePoint, Curve, CurveError
 from .polyring import Poly
-from .scalars import GAUSSIAN_I, Scalar
+from .scalars import GAUSSIAN_I
 from .series import HypothesisError, TruncationSpec, check_truncation_valuation, truncated_binomial, truncation_quotient
 
 SEARCH_LIMIT_ENV = "TORSION_FORGE_SEARCH_LIMIT"
 DEFAULT_SEARCH_LIMIT = 64
 _BUDGET_MESSAGE = (
-    "no square-free curve with a point of order %s found within the budget ({}); "
+    "no square-free curve with a point of order %s found within the budget ({error}); "
     "raise " + SEARCH_LIMIT_ENV + " to widen the search"
 )
 
@@ -72,11 +76,6 @@ STYLES = (STYLE_ORDER_D, STYLE_ORDER_N, STYLE_DIV_D, STYLE_N_PLUS_ED)
 
 class SearchExhausted(RuntimeError):
     """No candidate within the search budget produced a valid curve."""
-
-
-class ZeroOrdinateError(ValueError):
-    """The requested witness would place the point on the x-axis, where
-    the order is d rather than the intended one."""
 
 
 def default_search_limit() -> int:
@@ -96,56 +95,50 @@ def default_search_limit() -> int:
     return limit
 
 
-def _constants(skip: set, limit: int) -> Iterator[Fraction]:
-    """1, -1, 2, -2, ... with the given values skipped; at most `limit`
-    candidates in total."""
-    produced = 0
-    k = 1
-    while produced < limit:
+def _constants(skip: set) -> Iterator[Fraction]:
+    """1, -1, 2, -2, ... with the given values skipped."""
+    for k in count(1):
         for c in (Fraction(k), Fraction(-k)):
-            if c in skip:
-                continue
-            yield c
-            produced += 1
-            if produced >= limit:
-                return
-        k += 1
+            if c not in skip:
+                yield c
 
 
 def _search(
-    candidates: Iterable, build: Callable[..., TorsionCertificate], message: str
+    candidates: Iterable,
+    build: Callable[..., TorsionCertificate],
+    message: str,
+    search_limit: Optional[int],
 ) -> TorsionCertificate:
-    """``build`` of the first candidate it does not reject with CurveError;
-    else SearchExhausted, with the last such error in ``message``'s {}."""
+    """``build`` of the first of at most ``search_limit`` candidates (else
+    the default budget) that it does not reject with CurveError; else
+    SearchExhausted, with the budget in ``message``'s {limit} and the last
+    such error in its {error}."""
+    limit = default_search_limit() if search_limit is None else search_limit
     last_error: Optional[CurveError] = None
-    for cand in candidates:
+    for cand in islice(candidates, max(limit, 0)):
         try:
             return build(cand)
         except CurveError as exc:
             last_error = exc
-    raise SearchExhausted(message.format(last_error))
+    raise SearchExhausted(message.format(limit=limit, error=last_error))
 
 
 # ---------------------------------------------------------------------------
 # order-d: points with zero ordinate
 # ---------------------------------------------------------------------------
 
-def construct_order_d(n: int, d: int, a: Scalar = Fraction(1)) -> TorsionCertificate:
-    """Curve with the point (a, 0) of exact order d: f = x**n - a**n."""
+def construct_order_d(n: int, d: int) -> TorsionCertificate:
+    """Curve with the point (1, 0) of exact order d: f = x**n - 1."""
     check_shape(n, d)
-    if isinstance(a, int):
-        a = Fraction(a)
-    if a == 0:
-        raise PreconditionError("a = 0 gives f = x**n, which has a repeated root")
-    f = Poly.x_power(n) - Poly.constant(a ** n)
-    curve = Curve(d, n, f)
+    a = Fraction(1)
+    curve = Curve(d, n, Poly.x_power(n) - Poly.constant(a))
     return TorsionCertificate(
         curve=curve,
         m=d,
         identity_kind=ORDER_D,
         v=None,
         a=a,
-        point=AffinePoint(a, a * 0),
+        point=AffinePoint(a, Fraction(0)),
         exactness_rule=RULE_ZERO_ORDINATE,
     )
 
@@ -154,52 +147,31 @@ def construct_order_d(n: int, d: int, a: Scalar = Fraction(1)) -> TorsionCertifi
 # order-n
 # ---------------------------------------------------------------------------
 
-def construct_order_n(
-    n: int,
-    d: int,
-    v: Optional[Poly] = None,
-    a: Scalar = Fraction(0),
-    search_limit: Optional[int] = None,
-) -> TorsionCertificate:
-    """Curve f = (x-a)**n + v**d with P = (a, v(a)) of exact order n.
+def construct_order_n(n: int, d: int, search_limit: Optional[int] = None) -> TorsionCertificate:
+    """Curve f = x**n + v**d with P = (0, v(0)) of exact order n.
 
-    When v is omitted, candidates x + 1, x + 2, ... are tried until f is
-    square-free.
+    The witnesses v = x + 1, x + 2, ... are tried until f is square-free;
+    n > d admits deg v = 1, and v(0) != 0 keeps P off the x-axis.
     """
     check_shape(n, d)
-    if isinstance(a, int):
-        a = Fraction(a)
-    if v is not None:
-        return _order_n_with(n, d, v, a)
-    limit = default_search_limit() if search_limit is None else search_limit
-    # n > d admits deg v = 1; a candidate vanishing at a still uses budget
-    shifts = (Poly((k, 1)) for k in range(1, limit + 1))
     return _search(
-        (cand for cand in shifts if cand(a) != 0),
-        lambda cand: _order_n_with(n, d, cand, a),
-        "no square-free curve of order n=%d found within %d candidates ({})" % (n, limit),
+        (Poly((k, 1)) for k in count(1)),
+        lambda v: _order_n_with(n, d, v),
+        "no square-free curve of order n=%d found within {limit} candidates ({error})" % (n,),
+        search_limit,
     )
 
 
-def _order_n_with(n: int, d: int, v: Poly, a: Scalar) -> TorsionCertificate:
-    if v.is_zero or d * v.degree > n - 1:
-        raise PreconditionError(
-            "witness must be nonzero with d*deg v <= n-1, got deg v = %s" % (v.degree,)
-        )
-    y0 = v(a)
-    if y0 == 0:
-        raise ZeroOrdinateError(
-            "v(a) = 0 places the point on the x-axis; its order would be d, not n"
-        )
-    f = Poly.x_minus(a) ** n + v ** d
-    curve = Curve(d, n, f)
+def _order_n_with(n: int, d: int, v: Poly) -> TorsionCertificate:
+    a = Fraction(0)
+    curve = Curve(d, n, Poly.x_power(n) + v ** d)
     return TorsionCertificate(
         curve=curve,
         m=n,
         identity_kind=PURE_POWER,
         v=v,
         a=a,
-        point=AffinePoint(a, y0),
+        point=AffinePoint(a, v(a)),
         exactness_rule=exactness_rule_for(n, n),
     )
 
@@ -209,11 +181,7 @@ def _order_n_with(n: int, d: int, v: Poly, a: Scalar) -> TorsionCertificate:
 # ---------------------------------------------------------------------------
 
 def construct_div_d(
-    n: int,
-    d: int,
-    m: int,
-    c: Optional[Scalar] = None,
-    search_limit: Optional[int] = None,
+    n: int, d: int, m: int, search_limit: Optional[int] = None
 ) -> TorsionCertificate:
     """Curve with a point of exact order m where d | m and m > n.
 
@@ -232,32 +200,20 @@ def construct_div_d(
             "deficit n - m + m/d = %d is negative; the family cannot reach m=%d"
             % (s, m)
         )
-    if isinstance(c, int):
-        c = Fraction(c)
     if s == 0 and d == 2:
-        return _two_torsion_link(n, c, search_limit)
+        return _two_torsion_link(n, search_limit)
     if s == 0:
         return _div_d_with(n, d, m, l, s, Fraction(0))
-
-    limit = default_search_limit() if search_limit is None else search_limit
     return _search(
-        [c] if c is not None else _constants({Fraction(0), -Fraction(1, d)}, limit),
-        lambda cand: _div_d_with(n, d, m, l, s, cand),
+        _constants({Fraction(0), -Fraction(1, d)}),
+        lambda c: _div_d_with(n, d, m, l, s, c),
         _BUDGET_MESSAGE % ("m=%d" % (m,)),
+        search_limit,
     )
 
 
-def _div_d_with(n: int, d: int, m: int, l: int, s: int, c: Scalar) -> TorsionCertificate:
-    D = Fraction(1, d)
-    if s == 0:
-        # x**s merges into the constant term; monic f forces it to 1/d.
-        v = Poly.x_power(l) + Poly.constant(D)
-        y0 = v(Fraction(0))
-    else:
-        if c == 0:
-            raise ZeroOrdinateError("c = 0 places the point on the x-axis")
-        v = Poly.x_power(l) + Poly.monomial(D, s) + Poly.constant(c)
-        y0 = c
+def _div_d_with(n: int, d: int, m: int, l: int, s: int, c: Fraction) -> TorsionCertificate:
+    v = Poly.x_power(l) + Poly.monomial(Fraction(1, d), s) + Poly.constant(c)
     f = v ** d - Poly.x_power(m)
     curve = Curve(d, n, f)
     return TorsionCertificate(
@@ -266,46 +222,34 @@ def _div_d_with(n: int, d: int, m: int, l: int, s: int, c: Scalar) -> TorsionCer
         identity_kind=PURE_POWER,
         v=v,
         a=Fraction(0),
-        point=AffinePoint(Fraction(0), y0),
+        point=AffinePoint(Fraction(0), v(Fraction(0))),
         exactness_rule=exactness_rule_for(m, n),
     )
 
 
-def _two_torsion_link(
-    n: int, c: Optional[Scalar], search_limit: Optional[int]
-) -> TorsionCertificate:
+def _two_torsion_link(n: int, search_limit: Optional[int]) -> TorsionCertificate:
     """d = 2, m = 2n: certify via a divisor linking P to two-torsion.
 
-    With w = 1 and t monic of degree (n-1)/2 whose next coefficient is 1,
-    the curve f = (x-w)*((x-w)*t**2 - x**n) is monic and the witness
-    v = (x-w)*t satisfies v**2 - f = x**n*(x-w).  Then n*(P-O) equals the
-    class of (w,0) - (O), which is nonzero two-torsion, so P - O has
-    exact order 2n.
+    With w = 1 and t = x**k + x**(k-1) + c, k = (n-1)/2, the curve
+    f = (x-w)*((x-w)*t**2 - x**n) is monic and the witness v = (x-w)*t
+    satisfies v**2 - f = x**n*(x-w).  Then n*(P-O) equals the class of
+    (w,0) - (O), which is nonzero two-torsion, so P - O has exact order
+    2n.  For n = 3 the monic condition already fixes t = x + 1 (c = 0).
     """
     k = (n - 1) // 2
-    limit = default_search_limit() if search_limit is None else search_limit
-    if c is not None:
-        candidates = [c]
-    elif k == 1:
-        # degree 1: the monic condition already fixes t = x + 1
-        candidates = [Fraction(1)]
-    else:
-        candidates = _constants({Fraction(0)}, limit)
+    if k == 1:
+        return _two_torsion_link_with(n, k, Fraction(0))
     return _search(
-        candidates,
-        lambda cand: _two_torsion_link_with(n, k, cand),
+        _constants({Fraction(0)}),
+        lambda c: _two_torsion_link_with(n, k, c),
         _BUDGET_MESSAGE % ("2n=%d" % (2 * n,)),
+        search_limit,
     )
 
 
-def _two_torsion_link_with(n: int, k: int, c: Scalar) -> TorsionCertificate:
-    if c == 0:
-        raise ZeroOrdinateError("c = 0 places the point on the x-axis")
+def _two_torsion_link_with(n: int, k: int, c: Fraction) -> TorsionCertificate:
     w = Fraction(1)
-    if k == 1:
-        t = Poly((c, Fraction(1)))
-    else:
-        t = Poly.x_power(k) + Poly.x_power(k - 1) + Poly.constant(c)
+    t = Poly.x_power(k) + Poly.x_power(k - 1) + Poly.constant(c)
     f = Poly.x_minus(w) * (Poly.x_minus(w) * t ** 2 - Poly.x_power(n))
     return TorsionCertificate(
         curve=Curve(2, n, f),

@@ -10,7 +10,6 @@ from torsionforge.certify import PreconditionError, verify_certificate
 from torsionforge.constructors import (
     ConstructionRequest,
     SearchExhausted,
-    ZeroOrdinateError,
     construct,
     construct_div_d,
     construct_n_plus_ed,
@@ -65,17 +64,6 @@ def test_order_d_basic():
     assert order_of(cert.curve, embed_point(cert.curve, cert.point), bound=2) == 2
 
 
-def test_order_d_with_chosen_abscissa():
-    cert = assert_verifies(construct_order_d(7, 3, a=Fraction(1, 2)))
-    assert cert.curve.f(Fraction(1, 2)) == 0
-    assert cert.m == 3
-
-
-def test_order_d_rejects_zero():
-    with pytest.raises(PreconditionError):
-        construct_order_d(5, 2, a=0)
-
-
 # ---------------------------------------------------------------------------
 # order-n
 # ---------------------------------------------------------------------------
@@ -87,44 +75,12 @@ def test_order_n_default_search():
     assert order_of(cert.curve, embed_point(cert.curve, cert.point), bound=5) == 5
 
 
-def test_order_n_explicit_witness():
-    v = Poly((2, 1))
-    cert = assert_verifies(construct_order_n(7, 3, v=v, a=Fraction(1)))
-    assert cert.point == AffinePoint(Fraction(1), Fraction(3))
-    assert cert.curve.f == Poly.x_minus(Fraction(1)) ** 7 + v ** 3
-
-
-def test_order_n_rejects_witness_vanishing_at_a():
-    with pytest.raises(ZeroOrdinateError):
-        construct_order_n(5, 2, v=Poly((0, 1)), a=Fraction(0))
-
-
-def test_order_n_rejects_overlarge_witness():
-    # the pole bound requires d * deg v <= n - 1
-    with pytest.raises(PreconditionError):
-        construct_order_n(5, 2, v=Poly((1, 1, 1, 1)))      # 2 * 3 > 4
-    with pytest.raises(PreconditionError):
-        construct_order_n(5, 2, v=Poly.zero())
-    assert_verifies(construct_order_n(5, 2, v=Poly((1, 1, 1))))  # 2 * 2 <= 4
-
-
 def test_order_n_surfaces_repeated_roots_for_explicit_witness():
     # (x-0)^2 + constant^2 squared structure: craft v so f is not square-free
     # f = x^5 + v^2 with v chosen to create a double root is rare; instead
     # check the search path skips such candidates transparently
     cert = construct_order_n(5, 2, search_limit=8)
     assert_verifies(cert)
-
-
-def test_order_n_search_counts_the_skipped_candidate():
-    # at a = -1 the first candidate x + 1 vanishes at a; it is skipped but
-    # still spends one unit of the budget
-    with pytest.raises(SearchExhausted) as info:
-        construct_order_n(5, 2, a=Fraction(-1), search_limit=1)
-    assert str(info.value) == "no square-free curve of order n=5 found within 1 candidates (None)"
-    cert = assert_verifies(construct_order_n(5, 2, a=Fraction(-1), search_limit=2))
-    assert cert.v == Poly((2, 1))
-    assert cert.point == AffinePoint(Fraction(-1), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +122,6 @@ def test_two_torsion_link_smallest_case():
     cert = assert_verifies(construct_div_d(3, 2, 6))
     assert cert.curve.f == Poly.x_minus(Fraction(1)) * Poly((-1, -1, 1))
     assert order_of(cert.curve, embed_point(cert.curve, cert.point), bound=6) == 6
-
-
-def test_div_d_explicit_constant():
-    cert = assert_verifies(construct_div_d(5, 2, 6, c=Fraction(2)))
-    assert cert.point == AffinePoint(Fraction(0), Fraction(2))
-
-
-def test_div_d_zero_constant_refused():
-    with pytest.raises(ZeroOrdinateError):
-        construct_div_d(5, 2, 6, c=0)
 
 
 def test_div_d_search_is_deterministic():
