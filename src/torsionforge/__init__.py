@@ -19,6 +19,7 @@ from .certify import (
 from .constructors import (
     ConstructionRequest,
     SearchExhausted,
+    SearchLimitError,
     construct,
     construct_div_d,
     construct_n_plus_ed,
@@ -79,6 +80,7 @@ __all__ = [
     "PreconditionError",
     "RepeatedRootError",
     "SearchExhausted",
+    "SearchLimitError",
     "TorsionCertificate",
     "TruncationSpec",
     "UnsupportedDegreeError",

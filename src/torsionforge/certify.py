@@ -81,8 +81,6 @@ INFINITY_SHIFT = "infinity-shift"
 ORDER_D = "order-d"
 TWO_TORSION_LINK = "two-torsion-link"
 
-IDENTITY_KINDS = (PURE_POWER, SHIFT_POWER, INFINITY_SHIFT, ORDER_D, TWO_TORSION_LINK)
-
 # the keys of a serialized certificate, in the serializer's order
 _CERT_KEYS = ("curve", "point", "m", "identity_kind", "u", "v", "a", "e", "lambda", "exactness_rule")
 
@@ -104,11 +102,6 @@ _DIVISOR_RULES = {
 def exactness_rule_for(m: int, n: int) -> Optional[str]:
     """First divisor-to-exact-order rule applicable to (m, n), if any."""
     return next((rule for rule, holds in _DIVISOR_RULES.items() if holds(m, n)), None)
-
-
-def exactness_rule_holds(rule: str, m: int, n: int) -> bool:
-    holds = _DIVISOR_RULES.get(rule)
-    return holds is not None and holds(m, n)
 
 
 def check_shape(n: int, d: int):
@@ -290,34 +283,35 @@ def verify_certificate(cert: TorsionCertificate) -> tuple[bool, list[CheckLine]]
     r.check("curve-valid", True, "d=%d n=%d genus=%d" % (curve.d, curve.n, curve.genus))
 
     kind = cert.identity_kind
-    if not r.check(
-        "identity-kind", kind in IDENTITY_KINDS, "kind=%r" % (kind,)
-    ):
+    verifier = _VERIFIERS.get(kind)
+    if not r.check("identity-kind", verifier is not None, "kind=%r" % (kind,)):
         return False, r.lines
 
     if not r.check("order-positive", cert.m >= 2, "m=%d" % (cert.m,)):
         return False, r.lines
 
-    if kind == ORDER_D:
-        _verify_order_d(r, cert, curve)
-    elif kind == PURE_POWER:
-        _verify_pure_power(r, cert, curve)
-    elif kind == SHIFT_POWER:
-        _verify_shift_power(r, cert, curve)
-    elif kind == INFINITY_SHIFT:
-        _verify_infinity_shift(r, cert, curve)
-    elif kind == TWO_TORSION_LINK:
-        _verify_two_torsion_link(r, cert, curve)
-
+    verifier(r, cert, curve)
     return r.ok, r.lines
 
 
-def _check_point_on_curve(r: _Report, cert: TorsionCertificate, curve: Curve) -> Optional[AffinePoint]:
+def _check_point(
+    r: _Report, cert: TorsionCertificate, curve: Curve, x: Scalar, symbolic_ok: bool
+) -> Optional[AffinePoint]:
+    """The certificate's point, checked to lie on the curve over x; None
+    when it is missing or, for a kind that allows it, symbolic."""
+    if symbolic_ok and cert.point_symbolic:
+        r.check(
+            "point-symbolic",
+            curve.d % 2 == 0 and curve.d > 2,
+            "ordinate lives outside the supported fields (d=%d)" % (curve.d,),
+        )
+        return None
     pt = cert.point
     if pt is None:
         r.check("point-present", False, "certificate has no point")
         return None
     r.check("point-on-curve", on_curve(curve, pt), str(pt))
+    r.check("point-abscissa", pt.x == x)
     return pt
 
 
@@ -327,9 +321,8 @@ def _verify_order_d(r: _Report, cert: TorsionCertificate, curve: Curve):
         r.check("witness-present", False, "missing abscissa a")
         return
     r.check("root-of-f", curve.f(cert.a) == 0, "f(a) with a=%s" % (cert.a,))
-    pt = _check_point_on_curve(r, cert, curve)
+    pt = _check_point(r, cert, curve, cert.a, symbolic_ok=False)
     if pt is not None:
-        r.check("point-abscissa", pt.x == cert.a)
         r.check("ordinate-zero", not pt.y, "y(P)=%s" % (pt.y,))
     r.check(
         "exactness-rule",
@@ -340,13 +333,10 @@ def _verify_order_d(r: _Report, cert: TorsionCertificate, curve: Curve):
 
 def _verify_divisor_exactness(r: _Report, cert: TorsionCertificate, curve: Curve):
     rule = cert.exactness_rule
-    if not r.check("exactness-rule-known", rule in _DIVISOR_RULES, rule):
+    holds = _DIVISOR_RULES.get(rule)
+    if not r.check("exactness-rule-known", holds is not None, rule):
         return
-    r.check(
-        "exactness-rule",
-        exactness_rule_holds(rule, cert.m, curve.n),
-        "%s with m=%d n=%d" % (rule, cert.m, curve.n),
-    )
+    r.check("exactness-rule", holds(cert.m, curve.n), "%s with m=%d n=%d" % (rule, cert.m, curve.n))
 
 
 def _verify_pure_power(r: _Report, cert: TorsionCertificate, curve: Curve):
@@ -365,9 +355,8 @@ def _verify_pure_power(r: _Report, cert: TorsionCertificate, curve: Curve):
     dv = 0 if v.is_zero else d * v.degree
     r.check("pole-order", max(n, dv) == m, "max(n, d*deg v) = %s, m = %d" % (max(n, dv), m))
     r.check("witness-nonzero-at-a", v(a) != 0, "v(a)=%s" % (v(a),))
-    pt = _check_point_on_curve(r, cert, curve)
+    pt = _check_point(r, cert, curve, a, symbolic_ok=False)
     if pt is not None:
-        r.check("point-abscissa", pt.x == a)
         r.check("point-ordinate", pt.y == v(a), "y(P)=%s v(a)=%s" % (pt.y, v(a)))
         r.check("ordinate-nonzero", bool(pt.y))
     _verify_divisor_exactness(r, cert, curve)
@@ -392,23 +381,15 @@ def _verify_shift_power(r: _Report, cert: TorsionCertificate, curve: Curve):
     pole = max(d * u.degree + n, dv)
     r.check("pole-order", pole == m, "pole order %s, m = %d" % (pole, m))
     r.check("witness-nonzero-at-a", v(a) != 0, "v(a)=%s" % (v(a),))
-    if cert.point_symbolic:
+    pt = _check_point(r, cert, curve, a, symbolic_ok=True)
+    if pt is not None:
+        # P is the single zero of u*y - mu*v for some mu with mu^d == -1
         r.check(
-            "point-symbolic",
-            d % 2 == 0 and d > 2,
-            "ordinate lives outside the supported fields (d=%d)" % (d,),
+            "point-matches-witness",
+            (u(a) * pt.y) ** d == -(v(a) ** d),
+            "(u(a)*y)^d vs -v(a)^d",
         )
-    else:
-        pt = _check_point_on_curve(r, cert, curve)
-        if pt is not None:
-            r.check("point-abscissa", pt.x == a)
-            # P is the single zero of u*y - mu*v for some mu with mu^d == -1
-            r.check(
-                "point-matches-witness",
-                (u(a) * pt.y) ** d == -(v(a) ** d),
-                "(u(a)*y)^d vs -v(a)^d",
-            )
-            r.check("ordinate-nonzero", bool(pt.y))
+        r.check("ordinate-nonzero", bool(pt.y))
     _verify_divisor_exactness(r, cert, curve)
 
 
@@ -436,28 +417,20 @@ def _verify_infinity_shift(r: _Report, cert: TorsionCertificate, curve: Curve):
     r.check("pole-order", max(e * d + n, dv) == m, "pole order %s" % (max(e * d + n, dv),))
     vm1 = v(Fraction(-1))
     r.check("witness-nonzero-at-a", vm1 != 0, "v(-1)=%s" % (vm1,))
-    if cert.point_symbolic:
-        r.check(
-            "point-symbolic",
-            d % 2 == 0 and d > 2,
-            "ordinate lives outside the supported fields (d=%d)" % (d,),
-        )
-    else:
-        pt = _check_point_on_curve(r, cert, curve)
-        if pt is not None:
-            r.check("point-abscissa", pt.x == Fraction(-1))
-            if cert.lam is None:
-                r.check("lambda-present", False, "materialized point needs lambda")
-            else:
-                lam = cert.lam
-                r.check("lambda-root", lam ** d == -1, "lambda^%d" % (d,))
-                expected = lam * (Fraction(-1) ** e) * vm1
-                r.check(
-                    "point-ordinate",
-                    pt.y == expected,
-                    "y(P)=%s expected=%s" % (pt.y, expected),
-                )
-            r.check("ordinate-nonzero", bool(pt.y))
+    pt = _check_point(r, cert, curve, Fraction(-1), symbolic_ok=True)
+    if pt is not None:
+        if cert.lam is None:
+            r.check("lambda-present", False, "materialized point needs lambda")
+        else:
+            lam = cert.lam
+            r.check("lambda-root", lam ** d == -1, "lambda^%d" % (d,))
+            expected = lam * (Fraction(-1) ** e) * vm1
+            r.check(
+                "point-ordinate",
+                pt.y == expected,
+                "y(P)=%s expected=%s" % (pt.y, expected),
+            )
+        r.check("ordinate-nonzero", bool(pt.y))
     _verify_divisor_exactness(r, cert, curve)
 
 
@@ -491,9 +464,8 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
         "deg v = %s, (n+1)/2 = %s" % (v.degree, Fraction(n + 1, 2)),
     )
     r.check("witness-nonzero-at-a", v(a) != 0, "v(a)=%s" % (v(a),))
-    pt = _check_point_on_curve(r, cert, curve)
+    pt = _check_point(r, cert, curve, a, symbolic_ok=False)
     if pt is not None:
-        r.check("point-abscissa", pt.x == a)
         r.check("point-ordinate", pt.y == -v(a), "y(P)=%s -v(a)=%s" % (pt.y, -v(a)))
         r.check("ordinate-nonzero", bool(pt.y))
     r.check(
@@ -501,6 +473,15 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
         cert.exactness_rule == RULE_TWO_TORSION,
         cert.exactness_rule,
     )
+
+
+_VERIFIERS = {
+    PURE_POWER: _verify_pure_power,
+    SHIFT_POWER: _verify_shift_power,
+    INFINITY_SHIFT: _verify_infinity_shift,
+    ORDER_D: _verify_order_d,
+    TWO_TORSION_LINK: _verify_two_torsion_link,
+}
 
 
 # ---------------------------------------------------------------------------

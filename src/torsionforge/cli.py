@@ -5,7 +5,8 @@ Exit codes (fixed so shell harnesses can assert on them):
 
 0  success
 1  verification failure (a certificate check or the divisor oracle fails)
-2  invalid arguments, bad bounds, or unparseable certificate file
+2  invalid arguments, bad bounds, an unparseable certificate file, or an
+   invalid TORSION_FORGE_SEARCH_LIMIT when a construction searches
 3  a stated precondition or hypothesis fails (including unreachable orders)
 4  the candidate search budget was exhausted
 
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 from math import gcd as int_gcd
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .certify import (
     PreconditionError,
@@ -33,7 +34,7 @@ from .certify import (
     reachability_verdict,
     verify_certificate,
 )
-from .constructors import ConstructionRequest, SearchExhausted, construct
+from .constructors import ConstructionRequest, SearchExhausted, SearchLimitError, construct
 from .curves import CurveError
 from .jacobian2 import OrderNotFoundError, embed_point, order_of
 from .series import HypothesisError
@@ -103,60 +104,51 @@ def _oracle_check(cert: TorsionCertificate) -> tuple[bool, str]:
 # the certify pipeline: construct, self-verify, optional oracle
 # ---------------------------------------------------------------------------
 
-class CertifyResult(NamedTuple):
-    """An exit code, the certificate (set when the code is 0), the error
-    JSON for stdout (empty when the code is 0) and the lines for stderr."""
-
-    code: int
-    cert: Optional[TorsionCertificate] = None
-    error: str = ""
-    notes: tuple[str, ...] = ()
-
-    def write(self):
-        for line in self.notes:
-            print(line, file=sys.stderr)
-        sys.stdout.write(self.error)
-
-
 def certify_request(
     request: ConstructionRequest, oracle: bool = False, scan_row: bool = False
-) -> CertifyResult:
+) -> tuple[int, Optional[TorsionCertificate]]:
     """Construct a certificate, verify it, and optionally confirm its order
-    by the d = 2 divisor oracle.
+    by the d = 2 divisor oracle.  Returns the exit code and, when it is 0,
+    the certificate.
 
-    With ``scan_row`` the request is one row of a scan: its n and m go
-    into the error JSON, the oracle line is prefixed with them, and a
-    failed self-verification names the row.
+    Output is printed where it is decided: the oracle line and a failed
+    self-verification's report go to stderr, a failure's error JSON to
+    stdout; the caller prints the certificate.  An invalid TORSION_FORGE_SEARCH_LIMIT, read only
+    when a construction searches without a budget of its own, is one
+    stderr line and exit 2.  With ``scan_row`` the request is one row of
+    a scan: its n and m go into the error JSON, the oracle line is
+    prefixed with them, and a failed self-verification names the row.
     """
     n, m = request.n, request.m
     where = {"n": n, "m": m} if scan_row else {}
     try:
         cert = construct(request)
+    except SearchLimitError as exc:
+        print("torsion-forge: error: %s" % (exc,), file=sys.stderr)
+        return EXIT_BAD_ARGS, None
     except (SearchExhausted, *_PRECONDITION_ERRORS) as exc:
         code = EXIT_SEARCH_EXHAUSTED if isinstance(exc, SearchExhausted) else EXIT_PRECONDITION
-        return CertifyResult(code, error=_error_json(type(exc).__name__, str(exc), **where))
+        sys.stdout.write(_error_json(type(exc).__name__, str(exc), **where))
+        return code, None
 
     ok, lines = verify_certificate(cert)
     if not ok:
+        for line in lines:
+            print(line, file=sys.stderr)
         if scan_row:
             message = "certificate for n=%d m=%d failed verification" % (n, m)
         else:
             message = "constructed certificate failed self-verification"
-        return CertifyResult(
-            EXIT_VERIFY_FAILED,
-            error=_error_json("VerificationError", message),
-            notes=tuple(str(line) for line in lines),
-        )
+        sys.stdout.write(_error_json("VerificationError", message))
+        return EXIT_VERIFY_FAILED, None
 
-    if not oracle:
-        return CertifyResult(EXIT_OK, cert)
-    ok, message = _oracle_check(cert)
-    notes = ("n=%d m=%d %s" % (n, m, message) if scan_row else message,)
-    if not ok:
-        return CertifyResult(
-            EXIT_VERIFY_FAILED, error=_error_json("OracleMismatch", message, **where), notes=notes
-        )
-    return CertifyResult(EXIT_OK, cert, notes=notes)
+    if oracle:
+        ok, message = _oracle_check(cert)
+        print("n=%d m=%d %s" % (n, m, message) if scan_row else message, file=sys.stderr)
+        if not ok:
+            sys.stdout.write(_error_json("OracleMismatch", message, **where))
+            return EXIT_VERIFY_FAILED, None
+    return EXIT_OK, cert
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +179,13 @@ def cmd_construct(args, parser) -> int:
         )
         return EXIT_PRECONDITION
 
-    result = certify_request(
+    code, cert = certify_request(
         ConstructionRequest(n=args.n, d=args.d, m=m, style=args.style, search_limit=args.c_range),
         args.oracle,
     )
-    result.write()
-    if result.code == EXIT_OK:
-        _emit(result.cert.to_json_str(), args.out)
-    return result.code
+    if code == EXIT_OK:
+        _emit(cert.to_json_str(), args.out)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +265,14 @@ def cmd_scan(args, parser) -> int:
             "deciding_rule": verdict.deciding_rule,
         }
         if args.construct and verdict.status == STATUS_CONSTRUCTIVE:
-            result = certify_request(
+            code, cert = certify_request(
                 ConstructionRequest(n=n, d=args.d, m=m, search_limit=args.c_range),
                 args.oracle,
                 scan_row=True,
             )
-            result.write()
-            if result.code != EXIT_OK:
-                return result.code
-            row["certificate"] = result.cert
+            if code != EXIT_OK:
+                return code
+            row["certificate"] = cert
         rows.append(row)
 
     if args.out is not None:

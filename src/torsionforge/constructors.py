@@ -30,8 +30,9 @@ the same certificate.  Three constructions search: order-n tries
 v = x + 1, x + 2, ...; div-d and the d = 2 two-torsion link try the
 constants 1, -1, 2, -2, ...  Every search runs through ``_search``, which
 alone applies the budget: the caller's limit, else the
-TORSION_FORGE_SEARCH_LIMIT environment variable (default 64).  The n = 3
-link and the zero-deficit div-d witness are fixed and ignore the budget.
+TORSION_FORGE_SEARCH_LIMIT environment variable (default 64; any value
+but a positive integer raises SearchLimitError).  The n = 3 link and the
+zero-deficit div-d witness are fixed and ignore the budget.
 """
 
 from __future__ import annotations
@@ -78,20 +79,20 @@ class SearchExhausted(RuntimeError):
     """No candidate within the search budget produced a valid curve."""
 
 
+class SearchLimitError(ValueError):
+    """TORSION_FORGE_SEARCH_LIMIT is set but is not a positive integer."""
+
+
 def default_search_limit() -> int:
     raw = os.environ.get(SEARCH_LIMIT_ENV)
     if raw is None:
         return DEFAULT_SEARCH_LIMIT
     try:
         limit = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            "%s must be a positive integer, got %r" % (SEARCH_LIMIT_ENV, raw)
-        ) from exc
+    except ValueError:
+        limit = 0
     if limit < 1:
-        raise ValueError(
-            "%s must be a positive integer, got %r" % (SEARCH_LIMIT_ENV, raw)
-        )
+        raise SearchLimitError("%s must be a positive integer, got %r" % (SEARCH_LIMIT_ENV, raw))
     return limit
 
 
@@ -271,7 +272,9 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
     """Curve with a point of exact order m = n + e*d over x = -1.
 
     Requires m > d*(e*d - 1); otherwise the truncated series does not
-    leave a degree-n quotient and a HypothesisError is raised.
+    leave a degree-n quotient and a HypothesisError is raised.  Under it
+    m < 2n when d >= 3, and m is odd with m <= 2n + 1 < 3n when d = 2, so
+    an exactness rule always applies.
     """
     check_shape(n, d)
     if e < 1:
@@ -287,11 +290,6 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
     V = truncated_binomial(spec)
     f = truncation_quotient(spec)
     curve = Curve(d, n, f)
-    rule = exactness_rule_for(m, n)
-    if rule is None:
-        raise PreconditionError(
-            "order m=%d admits no exactness rule on degree n=%d curves" % (m, n)
-        )
     symbolic = d % 2 == 0 and d > 2
     lam = point = None
     if not symbolic:
@@ -305,7 +303,7 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
         a=Fraction(-1),
         e=e,
         lam=lam,
-        exactness_rule=rule,
+        exactness_rule=exactness_rule_for(m, n),
         point=point,
         point_symbolic=symbolic,
     )

@@ -109,11 +109,7 @@ def add(curve: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
 
     # composition: d = s1*u1 + s2*u2 + s3*(v1 + v2) = gcd(u1, u2, v1 + v2)
     d0, e1, e2 = xgcd(u1, u2)
-    vsum = v1 + v2
-    if vsum.is_zero:
-        d, c1, c2 = d0, Poly.one(), Poly.zero()
-    else:
-        d, c1, c2 = xgcd(d0, vsum)
+    d, c1, c2 = xgcd(d0, v1 + v2)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
 
     u = exact_div(u1 * u2, d * d)
@@ -126,7 +122,6 @@ def add(curve: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
         u_next = u_next.monic()
         v = (-v) % u_next
         u = u_next
-    u = u.monic()
     out = MumfordDivisor(u, v)
     validate(curve, out)
     return out

@@ -132,10 +132,6 @@ class Poly:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
     def constant(cls, c) -> "Poly":
         return cls((c,))
 
@@ -232,11 +228,6 @@ class Poly:
             for j, cb in enumerate(b):
                 out[i + j] = out[i + j] + ca * cb
         return Poly(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self * other
-        return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

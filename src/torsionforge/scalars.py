@@ -206,9 +206,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

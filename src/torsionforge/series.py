@@ -72,7 +72,8 @@ def check_truncation_valuation(spec: TruncationSpec) -> int:
     Requires the hypothesis m > d*(E-1); under it the order is exactly E
     (the first E coefficients cancel by construction and the next one is
     d * binom(r-1, E-1) * ... != 0).  The returned value is computed, not
-    assumed, so callers can assert it.
+    assumed, so callers can assert it.  The difference is never zero:
+    deg V**d = d*(E-1) < m.
     """
     floor = spec.d * (spec.E - 1)
     if spec.m <= floor:
@@ -81,8 +82,6 @@ def check_truncation_valuation(spec: TruncationSpec) -> int:
         )
     v = truncated_binomial(spec)
     diff = Poly((1, 1)) ** spec.m - v ** spec.d
-    if diff.is_zero:
-        raise HypothesisError("(1+x)^m equals V^d; no finite vanishing order")
     return diff.valuation_at_zero()
 
 

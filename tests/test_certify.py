@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torsionforge import cli
 
@@ -24,20 +24,22 @@ from torsionforge.certify import (
     TorsionCertificate,
     canonical_json,
     exactness_rule_for,
-    exactness_rule_holds,
     parse_and_verify,
     reachability_verdict,
     verify_certificate,
 )
 from torsionforge.constructors import (
+    ConstructionRequest,
+    construct,
     construct_div_d,
     construct_n_plus_ed,
     construct_order_d,
     construct_order_n,
 )
 from torsionforge.curves import AffinePoint
+from torsionforge.jacobian2 import embed_point, order_of
 from torsionforge.polyring import Poly
-from torsionforge.scalars import GAUSSIAN_I
+from torsionforge.scalars import GAUSSIAN_I, scalar_from_json, scalar_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +114,19 @@ def test_exactness_rule_selection():
 
 
 def test_exactness_rule_holds():
-    assert exactness_rule_holds("below-twice-degree", 9, 5)
-    assert not exactness_rule_holds("below-twice-degree", 10, 5)
-    assert exactness_rule_holds("prime-order", 11, 5)
-    assert not exactness_rule_holds("prime-order", 15, 7)
-    assert exactness_rule_holds("odd-below-thrice-degree", 15, 7)
-    assert not exactness_rule_holds("odd-below-thrice-degree", 16, 7)
-    assert not exactness_rule_holds("no-such-rule", 7, 5)
+    def holds(rule, m, n):
+        """Whether the verifier accepts ``rule`` for order m on a degree-n curve."""
+        cert = replace(construct_order_n(n, 2), m=m, exactness_rule=rule)
+        lines = [line for line in verify_certificate(cert)[1] if line.name.startswith("exactness-rule")]
+        return bool(lines) and all(line.ok for line in lines)
+
+    assert holds("below-twice-degree", 9, 5)
+    assert not holds("below-twice-degree", 10, 5)
+    assert holds("prime-order", 11, 5)
+    assert not holds("prime-order", 15, 7)
+    assert holds("odd-below-thrice-degree", 15, 7)
+    assert not holds("odd-below-thrice-degree", 16, 7)
+    assert not holds("no-such-rule", 7, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +373,80 @@ def test_scalar_spellings_round_trip_or_are_malformed(data):
         return
     if cert is not None:
         assert cert.to_json_str() == canonical_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# d = 2: a certificate the verifier accepts has the order the oracle finds
+# ---------------------------------------------------------------------------
+
+LADDER_D2 = [
+    (n, m)
+    for n in (3, 5, 7)
+    for m in sorted({2, n, *range(n + 1, 2 * n + 2)})
+    if reachability_verdict(n, 2, m).status == STATUS_CONSTRUCTIVE
+]
+EXACTNESS_RULES = ("prime-order", "below-twice-degree", "odd-below-thrice-degree",
+                   "zero-ordinate", "two-torsion-link")
+
+# None, or one change to the serialized certificate
+mutations = st.one_of(
+    st.none(),
+    st.tuples(st.just("coefficient"), st.sampled_from(("f", "u", "v")),
+              st.integers(0, 15), st.sampled_from((-2, -1, 1, 2))),
+    st.tuples(st.just("ordinate"), st.sampled_from((-1, 1))),
+    st.tuples(st.just("integer"), st.sampled_from(("m", "e")), st.sampled_from((-1, 1))),
+    st.tuples(st.just("rule"), st.sampled_from(EXACTNESS_RULES)),
+)
+
+_ladder_json = {}
+
+
+def _ladder_certificate(n: int, m: int) -> dict:
+    if (n, m) not in _ladder_json:
+        _ladder_json[n, m] = canonical_json(construct(ConstructionRequest(n=n, d=2, m=m)).to_json_dict())
+    return json.loads(_ladder_json[n, m])
+
+
+def _mutate(obj: dict, mutation) -> bool:
+    """Apply the mutation to obj; False when it has nothing to act on."""
+    kind, *args = mutation
+    if kind == "coefficient":
+        key, k, delta = args
+        coeffs = obj["curve"]["f"] if key == "f" else obj[key]
+        if not coeffs:
+            return False
+        k %= len(coeffs)
+        coeffs[k] = scalar_to_json(scalar_from_json(coeffs[k]) + delta)
+    elif kind == "ordinate":
+        y = scalar_from_json(obj["point"]["y"])
+        obj["point"]["y"] = scalar_to_json(-y if args[0] < 0 else y + 1)
+    elif kind == "integer":
+        key, delta = args
+        obj[key] += delta
+    else:
+        if obj["exactness_rule"] == args[0]:
+            return False
+        obj["exactness_rule"] = args[0]
+    return True
+
+
+def _unmutated_examples(test):
+    for n, m in LADDER_D2:
+        test = example((n, m), None)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LADDER_D2), mutations)
+@_unmutated_examples
+def test_d2_certificate_the_verifier_accepts_has_the_oracle_order(order, mutation):
+    obj = _ladder_certificate(*order)
+    if mutation is not None and not _mutate(obj, mutation):
+        return
+    try:
+        cert, lines = parse_and_verify(json.loads(canonical_json(obj)))
+    except (KeyError, TypeError, ValueError):
+        return
+    if cert is None or cert.point is None or not all(line.ok for line in lines):
+        return
+    assert order_of(cert.curve, embed_point(cert.curve, cert.point), cert.m) == cert.m

@@ -8,14 +8,16 @@ Two corpora are replayed through ``cli.main``, read-only:
   the certificates those invocations emit;
 * ``data/cli_exit_paths.json``: the construct / scan / verify exit paths
   that corpus does not reach (exit 3 and 4, oracle lines and mismatches,
-  self-verification failures, invalid and malformed certificates).  Its
-  bytes were captured from commit 7929b6e, before the construct ->
+  self-verification failures, invalid and malformed certificates, an
+  invalid TORSION_FORGE_SEARCH_LIMIT).  Its bytes were captured from
+  commit 7929b6e, before the construct ->
   verify -> oracle pipeline was merged into one function; the
   shift-power and large-e ``verify`` cases were captured from commit
   67cb2f2, the last one that could still produce shift-power
   certificates (by carrying a constructed certificate onto a non-monic
-  model of its curve).  Paths that cannot be reached from the command
-  line are reached by the named monkeypatches in ``PATCHES``.
+  model of its curve).  Paths that the command line alone cannot reach
+  (forced failures, an environment variable) are reached by the named
+  monkeypatches in ``PATCHES``.
 """
 
 from __future__ import annotations
@@ -94,11 +96,16 @@ def _every_row_constructive(monkeypatch):
     )
 
 
+def _bad_search_limit(monkeypatch):
+    monkeypatch.setenv("TORSION_FORGE_SEARCH_LIMIT", "zero")
+
+
 PATCHES = {
     "failing-self-verification": _failing_self_verification,
     "oracle-order-off-by-one": _oracle_order_off_by_one,
     "oracle-finds-no-order": _oracle_finds_no_order,
     "every-row-constructive": _every_row_constructive,
+    "bad-search-limit": _bad_search_limit,
 }
 
 

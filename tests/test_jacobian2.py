@@ -31,12 +31,12 @@ from torsionforge.scalars import GaussianRational
 
 
 # genus 2 with five rational branch points: x(x^2-1)(x^2-4)
-GENUS2_SPLIT = Curve(2, 5, Poly.x() * (Poly.x_power(2) - Poly((1,))) * (Poly.x_power(2) - Poly((4,))))
+GENUS2_SPLIT = Curve(2, 5, Poly.x_power(1) * (Poly.x_power(2) - Poly((1,))) * (Poly.x_power(2) - Poly((4,))))
 # genus 3 with seven rational branch points
 GENUS3_SPLIT = Curve(
     2,
     7,
-    Poly.x()
+    Poly.x_power(1)
     * (Poly.x_power(2) - Poly((1,)))
     * (Poly.x_power(2) - Poly((4,)))
     * (Poly.x_power(2) - Poly((9,))),

@@ -39,7 +39,7 @@ def test_trailing_zeros_are_stripped():
 
 
 def test_basic_constructors():
-    x = Poly.x()
+    x = Poly.x_power(1)
     assert x.degree == 1 and x(Fraction(7)) == 7
     assert Poly.x_power(4)(Fraction(2)) == 16
     assert Poly.x_minus(Fraction(3))(Fraction(3)) == 0
