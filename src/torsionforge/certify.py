@@ -239,16 +239,24 @@ class _Report:
         return all(line.ok for line in self.lines)
 
 
-def _match_scaled_power(q: Poly, base: Poly, m: int):
-    """If q == A * base**m with A a nonzero scalar, return A, else None."""
-    if q.is_zero:
+def _match_scaled_power(q: Poly, base: Poly, m: int, extra: Optional[Poly] = None):
+    """A if q == A * base**m (times ``extra`` when given) for a nonzero
+    scalar A, else None; the zero q has degree -inf and fails the degree test."""
+    if q.degree != base.degree * m + (0 if extra is None else extra.degree):
         return None
-    if q.degree != base.degree * m:
-        return None
-    A = q.leading_coefficient / base.leading_coefficient ** m
-    if q == base ** m * A:
-        return A
-    return None
+    target = base ** m
+    if extra is not None:
+        target = target * extra
+    A = q.leading_coefficient / target.leading_coefficient
+    return A if q == target * A else None
+
+
+def _check_identity(r: _Report, A, claim: str):
+    r.check("identity", A is not None, claim if A is None else "%s, A=%s" % (claim, A))
+
+
+def _check_fixed_rule(r: _Report, cert: TorsionCertificate, rule: str):
+    r.check("exactness-rule", cert.exactness_rule == rule, cert.exactness_rule)
 
 
 def parse_and_verify(obj: dict) -> tuple[Optional[TorsionCertificate], list[CheckLine]]:
@@ -324,11 +332,7 @@ def _verify_order_d(r: _Report, cert: TorsionCertificate, curve: Curve):
     pt = _check_point(r, cert, curve, cert.a, symbolic_ok=False)
     if pt is not None:
         r.check("ordinate-zero", not pt.y, "y(P)=%s" % (pt.y,))
-    r.check(
-        "exactness-rule",
-        cert.exactness_rule == RULE_ZERO_ORDINATE,
-        cert.exactness_rule,
-    )
+    _check_fixed_rule(r, cert, RULE_ZERO_ORDINATE)
 
 
 def _verify_divisor_exactness(r: _Report, cert: TorsionCertificate, curve: Curve):
@@ -345,13 +349,8 @@ def _verify_pure_power(r: _Report, cert: TorsionCertificate, curve: Curve):
         r.check("witness-present", False, "pure-power needs v and a")
         return
     v, a = cert.v, cert.a
-    q = f - v ** d
-    A = _match_scaled_power(q, Poly.x_minus(a), m)
-    r.check(
-        "identity",
-        A is not None,
-        "f - v^%d == A*(x-a)^%d, a=%s%s" % (d, m, a, "" if A is None else ", A=%s" % (A,)),
-    )
+    A = _match_scaled_power(f - v ** d, Poly.x_minus(a), m)
+    _check_identity(r, A, "f - v^%d == A*(x-a)^%d, a=%s" % (d, m, a))
     dv = 0 if v.is_zero else d * v.degree
     r.check("pole-order", max(n, dv) == m, "max(n, d*deg v) = %s, m = %d" % (max(n, dv), m))
     r.check("witness-nonzero-at-a", v(a) != 0, "v(a)=%s" % (v(a),))
@@ -370,13 +369,8 @@ def _verify_shift_power(r: _Report, cert: TorsionCertificate, curve: Curve):
     u, v, a = cert.u, cert.v, cert.a
     if not r.check("u-nonzero", not u.is_zero):
         return
-    q = u ** d * f + v ** d
-    A = _match_scaled_power(q, Poly.x_minus(a), m)
-    r.check(
-        "identity",
-        A is not None,
-        "u^%d*f + v^%d == A*(x-a)^%d%s" % (d, d, m, "" if A is None else ", A=%s" % (A,)),
-    )
+    A = _match_scaled_power(u ** d * f + v ** d, Poly.x_minus(a), m)
+    _check_identity(r, A, "u^%d*f + v^%d == A*(x-a)^%d" % (d, d, m))
     dv = 0 if v.is_zero else d * v.degree
     pole = max(d * u.degree + n, dv)
     r.check("pole-order", pole == m, "pole order %s, m = %d" % (pole, m))
@@ -409,11 +403,7 @@ def _verify_infinity_shift(r: _Report, cert: TorsionCertificate, curve: Curve):
     if e * d <= dv + 1 and (e * d + n == dv or max(e * d + n, dv) == m):
         q = Poly.x_power(e * d) * f + v ** d
         A = _match_scaled_power(q, Poly((1, 1)), m)
-    r.check(
-        "identity",
-        A is not None,
-        "x^(ed)*f + v^%d == A*(1+x)^%d%s" % (d, m, "" if A is None else ", A=%s" % (A,)),
-    )
+    _check_identity(r, A, "x^(ed)*f + v^%d == A*(1+x)^%d" % (d, m))
     r.check("pole-order", max(e * d + n, dv) == m, "pole order %s" % (max(e * d + n, dv),))
     vm1 = v(Fraction(-1))
     r.check("witness-nonzero-at-a", vm1 != 0, "v(-1)=%s" % (vm1,))
@@ -447,17 +437,8 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
     w = -u[0]
     r.check("link-root-distinct", w != a, "w=%s a=%s" % (w, a))
     r.check("witness-vanishes-at-link", v(w) == 0, "v(w)=%s" % (v(w),))
-    q = v ** 2 - f
-    A = None
-    if not q.is_zero and q.degree == n + 1:
-        A = q.leading_coefficient
-        if q != Poly.x_minus(a) ** n * u * A:
-            A = None
-    r.check(
-        "identity",
-        A is not None,
-        "v^2 - f == A*(x-a)^%d*(x-w)%s" % (n, "" if A is None else ", A=%s" % (A,)),
-    )
+    A = _match_scaled_power(v ** 2 - f, Poly.x_minus(a), n, extra=u)
+    _check_identity(r, A, "v^2 - f == A*(x-a)^%d*(x-w)" % (n,))
     r.check(
         "pole-order",
         v.degree * 2 == n + 1,
@@ -468,11 +449,7 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
     if pt is not None:
         r.check("point-ordinate", pt.y == -v(a), "y(P)=%s -v(a)=%s" % (pt.y, -v(a)))
         r.check("ordinate-nonzero", bool(pt.y))
-    r.check(
-        "exactness-rule",
-        cert.exactness_rule == RULE_TWO_TORSION,
-        cert.exactness_rule,
-    )
+    _check_fixed_rule(r, cert, RULE_TWO_TORSION)
 
 
 _VERIFIERS = {
@@ -511,17 +488,13 @@ class Verdict:
     deciding_rule: str
 
 
-def _congruence_witness(n: int, d: int, M: int) -> Optional[int]:
-    """A j with 0 <= j <= M//n and M = j*n mod d, if any.
+def _has_congruence_witness(n: int, d: int, M: int) -> bool:
+    """Whether some j with 0 <= j <= M//n has M = j*n mod d.
 
     For 1 < M < n*d, a function with pole divisor M*(O) and a single
     affine zero exists only if such a j does.
     """
-    k = M // n
-    for j in range(k + 1):
-        if (M - j * n) % d == 0:
-            return j
-    return None
+    return any((M - j * n) % d == 0 for j in range(M // n + 1))
 
 
 def reachability_verdict(n: int, d: int, m: int) -> Verdict:
@@ -541,7 +514,7 @@ def reachability_verdict(n: int, d: int, m: int) -> Verdict:
     if m == n:
         return Verdict(STATUS_CONSTRUCTIVE, RULE_CURVE_DEGREE)
 
-    if m < n * d and _congruence_witness(n, d, m) is None:
+    if m < n * d and not _has_congruence_witness(n, d, m):
         return Verdict(STATUS_UNREACHABLE, RULE_POLE_CONGRUENCE)
 
     if m % d == 0:

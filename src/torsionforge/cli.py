@@ -28,13 +28,14 @@ from typing import Optional
 from .certify import (
     PreconditionError,
     STATUS_CONSTRUCTIVE,
+    STATUS_UNREACHABLE,
     TorsionCertificate,
     canonical_json,
     parse_and_verify,
     reachability_verdict,
     verify_certificate,
 )
-from .constructors import ConstructionRequest, SearchExhausted, SearchLimitError, construct
+from .constructors import STYLES, ConstructionRequest, SearchExhausted, SearchLimitError, construct
 from .curves import CurveError
 from .jacobian2 import OrderNotFoundError, embed_point, order_of
 from .series import HypothesisError
@@ -89,8 +90,6 @@ def _oracle_check(cert: TorsionCertificate) -> tuple[bool, str]:
     curve = cert.curve
     if curve.d != 2:
         return True, "oracle skipped: divisor arithmetic supports d=2 only (curve has d=%d)" % (curve.d,)
-    if cert.point is None:
-        return True, "oracle skipped: certificate point is symbolic"
     try:
         divisor = embed_point(curve, cert.point)
         found = order_of(curve, divisor, bound=cert.m)
@@ -169,7 +168,7 @@ def cmd_construct(args, parser) -> int:
         parser.error("--m must be at least 2, got %d" % (m,))
 
     verdict = reachability_verdict(args.n, args.d, m)
-    if verdict.status == "unreachable":
+    if verdict.status == STATUS_UNREACHABLE:
         sys.stdout.write(
             _error_json(
                 "PreconditionError",
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_construct.add_argument(
         "--style",
-        choices=["order-d", "order-n", "div-d", "n-plus-ed"],
+        choices=STYLES,
         help="construction family (inferred from m when omitted)",
     )
     p_construct.add_argument(

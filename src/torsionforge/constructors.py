@@ -153,27 +153,33 @@ def construct_order_n(n: int, d: int, search_limit: Optional[int] = None) -> Tor
 
     The witnesses v = x + 1, x + 2, ... are tried until f is square-free;
     n > d admits deg v = 1, and v(0) != 0 keeps P off the x-axis.
+
+    The first witness works: a common root t of f = x**n + (x+1)**d and
+    f' is neither 0 nor -1, and dividing t**n = -(t+1)**d by n*t**(n-1) =
+    -d*(t+1)**(d-1) gives t = -n/(n-d) and t + 1 = -d/(n-d).  Then f(t) = 0
+    forces n**n = d**d * (n-d)**(n-d) in absolute value, but a prime factor
+    of n divides neither d nor n - d, as gcd(n, d) = 1.
     """
     check_shape(n, d)
     return _search(
         (Poly((k, 1)) for k in count(1)),
-        lambda v: _order_n_with(n, d, v),
+        lambda v: _pure_power(n, d, n, v, Poly.x_power(n) + v ** d),
         "no square-free curve of order n=%d found within {limit} candidates ({error})" % (n,),
         search_limit,
     )
 
 
-def _order_n_with(n: int, d: int, v: Poly) -> TorsionCertificate:
+def _pure_power(n: int, d: int, m: int, v: Poly, f: Poly) -> TorsionCertificate:
+    """The pure-power certificate of f - v**d = +-x**m at a = 0, P = (0, v(0))."""
     a = Fraction(0)
-    curve = Curve(d, n, Poly.x_power(n) + v ** d)
     return TorsionCertificate(
-        curve=curve,
-        m=n,
+        curve=Curve(d, n, f),
+        m=m,
         identity_kind=PURE_POWER,
         v=v,
         a=a,
         point=AffinePoint(a, v(a)),
-        exactness_rule=exactness_rule_for(n, n),
+        exactness_rule=exactness_rule_for(m, n),
     )
 
 
@@ -215,17 +221,7 @@ def construct_div_d(
 
 def _div_d_with(n: int, d: int, m: int, l: int, s: int, c: Fraction) -> TorsionCertificate:
     v = Poly.x_power(l) + Poly.monomial(Fraction(1, d), s) + Poly.constant(c)
-    f = v ** d - Poly.x_power(m)
-    curve = Curve(d, n, f)
-    return TorsionCertificate(
-        curve=curve,
-        m=m,
-        identity_kind=PURE_POWER,
-        v=v,
-        a=Fraction(0),
-        point=AffinePoint(Fraction(0), v(Fraction(0))),
-        exactness_rule=exactness_rule_for(m, n),
-    )
+    return _pure_power(n, d, m, v, v ** d - Poly.x_power(m))
 
 
 def _two_torsion_link(n: int, search_limit: Optional[int]) -> TorsionCertificate:

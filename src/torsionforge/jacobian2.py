@@ -30,11 +30,10 @@ short:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .curves import AffinePoint, Curve, on_curve
-from .polyring import Poly, exact_div, xgcd
+from .polyring import Poly, _all_rational, exact_div, xgcd
 from .scalars import GaussianRational
 
 
@@ -139,10 +138,6 @@ class _Twist(NamedTuple):
     genus: int
 
 
-def _rational(p: Poly) -> bool:
-    return all(isinstance(c, Fraction) for c in p.coeffs)
-
-
 def _imaginary(c) -> bool:
     return c == 0 or isinstance(c, GaussianRational) and c.re == 0
 
@@ -150,7 +145,7 @@ def _imaginary(c) -> bool:
 def _over_q(curve: Curve, D: MumfordDivisor):
     """(curve, D), or (y**2 = -f, (u, v/i)) when that puts D over Q."""
     v = D.v.coeffs
-    if not (v and _rational(curve.f) and _rational(D.u) and all(map(_imaginary, v))):
+    if not (v and _all_rational(curve.f.coeffs) and _all_rational(D.u.coeffs) and all(map(_imaginary, v))):
         return curve, D
     v_over_i = Poly([c.im if isinstance(c, GaussianRational) else c for c in v])
     return _Twist(curve.d, -curve.f, curve.genus), MumfordDivisor(D.u, v_over_i)

@@ -7,7 +7,7 @@ provided m > d*(E-1).  That exact vanishing order is what lets a curve
 of degree n = m - d*E carry a point whose pole divisor reaches order m,
 so this module is the engine room of the n+e*d constructions.
 
-Two classical identities are exposed as checked invariants:
+Two classical identities hold; acceptance criterion 7 checks them:
 
 * recurrence: V_{r,E}(x) = (1+x) * V_{r-1,E-1}(x) + binom(r-1, E-1) * x**(E-1)
 * derivative: V_{r,E}'(x) = r * V_{r-1,E-1}(x)

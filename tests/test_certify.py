@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -30,16 +32,18 @@ from torsionforge.certify import (
 )
 from torsionforge.constructors import (
     ConstructionRequest,
+    SearchExhausted,
     construct,
     construct_div_d,
     construct_n_plus_ed,
     construct_order_d,
     construct_order_n,
 )
-from torsionforge.curves import AffinePoint
+from torsionforge.curves import AffinePoint, CurveError
 from torsionforge.jacobian2 import embed_point, order_of
 from torsionforge.polyring import Poly
 from torsionforge.scalars import GAUSSIAN_I, scalar_from_json, scalar_to_json
+from torsionforge.series import HypothesisError
 
 
 # ---------------------------------------------------------------------------
@@ -450,3 +454,76 @@ def test_d2_certificate_the_verifier_accepts_has_the_oracle_order(order, mutatio
     if cert is None or cert.point is None or not all(line.ok for line in lines):
         return
     assert order_of(cert.curve, embed_point(cert.curve, cert.point), cert.m) == cert.m
+
+
+# ---------------------------------------------------------------------------
+# verifier reports pinned over a mutation corpus
+# ---------------------------------------------------------------------------
+
+# sha256 over the reports below, captured from commit 66088aa
+MUTATION_CORPUS_SHA256 = "d54209bb9ca3f3c80f5c90f43cd750d018a741c984a978b1eb072a5611e664a0"
+
+KINDS = ("pure-power", "shift-power", "infinity-shift", "order-d", "two-torsion-link")
+
+
+def _mutation_corpus() -> list[TorsionCertificate]:
+    """Every certificate construct emits for d in {2, 3, 4, 5}, coprime
+    d < n < 12 and m = 2..2n+1, then the shift-power certificates pinned
+    in data/cli_exit_paths.json."""
+    certs = []
+    for d in (2, 3, 4, 5):
+        for n in range(d + 1, 12):
+            if gcd(n, d) != 1:
+                continue
+            for m in range(2, 2 * n + 2):
+                try:
+                    certs.append(construct(ConstructionRequest(n=n, d=d, m=m)))
+                except (PreconditionError, HypothesisError, CurveError, SearchExhausted):
+                    pass
+    cases = json.loads((Path(__file__).resolve().parent / "data" / "cli_exit_paths.json")
+                       .read_text(encoding="utf-8"))["cases"]
+    certs += [TorsionCertificate.from_json_dict(json.loads(case["input"]))
+              for case in cases if "shift-power" in case["name"]]
+    return certs
+
+
+def _mutations(cert: TorsionCertificate):
+    """cert itself, then each single mutation of it that has something to act on."""
+    yield cert
+    for kind in (*KINDS, "nope"):
+        yield replace(cert, identity_kind=kind)
+    for rule in (*EXACTNESS_RULES, "bogus"):
+        yield replace(cert, exactness_rule=rule)
+    for dm in (-1, 1, 2):
+        yield replace(cert, m=cert.m + dm)
+    for de in (-1, 1):
+        yield replace(cert, e=cert.e + de)
+    for field in ("u", "v", "a", "point", "lam"):
+        yield replace(cert, **{field: None})
+    yield replace(cert, point_symbolic=not cert.point_symbolic)
+    for u in (Poly((-1, 1)), Poly((2, 3))):
+        yield replace(cert, u=u)
+    if cert.v is not None:
+        yield replace(cert, v=cert.v + Poly.one())
+        yield replace(cert, v=-cert.v)
+    if cert.a is not None:
+        yield replace(cert, a=cert.a + 1)
+    if cert.point is not None:
+        yield replace(cert, point=AffinePoint(cert.point.x, -cert.point.y))
+        yield replace(cert, point=AffinePoint(cert.point.x + 1, cert.point.y))
+    for lam in (GAUSSIAN_I, Fraction(-1)):
+        yield replace(cert, lam=lam)
+
+
+def test_verifier_reports_over_the_mutation_corpus_are_pinned():
+    certs = _mutation_corpus()
+    assert len(certs) == 110
+    digest = hashlib.sha256()
+    reports = 0
+    for cert in certs:
+        for mutant in _mutations(cert):
+            ok, lines = verify_certificate(mutant)
+            digest.update(repr((ok, [str(line) for line in lines])).encode())
+            reports += 1
+    assert reports == 3584
+    assert digest.hexdigest() == MUTATION_CORPUS_SHA256

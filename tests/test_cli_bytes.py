@@ -9,7 +9,8 @@ Two corpora are replayed through ``cli.main``, read-only:
 * ``data/cli_exit_paths.json``: the construct / scan / verify exit paths
   that corpus does not reach (exit 3 and 4, oracle lines and mismatches,
   self-verification failures, invalid and malformed certificates, an
-  invalid TORSION_FORGE_SEARCH_LIMIT).  Its bytes were captured from
+  invalid TORSION_FORGE_SEARCH_LIMIT, a prime-order m that only the
+  Miller-Rabin loop decides).  Its bytes were captured from
   commit 7929b6e, before the construct ->
   verify -> oracle pipeline was merged into one function; the
   shift-power and large-e ``verify`` cases were captured from commit

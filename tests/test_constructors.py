@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import gcd
 
 import pytest
 
@@ -10,6 +12,7 @@ from torsionforge.certify import PreconditionError, verify_certificate
 from torsionforge.constructors import (
     ConstructionRequest,
     SearchExhausted,
+    _search,
     construct,
     construct_div_d,
     construct_n_plus_ed,
@@ -75,12 +78,14 @@ def test_order_n_default_search():
     assert order_of(cert.curve, embed_point(cert.curve, cert.point), bound=5) == 5
 
 
-def test_order_n_surfaces_repeated_roots_for_explicit_witness():
-    # (x-0)^2 + constant^2 squared structure: craft v so f is not square-free
-    # f = x^5 + v^2 with v chosen to create a double root is rare; instead
-    # check the search path skips such candidates transparently
-    cert = construct_order_n(5, 2, search_limit=8)
-    assert_verifies(cert)
+def test_order_n_first_witness_is_square_free():
+    # x^n + (x+1)^d is square-free for coprime d < n (construct_order_n's
+    # docstring proves it), so a budget of one candidate always suffices
+    for n in range(3, 41):
+        for d in range(2, n):
+            if gcd(n, d) == 1:
+                cert = construct_order_n(n, d, search_limit=1)
+                assert cert.v == Poly((1, 1)), (n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +153,27 @@ def test_exhausted_search_reports_budget():
     # budget of zero candidates cannot succeed
     with pytest.raises(SearchExhausted):
         construct_div_d(7, 2, 8, search_limit=0)
+
+
+def _rejecting_build(k: int):
+    """A build that rejects its first k candidates as not square-free."""
+    def build(cand):
+        if cand <= k:
+            raise RepeatedRootError("candidate %d rejected" % (cand,))
+        return cand
+    return build
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_search_skips_rejected_candidates(k):
+    assert _search(count(1), _rejecting_build(k), "{limit} {error}", search_limit=k + 1) == k + 1
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_search_exhausted_names_the_budget_and_the_last_error(k):
+    with pytest.raises(SearchExhausted) as info:
+        _search(count(1), _rejecting_build(k), "budget {limit}; last: {error}", search_limit=k)
+    assert str(info.value) == "budget %d; last: candidate %d rejected" % (k, k)
 
 
 # ---------------------------------------------------------------------------
