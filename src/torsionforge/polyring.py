@@ -18,6 +18,12 @@ per output coefficient rather than one per coefficient product.  A
 polynomial with any ``GaussianRational`` coefficient takes the plain
 coefficient loop instead.
 
+Square-freeness of a rational polynomial is first decided modulo the
+prime p = 2**61 - 1, on plain ``int`` lists with ``pow(x, -1, p)``
+inverses, so no coefficient grows.  A unit gcd of f and f' there proves
+f square-free over Q; in every other case :func:`is_squarefree` falls
+back to the exact ``gcd``.  No answer is probabilistic.
+
 The degree of the zero polynomial is the distinguished sentinel
 :data:`NEG_INFINITY` (``float('-inf')``), never an ordinary integer, so
 degree comparisons behave correctly without special cases.
@@ -382,10 +388,58 @@ def is_squarefree(f: Poly) -> bool:
 
     Constant and zero inputs are rejected: square-freeness is a question
     about polynomials with roots.
+
+    The answer is True without the exact gcd when three conditions hold,
+    with p = 2**61 - 1 and f̄ the reduction of f mod p: every coefficient
+    of f is a ``Fraction``; p divides no denominator of f and not the
+    numerator of lc(f); and gcd(f̄, f̄′) = 1 over F_p.  This is sound: were
+    f = c·G²·H with G primitive over Z and deg G >= 1 (Gauss's lemma puts
+    H in Z[x] once c absorbs the content), then lc(G)² divides the leading
+    numerator, so p ∤ lc(G), Ḡ² divides f̄ with deg Ḡ = deg G >= 1, and Ḡ
+    divides f̄′.  Since n = deg f < p, f̄′ keeps degree n − 1.  In every
+    other case (a Gaussian coefficient, p in a denominator or in lc(f),
+    or an f̄ that is not square-free) the answer is the exact
+    ``gcd(f, f′)`` over the coefficient field, so every False comes from
+    the exact path.
     """
     if f.degree < 1:
         raise ValueError("square-freeness needs degree >= 1, got %r" % (f,))
-    return gcd(f, f.derivative()).degree == 0
+    return _squarefree_mod_p(f._coeffs) or gcd(f, f.derivative()).degree == 0
+
+
+#: The prime modulus of the square-free test, 2**61 - 1.
+_P = 2305843009213693951
+
+
+def _squarefree_mod_p(cs: tuple) -> bool:
+    """True when the reduction of f mod ``_P`` certifies f square-free.
+
+    f̄ is taken as the integer numerators of f over the lcm of its
+    denominators, reduced mod p: a unit multiple of f's reduction, which
+    has the same gcd with its derivative.  False means undecided.
+    """
+    if not _all_rational(cs):
+        return False
+    nums, den = _over_lcm(cs)
+    fbar = [c % _P for c in nums]
+    if not den % _P or not fbar[-1]:
+        return False
+    return _coprime_mod_p(fbar, [k * c % _P for k, c in enumerate(fbar) if k])
+
+
+def _coprime_mod_p(a: list, b: list) -> bool:
+    """Euclid over F_p on ascending ``int`` lists with nonzero tops; consumes both."""
+    while b:
+        inv, db = pow(b[-1], -1, _P), len(b) - 1
+        while len(a) > db:
+            c = a.pop() * inv % _P
+            k = len(a) - db
+            for j in range(db):
+                a[k + j] = (a[k + j] - c * b[j]) % _P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -527,3 +527,25 @@ def test_verifier_reports_over_the_mutation_corpus_are_pinned():
             reports += 1
     assert reports == 3584
     assert digest.hexdigest() == MUTATION_CORPUS_SHA256
+
+
+def test_every_constructed_certificate_validates_without_the_exact_gcd(gcd_calls):
+    """Square-freeness of every constructed curve is decided mod 2^61 - 1.
+
+    Building and re-parsing each certificate construct emits for
+    d in {2, 3, 4, 5, 7}, coprime d < n <= 25 and m = 2..2n+1 never falls
+    back to the Euclidean ``polyring.gcd`` over Q.
+    """
+    built = 0
+    for d in (2, 3, 4, 5, 7):
+        for n in range(d + 1, 26):
+            if gcd(n, d) != 1:
+                continue
+            for m in range(2, 2 * n + 2):
+                try:
+                    cert = construct(ConstructionRequest(n=n, d=d, m=m))
+                except (PreconditionError, HypothesisError, CurveError, SearchExhausted):
+                    continue
+                assert TorsionCertificate.from_json_dict(cert.to_json_dict()) == cert
+                built += 1
+    assert (built, gcd_calls) == (451, [])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,14 @@ def test_repeated_roots_rejected():
         Curve(2, 5, Poly((0, 0, 0, 0, 0, 1)))          # x^5
     with pytest.raises(RepeatedRootError):
         Curve(2, 5, Poly.x_minus(Fraction(1)) ** 2 * Poly((1, 1, 0, 1)))
+
+
+def test_degree_120_curve_validates_without_the_exact_gcd(gcd_calls):
+    # random small coefficients: the remainders of the gcd over Q grow, those mod p do not
+    rng = random.Random(120)
+    f = Poly([rng.randint(-9, 9) for _ in range(120)] + [rng.randint(1, 9)])
+    assert Curve(7, 120, f).genus == 357
+    assert gcd_calls == []
 
 
 def test_validation_order_gcd_before_squarefree():

@@ -195,6 +195,43 @@ def test_is_squarefree_rejects_constants():
         is_squarefree(Poly.one())
 
 
+P61 = 2**61 - 1
+
+
+@given(nonzero_polys.filter(lambda p: p.degree >= 1), nonzero_polys, st.booleans())
+def test_is_squarefree_agrees_with_the_euclidean_gcd(p, q, square):
+    f = p * q * q if square else p * q
+    assert is_squarefree(f) == (gcd(f, f.derivative()).degree == 0)
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        ((Fraction(1, P61), 3, 1), True),                      # p in a denominator
+        ((Fraction(1, P61), 0, Fraction(1, P61)), True),       # (x^2 + 1)/p
+        ((-1, 0, 0, P61), True),                               # p | lc(f)
+        ((Fraction(4, 3), 0, P61 * 5), True),                  # p | numerator of lc(f)
+        ((1, 0, GaussianRational(0, 1)), True),                # i*x^2 + 1, Gaussian
+        ((GaussianRational(-1, 0), 0, 1), True),               # x^2 - 1, Gaussian type
+        ((-P61, 0, 1), True),                                  # x^2 - p is x^2 mod p
+        ((1, 2, 1), False),                                    # (x + 1)^2
+    ],
+    ids=["p-in-denominator", "p-in-every-denominator", "p-divides-lc", "p-divides-lc-numerator", "gaussian",
+         "gaussian-real", "square-mod-p-only", "repeated-root"],
+)
+def test_forced_fallbacks_run_the_exact_gcd(gcd_calls, coeffs, expected):
+    f = Poly(coeffs)
+    assert is_squarefree(f) is expected
+    assert len(gcd_calls) == 1
+
+
+def test_square_free_rational_input_never_reaches_the_exact_gcd(gcd_calls):
+    for f in (Poly((-1, 0, 0, 0, 0, 1)), Poly((Fraction(1, 3), 1, 0, Fraction(-2, 7))),
+              Poly((P61 + 1, 0, 1)), Poly((0, 1)) * Poly((1, 1)) * Poly((-1, 1))):
+        assert is_squarefree(f)
+    assert gcd_calls == []
+
+
 # ---------------------------------------------------------------------------
 # derivative
 # ---------------------------------------------------------------------------
