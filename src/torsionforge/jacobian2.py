@@ -3,21 +3,35 @@
 This is the independent order oracle: it never looks at certificates or
 constructions, only at the curve equation y**2 = f(x) with f of odd
 degree n = 2g + 1.  Divisor classes are held in Mumford form (u, v) with
-u monic, deg v < deg u <= g, and u | v**2 - f; addition is Cantor's
-algorithm (general composition via a three-way extended gcd, then
+u monic, deg v < deg u <= g, and u | v**2 - f; general addition is
+Cantor's algorithm (composition via a three-way extended gcd, then
 reduction), which works uniformly over any exact field the coefficient
 types support - here the rationals and the Gaussian rationals - and for
 any genus.  Nothing assumes f monic.
 
 Orders are found by scanning the multiples k*D, and the scan stops at
-the half-way point when it can.  Two facts keep that work over Q and
-short:
+the half-way point when it can.  Three facts keep that work over Q,
+short and free of gcds:
 
 * Quadratic twist.  When f and u are rational and v is a nonzero
   element of i*Q[x] (the points the infinity-shift constructor emits),
   (x, y) -> (x, y/i) is an isomorphism over Q(i) from y**2 = f onto
   y**2 = -f that fixes O, so (u, v/i) on the twist has the same order
   and every Cantor step runs on rationals.
+* Adding the base point.  Each scan step adds a fixed E = (x - a, b) to
+  D = (u1, v1).  The composed pair is u = u1*(x - a), v = v1 + c*u1 for
+  a constant c, so v agrees with v1 modulo u1 and only v**2 = f modulo
+  the new factor x - a is left to solve:
+  - interpolation: if u1(a) != 0, c = (b - v1(a))/u1(a) makes v(a) = b;
+  - Newton lift: if u1(a) = 0 and v1(a) = b != 0, then
+    w = (f - v1**2)/u1 is a polynomial and c = w(a)/(2b) makes
+    (x - a)*u1 divide v**2 - f;
+  - otherwise (b = 0, v1(a) = -b, or E of degree other than 1) the
+    step is Cantor's composition.
+  In the first two cases gcd(u1, x - a, v1 + b) = 1, so Cantor's
+  composition yields a pair with the same u and the same v modulo u;
+  both go through the one reduction, and reduced Mumford pairs are
+  unique, so the step returns exactly what Cantor's addition does.
 * Half-length scan.  Once 2k >= bound, k*D + (bound-k)*D = bound*D, so
   bound*D = 0 exactly when k*D equals -(bound-k)*D (reduced Mumford
   pairs are unique).  Then the order divides bound, and each proper
@@ -102,7 +116,7 @@ def neg(curve: Curve, D: MumfordDivisor) -> MumfordDivisor:
 def add(curve: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
     """Cantor addition of reduced divisors; result is reduced and validated."""
     _require_d2(curve)
-    f, g = curve.f, curve.genus
+    f = curve.f
     u1, v1 = D1.u, D1.v
     u2, v2 = D2.u, D2.v
 
@@ -113,17 +127,40 @@ def add(curve: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
 
     u = exact_div(u1 * u2, d * d)
     num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
-    v = exact_div(num, d) % u
+    return _reduce(curve, u, exact_div(num, d) % u)
 
-    # reduction
+
+def _reduce(curve, u: Poly, v: Poly) -> MumfordDivisor:
+    """Cantor's reduction of a semi-reduced pair (u, v); the result is validated."""
+    f, g = curve.f, curve.genus
     while u.degree > g:
-        u_next = exact_div(f - v ** 2, u)
-        u_next = u_next.monic()
+        u_next = exact_div(f - v ** 2, u).monic()
         v = (-v) % u_next
         u = u_next
     out = MumfordDivisor(u, v)
     validate(curve, out)
     return out
+
+
+def _add_point(curve, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
+    """D + E, without a gcd when E = (x - a, b); equals ``add(curve, D, E)``.
+
+    Interpolation, Newton lift or Cantor's composition, as the module
+    docstring sets out.
+    """
+    _require_d2(curve)
+    if E.u.degree != 1:
+        return add(curve, D, E)
+    a, b = -E.u[0], E.v[0]
+    u1, v1 = D.u, D.v
+    at_a = u1(a)
+    if at_a:
+        c = (b - v1(a)) / at_a
+    elif b and v1(a) == b:
+        c = exact_div(curve.f - v1 ** 2, u1)(a) / (2 * b)
+    else:
+        return add(curve, D, E)
+    return _reduce(curve, u1 * E.u, v1 + u1 * c)
 
 
 class _Twist(NamedTuple):
@@ -171,7 +208,7 @@ def order_of(curve: Curve, D: MumfordDivisor, bound: int) -> int:
         # at k = ceil(bound/2): is k*E == -(bound-k)*E, i.e. bound*E = 0?
         if k == half and acc == neg(model, prev if bound % 2 else acc):
             return bound
-        acc, prev = add(model, acc, E), acc
+        acc, prev = _add_point(model, acc, E), acc
     raise OrderNotFoundError(
         "no order <= %d found for %s" % (bound, D)
     )

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsionforge import jacobian2
 from torsionforge.constructors import (
@@ -302,3 +304,150 @@ def test_order_of_matches_the_reference_scan_on_the_ladders():
         m = cert.m
         D = embed_point(cert.curve, cert.point)
         assert_agrees_with_reference(cert.curve, D, (m - 1, m, m + 1, 2 * m))
+
+
+# ---------------------------------------------------------------------------
+# order_of's step: adding the base point without a gcd
+# ---------------------------------------------------------------------------
+
+# y^2 = x^5 - x + 1 carries (0, +-1), (1, +-1) and (-1, +-1)
+THREE_POINTS = Curve(2, 5, Poly((1, -1, 0, 0, 0, 1)))
+# y^2 = x^5 + 2i*x + 1 carries (0, 1) but cannot be twisted onto Q
+GAUSSIAN_F = Curve(2, 5, Poly((1, GaussianRational(0, 2), 0, 0, 0, 1)))
+
+
+@pytest.fixture
+def add_calls(monkeypatch):
+    """Count the steps that fall back to Cantor's ``jacobian2.add``."""
+    calls = []
+    cantor = jacobian2.add
+
+    def counted(curve, D1, D2):
+        calls.append(D1)
+        return cantor(curve, D1, D2)
+
+    monkeypatch.setattr(jacobian2, "add", counted)
+    return calls
+
+
+def branch(D, E):
+    """The case of the module docstring that D + E falls into."""
+    if E.u.degree != 1:
+        return "fallback"
+    a, b = -E.u[0], E.v[0]
+    if D.u(a):
+        return "interpolation"
+    return "newton" if b and D.v(a) == b else "fallback"
+
+
+def assert_step(curve, D, E, expected, add_calls):
+    """_add_point equals add on D + E, takes the named case and returns the sum."""
+    assert branch(D, E) == expected
+    before = len(add_calls)
+    out = jacobian2._add_point(curve, D, E)
+    assert out == add(curve, D, E)
+    assert len(add_calls) - before == (expected == "fallback")
+    return out
+
+
+def test_interpolation_through_a_second_point(add_calls):
+    P = embed_point(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
+    Q = embed_point(THREE_POINTS, AffinePoint(Fraction(1), Fraction(1)))
+    # the line through (0, 1) and (1, 1) is v = 1
+    S = assert_step(THREE_POINTS, P, Q, "interpolation", add_calls)
+    assert S == MumfordDivisor(Poly((0, -1, 1)), Poly((1,)))
+
+
+def test_newton_lift_doubles_a_point(add_calls):
+    P = embed_point(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
+    # the tangent at (0, 1): v = 1 + f'(0)/2 * x, and x^2 | v^2 - f
+    S = assert_step(THREE_POINTS, P, P, "newton", add_calls)
+    assert S == MumfordDivisor(Poly((0, 0, 1)), Poly((1, Fraction(-1, 2))))
+
+
+def test_weierstrass_base_point_falls_back(add_calls):
+    W = [embed_point(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
+    assert assert_step(GENUS2_SPLIT, W[0], W[0], "fallback", add_calls).is_identity()
+    # b = 0 but x(W[0]) is not in u1: interpolation needs no nonzero b
+    assert_step(GENUS2_SPLIT, W[1], W[0], "interpolation", add_calls)
+
+
+def test_opposite_point_falls_back_to_the_identity(add_calls):
+    E = embed_point(THREE_POINTS, AffinePoint(Fraction(-1), Fraction(1)))
+    S = assert_step(THREE_POINTS, neg(THREE_POINTS, E), E, "fallback", add_calls)
+    assert S == IDENTITY
+
+
+def test_degree_two_base_divisor_falls_back(add_calls):
+    P = embed_point(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
+    Q = embed_point(THREE_POINTS, AffinePoint(Fraction(1), Fraction(1)))
+    E = add(THREE_POINTS, P, Q)
+    assert E.u.degree == 2
+    assert_step(THREE_POINTS, E, E, "fallback", add_calls)
+    assert_step(THREE_POINTS, P, E, "fallback", add_calls)
+
+
+def test_gaussian_curve_steps_over_q_i(add_calls):
+    E = embed_point(GAUSSIAN_F, AffinePoint(Fraction(0), Fraction(1)))
+    assert jacobian2._over_q(GAUSSIAN_F, E) == (GAUSSIAN_F, E)
+    two = assert_step(GAUSSIAN_F, E, E, "newton", add_calls)
+    assert two.v == Poly((1, GaussianRational(0, 1)))    # tangent slope f'(0)/2 = i
+    three = assert_step(GAUSSIAN_F, two, E, "newton", add_calls)
+    assert three.u.degree == 2    # x^3 reduced on the genus-2 curve
+    assert_step(GAUSSIAN_F, three, E, "interpolation", add_calls)
+
+
+def scan_steps(curve, D, bound):
+    """The (model, k*E, E) triples order_of's scan adds, until it stops."""
+    model, E = jacobian2._over_q(curve, D)
+    half = (bound + 1) // 2
+    acc, prev = E, IDENTITY
+    for k in range(1, bound + 1):
+        if acc.is_identity() or k == half and acc == neg(model, prev if bound % 2 else acc):
+            return
+        yield model, acc, E
+        acc, prev = add(model, acc, E), acc
+
+
+def test_add_point_equals_add_on_the_ladders(add_calls):
+    seen = {"interpolation": 0, "newton": 0, "fallback": 0}
+    for cert in ladder_certificates(9):
+        D = embed_point(cert.curve, cert.point)
+        for model, acc, E in scan_steps(cert.curve, D, cert.m):
+            case = branch(acc, E)
+            assert_step(model, acc, E, case, add_calls)
+            seen[case] += 1
+    assert seen["interpolation"] > 0 and seen["newton"] > 0
+
+
+@st.composite
+def base_point_steps(draw):
+    """(curve, D, E): E of degree 1 and D an element of the group it lives in.
+
+    GENUS2_SPLIT and GENUS3_SPLIT have no rational points of small height
+    off the branch points, so there D is a random sum of two-torsion
+    points; on the torsion generators' curves D is a random multiple k*E.
+    """
+    curve, pool, points = draw(st.sampled_from(_step_pools()))
+    return curve, draw(st.sampled_from(pool)), draw(st.sampled_from(points))
+
+
+@functools.cache
+def _step_pools():
+    pools = []
+    for curve in (GENUS2_SPLIT, GENUS3_SPLIT):
+        W = [embed_point(curve, P) for P in weierstrass_points(curve)]
+        sums = [IDENTITY]
+        for w in W:
+            sums += [add(curve, s, w) for s in sums]
+        pools.append((curve, sums, W))
+    for curve, E, m in torsion_generators():
+        pools.append((curve, multiples(curve, E, m), [E]))
+    return pools
+
+
+@settings(max_examples=80, deadline=None)
+@given(base_point_steps())
+def test_add_point_equals_add_property(step):
+    curve, D, E = step
+    assert jacobian2._add_point(curve, D, E) == add(curve, D, E)
