@@ -48,26 +48,26 @@ rules out k == d.
 Validation
 ----------
 
-A curve is validated once, by the ``Curve`` type, when it is constructed
-or parsed; ``Curve`` and ``Poly`` are immutable, so the verifier takes
-``cert.curve`` as it is.  Outside input is checked when it is parsed: a
-certificate whose curve data is invalid becomes a single failed
-``curve-valid`` line.  Scalars, polynomials and a symbolic point's
-abscissa must be spelled as the serializer spells them; any other
-spelling is malformed.
+A curve is validated once, by the ``Curve`` type, when it is constructed,
+parsed or copied with ``_replace`` (which builds through ``Curve._make``,
+so no copy bypasses the check); ``Curve`` and ``Poly`` are immutable, so
+the verifier takes ``cert.curve`` as it is.  Outside input is checked
+when it is parsed: a certificate whose curve data is invalid becomes a
+single failed ``curve-valid`` line.  Scalars, polynomials and a symbolic
+point's abscissa must be spelled as the serializer spells them; any
+other spelling is malformed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Optional
 
 from .curves import AffinePoint, Curve, CurveError, on_curve
 from .polyring import Poly, poly_from_json, poly_to_json
-from .scalars import Scalar, int_from_json, is_prime, scalar_from_json, scalar_to_json
+from .scalars import int_from_json, is_prime, scalar_from_json, scalar_to_json
 
 
 class PreconditionError(ValueError):
@@ -99,7 +99,7 @@ _DIVISOR_RULES = {
 }
 
 
-def exactness_rule_for(m: int, n: int) -> Optional[str]:
+def exactness_rule_for(m: int, n: int) -> str | None:
     """First divisor-to-exact-order rule applicable to (m, n), if any."""
     return next((rule for rule, holds in _DIVISOR_RULES.items() if holds(m, n)), None)
 
@@ -118,21 +118,14 @@ def check_shape(n: int, d: int):
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TorsionCertificate:
+class TorsionCertificate(namedtuple(
+    "TorsionCertificate",
+    "curve m identity_kind v exactness_rule u a e lam point point_symbolic",
+    defaults=(None, None, 0, None, None, False),
+)):
     """Machine-checkable witness that P - O has exact order m."""
 
-    curve: Curve
-    m: int
-    identity_kind: str
-    v: Optional[Poly]
-    exactness_rule: str
-    u: Optional[Poly] = None
-    a: Optional[Scalar] = None
-    e: int = 0
-    lam: Optional[Scalar] = None
-    point: Optional[AffinePoint] = None
-    point_symbolic: bool = False
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         if self.point_symbolic:
@@ -215,11 +208,8 @@ def canonical_json(obj) -> str:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckLine:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckLine(namedtuple("CheckLine", "name ok detail", defaults=("",))):
+    __slots__ = ()
 
     def __str__(self):
         mark = "ok " if self.ok else "FAIL"
@@ -239,7 +229,7 @@ class _Report:
         return all(line.ok for line in self.lines)
 
 
-def _match_scaled_power(q: Poly, base: Poly, m: int, extra: Optional[Poly] = None):
+def _match_scaled_power(q: Poly, base: Poly, m: int, extra: Poly | None = None):
     """A if q == A * base**m (times ``extra`` when given) for a nonzero
     scalar A, else None; the zero q has degree -inf and fails the degree test."""
     if q.degree != base.degree * m + (0 if extra is None else extra.degree):
@@ -259,7 +249,7 @@ def _check_fixed_rule(r: _Report, cert: TorsionCertificate, rule: str):
     r.check("exactness-rule", cert.exactness_rule == rule, cert.exactness_rule)
 
 
-def parse_and_verify(obj: dict) -> tuple[Optional[TorsionCertificate], list[CheckLine]]:
+def parse_and_verify(obj: dict) -> tuple[TorsionCertificate | None, list[CheckLine]]:
     """Parse a certificate given as a parsed JSON dict, once, and verify it.
 
     Returns the certificate and the report.  A structurally well-formed
@@ -303,8 +293,8 @@ def verify_certificate(cert: TorsionCertificate) -> tuple[bool, list[CheckLine]]
 
 
 def _check_point(
-    r: _Report, cert: TorsionCertificate, curve: Curve, x: Scalar, symbolic_ok: bool
-) -> Optional[AffinePoint]:
+    r: _Report, cert: TorsionCertificate, curve: Curve, x, symbolic_ok: bool
+) -> AffinePoint | None:
     """The certificate's point, checked to lie on the curve over x; None
     when it is missing or, for a kind that allows it, symbolic."""
     if symbolic_ok and cert.point_symbolic:
@@ -480,12 +470,10 @@ RULE_CONGRUENT_STEP = "congruent-step"
 RULE_UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "status deciding_rule")):
     """Whether an order is reachable, and the rule that decided it."""
 
-    status: str
-    deciding_rule: str
+    __slots__ = ()
 
 
 def _has_congruence_witness(n: int, d: int, M: int) -> bool:

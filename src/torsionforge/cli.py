@@ -18,12 +18,10 @@ order and canonical rational strings, and searches are deterministic.  The
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from math import gcd as int_gcd
-from typing import Optional
 
 from .certify import (
     PreconditionError,
@@ -57,7 +55,7 @@ def _error_json(exc_type: str, message: str, **extra) -> str:
     return canonical_json({"error": body})
 
 
-def _emit(text: str, out: Optional[str]):
+def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
@@ -105,7 +103,7 @@ def _oracle_check(cert: TorsionCertificate) -> tuple[bool, str]:
 
 def certify_request(
     request: ConstructionRequest, oracle: bool = False, scan_row: bool = False
-) -> tuple[int, Optional[TorsionCertificate]]:
+) -> tuple[int, TorsionCertificate | None]:
     """Construct a certificate, verify it, and optionally confirm its order
     by the d = 2 divisor oracle.  Returns the exit code and, when it is 0,
     the certificate.
@@ -284,6 +282,7 @@ def cmd_scan(args, parser) -> int:
                 row["certificate_path"] = path
 
     if args.format == "csv":
+        import csv
         import io
 
         buffer = io.StringIO()
@@ -386,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "construct":

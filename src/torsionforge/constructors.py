@@ -38,10 +38,9 @@ zero-deficit div-d witness are fixed and ignore the budget.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count, islice
-from typing import Callable, Iterable, Iterator, Optional
 
 from .certify import (
     INFINITY_SHIFT,
@@ -96,7 +95,7 @@ def default_search_limit() -> int:
     return limit
 
 
-def _constants(skip: set) -> Iterator[Fraction]:
+def _constants(skip: set):
     """1, -1, 2, -2, ... with the given values skipped."""
     for k in count(1):
         for c in (Fraction(k), Fraction(-k)):
@@ -105,17 +104,17 @@ def _constants(skip: set) -> Iterator[Fraction]:
 
 
 def _search(
-    candidates: Iterable,
-    build: Callable[..., TorsionCertificate],
+    candidates,
+    build,
     message: str,
-    search_limit: Optional[int],
+    search_limit: int | None,
 ) -> TorsionCertificate:
     """``build`` of the first of at most ``search_limit`` candidates (else
     the default budget) that it does not reject with CurveError; else
     SearchExhausted, with the budget in ``message``'s {limit} and the last
     such error in its {error}."""
     limit = default_search_limit() if search_limit is None else search_limit
-    last_error: Optional[CurveError] = None
+    last_error: CurveError | None = None
     for cand in islice(candidates, max(limit, 0)):
         try:
             return build(cand)
@@ -148,7 +147,7 @@ def construct_order_d(n: int, d: int) -> TorsionCertificate:
 # order-n
 # ---------------------------------------------------------------------------
 
-def construct_order_n(n: int, d: int, search_limit: Optional[int] = None) -> TorsionCertificate:
+def construct_order_n(n: int, d: int, search_limit: int | None = None) -> TorsionCertificate:
     """Curve f = x**n + v**d with P = (0, v(0)) of exact order n.
 
     The witnesses v = x + 1, x + 2, ... are tried until f is square-free;
@@ -188,7 +187,7 @@ def _pure_power(n: int, d: int, m: int, v: Poly, f: Poly) -> TorsionCertificate:
 # ---------------------------------------------------------------------------
 
 def construct_div_d(
-    n: int, d: int, m: int, search_limit: Optional[int] = None
+    n: int, d: int, m: int, search_limit: int | None = None
 ) -> TorsionCertificate:
     """Curve with a point of exact order m where d | m and m > n.
 
@@ -224,7 +223,7 @@ def _div_d_with(n: int, d: int, m: int, l: int, s: int, c: Fraction) -> TorsionC
     return _pure_power(n, d, m, v, v ** d - Poly.x_power(m))
 
 
-def _two_torsion_link(n: int, search_limit: Optional[int]) -> TorsionCertificate:
+def _two_torsion_link(n: int, search_limit: int | None) -> TorsionCertificate:
     """d = 2, m = 2n: certify via a divisor linking P to two-torsion.
 
     With w = 1 and t = x**k + x**(k-1) + c, k = (n-1)/2, the curve
@@ -309,13 +308,7 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
 # dispatch
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstructionRequest:
-    n: int
-    d: int
-    m: int
-    style: Optional[str] = None
-    search_limit: Optional[int] = None
+ConstructionRequest = namedtuple("ConstructionRequest", "n d m style search_limit", defaults=(None, None))
 
 
 def infer_style(n: int, d: int, m: int) -> str:

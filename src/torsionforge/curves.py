@@ -15,11 +15,11 @@ the Gaussian rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd as int_gcd
 
-from .polyring import Poly, is_squarefree, poly_from_json, poly_to_json
-from .scalars import Scalar, int_from_json
+from .polyring import is_squarefree, poly_from_json, poly_to_json
+from .scalars import int_from_json
 
 
 class CurveError(ValueError):
@@ -42,13 +42,21 @@ class RepeatedRootError(CurveError):
     """f is not square-free."""
 
 
-@dataclass(frozen=True)
-class Curve:
-    """y**d = f(x); validated on construction."""
+class Curve(namedtuple("Curve", "d n f")):
+    """y**d = f(x); validated on construction, by ``_replace`` too."""
 
-    d: int
-    n: int
-    f: Poly
+    __slots__ = ()
+
+    def __new__(cls, d, n, f):
+        self = super().__new__(cls, d, n, f)
+        # a separate method: bench/tracer.py and tests/test_surface.py hook it by name
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so that ``_replace`` validates too."""
+        return cls(*iterable)
 
     def __post_init__(self):
         if not isinstance(self.d, int) or not isinstance(self.n, int):
@@ -80,10 +88,8 @@ class Curve:
         )
 
 
-@dataclass(frozen=True)
-class AffinePoint:
-    x: Scalar
-    y: Scalar
+class AffinePoint(namedtuple("AffinePoint", "x y")):
+    __slots__ = ()
 
     def __str__(self):
         return "(%s, %s)" % (self.x, self.y)

@@ -43,8 +43,7 @@ short and free of gcds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .curves import AffinePoint, Curve, on_curve
 from .polyring import Poly, _all_rational, exact_div, xgcd
@@ -59,12 +58,10 @@ class OrderNotFoundError(RuntimeError):
     """No multiple k*D with k <= bound vanished."""
 
 
-@dataclass(frozen=True)
-class MumfordDivisor:
+class MumfordDivisor(namedtuple("MumfordDivisor", "u v")):
     """Reduced Mumford pair (u, v): u monic, deg v < deg u <= g, u | v**2 - f."""
 
-    u: Poly
-    v: Poly
+    __slots__ = ()
 
     def is_identity(self) -> bool:
         return self.u.degree == 0 and self.v.is_zero
@@ -163,16 +160,10 @@ def _add_point(curve, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
     return _reduce(curve, u1 * E.u, v1 + u1 * c)
 
 
-class _Twist(NamedTuple):
-    """The model y**2 = -f, with the fields Cantor's algorithm reads.
-
-    Not a ``Curve``: -f is square-free exactly when f is, so the twist
-    needs no second validation.
-    """
-
-    d: int
-    f: Poly
-    genus: int
+# The model y**2 = -f, with the fields Cantor's algorithm reads.  Not a
+# ``Curve``: -f is square-free exactly when f is, so the twist needs no
+# second validation.
+_Twist = namedtuple("_Twist", "d f genus")
 
 
 def _imaginary(c) -> bool:

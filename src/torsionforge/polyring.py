@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Union
 
 from .scalars import GaussianRational, scalar_from_json, scalar_to_json
 
@@ -118,7 +117,7 @@ class Poly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
+    def __init__(self, coeffs=()):
         cs = [_coerce_coeff(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -162,7 +161,7 @@ class Poly:
         return self._coeffs
 
     @property
-    def degree(self) -> Union[int, float]:
+    def degree(self) -> int | float:
         return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
 
     @property

@@ -18,14 +18,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
 
 #: p-adic valuation of zero; compares greater than every integer.
 INFINITY = float("inf")
-
-PAdicValue = Union[int, float]
-
-Scalar = Union[Fraction, "GaussianRational"]
 
 
 #: Prime bases that make Miller-Rabin exact below :data:`_MR_BOUND`.
@@ -66,7 +61,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def gen_binom(r: Union[int, Fraction], k: int) -> Fraction:
+def gen_binom(r: int | Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient binom(r, k) for rational r.
 
     Defined by the falling factorial r(r-1)...(r-k+1)/k!.  For a
@@ -93,7 +88,7 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def padic_valuation(q: Union[int, Fraction], p: int) -> PAdicValue:
+def padic_valuation(q: int | Fraction, p: int) -> int | float:
     """p-adic valuation of a rational number.
 
     Returns :data:`INFINITY` exactly when ``q == 0``; otherwise the
@@ -122,7 +117,7 @@ class GaussianRational:
     re: Fraction
     im: Fraction
 
-    def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -240,7 +235,7 @@ GAUSSIAN_I = GaussianRational(0, 1)
 # serialization
 # ---------------------------------------------------------------------------
 
-def rational_to_str(q: Union[int, Fraction]) -> str:
+def rational_to_str(q: int | Fraction) -> str:
     """Canonical 'p/q' string (bare 'p' when the denominator is 1)."""
     return str(Fraction(q))
 
@@ -262,7 +257,7 @@ def rational_from_str(s: str) -> Fraction:
     return q
 
 
-def scalar_to_json(x: Scalar | int):
+def scalar_to_json(x: Fraction | GaussianRational | int):
     """JSON form of a scalar: rational string, or {'re','im'} object."""
     if isinstance(x, GaussianRational):
         if x.im == 0:
@@ -279,7 +274,7 @@ def int_from_json(name: str, obj) -> int:
     return obj
 
 
-def scalar_from_json(obj) -> Scalar:
+def scalar_from_json(obj) -> Fraction | GaussianRational:
     if isinstance(obj, str):
         return rational_from_str(obj)
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:

@@ -18,42 +18,46 @@ binom(r-1, E) there is a classic slip, which the test suite pins down.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd as int_gcd
 
 from .polyring import Poly, exact_div
-from .scalars import PAdicValue, gen_binom, is_prime, padic_valuation
+from .scalars import gen_binom, is_prime, padic_valuation
 
 
 class HypothesisError(ValueError):
     """An inequality hypothesis required by a construction fails."""
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
+class TruncationSpec(namedtuple("TruncationSpec", "m d E")):
     """Exponent data m/d with truncation length E.
 
     Invariants: d >= 2, m >= 1, gcd(m, d) == 1 (so the exponent r = m/d
-    is a noninteger rational), E >= 1.
+    is a noninteger rational), E >= 1; checked on construction, by
+    ``_replace`` too.
     """
 
-    m: int
-    d: int
-    E: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("denominator d must be at least 2, got %r" % (self.d,))
-        if self.m < 1:
-            raise ValueError("numerator m must be positive, got %r" % (self.m,))
-        if self.E < 1:
-            raise ValueError("truncation length E must be >= 1, got %r" % (self.E,))
-        if int_gcd(self.m, self.d) != 1:
+    def __new__(cls, m, d, E):
+        if d < 2:
+            raise ValueError("denominator d must be at least 2, got %r" % (d,))
+        if m < 1:
+            raise ValueError("numerator m must be positive, got %r" % (m,))
+        if E < 1:
+            raise ValueError("truncation length E must be >= 1, got %r" % (E,))
+        if int_gcd(m, d) != 1:
             raise ValueError(
                 "exponent m/d must be in lowest terms with d > 1: gcd(%d, %d) != 1"
-                % (self.m, self.d)
+                % (m, d)
             )
+        return super().__new__(cls, m, d, E)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so that ``_replace`` validates too."""
+        return cls(*iterable)
 
     @property
     def r(self) -> Fraction:
@@ -98,7 +102,7 @@ def truncation_quotient(spec: TruncationSpec) -> Poly:
     return exact_div(diff, Poly.x_power(spec.E))
 
 
-def nonvanishing_at_minus_one(spec: TruncationSpec, p: int) -> tuple[bool, PAdicValue]:
+def nonvanishing_at_minus_one(spec: TruncationSpec, p: int) -> tuple[bool, int | float]:
     """Whether V(-1) != 0, witnessed p-adically for a prime p dividing d.
 
     Returns (V(-1) != 0, v_p(V(-1))).  The valuation is negative for

@@ -7,7 +7,6 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -120,7 +119,7 @@ def test_exactness_rule_selection():
 def test_exactness_rule_holds():
     def holds(rule, m, n):
         """Whether the verifier accepts ``rule`` for order m on a degree-n curve."""
-        cert = replace(construct_order_n(n, 2), m=m, exactness_rule=rule)
+        cert = construct_order_n(n, 2)._replace(m=m, exactness_rule=rule)
         lines = [line for line in verify_certificate(cert)[1] if line.name.startswith("exactness-rule")]
         return bool(lines) and all(line.ok for line in lines)
 
@@ -157,7 +156,7 @@ def test_constructed_certificates_verify():
 
 def test_verifier_rejects_wrong_order():
     cert = construct_div_d(5, 2, 6)
-    bad = replace(cert, m=8)
+    bad = cert._replace(m=8)
     ok, lines = verify_certificate(bad)
     assert not ok
     failed = {l.name for l in lines if not l.ok}
@@ -166,14 +165,14 @@ def test_verifier_rejects_wrong_order():
 
 def test_verifier_rejects_tampered_witness():
     cert = construct_div_d(5, 2, 6)
-    bad = replace(cert, v=cert.v + Poly.one())
+    bad = cert._replace(v=cert.v + Poly.one())
     ok, lines = verify_certificate(bad)
     assert not ok
 
 
 def test_verifier_rejects_wrong_point():
     cert = construct_div_d(5, 2, 6)
-    bad = replace(cert, point=AffinePoint(Fraction(0), Fraction(-1)))
+    bad = cert._replace(point=AffinePoint(Fraction(0), Fraction(-1)))
     ok, lines = verify_certificate(bad)
     assert not ok
     failed = {l.name for l in lines if not l.ok}
@@ -184,7 +183,7 @@ def test_verifier_rejects_zero_ordinate_outside_order_d():
     # a witness vanishing at a would put the point on the x-axis, where the
     # order is d; the check fires even though the identity also breaks
     cert = construct_order_n(5, 2)
-    bad = replace(cert, v=Poly((0, 1)), point=AffinePoint(Fraction(0), Fraction(0)))
+    bad = cert._replace(v=Poly((0, 1)), point=AffinePoint(Fraction(0), Fraction(0)))
     ok, lines = verify_certificate(bad)
     assert not ok
     failed = {l.name for l in lines if not l.ok}
@@ -194,14 +193,14 @@ def test_verifier_rejects_zero_ordinate_outside_order_d():
 
 def test_verifier_rejects_wrong_exactness_rule():
     cert = construct_div_d(5, 2, 10)
-    bad = replace(cert, exactness_rule="below-twice-degree")
+    bad = cert._replace(exactness_rule="below-twice-degree")
     ok, lines = verify_certificate(bad)
     assert not ok
 
 
 def test_verifier_rejects_misassigned_lambda():
     cert = construct_n_plus_ed(5, 2, 1)
-    bad = replace(cert, lam=GAUSSIAN_I * 2, point=cert.point)
+    bad = cert._replace(lam=GAUSSIAN_I * 2, point=cert.point)
     ok, lines = verify_certificate(bad)
     assert not ok
     failed = {l.name for l in lines if not l.ok}
@@ -210,7 +209,7 @@ def test_verifier_rejects_misassigned_lambda():
 
 def test_verifier_rejects_unknown_kind():
     cert = construct_div_d(5, 2, 6)
-    bad = replace(cert, identity_kind="mystery")
+    bad = cert._replace(identity_kind="mystery")
     ok, lines = verify_certificate(bad)
     assert not ok
 
@@ -218,14 +217,14 @@ def test_verifier_rejects_unknown_kind():
 def test_verifier_never_raises_on_mangled_certificates():
     cert = construct_div_d(5, 2, 10)
     manglings = [
-        replace(cert, v=None),
-        replace(cert, u=None),
-        replace(cert, a=None),
-        replace(cert, v=Poly.zero()),
-        replace(cert, u=Poly((3, 2, 1))),
-        replace(cert, m=-4),
-        replace(cert, point=None),
-        replace(cert, exactness_rule=""),
+        cert._replace(v=None),
+        cert._replace(u=None),
+        cert._replace(a=None),
+        cert._replace(v=Poly.zero()),
+        cert._replace(u=Poly((3, 2, 1))),
+        cert._replace(m=-4),
+        cert._replace(point=None),
+        cert._replace(exactness_rule=""),
     ]
     for bad in manglings:
         ok, lines = verify_certificate(bad)
@@ -234,7 +233,7 @@ def test_verifier_never_raises_on_mangled_certificates():
 
 def test_two_torsion_link_requires_witness_vanishing_at_link():
     cert = construct_div_d(5, 2, 10)
-    bad = replace(cert, u=Poly.x_minus(Fraction(2)))
+    bad = cert._replace(u=Poly.x_minus(Fraction(2)))
     ok, lines = verify_certificate(bad)
     assert not ok
     failed = {l.name for l in lines if not l.ok}
@@ -253,7 +252,7 @@ def test_infinity_shift_rejects_huge_e_without_building_the_product(monkeypatch,
     monkeypatch.setattr(Poly, "x_power", staticmethod(bounded_x_power))
     cert = construct_n_plus_ed(5, 2, 1)
     e = 10 ** 9
-    bad = replace(cert, e=e, m=5 + 2 * e if consistent_m else cert.m)
+    bad = cert._replace(e=e, m=5 + 2 * e if consistent_m else cert.m)
     ok, lines = verify_certificate(bad)
     assert not ok
     failed = {l.name for l in lines if not l.ok}
@@ -491,28 +490,28 @@ def _mutations(cert: TorsionCertificate):
     """cert itself, then each single mutation of it that has something to act on."""
     yield cert
     for kind in (*KINDS, "nope"):
-        yield replace(cert, identity_kind=kind)
+        yield cert._replace(identity_kind=kind)
     for rule in (*EXACTNESS_RULES, "bogus"):
-        yield replace(cert, exactness_rule=rule)
+        yield cert._replace(exactness_rule=rule)
     for dm in (-1, 1, 2):
-        yield replace(cert, m=cert.m + dm)
+        yield cert._replace(m=cert.m + dm)
     for de in (-1, 1):
-        yield replace(cert, e=cert.e + de)
+        yield cert._replace(e=cert.e + de)
     for field in ("u", "v", "a", "point", "lam"):
-        yield replace(cert, **{field: None})
-    yield replace(cert, point_symbolic=not cert.point_symbolic)
+        yield cert._replace(**{field: None})
+    yield cert._replace(point_symbolic=not cert.point_symbolic)
     for u in (Poly((-1, 1)), Poly((2, 3))):
-        yield replace(cert, u=u)
+        yield cert._replace(u=u)
     if cert.v is not None:
-        yield replace(cert, v=cert.v + Poly.one())
-        yield replace(cert, v=-cert.v)
+        yield cert._replace(v=cert.v + Poly.one())
+        yield cert._replace(v=-cert.v)
     if cert.a is not None:
-        yield replace(cert, a=cert.a + 1)
+        yield cert._replace(a=cert.a + 1)
     if cert.point is not None:
-        yield replace(cert, point=AffinePoint(cert.point.x, -cert.point.y))
-        yield replace(cert, point=AffinePoint(cert.point.x + 1, cert.point.y))
+        yield cert._replace(point=AffinePoint(cert.point.x, -cert.point.y))
+        yield cert._replace(point=AffinePoint(cert.point.x + 1, cert.point.y))
     for lam in (GAUSSIAN_I, Fraction(-1)):
-        yield replace(cert, lam=lam)
+        yield cert._replace(lam=lam)
 
 
 def test_verifier_reports_over_the_mutation_corpus_are_pinned():

@@ -23,7 +23,6 @@ Two corpora are replayed through ``cli.main``, read-only:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from collections import Counter
@@ -93,7 +92,7 @@ def _every_row_constructive(monkeypatch):
     verdict = cli.reachability_verdict
     monkeypatch.setattr(
         cli, "reachability_verdict",
-        lambda n, d, m: dataclasses.replace(verdict(n, d, m), status=STATUS_CONSTRUCTIVE),
+        lambda n, d, m: verdict(n, d, m)._replace(status=STATUS_CONSTRUCTIVE),
     )
 
 

@@ -63,6 +63,17 @@ def test_repeated_roots_rejected():
         Curve(2, 5, Poly.x_minus(Fraction(1)) ** 2 * Poly((1, 1, 0, 1)))
 
 
+def test_every_copy_of_a_curve_is_validated():
+    c = Curve(2, 5, X5_MINUS_1)
+    square = Poly.x_minus(Fraction(1)) ** 2 * Poly((1, 1, 0, 1))
+    with pytest.raises(RepeatedRootError):
+        c._replace(f=square)
+    with pytest.raises(RepeatedRootError):
+        Curve._make((2, 5, square))
+    copy = c._replace(f=-X5_MINUS_1)
+    assert type(copy) is Curve and copy == Curve._make((2, 5, -X5_MINUS_1))
+
+
 def test_degree_120_curve_validates_without_the_exact_gcd(gcd_calls):
     # random small coefficients: the remainders of the gcd over Q grow, those mod p do not
     rng = random.Random(120)

@@ -51,6 +51,15 @@ def test_truncation_spec_validation():
         TruncationSpec(m=7, d=2, E=0)
 
 
+def test_every_copy_of_a_truncation_spec_is_validated():
+    spec = TruncationSpec(m=7, d=2, E=3)
+    with pytest.raises(ValueError):
+        spec._replace(m=6)                # gcd(m, d) != 1
+    with pytest.raises(ValueError):
+        TruncationSpec._make((6, 2, 3))
+    assert spec._replace(m=9) == TruncationSpec._make((9, 2, 3)) == TruncationSpec(m=9, d=2, E=3)
+
+
 def test_valuation_hypothesis_is_enforced():
     # m must exceed d*(E-1) for the cancellation to reach x^E
     with pytest.raises(HypothesisError):
