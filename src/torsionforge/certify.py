@@ -55,7 +55,9 @@ the verifier takes ``cert.curve`` as it is.  Outside input is checked
 when it is parsed: a certificate whose curve data is invalid becomes a
 single failed ``curve-valid`` line.  Scalars, polynomials and a symbolic
 point's abscissa must be spelled as the serializer spells them; any
-other spelling is malformed.
+other spelling is malformed.  Only ``point.y`` and ``lambda`` may be
+Gaussian rationals: a Gaussian coefficient of f, u or v, a Gaussian
+``a`` or a Gaussian ``point.x`` is malformed too.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from math import gcd as int_gcd
 
 from .curves import AffinePoint, Curve, CurveError, on_curve
 from .polyring import Poly, poly_from_json, poly_to_json
-from .scalars import int_from_json, is_prime, scalar_from_json, scalar_to_json
+from .scalars import int_from_json, is_prime, rational_from_str, scalar_from_json, scalar_to_json
 
 
 class PreconditionError(ValueError):
@@ -172,7 +174,7 @@ class TorsionCertificate(namedtuple(
         symbolic = pt is not None and "symbolic" in pt
         point = None
         if pt is not None and not symbolic:
-            point = AffinePoint(scalar_from_json(pt["x"]), scalar_from_json(pt["y"]))
+            point = AffinePoint(rational_from_str(pt["x"]), scalar_from_json(pt["y"]))
         u, v, a, lam = obj["u"], obj["v"], obj["a"], obj["lambda"]
         cert = cls(
             curve=curve,
@@ -180,7 +182,7 @@ class TorsionCertificate(namedtuple(
             identity_kind=_str_from_json("identity_kind", obj["identity_kind"]),
             v=poly_from_json(v) if v is not None else None,
             u=poly_from_json(u) if u is not None else None,
-            a=scalar_from_json(a) if a is not None else None,
+            a=rational_from_str(a) if a is not None else None,
             e=int_from_json("e", obj["e"]),
             lam=scalar_from_json(lam) if lam is not None else None,
             exactness_rule=_str_from_json("exactness_rule", obj["exactness_rule"]),

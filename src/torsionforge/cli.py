@@ -89,8 +89,8 @@ def _oracle_check(cert: TorsionCertificate) -> tuple[bool, str]:
     if curve.d != 2:
         return True, "oracle skipped: divisor arithmetic supports d=2 only (curve has d=%d)" % (curve.d,)
     try:
-        divisor = embed_point(curve, cert.point)
-        found = order_of(curve, divisor, bound=cert.m)
+        model, divisor = embed_point(curve, cert.point)
+        found = order_of(model, divisor, bound=cert.m)
     except OrderNotFoundError:
         return False, "oracle: no order up to %d found for P - O (certificate claims %d)" % (cert.m, cert.m)
     ok = found == cert.m

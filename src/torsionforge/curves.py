@@ -8,9 +8,8 @@ P - O) are precisely the affine points with zero ordinate, i.e. (w, 0)
 for w a root of f; the constructors build such a point together with
 its curve, so no root finding happens anywhere.
 
-The working field is fixed by the coefficient type of f: ``Fraction``
-coefficients mean the rationals, ``GaussianRational`` coefficients mean
-the Gaussian rationals.
+f is a polynomial over Q.  A point's abscissa is rational; its ordinate
+may be a ``GaussianRational``, as for the d = 2 points of order n + e*d.
 """
 
 from __future__ import annotations

@@ -3,21 +3,21 @@
 This is the independent order oracle: it never looks at certificates or
 constructions, only at the curve equation y**2 = f(x) with f of odd
 degree n = 2g + 1.  Divisor classes are held in Mumford form (u, v) with
-u monic, deg v < deg u <= g, and u | v**2 - f; general addition is
-Cantor's algorithm (composition via a three-way extended gcd, then
-reduction), which works uniformly over any exact field the coefficient
-types support - here the rationals and the Gaussian rationals - and for
-any genus.  Nothing assumes f monic.
+u monic, deg v < deg u <= g, and u | v**2 - f, all over Q; general
+addition is Cantor's algorithm (composition via a three-way extended
+gcd, then reduction), which works for any genus.  Nothing assumes f
+monic.
 
 Orders are found by scanning the multiples k*D, and the scan stops at
 the half-way point when it can.  Three facts keep that work over Q,
 short and free of gcds:
 
-* Quadratic twist.  When f and u are rational and v is a nonzero
-  element of i*Q[x] (the points the infinity-shift constructor emits),
-  (x, y) -> (x, y/i) is an isomorphism over Q(i) from y**2 = f onto
-  y**2 = -f that fixes O, so (u, v/i) on the twist has the same order
-  and every Cantor step runs on rationals.
+* Quadratic twist.  f and x(P) are rational, so y(P)**2 = f(x(P)) is
+  rational and y(P) lies in Q or in i*Q (the points the infinity-shift
+  constructor emits).  In the second case (x, y) -> (x, y/i) is an
+  isomorphism over Q(i) from y**2 = f onto y**2 = -f that fixes O, so
+  :func:`embed_point` maps P - O to a divisor over Q of the same order
+  on the twist, and every step of the scan runs on rationals.
 * Adding the base point.  Each scan step adds a fixed E = (x - a, b) to
   D = (u1, v1).  The composed pair is u = u1*(x - a), v = v1 + c*u1 for
   a constant c, so v agrees with v1 modulo u1 and only v**2 = f modulo
@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .curves import AffinePoint, Curve, on_curve
-from .polyring import Poly, _all_rational, exact_div, xgcd
+from .polyring import Poly, exact_div, xgcd
 from .scalars import GaussianRational
 
 
@@ -95,14 +95,31 @@ def validate(curve: Curve, D: MumfordDivisor):
         raise ValueError("u does not divide v^2 - f")
 
 
-def embed_point(curve: Curve, point: AffinePoint) -> MumfordDivisor:
-    """The class of P - O for an affine point P on the curve."""
+# The model y**2 = -f, with the fields Cantor's algorithm reads.  Not a
+# ``Curve``: -f is square-free exactly when f is, so the twist needs no
+# second validation.
+_Twist = namedtuple("_Twist", "d f genus")
+
+
+def embed_point(curve: Curve, point: AffinePoint):
+    """(model, D): the class of P - O, for an affine point P with rational
+    abscissa on the curve, as a divisor D over Q on ``model``.
+
+    ``model`` is the curve itself, or its twist y**2 = -f when y(P) lies
+    in i*Q (see the module docstring).
+    """
     _require_d2(curve)
     if not on_curve(curve, point):
         raise ValueError("point %s is not on the curve" % (point,))
-    D = MumfordDivisor(Poly((-point.x, 1)), Poly.constant(point.y))
+    y = point.y
+    if isinstance(y, GaussianRational):
+        # y**2 = f(x(P)) is rational, so y.re * y.im == 0
+        if y.im:
+            curve = _Twist(curve.d, -curve.f, curve.genus)
+        y = y.im or y.re
+    D = MumfordDivisor(Poly((-point.x, 1)), Poly.constant(y))
     validate(curve, D)
-    return D
+    return curve, D
 
 
 def neg(curve: Curve, D: MumfordDivisor) -> MumfordDivisor:
@@ -160,46 +177,28 @@ def _add_point(curve, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
     return _reduce(curve, u1 * E.u, v1 + u1 * c)
 
 
-# The model y**2 = -f, with the fields Cantor's algorithm reads.  Not a
-# ``Curve``: -f is square-free exactly when f is, so the twist needs no
-# second validation.
-_Twist = namedtuple("_Twist", "d f genus")
-
-
-def _imaginary(c) -> bool:
-    return c == 0 or isinstance(c, GaussianRational) and c.re == 0
-
-
-def _over_q(curve: Curve, D: MumfordDivisor):
-    """(curve, D), or (y**2 = -f, (u, v/i)) when that puts D over Q."""
-    v = D.v.coeffs
-    if not (v and _all_rational(curve.f.coeffs) and _all_rational(D.u.coeffs) and all(map(_imaginary, v))):
-        return curve, D
-    v_over_i = Poly([c.im if isinstance(c, GaussianRational) else c for c in v])
-    return _Twist(curve.d, -curve.f, curve.genus), MumfordDivisor(D.u, v_over_i)
-
-
 def order_of(curve: Curve, D: MumfordDivisor, bound: int) -> int:
-    """Least k >= 1 with k*D = 0, for k up to bound.
+    """Least k >= 1 with k*D = 0, for k up to bound, where D and its model
+    ``curve`` are what :func:`embed_point` returns (or any divisor on a
+    model over Q).
 
-    Runs on the quadratic twist when that puts D over Q, and returns
-    bound after ceil(bound/2) multiples when bound*D = 0 (see the module
-    docstring); otherwise every multiple up to bound is checked against
-    the identity.  Either way the returned k is the exact order, never a
-    proper multiple of it.  Raises OrderNotFoundError past the bound.
+    Returns bound after ceil(bound/2) multiples when bound*D = 0 (see
+    the module docstring); otherwise every multiple up to bound is
+    checked against the identity.  Either way the returned k is the
+    exact order, never a proper multiple of it.  Raises
+    OrderNotFoundError past the bound.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %r" % (bound,))
-    model, E = _over_q(curve, D)
     half = (bound + 1) // 2
-    acc, prev = E, IDENTITY
+    acc, prev = D, IDENTITY
     for k in range(1, bound + 1):
         if acc.is_identity():
             return k
-        # at k = ceil(bound/2): is k*E == -(bound-k)*E, i.e. bound*E = 0?
-        if k == half and acc == neg(model, prev if bound % 2 else acc):
+        # at k = ceil(bound/2): is k*D == -(bound-k)*D, i.e. bound*D = 0?
+        if k == half and acc == neg(curve, prev if bound % 2 else acc):
             return bound
-        acc, prev = _add_point(model, acc, E), acc
+        acc, prev = _add_point(curve, acc, D), acc
     raise OrderNotFoundError(
         "no order <= %d found for %s" % (bound, D)
     )

@@ -1,28 +1,26 @@
-"""Dense univariate polynomials over an exact field.
+"""Dense univariate polynomials over the rationals.
 
-Coefficients are stored ascending (index k holds the coefficient of
-x**k) with no trailing zeros, so two polynomials are equal exactly when
-their coefficient tuples are.  The coefficient field is either
-``Fraction`` or :class:`~torsionforge.scalars.GaussianRational``; the two
-mix freely because the scalar types coerce each other.  Integer
-coefficients passed to the constructor are normalized to ``Fraction``.
+Coefficients are ``Fraction``s stored ascending (index k holds the
+coefficient of x**k) with no trailing zeros, so two polynomials are
+equal exactly when their coefficient tuples are.  The constructor
+accepts ``int`` and ``Fraction`` coefficients and refuses any other type,
+Gaussian rationals included: the only non-rational numbers the package
+needs are two scalars of a certificate, a point's ordinate and
+``lambda``, never a polynomial coefficient.
 
-When every coefficient of both operands is a ``Fraction``, ``*`` and
-``divmod`` run on integers: each operand is scaled to integer numerators
-over the lcm of its denominators, the product is a schoolbook
+``*`` and ``divmod`` run on integers: each operand is scaled to integer
+numerators over the lcm of its denominators, the product is a schoolbook
 convolution of those numerators, and division is fraction-free long
 division over a running denominator.  Each output coefficient is then
 one ``Fraction``, in lowest terms as always, so results are exactly those
 of coefficient-wise ``Fraction`` arithmetic, with one normalising gcd
-per output coefficient rather than one per coefficient product.  A
-polynomial with any ``GaussianRational`` coefficient takes the plain
-coefficient loop instead.
+per output coefficient rather than one per coefficient product.
 
-Square-freeness of a rational polynomial is first decided modulo the
-prime p = 2**61 - 1, on plain ``int`` lists with ``pow(x, -1, p)``
-inverses, so no coefficient grows.  A unit gcd of f and f' there proves
-f square-free over Q; in every other case :func:`is_squarefree` falls
-back to the exact ``gcd``.  No answer is probabilistic.
+Square-freeness is first decided modulo the prime p = 2**61 - 1, on
+plain ``int`` lists with ``pow(x, -1, p)`` inverses, so no coefficient
+grows.  A unit gcd of f and f' there proves f square-free over Q; in
+every other case :func:`is_squarefree` falls back to the exact ``gcd``.
+No answer is probabilistic.
 
 The degree of the zero polynomial is the distinguished sentinel
 :data:`NEG_INFINITY` (``float('-inf')``), never an ordinary integer, so
@@ -34,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .scalars import GaussianRational, scalar_from_json, scalar_to_json
+from .scalars import scalar_from_json, scalar_to_json
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -45,15 +43,11 @@ class DivisibilityError(ArithmeticError):
 
 
 def _coerce_coeff(c):
+    if isinstance(c, Fraction):
+        return c
     if isinstance(c, int):
         return Fraction(c)
-    if isinstance(c, (Fraction, GaussianRational)):
-        return c
     raise TypeError("unsupported coefficient type: %r" % (type(c).__name__,))
-
-
-def _all_rational(cs) -> bool:
-    return all(type(c) is Fraction for c in cs)
 
 
 def _over_lcm(cs) -> tuple[list, int]:
@@ -64,52 +58,12 @@ def _over_lcm(cs) -> tuple[list, int]:
 
 
 def _canonical(cs: list) -> "Poly":
-    """A Poly of canonical scalars, trailing zeros stripped, without re-coercion."""
+    """A Poly of ``Fraction``s, trailing zeros stripped, without re-coercion."""
     while cs and not cs[-1]:
         cs.pop()
     p = object.__new__(Poly)
     object.__setattr__(p, "_coeffs", tuple(cs))
     return p
-
-
-def _mul_rational(a: tuple, b: tuple) -> "Poly":
-    """Schoolbook product of nonzero all-``Fraction`` a and b on integer numerators."""
-    na, da = _over_lcm(a)
-    nb, db = _over_lcm(b)
-    acc = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(na):
-        if x:
-            for j, y in enumerate(nb, i):
-                acc[j] += x * y
-    den = da * db
-    return _canonical([Fraction(c, den) for c in acc])
-
-
-def _divmod_rational(a: tuple, b: tuple) -> tuple["Poly", "Poly"]:
-    """Fraction-free long division of all-``Fraction`` a by b, deg a >= deg b.
-
-    With a = R/den and b = B/db, each step removes the top term c of R:
-    the quotient coefficient is c*db/(den*L), L the leading numerator of
-    B, and the remainder becomes (L*R - c*x^k*B)/(den*L).  When L == 1
-    the rescale is skipped.
-    """
-    rem, den = _over_lcm(a)
-    nb, db = _over_lcm(b)
-    dv = len(b) - 1
-    lead = nb[-1]
-    quot = [Fraction(0)] * (len(a) - dv)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + dv]
-        if not c:
-            continue
-        quot[k] = Fraction(c * db, den * lead)
-        if lead != 1:
-            for j in range(k + dv):
-                rem[j] *= lead
-            den *= lead
-        for j, y in enumerate(nb[:-1], k):
-            rem[j] -= c * y
-    return _canonical(quot), _canonical([Fraction(c, den) for c in rem[:dv]])
 
 
 class Poly:
@@ -189,9 +143,7 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if len(self._coeffs) != len(other._coeffs):
-            return False
-        return all(a == b for a, b in zip(self._coeffs, other._coeffs))
+        return self._coeffs == other._coeffs
 
     __hash__ = None  # mutable-free but unhashable; never used as a key
 
@@ -205,34 +157,39 @@ class Poly:
             a, b = b, a
         out = list(a)
         for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly(out)
+            out[k] += c
+        return _canonical(out)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self._coeffs))
+        return _canonical([-c for c in self._coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        a, b = self._coeffs, other._coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for k, c in enumerate(b):
+            out[k] -= c
+        return _canonical(out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return Poly(tuple(c * other for c in self._coeffs))
+        if isinstance(other, (int, Fraction)):
+            return _canonical([c * other for c in self._coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
         a, b = self._coeffs, other._coeffs
-        if _all_rational(a) and _all_rational(b):
-            return _mul_rational(a, b)
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return Poly(out)
+        if not a or not b:
+            return Poly.zero()
+        # a schoolbook convolution of the integer numerators
+        na, da = _over_lcm(a)
+        nb, db = _over_lcm(b)
+        acc = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(na):
+            if x:
+                for j, y in enumerate(nb, i):
+                    acc[j] += x * y
+        den = da * db
+        return _canonical([Fraction(c, den) for c in acc])
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -250,27 +207,36 @@ class Poly:
             base = base * base
 
     def __divmod__(self, other):
+        """Fraction-free long division on integer numerators.
+
+        With self = R/den and other = B/db, each step removes the top
+        term c of R: the quotient coefficient is c*db/(den*L), L the
+        leading numerator of B, and the remainder becomes
+        (L*R - c*x^k*B)/(den*L).  When L == 1 the rescale is skipped.
+        """
         if not isinstance(other, Poly):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Poly.zero(), self
-        if _all_rational(self._coeffs) and _all_rational(other._coeffs):
-            return _divmod_rational(self._coeffs, other._coeffs)
-        rem = list(self._coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        lead = other.leading_coefficient
-        quot = [Fraction(0)] * (dd - dv + 1)
-        for k in range(dd - dv, -1, -1):
+        rem, den = _over_lcm(self._coeffs)
+        nb, db = _over_lcm(other._coeffs)
+        dv = len(nb) - 1
+        lead = nb[-1]
+        quot = [Fraction(0)] * (len(rem) - dv)
+        for k in range(len(quot) - 1, -1, -1):
             c = rem[k + dv]
             if not c:
                 continue
-            q = c / lead
-            quot[k] = q
-            for j, oc in enumerate(other._coeffs):
-                rem[k + j] = rem[k + j] - q * oc
-        return Poly(quot), Poly(rem)
+            quot[k] = Fraction(c * db, den * lead)
+            if lead != 1:
+                for j in range(k + dv):
+                    rem[j] *= lead
+                den *= lead
+            for j, y in enumerate(nb[:-1], k):
+                rem[j] -= c * y
+        return _canonical(quot), _canonical([Fraction(c, den) for c in rem[:dv]])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -290,7 +256,7 @@ class Poly:
     # -- calculus and transforms ---------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self._coeffs) if k))
+        return _canonical([k * c for k, c in enumerate(self._coeffs) if k])
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -298,7 +264,7 @@ class Poly:
         lead = self.leading_coefficient
         if lead == 1:
             return self
-        return Poly(tuple(c / lead for c in self._coeffs))
+        return _canonical([c / lead for c in self._coeffs])
 
     def valuation_at_zero(self) -> int:
         """Multiplicity of the root 0, i.e. the index of the lowest nonzero coefficient."""
@@ -388,18 +354,16 @@ def is_squarefree(f: Poly) -> bool:
     Constant and zero inputs are rejected: square-freeness is a question
     about polynomials with roots.
 
-    The answer is True without the exact gcd when three conditions hold,
-    with p = 2**61 - 1 and f̄ the reduction of f mod p: every coefficient
-    of f is a ``Fraction``; p divides no denominator of f and not the
-    numerator of lc(f); and gcd(f̄, f̄′) = 1 over F_p.  This is sound: were
-    f = c·G²·H with G primitive over Z and deg G >= 1 (Gauss's lemma puts
-    H in Z[x] once c absorbs the content), then lc(G)² divides the leading
-    numerator, so p ∤ lc(G), Ḡ² divides f̄ with deg Ḡ = deg G >= 1, and Ḡ
-    divides f̄′.  Since n = deg f < p, f̄′ keeps degree n − 1.  In every
-    other case (a Gaussian coefficient, p in a denominator or in lc(f),
-    or an f̄ that is not square-free) the answer is the exact
-    ``gcd(f, f′)`` over the coefficient field, so every False comes from
-    the exact path.
+    The answer is True without the exact gcd when two conditions hold,
+    with p = 2**61 - 1 and f̄ the reduction of f mod p: p divides no
+    denominator of f and not the numerator of lc(f); and gcd(f̄, f̄′) = 1
+    over F_p.  This is sound: were f = c·G²·H with G primitive over Z and
+    deg G >= 1 (Gauss's lemma puts H in Z[x] once c absorbs the content),
+    then lc(G)² divides the leading numerator, so p ∤ lc(G), Ḡ² divides f̄
+    with deg Ḡ = deg G >= 1, and Ḡ divides f̄′.  Since n = deg f < p, f̄′
+    keeps degree n − 1.  In every other case (p in a denominator or in
+    lc(f), or an f̄ that is not square-free) the answer is the exact
+    ``gcd(f, f′)`` over Q, so every False comes from the exact path.
     """
     if f.degree < 1:
         raise ValueError("square-freeness needs degree >= 1, got %r" % (f,))
@@ -417,8 +381,6 @@ def _squarefree_mod_p(cs: tuple) -> bool:
     denominators, reduced mod p: a unit multiple of f's reduction, which
     has the same gcd with its derivative.  False means undecided.
     """
-    if not _all_rational(cs):
-        return False
     nums, den = _over_lcm(cs)
     fbar = [c % _P for c in nums]
     if not den % _P or not fbar[-1]:

@@ -1,7 +1,7 @@
 """Exact scalar arithmetic: rationals, Gaussian rationals, generalized
 binomial coefficients, and p-adic valuations.
 
-Two coefficient fields are supported.  Plain rationals are
+Two scalar fields are supported.  Plain rationals are
 ``fractions.Fraction`` values; the Fraction type keeps every value in
 lowest terms with a positive denominator, so equality is plain component
 comparison and string serialization is canonical, and parsing accepts

@@ -452,7 +452,7 @@ def test_d2_certificate_the_verifier_accepts_has_the_oracle_order(order, mutatio
         return
     if cert is None or cert.point is None or not all(line.ok for line in lines):
         return
-    assert order_of(cert.curve, embed_point(cert.curve, cert.point), cert.m) == cert.m
+    assert order_of(*embed_point(cert.curve, cert.point), cert.m) == cert.m
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_n_plus_ed_worked_constant():
     assert cert.point == AffinePoint(Fraction(-1), GaussianRational(0, Fraction(5, 2)))
     assert cert.m == 7
     assert cert.lam == GAUSSIAN_I
-    assert order_of(cert.curve, embed_point(cert.curve, cert.point), bound=7) == 7
+    assert order_of(*embed_point(cert.curve, cert.point), bound=7) == 7
 
 
 def test_div_d_worked_constant():
@@ -52,7 +52,7 @@ def test_div_d_worked_constant():
     assert cert.curve.f == Poly((1, 0, 1, 2, Fraction(1, 4), 1))
     assert cert.v == Poly((1, 0, Fraction(1, 2), 1))
     assert cert.point == AffinePoint(Fraction(0), Fraction(1))
-    assert order_of(cert.curve, embed_point(cert.curve, cert.point), bound=6) == 6
+    assert order_of(*embed_point(cert.curve, cert.point), bound=6) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_order_d_basic():
     assert cert.curve.f == Poly((-1, 0, 0, 0, 0, 1))
     assert cert.point == AffinePoint(Fraction(1), Fraction(0))
     assert cert.m == 2
-    assert order_of(cert.curve, embed_point(cert.curve, cert.point), bound=2) == 2
+    assert order_of(*embed_point(cert.curve, cert.point), bound=2) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def test_order_n_default_search():
     cert = assert_verifies(construct_order_n(5, 2))
     assert cert.m == 5
     assert cert.curve.f == Poly.x_power(5) + Poly((1, 1)) ** 2
-    assert order_of(cert.curve, embed_point(cert.curve, cert.point), bound=5) == 5
+    assert order_of(*embed_point(cert.curve, cert.point), bound=5) == 5
 
 
 def test_order_n_first_witness_is_square_free():
@@ -119,14 +119,14 @@ def test_div_d_two_torsion_link_for_twice_degree():
     assert cert.curve.f == Poly((1, 0, 0, -2, 0, 1))      # x^5 - 2x^3 + 1
     assert cert.point == AffinePoint(Fraction(0), Fraction(1))
     assert cert.u == Poly((-1, 1))
-    assert order_of(cert.curve, embed_point(cert.curve, cert.point), bound=10) == 10
+    assert order_of(*embed_point(cert.curve, cert.point), bound=10) == 10
 
 
 def test_two_torsion_link_smallest_case():
     # n = 3: the witness is fully forced
     cert = assert_verifies(construct_div_d(3, 2, 6))
     assert cert.curve.f == Poly.x_minus(Fraction(1)) * Poly((-1, -1, 1))
-    assert order_of(cert.curve, embed_point(cert.curve, cert.point), bound=6) == 6
+    assert order_of(*embed_point(cert.curve, cert.point), bound=6) == 6
 
 
 def test_div_d_search_is_deterministic():

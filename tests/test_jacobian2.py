@@ -45,6 +45,13 @@ GENUS3_SPLIT = Curve(
 )
 
 
+def embed(curve, P):
+    """P - O for a point with rational ordinate, which embed_point leaves on its curve."""
+    model, D = embed_point(curve, P)
+    assert model is curve
+    return D
+
+
 def multiples(curve, D, count):
     """[0*D, 1*D, ..., (count-1)*D] by repeated addition."""
     out = [IDENTITY]
@@ -63,14 +70,15 @@ def weierstrass_points(curve):
 
 
 def torsion_generators():
-    """(curve, divisor, order) triples with known cyclic structure."""
+    """(model, divisor, order) triples with known cyclic structure; the
+    n-plus-ed points have ordinates in i*Q, so their model is the twist."""
     out = []
     for n, m in ((5, 6), (5, 8), (5, 10), (7, 8), (7, 14)):
         cert = construct_div_d(n, 2, m)
-        out.append((cert.curve, embed_point(cert.curve, cert.point), m))
+        out.append((*embed_point(cert.curve, cert.point), m))
     for n, e in ((5, 1), (5, 2), (7, 3)):
         cert = construct_n_plus_ed(n, 2, e)
-        out.append((cert.curve, embed_point(cert.curve, cert.point), cert.m))
+        out.append((*embed_point(cert.curve, cert.point), cert.m))
     return out
 
 
@@ -85,7 +93,7 @@ def test_identity_element():
 
 def test_embed_point_shape():
     P = AffinePoint(Fraction(1), Fraction(0))
-    D = embed_point(GENUS2_SPLIT, P)
+    D = embed(GENUS2_SPLIT, P)
     assert D.u == Poly((-1, 1))
     assert D.v == Poly.zero()
 
@@ -117,14 +125,14 @@ def test_only_hyperelliptic_covers_supported():
 def test_weierstrass_points_have_order_two():
     for curve in (GENUS2_SPLIT, GENUS3_SPLIT):
         for P in weierstrass_points(curve):
-            D = embed_point(curve, P)
+            D = embed(curve, P)
             assert not D.is_identity()
             assert add(curve, D, D).is_identity()
             assert order_of(curve, D, bound=4) == 2
 
 
 def test_identity_is_neutral():
-    D = embed_point(GENUS2_SPLIT, AffinePoint(Fraction(2), Fraction(0)))
+    D = embed(GENUS2_SPLIT, AffinePoint(Fraction(2), Fraction(0)))
     assert add(GENUS2_SPLIT, D, IDENTITY) == D
     assert add(GENUS2_SPLIT, IDENTITY, D) == D
 
@@ -139,7 +147,7 @@ def test_500_random_additions_preserve_invariants():
     rng = random.Random(20260816)
     pools = []
     for curve in (GENUS2_SPLIT, GENUS3_SPLIT):
-        pool = [embed_point(curve, P) for P in weierstrass_points(curve)]
+        pool = [embed(curve, P) for P in weierstrass_points(curve)]
         pools.append((curve, pool))
     for curve, D, m in torsion_generators():
         pool = multiples(curve, D, m)[1:]
@@ -168,7 +176,7 @@ def test_associativity_on_random_triples():
             a, b, c = (elements[rng.randrange(m)] for _ in range(3))
             assert add(curve, add(curve, a, b), c) == add(curve, a, add(curve, b, c))
             triples_checked += 1
-    w = [embed_point(GENUS3_SPLIT, P) for P in weierstrass_points(GENUS3_SPLIT)]
+    w = [embed(GENUS3_SPLIT, P) for P in weierstrass_points(GENUS3_SPLIT)]
     for _ in range(10):
         a, b, c = (w[rng.randrange(len(w))] for _ in range(3))
         assert add(GENUS3_SPLIT, add(GENUS3_SPLIT, a, b), c) == add(
@@ -181,7 +189,7 @@ def test_associativity_on_random_triples():
 def test_mixed_weierstrass_sums_reduce_correctly():
     # adding distinct branch points yields a degree-2 divisor with v = 0
     pts = weierstrass_points(GENUS2_SPLIT)
-    D = add(GENUS2_SPLIT, embed_point(GENUS2_SPLIT, pts[0]), embed_point(GENUS2_SPLIT, pts[1]))
+    D = add(GENUS2_SPLIT, embed(GENUS2_SPLIT, pts[0]), embed(GENUS2_SPLIT, pts[1]))
     assert D.u.degree == 2
     assert D.v.is_zero
     validate(GENUS2_SPLIT, D)
@@ -206,13 +214,13 @@ def test_order_of_respects_the_bound():
 
 def test_order_of_gaussian_point():
     cert = construct_n_plus_ed(5, 2, 1)
-    D = embed_point(cert.curve, cert.point)
-    assert order_of(cert.curve, D, bound=7) == 7
-    assert multiples(cert.curve, D, 8)[7].is_identity()
+    model, D = embed_point(cert.curve, cert.point)
+    assert order_of(model, D, bound=7) == 7
+    assert multiples(model, D, 8)[7].is_identity()
 
 
 # ---------------------------------------------------------------------------
-# order_of: the half-length scan and the quadratic twist
+# embed_point's quadratic twist and order_of's half-length scan
 # ---------------------------------------------------------------------------
 
 def reference_order(curve, D, bound):
@@ -238,12 +246,12 @@ def assert_agrees_with_reference(curve, D, bounds):
 
 def rational_generator():
     cert = construct_div_d(5, 2, 6)
-    return cert.curve, embed_point(cert.curve, cert.point), 6
+    return (*embed_point(cert.curve, cert.point), 6)
 
 
 def gaussian_generator():
     cert = construct_n_plus_ed(5, 2, 1)
-    return cert.curve, embed_point(cert.curve, cert.point), 7
+    return (*embed_point(cert.curve, cert.point), 7)
 
 
 @pytest.mark.parametrize("generator", [rational_generator, gaussian_generator])
@@ -258,7 +266,7 @@ def test_order_of_contract(generator):
 
 
 def test_order_of_small_bounds_on_a_weierstrass_point():
-    D = embed_point(GENUS2_SPLIT, weierstrass_points(GENUS2_SPLIT)[0])
+    D = embed(GENUS2_SPLIT, weierstrass_points(GENUS2_SPLIT)[0])
     with pytest.raises(OrderNotFoundError):
         order_of(GENUS2_SPLIT, D, bound=1)
     assert order_of(GENUS2_SPLIT, D, bound=2) == 2
@@ -269,26 +277,26 @@ def test_order_of_small_bounds_on_a_weierstrass_point():
 
 
 def test_twisted_pair_is_valid_on_the_twist():
-    curve, D, _ = gaussian_generator()
-    model, E = jacobian2._over_q(curve, D)
+    cert = construct_n_plus_ed(5, 2, 1)
+    curve, point = cert.curve, cert.point
+    model, E = embed_point(curve, point)
     assert model.f == -curve.f
-    assert E.u == D.u
-    assert E.v * Poly.constant(GaussianRational(0, 1)) == D.v
+    assert E.u == Poly.x_minus(point.x)
+    assert E.v == Poly.constant(point.y.im)
     assert all(isinstance(c, Fraction) for c in E.v.coeffs)
     validate(model, E)
     validate(Curve(2, curve.n, -curve.f), E)
 
 
-def test_mixed_ordinate_divisor_is_not_twisted():
-    # y^2 = x^5 + x^2 + 2x + 1 carries (0, 1) and (-1, i)
-    cert = construct(ConstructionRequest(n=5, d=2, m=5))
-    curve = cert.curve
-    P = embed_point(curve, AffinePoint(Fraction(0), Fraction(1)))
-    Q = embed_point(curve, AffinePoint(Fraction(-1), GaussianRational(0, 1)))
-    D = add(curve, P, Q)
-    assert D.v == Poly((1, GaussianRational(1, -1)))
-    assert jacobian2._over_q(curve, D) == (curve, D)
-    assert_agrees_with_reference(curve, D, (1, 2, 5, 6))
+def test_embed_point_by_the_field_of_the_ordinate():
+    # y^2 = x^5 + x^2 + 2x + 1 carries (0, 1) and (-1, i), and f is rational
+    curve = construct(ConstructionRequest(n=5, d=2, m=5)).curve
+    assert embed_point(curve, AffinePoint(Fraction(0), GaussianRational(1))) == (
+        curve, embed(curve, AffinePoint(Fraction(0), Fraction(1))))
+    model, E = embed_point(curve, AffinePoint(Fraction(-1), GaussianRational(0, 1)))
+    assert model.f == -curve.f and E == MumfordDivisor(Poly((1, 1)), Poly((1,)))
+    with pytest.raises(ValueError):
+        embed_point(curve, AffinePoint(Fraction(0), GaussianRational(1, 1)))
 
 
 def ladder_certificates(max_n):
@@ -302,8 +310,8 @@ def test_order_of_matches_the_reference_scan_on_the_ladders():
     assert len(certs) == 30
     for cert in certs:
         m = cert.m
-        D = embed_point(cert.curve, cert.point)
-        assert_agrees_with_reference(cert.curve, D, (m - 1, m, m + 1, 2 * m))
+        model, D = embed_point(cert.curve, cert.point)
+        assert_agrees_with_reference(model, D, (m - 1, m, m + 1, 2 * m))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +320,6 @@ def test_order_of_matches_the_reference_scan_on_the_ladders():
 
 # y^2 = x^5 - x + 1 carries (0, +-1), (1, +-1) and (-1, +-1)
 THREE_POINTS = Curve(2, 5, Poly((1, -1, 0, 0, 0, 1)))
-# y^2 = x^5 + 2i*x + 1 carries (0, 1) but cannot be twisted onto Q
-GAUSSIAN_F = Curve(2, 5, Poly((1, GaussianRational(0, 2), 0, 0, 0, 1)))
 
 
 @pytest.fixture
@@ -351,69 +357,58 @@ def assert_step(curve, D, E, expected, add_calls):
 
 
 def test_interpolation_through_a_second_point(add_calls):
-    P = embed_point(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
-    Q = embed_point(THREE_POINTS, AffinePoint(Fraction(1), Fraction(1)))
+    P = embed(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
+    Q = embed(THREE_POINTS, AffinePoint(Fraction(1), Fraction(1)))
     # the line through (0, 1) and (1, 1) is v = 1
     S = assert_step(THREE_POINTS, P, Q, "interpolation", add_calls)
     assert S == MumfordDivisor(Poly((0, -1, 1)), Poly((1,)))
 
 
 def test_newton_lift_doubles_a_point(add_calls):
-    P = embed_point(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
+    P = embed(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
     # the tangent at (0, 1): v = 1 + f'(0)/2 * x, and x^2 | v^2 - f
     S = assert_step(THREE_POINTS, P, P, "newton", add_calls)
     assert S == MumfordDivisor(Poly((0, 0, 1)), Poly((1, Fraction(-1, 2))))
 
 
 def test_weierstrass_base_point_falls_back(add_calls):
-    W = [embed_point(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
+    W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
     assert assert_step(GENUS2_SPLIT, W[0], W[0], "fallback", add_calls).is_identity()
     # b = 0 but x(W[0]) is not in u1: interpolation needs no nonzero b
     assert_step(GENUS2_SPLIT, W[1], W[0], "interpolation", add_calls)
 
 
 def test_opposite_point_falls_back_to_the_identity(add_calls):
-    E = embed_point(THREE_POINTS, AffinePoint(Fraction(-1), Fraction(1)))
+    E = embed(THREE_POINTS, AffinePoint(Fraction(-1), Fraction(1)))
     S = assert_step(THREE_POINTS, neg(THREE_POINTS, E), E, "fallback", add_calls)
     assert S == IDENTITY
 
 
 def test_degree_two_base_divisor_falls_back(add_calls):
-    P = embed_point(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
-    Q = embed_point(THREE_POINTS, AffinePoint(Fraction(1), Fraction(1)))
+    P = embed(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
+    Q = embed(THREE_POINTS, AffinePoint(Fraction(1), Fraction(1)))
     E = add(THREE_POINTS, P, Q)
     assert E.u.degree == 2
     assert_step(THREE_POINTS, E, E, "fallback", add_calls)
     assert_step(THREE_POINTS, P, E, "fallback", add_calls)
 
 
-def test_gaussian_curve_steps_over_q_i(add_calls):
-    E = embed_point(GAUSSIAN_F, AffinePoint(Fraction(0), Fraction(1)))
-    assert jacobian2._over_q(GAUSSIAN_F, E) == (GAUSSIAN_F, E)
-    two = assert_step(GAUSSIAN_F, E, E, "newton", add_calls)
-    assert two.v == Poly((1, GaussianRational(0, 1)))    # tangent slope f'(0)/2 = i
-    three = assert_step(GAUSSIAN_F, two, E, "newton", add_calls)
-    assert three.u.degree == 2    # x^3 reduced on the genus-2 curve
-    assert_step(GAUSSIAN_F, three, E, "interpolation", add_calls)
-
-
-def scan_steps(curve, D, bound):
-    """The (model, k*E, E) triples order_of's scan adds, until it stops."""
-    model, E = jacobian2._over_q(curve, D)
+def scan_steps(model, E, bound):
+    """The k*E that order_of's scan adds E to, until it stops."""
     half = (bound + 1) // 2
     acc, prev = E, IDENTITY
     for k in range(1, bound + 1):
         if acc.is_identity() or k == half and acc == neg(model, prev if bound % 2 else acc):
             return
-        yield model, acc, E
+        yield acc
         acc, prev = add(model, acc, E), acc
 
 
 def test_add_point_equals_add_on_the_ladders(add_calls):
     seen = {"interpolation": 0, "newton": 0, "fallback": 0}
     for cert in ladder_certificates(9):
-        D = embed_point(cert.curve, cert.point)
-        for model, acc, E in scan_steps(cert.curve, D, cert.m):
+        model, E = embed_point(cert.curve, cert.point)
+        for acc in scan_steps(model, E, cert.m):
             case = branch(acc, E)
             assert_step(model, acc, E, case, add_calls)
             seen[case] += 1
@@ -436,7 +431,7 @@ def base_point_steps(draw):
 def _step_pools():
     pools = []
     for curve in (GENUS2_SPLIT, GENUS3_SPLIT):
-        W = [embed_point(curve, P) for P in weierstrass_points(curve)]
+        W = [embed(curve, P) for P in weierstrass_points(curve)]
         sums = [IDENTITY]
         for w in W:
             sums += [add(curve, s, w) for s in sums]

@@ -82,7 +82,7 @@ def test_tracer_install_and_restore(capsys):
 
     names = {span[tracer_module.NAME] for span in tracer.spans}
     assert {"constructors.construct", "certify.verify.infinity-shift",
-            "jacobian2.order_of.gaussian", "curves.validate"} <= names
+            "jacobian2.order_of.rational", "curves.validate"} <= names
     for owner, saved in zip(HOOKED, before):
         now = vars(owner)
         assert now.keys() == saved.keys()
