@@ -48,7 +48,7 @@ from .jacobian2 import (
     order_of,
     validate,
 )
-from .polyring import DivisibilityError, Poly, exact_div, gcd, is_squarefree, xgcd
+from .polyring import DivisibilityError, Poly, exact_div, is_squarefree, xgcd
 from .scalars import GAUSSIAN_I, GaussianRational, is_prime, padic_valuation
 from .series import (
     HypothesisError,
@@ -95,7 +95,6 @@ __all__ = [
     "embed_point",
     "exact_div",
     "exactness_rule_for",
-    "gcd",
     "infer_style",
     "is_prime",
     "is_squarefree",

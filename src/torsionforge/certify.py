@@ -57,7 +57,8 @@ single failed ``curve-valid`` line.  Scalars, polynomials and a symbolic
 point's abscissa must be spelled as the serializer spells them; any
 other spelling is malformed.  Only ``point.y`` and ``lambda`` may be
 Gaussian rationals: a Gaussian coefficient of f, u or v, a Gaussian
-``a`` or a Gaussian ``point.x`` is malformed too.
+``a`` or a Gaussian ``point.x`` is malformed too.  So is any value but
+the serializer's in a field the kind's verifier never reads (``_UNREAD``).
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ TWO_TORSION_LINK = "two-torsion-link"
 
 # the keys of a serialized certificate, in the serializer's order
 _CERT_KEYS = ("curve", "point", "m", "identity_kind", "u", "v", "a", "e", "lambda", "exactness_rule")
+
+# per kind, each field its verifier never reads and the one value the serializer writes there
+_UNREAD = {
+    PURE_POWER: {"u": None, "e": 0, "lambda": None},
+    SHIFT_POWER: {"e": 0, "lambda": None},
+    INFINITY_SHIFT: {"u": None, "a": "-1"},
+    ORDER_D: {"u": None, "v": None, "e": 0, "lambda": None},
+    TWO_TORSION_LINK: {"e": 0, "lambda": None},
+}
 
 # exactness rules
 RULE_PRIME = "prime-order"
@@ -192,6 +202,10 @@ class TorsionCertificate(namedtuple(
         # the serializer writes a symbolic point's abscissa from a
         if symbolic and scalar_from_json(pt["x"]) != cert.a:
             raise ValueError("symbolic point abscissa %r is not a = %s" % (pt["x"], cert.a))
+        for key, value in _UNREAD.get(cert.identity_kind, {}).items():
+            if obj[key] != value:
+                raise ValueError("the %s verifier never reads %s, so it must be %s, got %s" % (
+                    cert.identity_kind, key, json.dumps(value), json.dumps(obj[key])))
         return cert
 
 

@@ -57,7 +57,7 @@ from .certify import (
 from .curves import AffinePoint, Curve, CurveError
 from .polyring import Poly
 from .scalars import GAUSSIAN_I
-from .series import HypothesisError, TruncationSpec, check_truncation_valuation, truncated_binomial, truncation_quotient
+from .series import TruncationSpec, check_truncation_valuation, truncated_binomial, truncation_quotient
 
 SEARCH_LIMIT_ENV = "TORSION_FORGE_SEARCH_LIMIT"
 DEFAULT_SEARCH_LIMIT = 64
@@ -270,6 +270,11 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
     leave a degree-n quotient and a HypothesisError is raised.  Under it
     m < 2n when d >= 3, and m is odd with m <= 2n + 1 < 3n when d = 2, so
     an exactness rule always applies.
+
+    ``check_truncation_valuation`` raises that error; the valuation it
+    returns is always E = e*d: with V(0) = 1 and T = (1+x)**(m/d) - V =
+    binom(m/d, E)*x**E + O(x**(E+1)), (1+x)**m - V**d = d*V**(d-1)*T +
+    O(T**2) = d*binom(m/d, E)*x**E + O(x**(E+1)), and binom(m/d, E) != 0.
     """
     check_shape(n, d)
     if e < 1:
@@ -277,11 +282,7 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
     m = n + e * d
     E = e * d
     spec = TruncationSpec(m=m, d=d, E=E)
-    val = check_truncation_valuation(spec)
-    if val != E:
-        raise HypothesisError(
-            "truncation valuation %d differs from E=%d for m=%d d=%d" % (val, E, m, d)
-        )
+    check_truncation_valuation(spec)
     V = truncated_binomial(spec)
     f = truncation_quotient(spec)
     curve = Curve(d, n, f)

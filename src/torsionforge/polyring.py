@@ -16,11 +16,11 @@ one ``Fraction``, in lowest terms as always, so results are exactly those
 of coefficient-wise ``Fraction`` arithmetic, with one normalising gcd
 per output coefficient rather than one per coefficient product.
 
-Square-freeness is first decided modulo the prime p = 2**61 - 1, on
-plain ``int`` lists with ``pow(x, -1, p)`` inverses, so no coefficient
-grows.  A unit gcd of f and f' there proves f square-free over Q; in
-every other case :func:`is_squarefree` falls back to the exact ``gcd``.
-No answer is probabilistic.
+Square-freeness is decided modulo primes only, on plain ``int`` lists
+with ``pow(x, -1, p)`` inverses, so no coefficient grows: a unit gcd of
+f and f' modulo one prime proves True, and enough primes dividing the
+resultant of f and f' prove False (see :func:`is_squarefree`).  No
+answer is probabilistic, and no Euclid over Q runs.
 
 The degree of the zero polynomial is the distinguished sentinel
 :data:`NEG_INFINITY` (``float('-inf')``), never an ordinary integer, so
@@ -30,9 +30,10 @@ degree comparisons behave correctly without special cases.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, count
 from math import lcm
 
-from .scalars import scalar_from_json, scalar_to_json
+from .scalars import is_prime, scalar_from_json, scalar_to_json
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -238,9 +239,6 @@ class Poly:
                 rem[j] -= c * y
         return _canonical(quot), _canonical([Fraction(c, den) for c in rem[:dv]])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -312,16 +310,8 @@ def exact_div(f: Poly, g: Poly) -> Poly:
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm.
-
-    Remainders are renormalized to monic at each step, which keeps
-    rational coefficient growth in check; both inputs zero is rejected.
-    """
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    while not g.is_zero:
-        f, g = g, (f % g).monic()
-    return f.monic()
+    """Monic greatest common divisor; both inputs zero is rejected."""
+    return xgcd(f, g)[0]
 
 
 def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
@@ -332,8 +322,8 @@ def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     s0, s1 = Poly.one(), Poly.zero()
     t0, t1 = Poly.zero(), Poly.one()
     while not r1.is_zero:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
         if not r1.is_zero:
@@ -354,49 +344,44 @@ def is_squarefree(f: Poly) -> bool:
     Constant and zero inputs are rejected: square-freeness is a question
     about polynomials with roots.
 
-    The answer is True without the exact gcd when two conditions hold,
-    with p = 2**61 - 1 and f̄ the reduction of f mod p: p divides no
-    denominator of f and not the numerator of lc(f); and gcd(f̄, f̄′) = 1
-    over F_p.  This is sound: were f = c·G²·H with G primitive over Z and
-    deg G >= 1 (Gauss's lemma puts H in Z[x] once c absorbs the content),
-    then lc(G)² divides the leading numerator, so p ∤ lc(G), Ḡ² divides f̄
-    with deg Ḡ = deg G >= 1, and Ḡ divides f̄′.  Since n = deg f < p, f̄′
-    keeps degree n − 1.  In every other case (p in a denominator or in
-    lc(f), or an f̄ that is not square-free) the answer is the exact
-    ``gcd(f, f′)`` over Q, so every False comes from the exact path.
+    F is f's integer numerators over the lcm of its denominators, n its
+    degree.  The primes p are walked down from 2**61 - 1, skipping those
+    that divide lc(F), so F̄ and F̄′ keep degrees n and n − 1 and
+    Res(F̄, F̄′) = Res(F, F′) mod p.  A unit gcd(F̄, F̄′) over F_p makes
+    the resultant nonzero: True.  Otherwise p divides it, and once the
+    product of such primes, squared, exceeds the Hadamard bound
+    (ΣF_i²)^(n−1)·(ΣF′_i²)^n on Res², the resultant is 0: False (von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).  As p > 2**60,
+    at most bound.bit_length() // 120 + 1 primes fail before the answer.
     """
     if f.degree < 1:
         raise ValueError("square-freeness needs degree >= 1, got %r" % (f,))
-    return _squarefree_mod_p(f._coeffs) or gcd(f, f.derivative()).degree == 0
+    F = _over_lcm(f._coeffs)[0]
+    n, bound, proof = len(F) - 1, None, 1
+    # 2**61 - 1 is a Mersenne prime; only the primes below it are tested
+    for p in chain((2305843009213693951,), filter(is_prime, count(2305843009213693949, -2))):
+        if not F[-1] % p:
+            continue
+        fbar = [c % p for c in F]
+        if _coprime_mod_p(fbar, [k * c % p for k, c in enumerate(fbar) if k], p):
+            return True
+        # computed once, after the first failing prime
+        bound = bound or (sum(c * c for c in F) ** (n - 1)
+                          * sum((k * c) ** 2 for k, c in enumerate(F)) ** n)
+        proof *= p
+        if proof * proof > bound:
+            return False
 
 
-#: The prime modulus of the square-free test, 2**61 - 1.
-_P = 2305843009213693951
-
-
-def _squarefree_mod_p(cs: tuple) -> bool:
-    """True when the reduction of f mod ``_P`` certifies f square-free.
-
-    f̄ is taken as the integer numerators of f over the lcm of its
-    denominators, reduced mod p: a unit multiple of f's reduction, which
-    has the same gcd with its derivative.  False means undecided.
-    """
-    nums, den = _over_lcm(cs)
-    fbar = [c % _P for c in nums]
-    if not den % _P or not fbar[-1]:
-        return False
-    return _coprime_mod_p(fbar, [k * c % _P for k, c in enumerate(fbar) if k])
-
-
-def _coprime_mod_p(a: list, b: list) -> bool:
+def _coprime_mod_p(a: list, b: list, p: int) -> bool:
     """Euclid over F_p on ascending ``int`` lists with nonzero tops; consumes both."""
     while b:
-        inv, db = pow(b[-1], -1, _P), len(b) - 1
+        inv, db = pow(b[-1], -1, p), len(b) - 1
         while len(a) > db:
-            c = a.pop() * inv % _P
+            c = a.pop() * inv % p
             k = len(a) - db
             for j in range(db):
-                a[k + j] = (a[k + j] - c * b[j]) % _P
+                a[k + j] = (a[k + j] - c * b[j]) % p
             while a and not a[-1]:
                 a.pop()
         a, b = b, a

@@ -8,14 +8,14 @@ from torsionforge import polyring
 
 
 @pytest.fixture
-def gcd_calls(monkeypatch):
-    """Count the calls that reach the exact Euclidean ``polyring.gcd``."""
-    calls = []
-    exact = polyring.gcd
+def euclid_primes(monkeypatch):
+    """The prime of each modular Euclid that ``polyring.is_squarefree`` runs."""
+    primes = []
+    euclid = polyring._coprime_mod_p
 
-    def counted(f, g):
-        calls.append(f)
-        return exact(f, g)
+    def counted(a, b, p):
+        primes.append(p)
+        return euclid(a, b, p)
 
-    monkeypatch.setattr(polyring, "gcd", counted)
-    return calls
+    monkeypatch.setattr(polyring, "_coprime_mod_p", counted)
+    return primes

@@ -74,12 +74,12 @@ def test_every_copy_of_a_curve_is_validated():
     assert type(copy) is Curve and copy == Curve._make((2, 5, -X5_MINUS_1))
 
 
-def test_degree_120_curve_validates_without_the_exact_gcd(gcd_calls):
-    # random small coefficients: the remainders of the gcd over Q grow, those mod p do not
+def test_degree_120_curve_validates_without_the_exact_gcd(euclid_primes):
+    # random small coefficients: the remainders of a gcd over Q grow, those mod p do not
     rng = random.Random(120)
     f = Poly([rng.randint(-9, 9) for _ in range(120)] + [rng.randint(1, 9)])
     assert Curve(7, 120, f).genus == 357
-    assert gcd_calls == []
+    assert euclid_primes == [2**61 - 1]
 
 
 def test_validation_order_gcd_before_squarefree():

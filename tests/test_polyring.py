@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torsionforge.polyring import (
     DivisibilityError,
@@ -18,7 +20,7 @@ from torsionforge.polyring import (
     poly_to_json,
     xgcd,
 )
-from torsionforge.scalars import GaussianRational
+from torsionforge.scalars import GaussianRational, is_prime
 
 coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=0, max_size=6
@@ -153,7 +155,7 @@ def test_xgcd_bezout_identity(p, q):
     h, s, t = xgcd(p, q)
     assert s * p + t * q == h
     assert h.is_monic
-    assert h == gcd(p, q)
+    assert (p % h).is_zero and (q % h).is_zero
 
 
 def test_xgcd_with_zero():
@@ -195,6 +197,7 @@ def test_is_squarefree_rejects_constants():
 
 
 P61 = 2**61 - 1
+P61_NEXT = 2**61 - 31      # the largest prime below P61
 
 
 @given(nonzero_polys.filter(lambda p: p.degree >= 1), nonzero_polys, st.booleans())
@@ -204,29 +207,56 @@ def test_is_squarefree_agrees_with_the_euclidean_gcd(p, q, square):
 
 
 @pytest.mark.parametrize(
-    "coeffs, expected",
+    "coeffs, expected, tried",
     [
-        ((Fraction(1, P61), 3, 1), True),                      # p in a denominator
-        ((Fraction(1, P61), 0, Fraction(1, P61)), True),       # (x^2 + 1)/p
-        ((-1, 0, 0, P61), True),                               # p | lc(f)
-        ((Fraction(4, 3), 0, P61 * 5), True),                  # p | numerator of lc(f)
-        ((-P61, 0, 1), True),                                  # x^2 - p is x^2 mod p
-        ((1, 2, 1), False),                                    # (x + 1)^2
+        ((Fraction(1, P61), 3, 1), True, [P61_NEXT]),                # F = (1, 3p, p)
+        ((Fraction(1, P61), 0, Fraction(1, P61)), True, [P61]),      # (x^2 + 1)/p
+        ((-1, 0, 0, P61), True, [P61_NEXT]),                         # p | lc(f)
+        ((Fraction(4, 3), 0, P61 * 5), True, [P61_NEXT]),            # p | numerator of lc(f)
+        ((-P61, 0, 1), True, [P61, P61_NEXT]),                       # x^2 - p is x^2 mod p
+        ((1, 2, 1), False, [P61]),                                   # (x + 1)^2
     ],
     ids=["p-in-denominator", "p-in-every-denominator", "p-divides-lc", "p-divides-lc-numerator",
          "square-mod-p-only", "repeated-root"],
 )
-def test_forced_fallbacks_run_the_exact_gcd(gcd_calls, coeffs, expected):
-    f = Poly(coeffs)
-    assert is_squarefree(f) is expected
-    assert len(gcd_calls) == 1
+def test_former_fallbacks_are_decided_modulo_primes(euclid_primes, coeffs, expected, tried):
+    # each case once fell back to a Euclid over Q; (x + 1)^2 has |Res(f, f')| = 4, so one prime
+    # dividing it proves False
+    assert is_squarefree(Poly(coeffs)) is expected
+    assert euclid_primes == tried
 
 
-def test_square_free_rational_input_never_reaches_the_exact_gcd(gcd_calls):
+def test_square_free_rational_input_never_reaches_the_exact_gcd(euclid_primes):
     for f in (Poly((-1, 0, 0, 0, 0, 1)), Poly((Fraction(1, 3), 1, 0, Fraction(-2, 7))),
               Poly((P61 + 1, 0, 1)), Poly((0, 1)) * Poly((1, 1)) * Poly((-1, 1))):
         assert is_squarefree(f)
-    assert gcd_calls == []
+    assert euclid_primes == [P61] * 4
+
+
+def test_hostile_leading_coefficient_walks_two_primes(euclid_primes):
+    # the Euclid over Q this replaced took seconds here; P61 divides lc(f) and is skipped
+    rng = random.Random(121)
+    f = Poly([rng.randint(-9, 9) for _ in range(121)] + [3 * P61])
+    assert is_squarefree(f)
+    assert euclid_primes == [P61_NEXT]
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(nonzero_polys.filter(lambda p: p.degree >= 1), nonzero_polys, st.booleans(),
+       st.sampled_from((1, P61, -3 * P61, P61 * P61_NEXT)))
+def test_primes_walked_are_bounded_by_the_input(euclid_primes, g, h, square, hostile):
+    euclid_primes.clear()
+    f = g * g * h if square else g * h
+    f = Poly(f.coeffs[:-1] + (f.coeffs[-1] * hostile,))
+    assert is_squarefree(f) == (gcd(f, f.derivative()).degree == 0)
+    den = lcm(*(c.denominator for c in f.coeffs))
+    F = [(c * den).numerator for c in f.coeffs]
+    n = len(F) - 1
+    bound = sum(c * c for c in F) ** (n - 1) * sum((k * c) ** 2 for k, c in enumerate(F)) ** n
+    walked = [q for q in range(P61, min(euclid_primes) - 1, -1) if is_prime(q)]
+    skipped = [q for q in walked if F[-1] % q == 0]
+    assert sorted(set(walked) - set(skipped), reverse=True) == euclid_primes
+    assert len(walked) <= bound.bit_length() // 120 + 1 + len(skipped)
 
 
 # ---------------------------------------------------------------------------
