@@ -359,10 +359,11 @@ def _verify_pure_power(r: _Report, cert: TorsionCertificate, curve: Curve):
     _check_identity(r, A, "f - v^%d == A*(x-a)^%d, a=%s" % (d, m, a))
     dv = 0 if v.is_zero else d * v.degree
     r.check("pole-order", max(n, dv) == m, "max(n, d*deg v) = %s, m = %d" % (max(n, dv), m))
-    r.check("witness-nonzero-at-a", v(a) != 0, "v(a)=%s" % (v(a),))
+    va = v(a)
+    r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (va,))
     pt = _check_point(r, cert, curve, a, symbolic_ok=False)
     if pt is not None:
-        r.check("point-ordinate", pt.y == v(a), "y(P)=%s v(a)=%s" % (pt.y, v(a)))
+        r.check("point-ordinate", pt.y == va, "y(P)=%s v(a)=%s" % (pt.y, va))
         r.check("ordinate-nonzero", bool(pt.y))
     _verify_divisor_exactness(r, cert, curve)
 
@@ -380,13 +381,14 @@ def _verify_shift_power(r: _Report, cert: TorsionCertificate, curve: Curve):
     dv = 0 if v.is_zero else d * v.degree
     pole = max(d * u.degree + n, dv)
     r.check("pole-order", pole == m, "pole order %s, m = %d" % (pole, m))
-    r.check("witness-nonzero-at-a", v(a) != 0, "v(a)=%s" % (v(a),))
+    va = v(a)
+    r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (va,))
     pt = _check_point(r, cert, curve, a, symbolic_ok=True)
     if pt is not None:
         # P is the single zero of u*y - mu*v for some mu with mu^d == -1
         r.check(
             "point-matches-witness",
-            (u(a) * pt.y) ** d == -(v(a) ** d),
+            (u(a) * pt.y) ** d == -(va ** d),
             "(u(a)*y)^d vs -v(a)^d",
         )
         r.check("ordinate-nonzero", bool(pt.y))
@@ -442,7 +444,8 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
         return
     w = -u[0]
     r.check("link-root-distinct", w != a, "w=%s a=%s" % (w, a))
-    r.check("witness-vanishes-at-link", v(w) == 0, "v(w)=%s" % (v(w),))
+    vw = v(w)
+    r.check("witness-vanishes-at-link", vw == 0, "v(w)=%s" % (vw,))
     A = _match_scaled_power(v ** 2 - f, Poly.x_minus(a), n, extra=u)
     _check_identity(r, A, "v^2 - f == A*(x-a)^%d*(x-w)" % (n,))
     r.check(
@@ -450,10 +453,11 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
         v.degree * 2 == n + 1,
         "deg v = %s, (n+1)/2 = %s" % (v.degree, Fraction(n + 1, 2)),
     )
-    r.check("witness-nonzero-at-a", v(a) != 0, "v(a)=%s" % (v(a),))
+    va = v(a)
+    r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (va,))
     pt = _check_point(r, cert, curve, a, symbolic_ok=False)
     if pt is not None:
-        r.check("point-ordinate", pt.y == -v(a), "y(P)=%s -v(a)=%s" % (pt.y, -v(a)))
+        r.check("point-ordinate", pt.y == -va, "y(P)=%s -v(a)=%s" % (pt.y, -va))
         r.check("ordinate-nonzero", bool(pt.y))
     _check_fixed_rule(r, cert, RULE_TWO_TORSION)
 

@@ -307,86 +307,90 @@ def cmd_scan(args, parser) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="torsion-forge",
-        description="Construct, verify, and tabulate torsion certificates "
-        "for superelliptic curves y^d = f(x).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_construct = sub.add_parser(
-        "construct", help="build a certificate for a point of exact order m"
-    )
-    p_construct.add_argument("--n", type=int, required=True, help="degree of f")
-    p_construct.add_argument("--d", type=int, required=True, help="cover degree")
-    p_construct.add_argument("--m", type=int, help="target torsion order")
-    p_construct.add_argument(
-        "--e", type=int, help="target order as m = n + e*d (alternative to --m)"
-    )
-    p_construct.add_argument(
-        "--style",
-        choices=STYLES,
-        help="construction family (inferred from m when omitted)",
-    )
-    p_construct.add_argument(
+def _construct_arguments(p: argparse.ArgumentParser):
+    p.add_argument("--n", type=int, required=True, help="degree of f")
+    p.add_argument("--d", type=int, required=True, help="cover degree")
+    p.add_argument("--m", type=int, help="target torsion order")
+    p.add_argument("--e", type=int, help="target order as m = n + e*d (alternative to --m)")
+    p.add_argument("--style", choices=STYLES, help="construction family (inferred from m when omitted)")
+    p.add_argument(
         "--c-range",
         dest="c_range",
         type=int,
         help="candidate budget for constant searches (default: "
         "TORSION_FORGE_SEARCH_LIMIT or 64)",
     )
-    p_construct.add_argument(
+    p.add_argument(
         "--oracle",
         action="store_true",
         help="confirm the order by d=2 divisor arithmetic (report on stderr)",
     )
-    p_construct.add_argument("--out", help="write the certificate to this path")
+    p.add_argument("--out", help="write the certificate to this path")
 
-    p_verify = sub.add_parser("verify", help="check a certificate file")
-    p_verify.add_argument("certificate", help="path to a certificate JSON file")
-    p_verify.add_argument(
+
+def _verify_arguments(p: argparse.ArgumentParser):
+    p.add_argument("certificate", help="path to a certificate JSON file")
+    p.add_argument(
         "--oracle",
         action="store_true",
         help="additionally confirm the order by d=2 divisor arithmetic",
     )
 
-    p_scan = sub.add_parser(
-        "scan", help="tabulate reachability verdicts over an (n, m) grid"
-    )
-    p_scan.add_argument("--d", type=int, required=True, help="cover degree")
-    p_scan.add_argument("--n", help="degree of f: integer or a..b range")
-    p_scan.add_argument("--m", help="torsion orders: integer or a..b range")
-    p_scan.add_argument(
+
+def _scan_arguments(p: argparse.ArgumentParser):
+    p.add_argument("--d", type=int, required=True, help="cover degree")
+    p.add_argument("--n", help="degree of f: integer or a..b range")
+    p.add_argument("--m", help="torsion orders: integer or a..b range")
+    p.add_argument(
         "--preset",
         choices=[PRESET_HYPERELLIPTIC_LADDER],
         help="named grid: m in n+1..2n+1 with d=2",
     )
-    p_scan.add_argument(
+    p.add_argument(
         "--construct",
         action="store_true",
         help="build and verify a certificate for every constructive row",
     )
-    p_scan.add_argument(
+    p.add_argument(
         "--oracle",
         action="store_true",
         help="confirm constructed d=2 orders by divisor arithmetic",
     )
-    p_scan.add_argument(
-        "--c-range",
-        dest="c_range",
-        type=int,
-        help="candidate budget for constant searches",
+    p.add_argument("--c-range", dest="c_range", type=int, help="candidate budget for constant searches")
+    p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
+    p.add_argument("--out", help="write the report to this path")
+
+
+# (name, help, add_arguments) of each subcommand, in the order --help lists them
+_COMMANDS = (
+    ("construct", "build a certificate for a point of exact order m", _construct_arguments),
+    ("verify", "check a certificate file", _verify_arguments),
+    ("scan", "tabulate reachability verdicts over an (n, m) grid", _scan_arguments),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand, with the arguments of ``command`` only (all when
+    None): only the subcommand named first parses, so ``main`` adds just
+    its arguments, and the top-level usage, help and errors stay the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="torsion-forge",
+        description="Construct, verify, and tabulate torsion certificates "
+        "for superelliptic curves y^d = f(x).",
     )
-    p_scan.add_argument(
-        "--format", choices=["json", "csv"], default="json", help="output format"
-    )
-    p_scan.add_argument("--out", help="write the report to this path")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in {c[0] for c in _COMMANDS} else None)
     args = parser.parse_args(argv)
     if args.command == "construct":
         return cmd_construct(args, parser)

@@ -8,13 +8,15 @@ Gaussian rationals included: the only non-rational numbers the package
 needs are two scalars of a certificate, a point's ordinate and
 ``lambda``, never a polynomial coefficient.
 
-``*`` and ``divmod`` run on integers: each operand is scaled to integer
-numerators over the lcm of its denominators, the product is a schoolbook
-convolution of those numerators, and division is fraction-free long
-division over a running denominator.  Each output coefficient is then
+``*``, ``divmod``, evaluation and the powers of a linear polynomial run
+on integers: each operand is scaled to integer numerators over the lcm
+of its denominators; the product is a schoolbook convolution of those
+numerators, division is fraction-free long division over a running
+denominator, evaluation at p/q is Horner's rule on p and q, and
+(c0 + c1*x)**k is expanded by the binomial theorem.  Each output is then
 one ``Fraction``, in lowest terms as always, so results are exactly those
 of coefficient-wise ``Fraction`` arithmetic, with one normalising gcd
-per output coefficient rather than one per coefficient product.
+per output coefficient rather than one per coefficient operation.
 
 Square-freeness is decided modulo primes only, on plain ``int`` lists
 with ``pow(x, -1, p)`` inverses, so no coefficient grows: a unit gcd of
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, count
-from math import lcm
+from math import comb, lcm
 
 from .scalars import is_prime, scalar_from_json, scalar_to_json
 
@@ -197,6 +199,12 @@ class Poly:
             raise ValueError("polynomial powers take nonnegative integer exponents")
         if k == 0:
             return Poly.one()
+        if len(self._coeffs) == 2:
+            # (n0 + n1*x)**k / den**k by the binomial theorem
+            (n0, n1), den = _over_lcm(self._coeffs)
+            dk = den ** k
+            return _canonical([Fraction(comb(k, j) * n0 ** (k - j) * n1 ** j, dk)
+                               for j in range(k + 1)])
         result = None
         base = self
         while True:
@@ -243,13 +251,18 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, t):
-        """Evaluate at a scalar by Horner's rule."""
-        acc = None
-        for c in reversed(self._coeffs):
-            acc = c if acc is None else acc * t + c
-        if acc is None:
+        """Evaluate at a rational t = p/q: Horner's rule on the integer
+        numerators F over den gives sum F_i*p^i*q^(n-i), over den*q^n."""
+        t = _coerce_coeff(t)
+        if not self._coeffs:
             return Fraction(0)
-        return acc
+        F, den = _over_lcm(self._coeffs)
+        p, q = t.numerator, t.denominator
+        acc, qk = F[-1], 1
+        for c in reversed(F[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, den * qk)
 
     # -- calculus and transforms ---------------------------------------------
 

@@ -18,13 +18,22 @@ Two corpora are replayed through ``cli.main``, read-only:
   certificates (by carrying a constructed certificate onto a non-monic
   model of its curve).  Paths that the command line alone cannot reach
   (forced failures, an environment variable) are reached by the named
-  monkeypatches in ``PATCHES``.
+  monkeypatches in ``PATCHES``.  Its ``parser-`` cases pin argparse's
+  help, usage and error bytes.
+
+argparse wraps usage and help to the terminal width, which it reads from
+COLUMNS, so every case runs with COLUMNS=80.  ``main`` adds only the
+named subcommand's arguments; at COLUMNS=37, where Python versions wrap
+differently, the parser cases are compared with a parser that has every
+subcommand's arguments rather than pinned.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -70,6 +79,12 @@ def _bench_cases() -> list[tuple[str, list[str], str, int, str, str]]:
 
 BENCH_CASES = _bench_cases()
 EXIT_PATHS = _load(TESTS_DIR / "data" / "cli_exit_paths.json")["cases"]
+PARSER_CASES = [case for case in EXIT_PATHS if case["name"].startswith("parser-")]
+
+
+@pytest.fixture(autouse=True)
+def _columns_80(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
 
 
 def _failing_self_verification(monkeypatch):
@@ -141,3 +156,37 @@ def test_exit_path_bytes(capsys, tmp_path, monkeypatch, case):
         PATCHES[case["patch"]](monkeypatch)
     got = run_cli(capsys, tmp_path, case["argv"], case["input"])
     assert got == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("case", PARSER_CASES, ids=[case["name"] for case in PARSER_CASES])
+def test_parser_bytes_equal_the_full_parser_at_37_columns(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "37")
+    got = run_cli(capsys, tmp_path, case["argv"], None)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == run_cli(capsys, tmp_path, case["argv"], None)
+    assert got[0] == case["exit"]
+
+
+def test_main_adds_the_arguments_of_the_named_command_only(capsys, tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    for argv in (["scan", "-h"], ["-h", "verify"], [], ["frobnicate"], ["--", "verify", "x.json"]):
+        run_cli(capsys, tmp_path, argv, None)
+    monkeypatch.setattr(sys, "argv", ["torsion-forge", "construct", "-h"])
+    with pytest.raises(SystemExit):
+        cli.main()
+    assert built == ["scan", None, None, None, None, "construct"]
+    assert capsys.readouterr().out.startswith("usage: torsion-forge construct [-h] --n N --d D")
+
+
+def test_build_parser_for_verify_leaves_the_other_commands_only_help():
+    parser = cli.build_parser("verify")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: [a.option_strings for a in p._actions] for name, p in sub.choices.items()}
+    assert options == {
+        "construct": [["-h", "--help"]],
+        "verify": [["-h", "--help"], [], ["--oracle"]],
+        "scan": [["-h", "--help"]],
+    }

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from torsionforge.polyring import (
     DivisibilityError,
@@ -96,8 +96,9 @@ def test_power_matches_repeated_product(p, k):
     assert p ** k == expected
 
 
-@pytest.mark.parametrize("p", [Poly.zero(), Poly.one(), Poly((Fraction(-2, 3),)), Poly((1, -1))],
-                         ids=["zero", "one", "constant", "linear"])
+@pytest.mark.parametrize("p", [Poly.zero(), Poly.one(), Poly((Fraction(-2, 3),)), Poly((1, -1)),
+                               Poly((0, Fraction(-2, 3))), Poly.x_minus(Fraction(3, 10**20 + 39))],
+                         ids=["zero", "one", "constant", "linear", "linear-c0-zero", "linear-wide"])
 def test_power_of_edge_operands(p):
     expected = Poly.one()
     for k in range(10):
@@ -405,3 +406,43 @@ def test_mul_by_zero_and_constants():
     assert (p * Poly.zero()).is_zero and (Poly.zero() * p).is_zero
     assert p * Poly.one() == p
     assert p * Poly((Fraction(-4, 5),)) == p * Fraction(-4, 5)
+
+
+# ---------------------------------------------------------------------------
+# evaluation and linear powers on integer numerators, against Fraction references
+# ---------------------------------------------------------------------------
+
+def _ref_eval(cs, t):
+    """Horner's rule, one Fraction operation at a time."""
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * t + c
+    return acc
+
+
+@given(wide_coeffs, st.one_of(st.integers(-10**20, 10**20), wide_fractions))
+@example([], Fraction(-7, 10**25 + 13))
+@example([Fraction(5, 3), 1, 2], 0)
+def test_evaluation_kernel_matches_reference(cs, t):
+    got = Poly(cs)(t)
+    assert type(got) is Fraction
+    assert got == _ref_eval([Fraction(c) for c in cs], Fraction(t))
+
+
+@pytest.mark.parametrize("t", [1.5, GaussianRational(0, 1), GaussianRational(2, 0), "1"])
+@pytest.mark.parametrize("p", [Poly((1, Fraction(-2, 3), 3)), Poly.zero()], ids=["quadratic", "zero"])
+def test_evaluation_takes_rationals_only(p, t):
+    with pytest.raises(TypeError):
+        p(t)
+
+
+@given(st.tuples(wide_fractions, wide_fractions.filter(bool)), st.integers(min_value=0, max_value=12))
+def test_linear_power_kernel_matches_repeated_product(c, k):
+    base = Poly(c)
+    expected = [Fraction(1)]
+    for _ in range(k):
+        expected = _ref_mul(expected, list(base.coeffs))
+    p = base ** k
+    _assert_canonical(p)
+    assert list(p.coeffs) == expected
+

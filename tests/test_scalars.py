@@ -100,8 +100,29 @@ def test_the_prime_above_the_bound_is_prime():
 @pytest.mark.parametrize("p", [3215031751, 3825123056546413051, 1000003 * 1000033, 41 * 43])
 def test_is_prime_rejects_strong_pseudoprimes(p):
     # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7;
-    # 3825123056546413051 to every prime base up to 23.
+    # 3825123056546413051 to every prime base up to 31.
     assert is_prime(p) is False
+
+
+def _strong_probable_prime(p: int, a: int) -> bool:
+    s, t = 0, p - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    x = pow(a, t, p)
+    return x in (1, p - 1) or any(pow(x, 2**r, p) == p - 1 for r in range(1, s))
+
+
+def test_nine_bases_stop_at_psi_9():
+    # Below psi_9 is_prime uses the bases 2..23 only.  psi_9 itself passes
+    # every base up to 31, so only base 37 of the thirteen exposes it.
+    psi_9 = scalars._PSI_9
+    assert psi_9 == 149491 * 747451 * 34233211 == 3825123056546413051 > 2**61
+    assert [a for a in scalars._MR_BASES if not _strong_probable_prime(psi_9, a)] == [37, 41]
+    assert is_prime(psi_9) is False
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    assert [p for p in range(2**61 - 1, 2**61 - 200, -2) if is_prime(p)] == [
+        p for p in range(2**61 - 1, 2**61 - 200, -2)
+        if all(_strong_probable_prime(p, a) for a in scalars._MR_BASES)]
 
 
 @pytest.mark.parametrize("p", [41, 43, 1000003, 2**31 - 1, 2**61 - 1])
