@@ -1,22 +1,22 @@
 """Dense univariate polynomials over the rationals.
 
-Coefficients are ``Fraction``s stored ascending (index k holds the
-coefficient of x**k) with no trailing zeros, so two polynomials are
-equal exactly when their coefficient tuples are.  The constructor
-accepts ``int`` and ``Fraction`` coefficients and refuses any other type,
-Gaussian rationals included: the only non-rational numbers the package
-needs are two scalars of a certificate, a point's ordinate and
-``lambda``, never a polynomial coefficient.
+A polynomial is stored as a tuple of integer numerators, ascending (index
+k belongs to x**k), over one positive integer denominator, in lowest
+terms: the denominator is coprime to the numerators together, and the
+last numerator is nonzero.  That form is canonical, so two polynomials
+are equal exactly when their numerators and denominators are.  The
+constructor accepts ``int`` and ``Fraction`` coefficients and refuses any
+other type, Gaussian rationals included: the only non-rational numbers
+the package needs are two scalars of a certificate, a point's ordinate
+and ``lambda``, never a polynomial coefficient.
 
-``*``, ``divmod``, evaluation and the powers of a linear polynomial run
-on integers: each operand is scaled to integer numerators over the lcm
-of its denominators; the product is a schoolbook convolution of those
-numerators, division is fraction-free long division over a running
-denominator, evaluation at p/q is Horner's rule on p and q, and
-(c0 + c1*x)**k is expanded by the binomial theorem.  Each output is then
-one ``Fraction``, in lowest terms as always, so results are exactly those
-of coefficient-wise ``Fraction`` arithmetic, with one normalising gcd
-per output coefficient rather than one per coefficient operation.
+Every kernel works on the stored integers and ends in one normalising
+gcd: ``+`` and ``-`` align the two denominators by their lcm, ``*`` is a
+schoolbook convolution of the numerators, (n0 + n1*x)**k is expanded by
+the binomial theorem, evaluation at p/q is Horner's rule on p and q, and
+``divmod`` is pseudo-division (Knuth, *TAOCP* vol. 2, section 4.6.1,
+Algorithm R).  ``Fraction``s are built only at the edges: ``coeffs``,
+``[k]``, ``leading_coefficient`` and the value of a polynomial at a point.
 
 Square-freeness is decided modulo primes only, on plain ``int`` lists
 with ``pow(x, -1, p)`` inverses, so no coefficient grows: a unit gcd of
@@ -31,9 +31,9 @@ degree comparisons behave correctly without special cases.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain, count
-from math import comb, lcm
 
 from .scalars import is_prime, scalar_from_json, scalar_to_json
 
@@ -45,40 +45,37 @@ class DivisibilityError(ArithmeticError):
     """Raised by exact_div when the division leaves a remainder."""
 
 
-def _coerce_coeff(c):
-    if isinstance(c, Fraction):
+def _rational(c):
+    """c itself when it is an ``int`` or a ``Fraction``; TypeError otherwise."""
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     raise TypeError("unsupported coefficient type: %r" % (type(c).__name__,))
 
 
-def _over_lcm(cs) -> tuple[list, int]:
-    """Integer numerators of ``cs`` over the lcm of their denominators."""
-    dens = [c.denominator for c in cs]
-    den = lcm(*dens)
-    return [c.numerator * (den // d) for c, d in zip(cs, dens)], den
-
-
-def _canonical(cs: list) -> "Poly":
-    """A Poly of ``Fraction``s, trailing zeros stripped, without re-coercion."""
-    while cs and not cs[-1]:
-        cs.pop()
+def _make(num: list, den: int) -> "Poly":
+    """The Poly num/den in lowest terms, for integers num and den != 0."""
+    while num and not num[-1]:
+        num.pop()
+    g = math.gcd(den, *num) if den != 1 else 1
+    if den < 0:
+        g = -g
+    if g != 1:
+        num, den = [c // g for c in num], den // g
     p = object.__new__(Poly)
-    object.__setattr__(p, "_coeffs", tuple(cs))
+    object.__setattr__(p, "_num", tuple(num))
+    object.__setattr__(p, "_den", den)
     return p
 
 
 class Poly:
     """Immutable dense polynomial; create with Poly([c0, c1, ...])."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs=()):
-        cs = [_coerce_coeff(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+    def __new__(cls, coeffs=()):
+        cs = [_rational(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return _make([c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
@@ -115,96 +112,88 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self) -> int | float:
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        return len(self._num) - 1 if self._num else NEG_INFINITY
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def leading_coefficient(self):
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1] == 1
+        return bool(self._num) and self._num[-1] == self._den
 
     def __getitem__(self, k: int):
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self._num):
+            return Fraction(self._num[k], self._den)
         return Fraction(0)
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return (self._num, self._den) == (other._num, other._den)
 
     __hash__ = None  # mutable-free but unhashable; never used as a key
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign*other, over the lcm of the two denominators."""
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+        a, b = self._num, other._num
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        out = [c * sa for c in a] + [0] * (len(b) - len(a))
         for k, c in enumerate(b):
-            out[k] += c
-        return _canonical(out)
+            out[k] += c * sb
+        return _make(out, den)
 
-    def __neg__(self):
-        return _canonical([-c for c in self._coeffs])
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for k, c in enumerate(b):
-            out[k] -= c
-        return _canonical(out)
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return _make([-c for c in self._num], self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _canonical([c * other for c in self._coeffs])
+            return _make([c * other.numerator for c in self._num], self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return Poly.zero()
-        # a schoolbook convolution of the integer numerators
-        na, da = _over_lcm(a)
-        nb, db = _over_lcm(b)
+        # a schoolbook convolution of the numerators
+        a, b = self._num, other._num
         acc = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(na):
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(nb, i):
+                for j, y in enumerate(b, i):
                     acc[j] += x * y
-        den = da * db
-        return _canonical([Fraction(c, den) for c in acc])
+        return _make(acc, self._den * other._den)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
         if k == 0:
             return Poly.one()
-        if len(self._coeffs) == 2:
+        if len(self._num) == 2:
             # (n0 + n1*x)**k / den**k by the binomial theorem
-            (n0, n1), den = _over_lcm(self._coeffs)
-            dk = den ** k
-            return _canonical([Fraction(comb(k, j) * n0 ** (k - j) * n1 ** j, dk)
-                               for j in range(k + 1)])
+            n0, n1 = self._num
+            return _make([math.comb(k, j) * n0 ** (k - j) * n1 ** j for j in range(k + 1)],
+                         self._den ** k)
         result = None
         base = self
         while True:
@@ -216,72 +205,60 @@ class Poly:
             base = base * base
 
     def __divmod__(self, other):
-        """Fraction-free long division on integer numerators.
+        """Pseudo-division (Knuth, Algorithm R) on the numerators.
 
-        With self = R/den and other = B/db, each step removes the top
-        term c of R: the quotient coefficient is c*db/(den*L), L the
-        leading numerator of B, and the remainder becomes
-        (L*R - c*x^k*B)/(den*L).  When L == 1 the rescale is skipped.
+        With self = A/da and other = B/db, L the leading numerator of B
+        and e = deg A - deg B + 1, it finds L**e * A = Q*B + R; the
+        quotient is Q*db / (L**e * da) and the remainder R / (L**e * da),
+        whose signs ``_make`` flips when L**e is negative.
         """
         if not isinstance(other, Poly):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
+        rem, low, lead = list(self._num), other._num[:-1], other._num[-1]
+        e = len(rem) - len(low)
+        if e <= 0:
             return Poly.zero(), self
-        rem, den = _over_lcm(self._coeffs)
-        nb, db = _over_lcm(other._coeffs)
-        dv = len(nb) - 1
-        lead = nb[-1]
-        quot = [Fraction(0)] * (len(rem) - dv)
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + dv]
-            if not c:
-                continue
-            quot[k] = Fraction(c * db, den * lead)
+        quot = [0] * e
+        for k in range(e - 1, -1, -1):
+            c = rem.pop()
+            quot[k] = c * lead ** k
             if lead != 1:
-                for j in range(k + dv):
-                    rem[j] *= lead
-                den *= lead
-            for j, y in enumerate(nb[:-1], k):
-                rem[j] -= c * y
-        return _canonical(quot), _canonical([Fraction(c, den) for c in rem[:dv]])
+                rem = [lead * r for r in rem]
+            if c:
+                for j, y in enumerate(low, k):
+                    rem[j] -= c * y
+        den = lead ** e * self._den
+        return _make([q * other._den for q in quot], den), _make(rem, den)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def __call__(self, t):
-        """Evaluate at a rational t = p/q: Horner's rule on the integer
-        numerators F over den gives sum F_i*p^i*q^(n-i), over den*q^n."""
-        t = _coerce_coeff(t)
-        if not self._coeffs:
-            return Fraction(0)
-        F, den = _over_lcm(self._coeffs)
-        p, q = t.numerator, t.denominator
-        acc, qk = F[-1], 1
-        for c in reversed(F[:-1]):
-            qk *= q
-            acc = acc * p + c * qk
-        return Fraction(acc, den * qk)
+        """Evaluate at a rational t = p/q: Horner's rule on the numerators
+        F over den gives sum F_i*p^i*q^(n-i), over den*q^n."""
+        p, q = _rational(t).numerator, t.denominator
+        acc, qk = 0, 1
+        for c in reversed(self._num):
+            acc, qk = acc * p + c * qk, qk * q
+        return Fraction(acc * q, self._den * qk)
 
     # -- calculus and transforms ---------------------------------------------
 
     def derivative(self) -> "Poly":
-        return _canonical([k * c for k, c in enumerate(self._coeffs) if k])
+        return _make([k * c for k, c in enumerate(self._num) if k], self._den)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if self.is_zero or self.is_monic:
             return self
-        lead = self.leading_coefficient
-        if lead == 1:
-            return self
-        return _canonical([c / lead for c in self._coeffs])
+        return _make(list(self._num), self._num[-1])
 
     def valuation_at_zero(self) -> int:
         """Multiplicity of the root 0, i.e. the index of the lowest nonzero coefficient."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no valuation at zero")
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self._num):
             if c:
                 return k
         raise AssertionError("unreachable")  # pragma: no cover
@@ -289,14 +266,15 @@ class Poly:
     # -- display --------------------------------------------------------------
 
     def __repr__(self):
-        return "Poly([%s])" % (", ".join(str(c) for c in self._coeffs),)
+        return "Poly([%s])" % (", ".join(str(c) for c in self.coeffs),)
 
     def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
+        cs = self.coeffs
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
             if not c:
                 continue
             if k == 0:
@@ -357,10 +335,9 @@ def is_squarefree(f: Poly) -> bool:
     Constant and zero inputs are rejected: square-freeness is a question
     about polynomials with roots.
 
-    F is f's integer numerators over the lcm of its denominators, n its
-    degree.  The primes p are walked down from 2**61 - 1, skipping those
-    that divide lc(F), so F̄ and F̄′ keep degrees n and n − 1 and
-    Res(F̄, F̄′) = Res(F, F′) mod p.  A unit gcd(F̄, F̄′) over F_p makes
+    F is f's stored integer numerators, n its degree.  The primes p are
+    walked down from 2**61 - 1, skipping those that divide lc(F), so F̄
+    and F̄′ keep degrees n and n − 1 and Res(F̄, F̄′) = Res(F, F′) mod p.  A unit gcd(F̄, F̄′) over F_p makes
     the resultant nonzero: True.  Otherwise p divides it, and once the
     product of such primes, squared, exceeds the Hadamard bound
     (ΣF_i²)^(n−1)·(ΣF′_i²)^n on Res², the resultant is 0: False (von zur
@@ -369,7 +346,7 @@ def is_squarefree(f: Poly) -> bool:
     """
     if f.degree < 1:
         raise ValueError("square-freeness needs degree >= 1, got %r" % (f,))
-    F = _over_lcm(f._coeffs)[0]
+    F = f._num
     n, bound, proof = len(F) - 1, None, 1
     # 2**61 - 1 is a Mersenne prime; only the primes below it are tested
     for p in chain((2305843009213693951,), filter(is_prime, count(2305843009213693949, -2))):
@@ -413,6 +390,6 @@ def poly_from_json(obj) -> Poly:
     if not isinstance(obj, list):
         raise ValueError("polynomial encoding must be a JSON array, got %r" % (obj,))
     p = Poly(tuple(scalar_from_json(c) for c in obj))
-    if len(p.coeffs) != len(obj):
+    if len(p._num) != len(obj):
         raise ValueError("polynomial encoding ends in a zero coefficient: %r" % (obj,))
     return p

@@ -130,10 +130,6 @@ class GaussianRational:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("GaussianRational is immutable")
 
-    def norm(self) -> Fraction:
-        """Field norm a^2 + b^2; zero only for the zero element."""
-        return self.re * self.re + self.im * self.im
-
     @staticmethod
     def _coerce(x) -> "GaussianRational | None":
         if isinstance(x, GaussianRational):
@@ -176,7 +172,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = o.norm()
+        n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(
@@ -191,10 +187,8 @@ class GaussianRational:
         return o / self
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
+        if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if k < 0:
-            return (GaussianRational(1) / self) ** (-k)
         result = GaussianRational(1)
         base = self
         while k:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd as gcd_int, lcm
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -294,13 +294,20 @@ def test_a_gaussian_coefficient_does_not_parse():
 
 def test_fraction_coefficients_are_kept_as_they_are():
     half = Fraction(1, 2)
-    assert Poly((half, 3)).coeffs[0] is half
+    c = Poly((half, 3)).coeffs[0]
+    assert c == half and type(c) is Fraction
     assert all(type(c) is Fraction for c in Poly((1, True, half)).coeffs)
 
 
 @given(polys)
 def test_poly_json_round_trip(p):
     assert poly_from_json(poly_to_json(p)) == p
+
+
+def test_the_empty_encoding_is_the_zero_polynomial():
+    p = poly_from_json([])
+    _assert_canonical(p)
+    assert p == Poly.zero() and p.is_zero
 
 
 def test_poly_json_is_ascending_strings():
@@ -348,6 +355,9 @@ def _ref_divmod(a, b):
 def _assert_canonical(p):
     assert all(type(c) is Fraction for c in p.coeffs)
     assert not p.coeffs or p.coeffs[-1] != 0
+    # the stored form: integer numerators over one positive denominator, in lowest terms
+    assert p._den > 0 and gcd_int(p._den, *p._num) == 1
+    assert not p._num or p._num[-1] != 0
 
 
 # Unrelated and large denominators and negative coefficients.
@@ -389,6 +399,8 @@ def test_divmod_kernel_matches_reference(a, b):
         ((Fraction(3, 10**20 + 39), -1, 0, Fraction(5, 7)), (1, 0, Fraction(-6, 13))),
         ((Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 5), Fraction(1, 7)), (0, -2, Fraction(4, 3))),
         ((1, 0, 0, 0, 0, 0, 0, 1), (1, 1)),                          # monic, integral
+        ((1, 2), (3, -4)),                                           # lead -4, e = 1
+        ((Fraction(1, 3), 0, 2, -1, 5), (1, 1, Fraction(-7, 2))),    # lead -7, e = 3
     ],
 )
 def test_kernels_on_edge_operands(a, b):

@@ -186,7 +186,8 @@ def test_gaussian_multiplicative_inverse(z):
             GaussianRational(1) / z
     else:
         assert z * (GaussianRational(1) / z) == 1
-        assert z ** -1 * z == 1
+        with pytest.raises(TypeError):
+            z ** -1
 
 
 def test_gaussian_mixes_with_fractions():
