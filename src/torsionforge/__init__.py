@@ -49,12 +49,11 @@ from .jacobian2 import (
     validate,
 )
 from .polyring import DivisibilityError, Poly, exact_div, is_squarefree, xgcd
-from .scalars import GAUSSIAN_I, GaussianRational, is_prime, padic_valuation
+from .scalars import GAUSSIAN_I, GaussianRational, is_prime
 from .series import (
     HypothesisError,
     TruncationSpec,
     check_truncation_valuation,
-    nonvanishing_at_minus_one,
     truncated_binomial,
     truncation_quotient,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "neg",
     "on_curve",
     "order_of",
-    "padic_valuation",
     "reachability_verdict",
     "truncated_binomial",
     "truncation_quotient",

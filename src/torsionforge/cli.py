@@ -83,6 +83,11 @@ def _check_shape_args(parser: argparse.ArgumentParser, n: int, d: int):
         parser.error("gcd(n, d) must be 1, got n=%d d=%d" % (n, d))
 
 
+def _check_budget(parser: argparse.ArgumentParser, c_range: int | None):
+    if c_range is not None and c_range < 0:
+        parser.error("--c-range must be a nonnegative integer, got %d" % (c_range,))
+
+
 def _oracle_check(cert: TorsionCertificate) -> tuple[bool, str]:
     """Confirm the certified order by divisor arithmetic (d = 2 only)."""
     curve = cert.curve
@@ -154,6 +159,7 @@ def certify_request(
 
 def cmd_construct(args, parser) -> int:
     _check_shape_args(parser, args.n, args.d)
+    _check_budget(parser, args.c_range)
     if args.m is None and args.e is None:
         parser.error("construct needs --m or --e")
     m = args.m
@@ -248,6 +254,7 @@ def cmd_scan(args, parser) -> int:
         parser.error("scan needs --m or --preset")
     if args.n is None:
         parser.error("scan needs --n")
+    _check_budget(parser, args.c_range)
 
     # one dict per row; a constructed row also carries its "certificate"
     # and, with --out, the "certificate_path" it was written to

@@ -271,10 +271,9 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
     m < 2n when d >= 3, and m is odd with m <= 2n + 1 < 3n when d = 2, so
     an exactness rule always applies.
 
-    ``check_truncation_valuation`` raises that error; the valuation it
-    returns is always E = e*d: with V(0) = 1 and T = (1+x)**(m/d) - V =
-    binom(m/d, E)*x**E + O(x**(E+1)), (1+x)**m - V**d = d*V**(d-1)*T +
-    O(T**2) = d*binom(m/d, E)*x**E + O(x**(E+1)), and binom(m/d, E) != 0.
+    ``check_truncation_valuation`` raises that error; its docstring
+    proves that (1+x)**m - V**d then vanishes to order exactly E = e*d,
+    so the quotient by x**E is exact.
     """
     check_shape(n, d)
     if e < 1:
@@ -284,7 +283,7 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
     spec = TruncationSpec(m=m, d=d, E=E)
     check_truncation_valuation(spec)
     V = truncated_binomial(spec)
-    f = truncation_quotient(spec)
+    f = truncation_quotient(spec, V)
     curve = Curve(d, n, f)
     symbolic = d % 2 == 0 and d > 2
     lam = point = None

@@ -254,15 +254,6 @@ class Poly:
             return self
         return _make(list(self._num), self._num[-1])
 
-    def valuation_at_zero(self) -> int:
-        """Multiplicity of the root 0, i.e. the index of the lowest nonzero coefficient."""
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no valuation at zero")
-        for k, c in enumerate(self._num):
-            if c:
-                return k
-        raise AssertionError("unreachable")  # pragma: no cover
-
     # -- display --------------------------------------------------------------
 
     def __repr__(self):

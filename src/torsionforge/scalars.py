@@ -1,5 +1,5 @@
 """Exact scalar arithmetic: rationals, Gaussian rationals, generalized
-binomial coefficients, and p-adic valuations.
+binomial coefficients and primality.
 
 Two scalar fields are supported.  Plain rationals are
 ``fractions.Fraction`` values; the Fraction type keeps every value in
@@ -18,10 +18,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-#: p-adic valuation of zero; compares greater than every integer.
-INFINITY = float("inf")
-
 
 #: Prime bases that make Miller-Rabin exact below :data:`_MR_BOUND`.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -84,29 +80,6 @@ def gen_binom(r: int | Fraction, k: int) -> Fraction:
     for t in range(2, k + 1):
         fact *= t
     return num / fact
-
-
-def _int_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def padic_valuation(q: int | Fraction, p: int) -> int | float:
-    """p-adic valuation of a rational number.
-
-    Returns :data:`INFINITY` exactly when ``q == 0``; otherwise the
-    integer v with q = p**v * (unit).  The valuation is additive:
-    v(a*b) = v(a) + v(b).  ``p`` must be prime.
-    """
-    if not is_prime(p):
-        raise ValueError("p-adic valuation requires a prime p, got %r" % (p,))
-    q = Fraction(q)
-    if q == 0:
-        return INFINITY
-    return _int_valuation(abs(q.numerator), p) - _int_valuation(q.denominator, p)
 
 
 class GaussianRational:

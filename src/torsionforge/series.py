@@ -5,7 +5,12 @@ the series V(x) = sum_{k<E} binom(r, k) x**k is the unique polynomial of
 degree < E with (1+x)**m - V**d vanishing to order exactly E at x = 0,
 provided m > d*(E-1).  That exact vanishing order is what lets a curve
 of degree n = m - d*E carry a point whose pole divisor reaches order m,
-so this module is the engine room of the n+e*d constructions.
+so this module is the engine room of the n+e*d constructions.  A
+construction makes three calls, once each: the gate
+:func:`check_truncation_valuation` (the m > d*(E-1) hypothesis, whose
+docstring proves the exact order), :func:`truncated_binomial` for V,
+and :func:`truncation_quotient`, one exact division of
+(1+x)**m - V**d by x**E.
 
 Two classical identities hold; acceptance criterion 7 checks them:
 
@@ -23,7 +28,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .polyring import Poly, exact_div
-from .scalars import gen_binom, is_prime, padic_valuation
+from .scalars import gen_binom
 
 
 class HypothesisError(ValueError):
@@ -70,50 +75,29 @@ def truncated_binomial(spec: TruncationSpec) -> Poly:
     return Poly(tuple(gen_binom(r, k) for k in range(spec.E)))
 
 
-def check_truncation_valuation(spec: TruncationSpec) -> int:
-    """Order of vanishing of (1+x)**m - V**d at x = 0.
+def check_truncation_valuation(spec: TruncationSpec) -> None:
+    """Raise HypothesisError unless m > d*(E-1).
 
-    Requires the hypothesis m > d*(E-1); under it the order is exactly E
-    (the first E coefficients cancel by construction and the next one is
-    d * binom(r-1, E-1) * ... != 0).  The returned value is computed, not
-    assumed, so callers can assert it.  The difference is never zero:
-    deg V**d = d*(E-1) < m.
+    Under that hypothesis (1+x)**m - V**d, V the truncated series,
+    vanishes to order exactly E at x = 0: with V(0) = 1 and T =
+    (1+x)**(m/d) - V = binom(m/d, E)*x**E + O(x**(E+1)), (1+x)**m - V**d
+    = d*V**(d-1)*T + O(T**2) = d*binom(m/d, E)*x**E + O(x**(E+1)), and
+    binom(m/d, E) != 0 because m/d is not an integer.  The difference is
+    never zero: deg V**d = d*(E-1) < m.
     """
     floor = spec.d * (spec.E - 1)
     if spec.m <= floor:
         raise HypothesisError(
             "need m > d*(E-1): m=%d, d*(E-1)=%d" % (spec.m, floor)
         )
-    v = truncated_binomial(spec)
-    diff = Poly((1, 1)) ** spec.m - v ** spec.d
-    return diff.valuation_at_zero()
 
 
-def truncation_quotient(spec: TruncationSpec) -> Poly:
-    """((1+x)**m - V**d) / x**E, exact; a degree m - E polynomial.
+def truncation_quotient(spec: TruncationSpec, v: Poly) -> Poly:
+    """((1+x)**m - v**d) / x**E, exact, for v = ``truncated_binomial(spec)``.
 
-    Only meaningful under the same hypothesis as
-    :func:`check_truncation_valuation`; raises DivisibilityError if the
-    vanishing order falls short (it cannot, but the division is exact
-    rather than trusting that).
+    Under the hypothesis of :func:`check_truncation_valuation` this is a
+    degree m - E polynomial; the division is exact rather than trusting
+    that, so a short vanishing order raises DivisibilityError.
     """
-    v = truncated_binomial(spec)
     diff = Poly((1, 1)) ** spec.m - v ** spec.d
     return exact_div(diff, Poly.x_power(spec.E))
-
-
-def nonvanishing_at_minus_one(spec: TruncationSpec, p: int) -> tuple[bool, int | float]:
-    """Whether V(-1) != 0, witnessed p-adically for a prime p dividing d.
-
-    Returns (V(-1) != 0, v_p(V(-1))).  The valuation is negative for
-    every prime divisor p of d: the last term binom(r, E-1) contributes a
-    p-power denominator that nothing else in the alternating sum can
-    cancel.  A negative valuation certifies nonvanishing without any
-    appeal to real approximation.
-    """
-    if not is_prime(p):
-        raise ValueError("p must be prime, got %r" % (p,))
-    if spec.d % p != 0:
-        raise ValueError("p=%d does not divide d=%d" % (p, spec.d))
-    value = truncated_binomial(spec)(Fraction(-1))
-    return (value != 0, padic_valuation(value, p))

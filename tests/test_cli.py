@@ -70,6 +70,25 @@ def test_construct_exhausted_search_exits_4(capsys):
     assert json.loads(out)["error"]["type"] == "SearchExhausted"
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--n", "5", "--d", "2", "--m", "6"),
+    ("scan", "--d", "2", "--n", "5", "--m", "6", "--construct"),
+])
+def test_negative_c_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--c-range", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.endswith(
+        "\ntorsion-forge: error: --c-range must be a nonnegative integer, got -3\n"
+    )
+
+
+def test_non_integer_c_range_is_argparses_error(capsys):
+    code, _, err = run_cli(capsys, "construct", "--n", "5", "--d", "2", "--m", "6", "--c-range", "x")
+    assert code == 2
+    assert err.endswith("\ntorsion-forge construct: error: argument --c-range: invalid int value: 'x'\n")
+
+
 def test_construct_e_flag_names_the_order(capsys):
     code, out, _ = run_cli(capsys, "construct", "--n", "5", "--d", "2", "--e", "1")
     assert code == 0

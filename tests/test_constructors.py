@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from torsionforge import series
 from torsionforge.certify import PreconditionError, verify_certificate
 from torsionforge.constructors import (
     ConstructionRequest,
@@ -24,7 +25,7 @@ from torsionforge.constructors import (
 from torsionforge.curves import AffinePoint, RepeatedRootError
 from torsionforge.jacobian2 import embed_point, order_of
 from torsionforge.polyring import Poly
-from torsionforge.scalars import GAUSSIAN_I, GaussianRational
+from torsionforge.scalars import GAUSSIAN_I, GaussianRational, gen_binom
 from torsionforge.series import HypothesisError
 
 
@@ -200,6 +201,19 @@ def test_n_plus_ed_hypothesis_violations_raise():
         construct_n_plus_ed(7, 4, 1)          # m = 11 <= d*(E-1) = 12
     with pytest.raises(HypothesisError):
         construct_n_plus_ed(5, 2, 4)          # m = 13 <= 14
+
+
+def test_n_plus_ed_builds_the_series_once(monkeypatch):
+    # one series of E = e*d = 4 terms, one gen_binom call per term
+    calls = []
+
+    def counted(r, k):
+        calls.append((r, k))
+        return gen_binom(r, k)
+
+    monkeypatch.setattr(series, "gen_binom", counted)
+    construct_n_plus_ed(5, 2, 2)
+    assert calls == [(Fraction(9, 2), k) for k in range(4)]
 
 
 def test_n_plus_ed_tight_boundary():

@@ -270,11 +270,6 @@ def test_derivative_product_rule():
     assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
 
 
-def test_valuation_at_zero():
-    assert Poly((0, 0, 0, 5, 1)).valuation_at_zero() == 3
-    assert Poly((7,)).valuation_at_zero() == 0
-
-
 # ---------------------------------------------------------------------------
 # coefficients over Q only, and serialization
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Scalar layer: generalized binomials, p-adic valuations, Gaussian rationals."""
+"""Scalar layer: generalized binomials, primality, Gaussian rationals."""
 
 from __future__ import annotations
 
@@ -12,10 +12,8 @@ from torsionforge import scalars
 from torsionforge.scalars import (
     GAUSSIAN_I,
     GaussianRational,
-    INFINITY,
     gen_binom,
     is_prime,
-    padic_valuation,
     rational_from_str,
     rational_to_str,
     scalar_from_json,
@@ -128,36 +126,6 @@ def test_nine_bases_stop_at_psi_9():
 @pytest.mark.parametrize("p", [41, 43, 1000003, 2**31 - 1, 2**61 - 1])
 def test_is_prime_accepts_large_primes(p):
     assert is_prime(p) is True
-
-
-@given(st.integers(min_value=-2000, max_value=2000).filter(lambda q: q != 0),
-       st.sampled_from([2, 3, 5, 7]))
-def test_padic_valuation_extracts_exact_power(q, p):
-    val = padic_valuation(Fraction(q), p)
-    reduced = Fraction(q) / Fraction(p) ** val
-    assert reduced.numerator % p != 0
-    assert reduced.denominator % p != 0
-
-
-def test_padic_valuation_of_zero_is_infinite():
-    assert padic_valuation(Fraction(0), 5) == INFINITY
-
-
-def test_padic_valuation_negative_for_denominators():
-    assert padic_valuation(Fraction(3, 8), 2) == -3
-    assert padic_valuation(Fraction(9, 5), 3) == 2
-
-
-def test_padic_valuation_requires_prime():
-    with pytest.raises(ValueError):
-        padic_valuation(Fraction(1, 2), 6)
-
-
-@given(st.fractions(max_denominator=50).filter(lambda q: q != 0),
-       st.fractions(max_denominator=50).filter(lambda q: q != 0),
-       st.sampled_from([2, 3, 5]))
-def test_padic_valuation_is_multiplicative(a, b, p):
-    assert padic_valuation(a * b, p) == padic_valuation(a, p) + padic_valuation(b, p)
 
 
 # ---------------------------------------------------------------------------

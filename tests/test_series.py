@@ -7,13 +7,12 @@ from math import gcd
 
 import pytest
 
-from torsionforge.polyring import Poly, is_squarefree
+from torsionforge.polyring import DivisibilityError, Poly, is_squarefree
 from torsionforge.scalars import gen_binom
 from torsionforge.series import (
     HypothesisError,
     TruncationSpec,
     check_truncation_valuation,
-    nonvanishing_at_minus_one,
     truncated_binomial,
     truncation_quotient,
 )
@@ -62,28 +61,40 @@ def test_every_copy_of_a_truncation_spec_is_validated():
 
 def test_valuation_hypothesis_is_enforced():
     # m must exceed d*(E-1) for the cancellation to reach x^E
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match=r"need m > d\*\(E-1\): m=9, d\*\(E-1\)=12"):
         check_truncation_valuation(TruncationSpec(m=9, d=4, E=4))
+    assert check_truncation_valuation(TruncationSpec(m=13, d=4, E=4)) is None
 
 
 def test_valuation_is_exactly_E_on_the_grid():
     for d, E, m in grid():
-        assert check_truncation_valuation(TruncationSpec(m=m, d=d, E=E)) == E, (d, E, m)
+        spec = TruncationSpec(m=m, d=d, E=E)
+        check_truncation_valuation(spec)
+        diff = Poly((1, 1)) ** m - truncated_binomial(spec) ** d
+        assert next(k for k, c in enumerate(diff.coeffs) if c) == E, (d, E, m)
 
 
 def test_quotient_degree_and_exactness():
     spec = TruncationSpec(m=7, d=2, E=2)
     V = truncated_binomial(spec)
-    q = truncation_quotient(spec)
+    q = truncation_quotient(spec, V)
     assert q.degree == 5
     assert Poly.x_power(2) * q == Poly((1, 1)) ** 7 - V ** 2
     # the worked constant: x^5 + 7x^4 + 21x^3 + 35x^2 + 35x + 35/4
     assert q == Poly((Fraction(35, 4), 35, 35, 21, 7, 1))
 
 
+def test_quotient_refuses_a_short_valuation():
+    # a wrong top coefficient leaves (1+x)^7 - V^2 divisible by x only
+    spec = TruncationSpec(m=7, d=2, E=2)
+    with pytest.raises(DivisibilityError):
+        truncation_quotient(spec, Poly((1, 3)))
+
+
 def test_quotients_squarefree_on_the_grid():
     for d, E, m in grid(30):
-        assert is_squarefree(truncation_quotient(TruncationSpec(m=m, d=d, E=E))), (d, E, m)
+        spec = TruncationSpec(m=m, d=d, E=E)
+        assert is_squarefree(truncation_quotient(spec, truncated_binomial(spec))), (d, E, m)
 
 
 def test_recurrence_with_corrected_tail_term():
@@ -120,19 +131,13 @@ def test_derivative_identity_on_the_grid():
 
 
 def test_value_at_minus_one_is_never_a_p_integer():
+    # for p | d the last term binom(r, E-1) has the highest power of p in
+    # its denominator, so nothing in the alternating sum cancels it:
+    # p | denominator of V(-1) says v_p(V(-1)) < 0, hence V(-1) != 0
     for d, E, m in grid(30):
-        spec = TruncationSpec(m=m, d=d, E=E)
+        value = truncated_binomial(TruncationSpec(m=m, d=d, E=E))(Fraction(-1))
         for p in (2, 3, 5):
             if d % p != 0:
                 continue
-            nonzero, val = nonvanishing_at_minus_one(spec, p)
-            assert nonzero, (d, E, m, p)
-            assert val < 0, (d, E, m, p)
-
-
-def test_nonvanishing_requires_prime_divisor_of_d():
-    spec = TruncationSpec(m=7, d=2, E=2)
-    with pytest.raises(ValueError):
-        nonvanishing_at_minus_one(spec, 3)
-    with pytest.raises(ValueError):
-        nonvanishing_at_minus_one(spec, 4)
+            assert value != 0, (d, E, m, p)
+            assert value.denominator % p == 0, (d, E, m, p)

@@ -4,8 +4,7 @@
 outside it; a deletion or rename under ``src/`` that drops one of those
 names breaks the traced benchmark, which no other test here runs.  Every
 exported name must also be used inside the package, so that surface only
-tests reach does not build up again; the exceptions are listed with
-their reasons.
+tests reach does not build up again.
 """
 
 from __future__ import annotations
@@ -20,12 +19,6 @@ from torsionforge.scalars import GaussianRational
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 PACKAGE = Path(torsionforge.__file__).resolve().parent
-
-# Exported names that no command reaches, each with its reason.
-UNUSED_EXPORTS = {
-    "nonvanishing_at_minus_one": "acceptance criterion 6: V(-1) is d-adically non-integral",
-    "padic_valuation": "read only by nonvanishing_at_minus_one, for criterion 6",
-}
 
 HOOKED = (
     certify, cli, constructors, curves, jacobian2, polyring, series,
@@ -61,9 +54,8 @@ def test_every_public_name_is_used_inside_the_package():
         if path.name != "__init__.py":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             used |= _references(tree)
-    dead = sorted(set(torsionforge.__all__) - used - set(UNUSED_EXPORTS))
+    dead = sorted(set(torsionforge.__all__) - used)
     assert dead == []
-    assert all(hasattr(torsionforge, name) for name in UNUSED_EXPORTS)
 
 
 def test_tracer_install_and_restore(capsys):
