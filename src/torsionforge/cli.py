@@ -5,8 +5,9 @@ Exit codes (fixed so shell harnesses can assert on them):
 
 0  success
 1  verification failure (a certificate check or the divisor oracle fails)
-2  invalid arguments, bad bounds, an unparseable certificate file, or an
-   invalid TORSION_FORGE_SEARCH_LIMIT when a construction searches
+2  invalid arguments, bad bounds, an unparseable certificate file, an
+   unwritable --out path, or an invalid TORSION_FORGE_SEARCH_LIMIT when a
+   construction searches
 3  a stated precondition or hypothesis fails (including unreachable orders)
 4  the candidate search budget was exhausted
 
@@ -55,12 +56,19 @@ def _error_json(exc_type: str, message: str, **extra) -> str:
     return canonical_json({"error": body})
 
 
-def _emit(text: str, out: str | None):
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to stdout, or to the path ``out``; a path that cannot
+    be written is one stderr line and exit 2."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        print("cannot write %s: %s" % (out, exc.strerror or exc), file=sys.stderr)
+        return EXIT_BAD_ARGS
+    return EXIT_OK
 
 
 def _parse_range(text: str, flag: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
@@ -187,7 +195,7 @@ def cmd_construct(args, parser) -> int:
         args.oracle,
     )
     if code == EXIT_OK:
-        _emit(cert.to_json_str(), args.out)
+        code = _emit(cert.to_json_str(), args.out)
     return code
 
 
@@ -199,7 +207,8 @@ def cmd_verify(args) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, non-UTF-8 bytes and over-long integers
         print("cannot read certificate: %s" % (exc,), file=sys.stderr)
         return EXIT_BAD_ARGS
     try:
@@ -284,8 +293,8 @@ def cmd_scan(args, parser) -> int:
         for row in rows:
             if "certificate" in row:
                 path = "%s-n%d-m%d.cert.json" % (base, row["n"], row["m"])
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(row["certificate"].to_json_str())
+                if _emit(row["certificate"].to_json_str(), path) != EXIT_OK:
+                    return EXIT_BAD_ARGS
                 row["certificate_path"] = path
 
     if args.format == "csv":
@@ -300,14 +309,12 @@ def cmd_scan(args, parser) -> int:
                 [row["n"], row["d"], row["m"], row["status"], row["deciding_rule"],
                  row.get("certificate_path", "")]
             )
-        _emit(buffer.getvalue(), args.out)
-    else:
-        entries = [
-            {key: value.to_json_dict() if key == "certificate" else value for key, value in row.items()}
-            for row in rows
-        ]
-        _emit(canonical_json({"d": args.d, "rows": entries}), args.out)
-    return EXIT_OK
+        return _emit(buffer.getvalue(), args.out)
+    entries = [
+        {key: value.to_json_dict() if key == "certificate" else value for key, value in row.items()}
+        for row in rows
+    ]
+    return _emit(canonical_json({"d": args.d, "rows": entries}), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +384,29 @@ _COMMANDS = (
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand, with the arguments of ``command`` only (all when
-    None): only the subcommand named first parses, so ``main`` adds just
-    its arguments, and the top-level usage, help and errors stay the same.
+    """The top-level parser, with a real subparser for ``command`` only
+    (for every subcommand when None).
+
+    The others register their name and help, from which argparse draws the
+    top-level usage, choices, help and errors, but their parser is None.
+    Only the subcommand named by the first argument ever parses, and
+    ``main`` passes that name only when ``argv[0]`` is one, so a
+    placeholder is never selected.
     """
     parser = argparse.ArgumentParser(
         prog="torsion-forge",
         description="Construct, verify, and tabulate torsion certificates "
         "for superelliptic curves y^d = f(x).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        prog=parser.prog,
+        parser_class=lambda real, **kwargs: argparse.ArgumentParser(**kwargs) if real else None,
+    )
     for name, help_text, add_arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if command in (None, name):
+        p = sub.add_parser(name, help=help_text, real=command in (None, name))
+        if p is not None:
             add_arguments(p)
     return parser
 

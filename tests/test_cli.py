@@ -121,6 +121,14 @@ def test_construct_out_writes_file(tmp_path, capsys):
     assert obj["identity_kind"] == "two-torsion-link"
 
 
+def test_construct_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "cert.json"
+    code, out, err = run_cli(
+        capsys, "construct", "--n", "5", "--d", "2", "--m", "7", "--out", str(target)
+    )
+    assert (code, out, err) == (2, "", "cannot write %s: No such file or directory\n" % (target,))
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -182,6 +190,24 @@ def test_verify_truncated_json_exits_2(tmp_path, capsys):
 def test_verify_missing_file_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'\xff{"curve": {}}',                         # not UTF-8
+        b"[" * 100000 + b"]" * 100000,                 # nested past the recursion limit
+        b'{"m": ' + b"7" * 5000 + b"}",                # past the int-string digit limit
+    ],
+    ids=["non-utf8", "deep-nesting", "huge-integer"],
+)
+def test_verify_undecodable_file_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "undecodable.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read certificate: ")
+    assert err.count("\n") == 1
 
 
 def test_verify_missing_key_exits_2(cert_file, tmp_path, capsys):
@@ -358,6 +384,25 @@ def test_scan_out_writes_certificate_files(tmp_path, capsys):
         assert cert_obj["m"] == row["m"]
         verify_code, _, _ = run_cli(capsys, "verify", path)
         assert verify_code == 0
+
+
+def test_scan_unwritable_certificate_path_exits_2(tmp_path, capsys):
+    report = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "scan", "--d", "2", "--n", "5", "--m", "6..7", "--construct", "--out", str(report)
+    )
+    cert = tmp_path / "missing" / "report-n5-m6.cert.json"
+    assert (code, out, err) == (2, "", "cannot write %s: No such file or directory\n" % (cert,))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_unwritable_report_exits_2(tmp_path, capsys, fmt):
+    report = tmp_path / "report"
+    report.mkdir()
+    code, out, err = run_cli(
+        capsys, "scan", "--d", "2", "--n", "5", "--m", "6..7", "--format", fmt, "--out", str(report)
+    )
+    assert (code, out, err) == (2, "", "cannot write %s: Is a directory\n" % (report,))
 
 
 def test_scan_bad_bounds_exit_2(capsys):

@@ -22,10 +22,12 @@ Two corpora are replayed through ``cli.main``, read-only:
   help, usage and error bytes.
 
 argparse wraps usage and help to the terminal width, which it reads from
-COLUMNS, so every case runs with COLUMNS=80.  ``main`` adds only the
-named subcommand's arguments; at COLUMNS=37, where Python versions wrap
-differently, the parser cases are compared with a parser that has every
-subcommand's arguments rather than pinned.
+COLUMNS, so every case runs with COLUMNS=80.  ``main`` builds a real
+parser only for the subcommand named first (the others are None
+placeholders that never parse); at COLUMNS=37, where Python versions wrap
+differently, the parser cases are compared with a parser built for every
+subcommand rather than pinned, and every argv the benchmark runs must
+parse to the same namespace either way.
 """
 
 from __future__ import annotations
@@ -181,12 +183,47 @@ def test_main_adds_the_arguments_of_the_named_command_only(capsys, tmp_path, mon
     assert capsys.readouterr().out.startswith("usage: torsion-forge construct [-h] --n N --d D")
 
 
-def test_build_parser_for_verify_leaves_the_other_commands_only_help():
-    parser = cli.build_parser("verify")
+FULL_OPTIONS = {
+    "construct": [["-h", "--help"], ["--n"], ["--d"], ["--m"], ["--e"], ["--style"],
+                  ["--c-range"], ["--oracle"], ["--out"]],
+    "verify": [["-h", "--help"], [], ["--oracle"]],
+    "scan": [["-h", "--help"], ["--d"], ["--n"], ["--m"], ["--preset"], ["--construct"],
+             ["--oracle"], ["--c-range"], ["--format"], ["--out"]],
+}
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {name: [a.option_strings for a in p._actions] for name, p in sub.choices.items()}
-    assert options == {
-        "construct": [["-h", "--help"]],
-        "verify": [["-h", "--help"], [], ["--oracle"]],
-        "scan": [["-h", "--help"]],
-    }
+    return {name: None if p is None else [a.option_strings for a in p._actions]
+            for name, p in sub.choices.items()}
+
+
+def test_build_parser_builds_a_parser_for_the_named_command_only():
+    assert _subparsers(cli.build_parser()) == FULL_OPTIONS
+    for command, options in FULL_OPTIONS.items():
+        expected = {name: options if name == command else None for name in FULL_OPTIONS}
+        assert _subparsers(cli.build_parser(command)) == expected
+
+
+def _parsed_argvs() -> list[list[str]]:
+    """Every argv the benchmark runs, and each parser case that parses."""
+    argvs = [entry["argv"]
+             for name in ("ladder-d2", "sweep-d3to7")
+             for entry in _load(BENCH_EXPECTED / (name + ".json"))["invocations"]]
+    argvs += [["verify", entry["id"] + ".json"]
+              for entry in _load(BENCH_EXPECTED / "replay-verify.json")["certificates"]]
+    for case in PARSER_CASES:
+        try:
+            cli.build_parser().parse_args(case["argv"])
+        except SystemExit:
+            continue
+        argvs.append(case["argv"])
+    return argvs
+
+
+def test_the_named_commands_parser_parses_like_the_full_parser():
+    argvs = _parsed_argvs()
+    assert len(argvs) == 98 + 58 + 345 + 2
+    for argv in argvs:
+        got = cli.build_parser(argv[0]).parse_args(argv)
+        assert got == cli.build_parser().parse_args(argv), argv
