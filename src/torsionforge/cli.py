@@ -203,12 +203,22 @@ def cmd_construct(args, parser) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, refusing a repeated key (json keeps its last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("duplicate key %r" % (key,))
+        obj[key] = value
+    return obj
+
+
 def cmd_verify(args) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+            obj = json.load(handle, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers bad JSON, non-UTF-8 bytes and over-long integers
+        # ValueError: bad JSON, a repeated key, non-UTF-8 bytes, over-long integers
         print("cannot read certificate: %s" % (exc,), file=sys.stderr)
         return EXIT_BAD_ARGS
     try:
@@ -266,7 +276,8 @@ def cmd_scan(args, parser) -> int:
     _check_budget(parser, args.c_range)
 
     # one dict per row; a constructed row also carries its "certificate"
-    # and, with --out, the "certificate_path" it was written to
+    # and, with --out, the "certificate_path" it is written to
+    base = None if args.out is None else os.path.splitext(args.out)[0]
     rows = []
     for n, m in _scan_rows(args, parser):
         verdict = reachability_verdict(n, args.d, m)
@@ -286,16 +297,9 @@ def cmd_scan(args, parser) -> int:
             if code != EXIT_OK:
                 return code
             row["certificate"] = cert
+            if base is not None:
+                row["certificate_path"] = "%s-n%d-m%d.cert.json" % (base, n, m)
         rows.append(row)
-
-    if args.out is not None:
-        base, _ = os.path.splitext(args.out)
-        for row in rows:
-            if "certificate" in row:
-                path = "%s-n%d-m%d.cert.json" % (base, row["n"], row["m"])
-                if _emit(row["certificate"].to_json_str(), path) != EXIT_OK:
-                    return EXIT_BAD_ARGS
-                row["certificate_path"] = path
 
     if args.format == "csv":
         import csv
@@ -309,12 +313,20 @@ def cmd_scan(args, parser) -> int:
                 [row["n"], row["d"], row["m"], row["status"], row["deciding_rule"],
                  row.get("certificate_path", "")]
             )
-        return _emit(buffer.getvalue(), args.out)
-    entries = [
-        {key: value.to_json_dict() if key == "certificate" else value for key, value in row.items()}
-        for row in rows
-    ]
-    return _emit(canonical_json({"d": args.d, "rows": entries}), args.out)
+        report = buffer.getvalue()
+    else:
+        entries = [
+            {key: value.to_json_dict() if key == "certificate" else value for key, value in row.items()}
+            for row in rows
+        ]
+        report = canonical_json({"d": args.d, "rows": entries})
+
+    # the report first, so an unwritable --out leaves no certificate file
+    code = _emit(report, args.out)
+    for row in rows:
+        if code == EXIT_OK and "certificate_path" in row:
+            code = _emit(row["certificate"].to_json_str(), row["certificate_path"])
+    return code
 
 
 # ---------------------------------------------------------------------------

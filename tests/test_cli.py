@@ -387,12 +387,22 @@ def test_scan_out_writes_certificate_files(tmp_path, capsys):
 
 
 def test_scan_unwritable_certificate_path_exits_2(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    cert = tmp_path / "report-n5-m6.cert.json"
+    cert.mkdir()
+    code, out, err = run_cli(
+        capsys, "scan", "--d", "2", "--n", "5", "--m", "6..7", "--construct", "--out", str(report)
+    )
+    assert (code, out, err) == (2, "", "cannot write %s: Is a directory\n" % (cert,))
+    assert json.loads(report.read_text())["rows"][0]["certificate_path"] == str(cert)
+
+
+def test_scan_report_in_a_missing_directory_exits_2(tmp_path, capsys):
     report = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(
         capsys, "scan", "--d", "2", "--n", "5", "--m", "6..7", "--construct", "--out", str(report)
     )
-    cert = tmp_path / "missing" / "report-n5-m6.cert.json"
-    assert (code, out, err) == (2, "", "cannot write %s: No such file or directory\n" % (cert,))
+    assert (code, out, err) == (2, "", "cannot write %s: No such file or directory\n" % (report,))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -400,9 +410,11 @@ def test_scan_unwritable_report_exits_2(tmp_path, capsys, fmt):
     report = tmp_path / "report"
     report.mkdir()
     code, out, err = run_cli(
-        capsys, "scan", "--d", "2", "--n", "5", "--m", "6..7", "--format", fmt, "--out", str(report)
+        capsys, "scan", "--d", "2", "--n", "5", "--m", "6..7", "--construct",
+        "--format", fmt, "--out", str(report),
     )
     assert (code, out, err) == (2, "", "cannot write %s: Is a directory\n" % (report,))
+    assert list(tmp_path.rglob("*.cert.json")) == []
 
 
 def test_scan_bad_bounds_exit_2(capsys):

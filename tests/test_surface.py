@@ -3,8 +3,9 @@
 ``bench/tracer.py`` hooks entry points of the package by name, from
 outside it; a deletion or rename under ``src/`` that drops one of those
 names breaks the traced benchmark, which no other test here runs.  Every
-exported name must also be used inside the package, so that surface only
-tests reach does not build up again.
+public name of every module must also be used inside the package, so
+that surface only tests reach does not build up again.  The package top
+level exports exactly the names the README's library example imports.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import torsionforge
 from torsionforge import certify, cli, constructors, curves, jacobian2, polyring, series
 from torsionforge.scalars import GaussianRational
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
+README = ROOT / "README.md"
 PACKAGE = Path(torsionforge.__file__).resolve().parent
 
 HOOKED = (
@@ -48,14 +51,41 @@ def _references(tree: ast.Module) -> set[str]:
     return found
 
 
+def _definitions(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level by def, class or assignment."""
+    found = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            found.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            found |= {node.id for target in targets for node in ast.walk(target)
+                      if isinstance(node, ast.Name)}
+    return found
+
+
 def test_every_public_name_is_used_inside_the_package():
-    used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name != "__init__.py":
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            used |= _references(tree)
-    dead = sorted(set(torsionforge.__all__) - used)
-    assert dead == []
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    used = set().union(*map(_references, trees))
+    public = {name for tree in trees for name in _definitions(tree) if not name.startswith("_")}
+    assert sorted(public - used) == []
+
+
+def _library_usage() -> str:
+    """The python block under the README's "Library usage" heading."""
+    section = README.read_text(encoding="utf-8").split("\n## Library usage\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_the_readme_library_example_runs_and_imports_the_whole_facade(capsys):
+    code = _library_usage()
+    imported = {alias.name for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom) and node.module == "torsionforge"
+                for alias in node.names}
+    assert set(torsionforge.__all__) == imported
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out == "reachable-constructive divisible-multiple\n"
 
 
 def test_tracer_install_and_restore(capsys):
