@@ -28,6 +28,14 @@ two-torsion-link  d == 2, m == 2n, v**2 - f == A*(x-a)**n * (x-w) with
                   has divisor n*(P) + (W) - (n+1)*(O) with W = (w, 0), so
                   n*(P-O) is nonzero two-torsion; P = (a, -v(a)).
 
+Since gcd(n, d) = 1 and d >= 2, n plus a multiple of d is never a
+multiple of d, so the two terms on the left of each identity never share
+a degree: its degree is the larger one, the pole order at O, and it is
+not zero.  (The link's v**2 - f reaches the degree n + 1 > n = deg f of
+its right side only if 2*deg v == n + 1.)  A monic right side of degree
+m matches only when that pole order is m, so each verifier builds the
+identity only then, and its ``pole-order`` line reports the same fact.
+
 Exactness rules
 ---------------
 
@@ -245,14 +253,9 @@ class _Report:
         return all(line.ok for line in self.lines)
 
 
-def _match_scaled_power(q: Poly, base: Poly, m: int, extra: Poly | None = None):
-    """A if q == A * base**m (times ``extra`` when given) for a nonzero
-    scalar A, else None; the zero q has degree -inf and fails the degree test."""
-    if q.degree != base.degree * m + (0 if extra is None else extra.degree):
-        return None
-    target = base ** m
-    if extra is not None:
-        target = target * extra
+def _match_scaled_power(q: Poly, target: Poly):
+    """A if q == A * target, else None; the pole-order gate makes q nonzero
+    and of the target's degree (see the module docstring), so A != 0."""
     A = q.leading_coefficient / target.leading_coefficient
     return A if q == target * A else None
 
@@ -355,10 +358,10 @@ def _verify_pure_power(r: _Report, cert: TorsionCertificate, curve: Curve):
         r.check("witness-present", False, "pure-power needs v and a")
         return
     v, a = cert.v, cert.a
-    A = _match_scaled_power(f - v ** d, Poly.x_minus(a), m)
+    pole = max(n, d * v.degree)
+    A = _match_scaled_power(f - v ** d, Poly.x_minus(a) ** m) if pole == m else None
     _check_identity(r, A, "f - v^%d == A*(x-a)^%d, a=%s" % (d, m, a))
-    dv = 0 if v.is_zero else d * v.degree
-    r.check("pole-order", max(n, dv) == m, "max(n, d*deg v) = %s, m = %d" % (max(n, dv), m))
+    r.check("pole-order", pole == m, "max(n, d*deg v) = %s, m = %d" % (pole, m))
     va = v(a)
     r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (va,))
     pt = _check_point(r, cert, curve, a, symbolic_ok=False)
@@ -376,10 +379,9 @@ def _verify_shift_power(r: _Report, cert: TorsionCertificate, curve: Curve):
     u, v, a = cert.u, cert.v, cert.a
     if not r.check("u-nonzero", not u.is_zero):
         return
-    A = _match_scaled_power(u ** d * f + v ** d, Poly.x_minus(a), m)
+    pole = max(d * u.degree + n, d * v.degree)
+    A = _match_scaled_power(u ** d * f + v ** d, Poly.x_minus(a) ** m) if pole == m else None
     _check_identity(r, A, "u^%d*f + v^%d == A*(x-a)^%d" % (d, d, m))
-    dv = 0 if v.is_zero else d * v.degree
-    pole = max(d * u.degree + n, dv)
     r.check("pole-order", pole == m, "pole order %s, m = %d" % (pole, m))
     va = v(a)
     r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (va,))
@@ -402,17 +404,13 @@ def _verify_infinity_shift(r: _Report, cert: TorsionCertificate, curve: Curve):
         return
     v, e = cert.v, cert.e
     r.check("order-form", m == n + e * d, "m=%d n=%d e=%d d=%d" % (m, n, e, d))
-    dv = 0 if v.is_zero else d * v.degree
-    # x^(ed)*f + v^d has no term strictly between dv and ed, and degree
-    # max(ed + n, dv) unless the two are equal; A*(1+x)^m has every term
-    # up to degree m.  Either mismatch fails the identity before
-    # x^(ed), whose size the input does not bound, is built.
-    A = None
-    if e * d <= dv + 1 and (e * d + n == dv or max(e * d + n, dv) == m):
-        q = Poly.x_power(e * d) * f + v ** d
-        A = _match_scaled_power(q, Poly((1, 1)), m)
+    dv = d * v.degree  # -inf for the zero v
+    pole = max(e * d + n, dv)
+    # (1+x)^m has every term up to m, x^(ed)*f + v^d none strictly between dv and ed
+    gate = pole == m and e * d <= dv + 1
+    A = _match_scaled_power(Poly.x_power(e * d) * f + v ** d, Poly((1, 1)) ** m) if gate else None
     _check_identity(r, A, "x^(ed)*f + v^%d == A*(1+x)^%d" % (d, m))
-    r.check("pole-order", max(e * d + n, dv) == m, "pole order %s" % (max(e * d + n, dv),))
+    r.check("pole-order", pole == m, "pole order %s" % (pole,))
     vm1 = v(Fraction(-1))
     r.check("witness-nonzero-at-a", vm1 != 0, "v(-1)=%s" % (vm1,))
     pt = _check_point(r, cert, curve, Fraction(-1), symbolic_ok=True)
@@ -446,13 +444,10 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
     r.check("link-root-distinct", w != a, "w=%s a=%s" % (w, a))
     vw = v(w)
     r.check("witness-vanishes-at-link", vw == 0, "v(w)=%s" % (vw,))
-    A = _match_scaled_power(v ** 2 - f, Poly.x_minus(a), n, extra=u)
+    pole_ok = v.degree * 2 == n + 1
+    A = _match_scaled_power(v ** 2 - f, Poly.x_minus(a) ** n * u) if pole_ok else None
     _check_identity(r, A, "v^2 - f == A*(x-a)^%d*(x-w)" % (n,))
-    r.check(
-        "pole-order",
-        v.degree * 2 == n + 1,
-        "deg v = %s, (n+1)/2 = %s" % (v.degree, Fraction(n + 1, 2)),
-    )
+    r.check("pole-order", pole_ok, "deg v = %s, (n+1)/2 = %s" % (v.degree, Fraction(n + 1, 2)))
     va = v(a)
     r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (va,))
     pt = _check_point(r, cert, curve, a, symbolic_ok=False)

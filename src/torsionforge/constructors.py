@@ -57,7 +57,7 @@ from .certify import (
 from .curves import AffinePoint, Curve, CurveError
 from .polyring import Poly
 from .scalars import GAUSSIAN_I
-from .series import TruncationSpec, check_truncation_valuation, truncated_binomial, truncation_quotient
+from .series import check_truncation_valuation, truncated_binomial, truncation_quotient
 
 SEARCH_LIMIT_ENV = "TORSION_FORGE_SEARCH_LIMIT"
 DEFAULT_SEARCH_LIMIT = 64
@@ -280,10 +280,9 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
         raise PreconditionError("requires e >= 1, got e=%d" % (e,))
     m = n + e * d
     E = e * d
-    spec = TruncationSpec(m=m, d=d, E=E)
-    check_truncation_valuation(spec)
-    V = truncated_binomial(spec)
-    f = truncation_quotient(spec, V)
+    check_truncation_valuation(m, d, E)
+    V = truncated_binomial(m, d, E)
+    f = truncation_quotient(m, d, E, V)
     curve = Curve(d, n, f)
     symbolic = d % 2 == 0 and d > 2
     lam = point = None

@@ -10,7 +10,9 @@ construction makes three calls, once each: the gate
 :func:`check_truncation_valuation` (the m > d*(E-1) hypothesis, whose
 docstring proves the exact order), :func:`truncated_binomial` for V,
 and :func:`truncation_quotient`, one exact division of
-(1+x)**m - V**d by x**E.
+(1+x)**m - V**d by x**E.  Each takes (m, d, E) as given: callers
+guarantee d >= 2, m >= 1, E >= 1 and gcd(m, d) = 1 (the n+e*d shape
+check n > d >= 2, gcd(n, d) = 1 and e >= 1 proves all four).
 
 Two classical identities hold; acceptance criterion 7 checks them:
 
@@ -23,9 +25,7 @@ binom(r-1, E) there is a classic slip, which the test suite pins down.)
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
-from math import gcd as int_gcd
 
 from .polyring import Poly, exact_div
 from .scalars import gen_binom
@@ -35,47 +35,13 @@ class HypothesisError(ValueError):
     """An inequality hypothesis required by a construction fails."""
 
 
-class TruncationSpec(namedtuple("TruncationSpec", "m d E")):
-    """Exponent data m/d with truncation length E.
-
-    Invariants: d >= 2, m >= 1, gcd(m, d) == 1 (so the exponent r = m/d
-    is a noninteger rational), E >= 1; checked on construction, by
-    ``_replace`` too.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, m, d, E):
-        if d < 2:
-            raise ValueError("denominator d must be at least 2, got %r" % (d,))
-        if m < 1:
-            raise ValueError("numerator m must be positive, got %r" % (m,))
-        if E < 1:
-            raise ValueError("truncation length E must be >= 1, got %r" % (E,))
-        if int_gcd(m, d) != 1:
-            raise ValueError(
-                "exponent m/d must be in lowest terms with d > 1: gcd(%d, %d) != 1"
-                % (m, d)
-            )
-        return super().__new__(cls, m, d, E)
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through ``__new__``, so that ``_replace`` validates too."""
-        return cls(*iterable)
-
-    @property
-    def r(self) -> Fraction:
-        return Fraction(self.m, self.d)
-
-
-def truncated_binomial(spec: TruncationSpec) -> Poly:
+def truncated_binomial(m: int, d: int, E: int) -> Poly:
     """The polynomial sum_{k<E} binom(m/d, k) x**k, of degree exactly E-1."""
-    r = spec.r
-    return Poly(tuple(gen_binom(r, k) for k in range(spec.E)))
+    r = Fraction(m, d)
+    return Poly(tuple(gen_binom(r, k) for k in range(E)))
 
 
-def check_truncation_valuation(spec: TruncationSpec) -> None:
+def check_truncation_valuation(m: int, d: int, E: int) -> None:
     """Raise HypothesisError unless m > d*(E-1).
 
     Under that hypothesis (1+x)**m - V**d, V the truncated series,
@@ -85,19 +51,19 @@ def check_truncation_valuation(spec: TruncationSpec) -> None:
     binom(m/d, E) != 0 because m/d is not an integer.  The difference is
     never zero: deg V**d = d*(E-1) < m.
     """
-    floor = spec.d * (spec.E - 1)
-    if spec.m <= floor:
+    floor = d * (E - 1)
+    if m <= floor:
         raise HypothesisError(
-            "need m > d*(E-1): m=%d, d*(E-1)=%d" % (spec.m, floor)
+            "need m > d*(E-1): m=%d, d*(E-1)=%d" % (m, floor)
         )
 
 
-def truncation_quotient(spec: TruncationSpec, v: Poly) -> Poly:
-    """((1+x)**m - v**d) / x**E, exact, for v = ``truncated_binomial(spec)``.
+def truncation_quotient(m: int, d: int, E: int, v: Poly) -> Poly:
+    """((1+x)**m - v**d) / x**E, exact, for v = ``truncated_binomial(m, d, E)``.
 
     Under the hypothesis of :func:`check_truncation_valuation` this is a
     degree m - E polynomial; the division is exact rather than trusting
     that, so a short vanishing order raises DivisibilityError.
     """
-    diff = Poly((1, 1)) ** spec.m - v ** spec.d
-    return exact_div(diff, Poly.x_power(spec.E))
+    diff = Poly((1, 1)) ** m - v ** d
+    return exact_div(diff, Poly.x_power(E))

@@ -40,7 +40,6 @@ from torsionforge.polyring import Poly, is_squarefree
 from torsionforge.scalars import GaussianRational, gen_binom
 from torsionforge.series import (
     HypothesisError,
-    TruncationSpec,
     check_truncation_valuation,
     truncated_binomial,
     truncation_quotient,
@@ -154,12 +153,11 @@ def truncation_grid(max_m: int = 40):
 def test_criterion_06_truncation_valuation_and_quotients():
     cases = 0
     for d, E, m in truncation_grid():
-        spec = TruncationSpec(m=m, d=d, E=E)
-        check_truncation_valuation(spec)
-        V = truncated_binomial(spec)
+        check_truncation_valuation(m, d, E)
+        V = truncated_binomial(m, d, E)
         diff = Poly((1, 1)) ** m - V ** d
         assert next(k for k, c in enumerate(diff.coeffs) if c) == E, (d, E, m)
-        assert is_squarefree(truncation_quotient(spec, V)), (d, E, m)
+        assert is_squarefree(truncation_quotient(m, d, E, V)), (d, E, m)
         # d is prime on this grid: d | den V(-1) means v_d(V(-1)) < 0
         value = V(Fraction(-1))
         assert value != 0 and value.denominator % d == 0, (d, E, m)
@@ -177,8 +175,8 @@ def test_criterion_07_recurrence_and_derivative_identities():
     cases = 0
     for d, E, m in truncation_grid():
         r = Fraction(m, d)
-        V = truncated_binomial(TruncationSpec(m=m, d=d, E=E))
-        V_prev = truncated_binomial(TruncationSpec(m=m - d, d=d, E=E - 1))
+        V = truncated_binomial(m, d, E)
+        V_prev = truncated_binomial(m - d, d, E - 1)
         tail = Poly.monomial(gen_binom(r - 1, E - 1), E - 1)
         assert V == one_plus_x * V_prev + tail, (d, E, m)
         assert V.derivative() == V_prev * r, (d, E, m)

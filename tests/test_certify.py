@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torsionforge import cli
+from torsionforge import cli, polyring
 
 from torsionforge.certify import (
+    CheckLine,
     PreconditionError,
     RULE_TWO_TORSION,
     STATUS_CONSTRUCTIVE,
@@ -240,6 +241,28 @@ def test_two_torsion_link_requires_witness_vanishing_at_link():
     assert "witness-vanishes-at-link" in failed or "identity" in failed
 
 
+def _exit_path_cases() -> list[dict]:
+    return json.loads((Path(__file__).resolve().parent / "data" / "cli_exit_paths.json")
+                      .read_text(encoding="utf-8"))["cases"]
+
+
+def _verify_recording_the_longest_poly(monkeypatch, cert):
+    """verify_certificate(cert), and the most coefficients of any
+    polynomial it built (every Poly is made by ``polyring._make``)."""
+    make = polyring._make
+    longest = 0
+
+    def recording_make(num, den):
+        nonlocal longest
+        longest = max(longest, len(num))
+        return make(num, den)
+
+    monkeypatch.setattr(polyring, "_make", recording_make)
+    ok, lines = verify_certificate(cert)
+    monkeypatch.setattr(polyring, "_make", make)
+    return ok, lines, longest
+
+
 @pytest.mark.parametrize("consistent_m", [False, True])
 def test_infinity_shift_rejects_huge_e_without_building_the_product(monkeypatch, consistent_m):
     """x^(ed) is never built when the identity's degree or low terms cannot match."""
@@ -253,12 +276,79 @@ def test_infinity_shift_rejects_huge_e_without_building_the_product(monkeypatch,
     cert = construct_n_plus_ed(5, 2, 1)
     e = 10 ** 9
     bad = cert._replace(e=e, m=5 + 2 * e if consistent_m else cert.m)
-    ok, lines = verify_certificate(bad)
+    ok, lines, longest = _verify_recording_the_longest_poly(monkeypatch, bad)
     assert not ok
     failed = {l.name for l in lines if not l.ok}
     assert "identity" in failed
     assert ("order-form" in failed) is not consistent_m
+    assert longest <= bad.curve.n + 2
     assert verify_certificate(cert)[0]
+
+
+def _pole_mismatch_certificate(kind: str) -> TorsionCertificate:
+    """A certificate whose m disagrees with its degrees: the two pinned
+    d = 40 exit-path cases (deg v = 40, so v**40 has degree 1600), and a
+    two-torsion link whose v gains an x**800 term."""
+    if kind == "two-torsion-link":
+        cert = construct_div_d(5, 2, 10)
+        return cert._replace(v=cert.v + Poly.monomial(1, 800))
+    case = next(c for c in _exit_path_cases() if c["name"] == "verify-%s-pole-mismatch" % (kind,))
+    return TorsionCertificate.from_json_dict(json.loads(case["input"]))
+
+
+@pytest.mark.parametrize("kind", ["pure-power", "shift-power", "two-torsion-link"])
+def test_a_pole_order_mismatch_builds_no_power_of_the_witness(monkeypatch, kind):
+    """The pole-order gate fails the identity before its left side is
+    built: verify builds no polynomial longer than n + 2 coefficients."""
+    cert = _pole_mismatch_certificate(kind)
+    assert cert.identity_kind == kind
+    ok, lines, longest = _verify_recording_the_longest_poly(monkeypatch, cert)
+    assert not ok
+    assert {"identity", "pole-order"} <= {l.name for l in lines if not l.ok}
+    assert longest <= cert.curve.n + 2
+
+
+def _ungated_identity_line(cert: TorsionCertificate) -> CheckLine:
+    """The identity line of ``cert`` with no pole-order gate: build q and
+    the target and compare q with A*target, A the ratio of their leading
+    coefficients, whatever their degrees."""
+    d, n, f, m = cert.curve.d, cert.curve.n, cert.curve.f, cert.m
+    u, v, a, e = cert.u, cert.v, cert.a, cert.e
+    if cert.identity_kind == "pure-power":
+        q, target = f - v ** d, Poly.x_minus(a) ** m
+        claim = "f - v^%d == A*(x-a)^%d, a=%s" % (d, m, a)
+    elif cert.identity_kind == "shift-power":
+        q, target = u ** d * f + v ** d, Poly.x_minus(a) ** m
+        claim = "u^%d*f + v^%d == A*(x-a)^%d" % (d, d, m)
+    elif cert.identity_kind == "infinity-shift":
+        q, target = Poly.x_power(e * d) * f + v ** d, Poly((1, 1)) ** m
+        claim = "x^(ed)*f + v^%d == A*(1+x)^%d" % (d, m)
+    else:
+        q, target = v ** 2 - f, Poly.x_minus(a) ** n * u
+        claim = "v^2 - f == A*(x-a)^%d*(x-w)" % (n,)
+    A = q.leading_coefficient / target.leading_coefficient if q else None
+    if A is None or q != target * A:
+        return CheckLine("identity", False, claim)
+    return CheckLine("identity", True, "%s, A=%s" % (claim, A))
+
+
+def test_the_pole_order_gate_decides_the_identity_as_the_ungated_comparison():
+    certs = certificates_of_every_kind() + [
+        TorsionCertificate.from_json_dict(json.loads(case["input"]))
+        for case in _exit_path_cases() if "shift-power" in case["name"]]
+    compared = 0
+    for cert in certs:
+        d = cert.curve.d
+        variants = [cert._replace(m=cert.m + dm) for dm in (0, -1, 1, -d, d)]
+        if cert.v is not None:
+            top = Poly.monomial(1, max(cert.v.degree, 0) + 1)
+            variants += [cert._replace(v=cert.v + top), cert._replace(v=Poly.zero())]
+        for variant in variants:
+            line = next((l for l in verify_certificate(variant)[1] if l.name == "identity"), None)
+            if line is not None:
+                assert line == _ungated_identity_line(variant), variant
+                compared += 1
+    assert compared == 83
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +549,9 @@ def test_d2_certificate_the_verifier_accepts_has_the_oracle_order(order, mutatio
 # verifier reports pinned over a mutation corpus
 # ---------------------------------------------------------------------------
 
-# sha256 over the reports below, captured from commit 66088aa
-MUTATION_CORPUS_SHA256 = "d54209bb9ca3f3c80f5c90f43cd750d018a741c984a978b1eb072a5611e664a0"
+# sha256 over the reports below, captured from commit a7d3aa3 (the corpus
+# of commit 66088aa plus the pole-mismatch shift-power exit-path case)
+MUTATION_CORPUS_SHA256 = "08a3b685ce72df9d5772b2a1b8fb7373e05d52e16289aadccc0c80fe6b797474"
 
 KINDS = ("pure-power", "shift-power", "infinity-shift", "order-d", "two-torsion-link")
 
@@ -479,10 +570,8 @@ def _mutation_corpus() -> list[TorsionCertificate]:
                     certs.append(construct(ConstructionRequest(n=n, d=d, m=m)))
                 except (PreconditionError, HypothesisError, CurveError, SearchExhausted):
                     pass
-    cases = json.loads((Path(__file__).resolve().parent / "data" / "cli_exit_paths.json")
-                       .read_text(encoding="utf-8"))["cases"]
     certs += [TorsionCertificate.from_json_dict(json.loads(case["input"]))
-              for case in cases if "shift-power" in case["name"]]
+              for case in _exit_path_cases() if "shift-power" in case["name"]]
     return certs
 
 
@@ -516,7 +605,7 @@ def _mutations(cert: TorsionCertificate):
 
 def test_verifier_reports_over_the_mutation_corpus_are_pinned():
     certs = _mutation_corpus()
-    assert len(certs) == 110
+    assert len(certs) == 111
     digest = hashlib.sha256()
     reports = 0
     for cert in certs:
@@ -524,7 +613,7 @@ def test_verifier_reports_over_the_mutation_corpus_are_pinned():
             ok, lines = verify_certificate(mutant)
             digest.update(repr((ok, [str(line) for line in lines])).encode())
             reports += 1
-    assert reports == 3584
+    assert reports == 3617
     assert digest.hexdigest() == MUTATION_CORPUS_SHA256
 
 

@@ -11,7 +11,6 @@ from torsionforge.polyring import DivisibilityError, Poly, is_squarefree
 from torsionforge.scalars import gen_binom
 from torsionforge.series import (
     HypothesisError,
-    TruncationSpec,
     check_truncation_valuation,
     truncated_binomial,
     truncation_quotient,
@@ -33,51 +32,29 @@ def test_grid_is_large_enough_to_mean_something():
 
 def test_truncated_binomial_is_a_series_prefix():
     # coefficients are exactly the generalized binomials C(m/d, k)
-    spec = TruncationSpec(m=7, d=2, E=2)
-    V = truncated_binomial(spec)
+    V = truncated_binomial(7, 2, 2)
     assert V == Poly((1, Fraction(7, 2)))
-    spec = TruncationSpec(m=9, d=2, E=4)
-    V = truncated_binomial(spec)
+    V = truncated_binomial(9, 2, 4)
     assert [V[k] for k in range(4)] == [gen_binom(Fraction(9, 2), k) for k in range(4)]
-
-
-def test_truncation_spec_validation():
-    with pytest.raises(ValueError):
-        TruncationSpec(m=6, d=2, E=3)     # gcd(m, d) != 1
-    with pytest.raises(ValueError):
-        TruncationSpec(m=7, d=1, E=3)
-    with pytest.raises(ValueError):
-        TruncationSpec(m=7, d=2, E=0)
-
-
-def test_every_copy_of_a_truncation_spec_is_validated():
-    spec = TruncationSpec(m=7, d=2, E=3)
-    with pytest.raises(ValueError):
-        spec._replace(m=6)                # gcd(m, d) != 1
-    with pytest.raises(ValueError):
-        TruncationSpec._make((6, 2, 3))
-    assert spec._replace(m=9) == TruncationSpec._make((9, 2, 3)) == TruncationSpec(m=9, d=2, E=3)
 
 
 def test_valuation_hypothesis_is_enforced():
     # m must exceed d*(E-1) for the cancellation to reach x^E
     with pytest.raises(HypothesisError, match=r"need m > d\*\(E-1\): m=9, d\*\(E-1\)=12"):
-        check_truncation_valuation(TruncationSpec(m=9, d=4, E=4))
-    assert check_truncation_valuation(TruncationSpec(m=13, d=4, E=4)) is None
+        check_truncation_valuation(9, 4, 4)
+    assert check_truncation_valuation(13, 4, 4) is None
 
 
 def test_valuation_is_exactly_E_on_the_grid():
     for d, E, m in grid():
-        spec = TruncationSpec(m=m, d=d, E=E)
-        check_truncation_valuation(spec)
-        diff = Poly((1, 1)) ** m - truncated_binomial(spec) ** d
+        check_truncation_valuation(m, d, E)
+        diff = Poly((1, 1)) ** m - truncated_binomial(m, d, E) ** d
         assert next(k for k, c in enumerate(diff.coeffs) if c) == E, (d, E, m)
 
 
 def test_quotient_degree_and_exactness():
-    spec = TruncationSpec(m=7, d=2, E=2)
-    V = truncated_binomial(spec)
-    q = truncation_quotient(spec, V)
+    V = truncated_binomial(7, 2, 2)
+    q = truncation_quotient(7, 2, 2, V)
     assert q.degree == 5
     assert Poly.x_power(2) * q == Poly((1, 1)) ** 7 - V ** 2
     # the worked constant: x^5 + 7x^4 + 21x^3 + 35x^2 + 35x + 35/4
@@ -86,15 +63,13 @@ def test_quotient_degree_and_exactness():
 
 def test_quotient_refuses_a_short_valuation():
     # a wrong top coefficient leaves (1+x)^7 - V^2 divisible by x only
-    spec = TruncationSpec(m=7, d=2, E=2)
     with pytest.raises(DivisibilityError):
-        truncation_quotient(spec, Poly((1, 3)))
+        truncation_quotient(7, 2, 2, Poly((1, 3)))
 
 
 def test_quotients_squarefree_on_the_grid():
     for d, E, m in grid(30):
-        spec = TruncationSpec(m=m, d=d, E=E)
-        assert is_squarefree(truncation_quotient(spec, truncated_binomial(spec))), (d, E, m)
+        assert is_squarefree(truncation_quotient(m, d, E, truncated_binomial(m, d, E))), (d, E, m)
 
 
 def test_recurrence_with_corrected_tail_term():
@@ -109,8 +84,8 @@ def test_recurrence_with_corrected_tail_term():
         if E < 2 or m - d <= d * (E - 2):
             continue
         r = Fraction(m, d)
-        V = truncated_binomial(TruncationSpec(m=m, d=d, E=E))
-        V_prev = truncated_binomial(TruncationSpec(m=m - d, d=d, E=E - 1))
+        V = truncated_binomial(m, d, E)
+        V_prev = truncated_binomial(m - d, d, E - 1)
         tail = Poly.monomial(gen_binom(r - 1, E - 1), E - 1)
         assert V == one_plus_x * V_prev + tail, (d, E, m)
         wrong_tail = Poly.monomial(gen_binom(r - 1, E), E - 1)
@@ -125,8 +100,8 @@ def test_derivative_identity_on_the_grid():
         if m - d <= d * (E - 2):
             continue
         r = Fraction(m, d)
-        V = truncated_binomial(TruncationSpec(m=m, d=d, E=E))
-        V_prev = truncated_binomial(TruncationSpec(m=m - d, d=d, E=E - 1))
+        V = truncated_binomial(m, d, E)
+        V_prev = truncated_binomial(m - d, d, E - 1)
         assert V.derivative() == V_prev * r, (d, E, m)
 
 
@@ -135,7 +110,7 @@ def test_value_at_minus_one_is_never_a_p_integer():
     # its denominator, so nothing in the alternating sum cancels it:
     # p | denominator of V(-1) says v_p(V(-1)) < 0, hence V(-1) != 0
     for d, E, m in grid(30):
-        value = truncated_binomial(TruncationSpec(m=m, d=d, E=E))(Fraction(-1))
+        value = truncated_binomial(m, d, E)(Fraction(-1))
         for p in (2, 3, 5):
             if d % p != 0:
                 continue
