@@ -18,20 +18,19 @@ short and free of gcds:
   isomorphism over Q(i) from y**2 = f onto y**2 = -f that fixes O, so
   :func:`embed_point` maps P - O to a divisor over Q of the same order
   on the twist, and every step of the scan runs on rationals.
-* Adding the base point.  Each scan step adds a fixed E = (x - a, b) to
-  D = (u1, v1).  The composed pair is u = u1*(x - a), v = v1 + c*u1 for
-  a constant c, so v agrees with v1 modulo u1 and only v**2 = f modulo
-  the new factor x - a is left to solve:
+* One group law.  :func:`add` composes D1 = (u1, v1) with D2 in one of
+  three ways, then reduces.  When D2 = (x - a, b), as at every scan
+  step, u = u1*(x - a) and v = v1 + c*u1 for a constant c, so v agrees
+  with v1 modulo u1 and only v**2 = f modulo x - a is left to solve:
   - interpolation: if u1(a) != 0, c = (b - v1(a))/u1(a) makes v(a) = b;
   - Newton lift: if u1(a) = 0 and v1(a) = b != 0, then
     w = (f - v1**2)/u1 is a polynomial and c = w(a)/(2b) makes
     (x - a)*u1 divide v**2 - f;
-  - otherwise (b = 0, v1(a) = -b, or E of degree other than 1) the
-    step is Cantor's composition.
+  - otherwise (b = 0, v1(a) = -b, or D2 of degree other than 1) the
+    pair comes from Cantor's composition.
   In the first two cases gcd(u1, x - a, v1 + b) = 1, so Cantor's
-  composition yields a pair with the same u and the same v modulo u;
-  both go through the one reduction, and reduced Mumford pairs are
-  unique, so the step returns exactly what Cantor's addition does.
+  composition yields the same u and the same v modulo u; reduced
+  Mumford pairs are unique, so one reduction gives Cantor's sum.
 * Half-length scan.  Once 2k >= bound, k*D + (bound-k)*D = bound*D, so
   bound*D = 0 exactly when k*D equals -(bound-k)*D (reduced Mumford
   pairs are unique).  Then the order divides bound, and each proper
@@ -117,9 +116,7 @@ def embed_point(curve: Curve, point: AffinePoint):
         if y.im:
             curve = _Twist(curve.d, -curve.f, curve.genus)
         y = y.im or y.re
-    D = MumfordDivisor(Poly((-point.x, 1)), Poly.constant(y))
-    validate(curve, D)
-    return curve, D
+    return curve, MumfordDivisor(Poly((-point.x, 1)), Poly.constant(y))
 
 
 def neg(curve: Curve, D: MumfordDivisor) -> MumfordDivisor:
@@ -128,25 +125,34 @@ def neg(curve: Curve, D: MumfordDivisor) -> MumfordDivisor:
 
 
 def add(curve: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-    """Cantor addition of reduced divisors; result is reduced and validated."""
+    """D1 + D2, composed by interpolation, Newton lift or Cantor (see the
+    module docstring), then reduced by Cantor's loop and validated."""
     _require_d2(curve)
-    f = curve.f
+    f, g = curve.f, curve.genus
     u1, v1 = D1.u, D1.v
     u2, v2 = D2.u, D2.v
 
-    # composition: d = s1*u1 + s2*u2 + s3*(v1 + v2) = gcd(u1, u2, v1 + v2)
-    d0, e1, e2 = xgcd(u1, u2)
-    d, c1, c2 = xgcd(d0, v1 + v2)
-    s1, s2, s3 = c1 * e1, c1 * e2, c2
+    c = None
+    if u2.degree == 1:
+        a, b = -u2[0], v2[0]
+        at_a = u1(a)
+        if at_a:
+            c = (b - v1(a)) / at_a
+        elif b and v1(a) == b:
+            c = exact_div(f - v1 ** 2, u1)(a) / (2 * b)
+    if c is not None:
+        u, v = u1 * u2, v1 + u1 * c
+    else:
+        # composition: d = s1*u1 + s2*u2 + s3*(v1 + v2) = gcd(u1, u2, v1 + v2)
+        d0, e1, e2 = xgcd(u1, u2)
+        d, c1, c2 = xgcd(d0, v1 + v2)
+        s1, s2, s3 = c1 * e1, c1 * e2, c2
 
-    u = exact_div(u1 * u2, d * d)
-    num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
-    return _reduce(curve, u, exact_div(num, d) % u)
+        u = exact_div(u1 * u2, d * d)
+        num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
+        v = exact_div(num, d) % u
 
-
-def _reduce(curve, u: Poly, v: Poly) -> MumfordDivisor:
-    """Cantor's reduction of a semi-reduced pair (u, v); the result is validated."""
-    f, g = curve.f, curve.genus
+    # reduction
     while u.degree > g:
         u_next = exact_div(f - v ** 2, u).monic()
         v = (-v) % u_next
@@ -154,27 +160,6 @@ def _reduce(curve, u: Poly, v: Poly) -> MumfordDivisor:
     out = MumfordDivisor(u, v)
     validate(curve, out)
     return out
-
-
-def _add_point(curve, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
-    """D + E, without a gcd when E = (x - a, b); equals ``add(curve, D, E)``.
-
-    Interpolation, Newton lift or Cantor's composition, as the module
-    docstring sets out.
-    """
-    _require_d2(curve)
-    if E.u.degree != 1:
-        return add(curve, D, E)
-    a, b = -E.u[0], E.v[0]
-    u1, v1 = D.u, D.v
-    at_a = u1(a)
-    if at_a:
-        c = (b - v1(a)) / at_a
-    elif b and v1(a) == b:
-        c = exact_div(curve.f - v1 ** 2, u1)(a) / (2 * b)
-    else:
-        return add(curve, D, E)
-    return _reduce(curve, u1 * E.u, v1 + u1 * c)
 
 
 def order_of(curve: Curve, D: MumfordDivisor, bound: int) -> int:
@@ -198,7 +183,7 @@ def order_of(curve: Curve, D: MumfordDivisor, bound: int) -> int:
         # at k = ceil(bound/2): is k*D == -(bound-k)*D, i.e. bound*D = 0?
         if k == half and acc == neg(curve, prev if bound % 2 else acc):
             return bound
-        acc, prev = _add_point(curve, acc, D), acc
+        acc, prev = add(curve, acc, D), acc
     raise OrderNotFoundError(
         "no order <= %d found for %s" % (bound, D)
     )

@@ -244,10 +244,7 @@ class Poly:
             acc, qk = acc * p + c * qk, qk * q
         return Fraction(acc * q, self._den * qk)
 
-    # -- calculus and transforms ---------------------------------------------
-
-    def derivative(self) -> "Poly":
-        return _make([k * c for k, c in enumerate(self._num) if k], self._den)
+    # -- normal form ----------------------------------------------------------
 
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:

@@ -170,6 +170,11 @@ def test_criterion_06_truncation_valuation_and_quotients():
     )
 
 
+def derivative(f):
+    """f', coefficient by coefficient."""
+    return Poly([k * c for k, c in enumerate(f.coeffs) if k])
+
+
 def test_criterion_07_recurrence_and_derivative_identities():
     one_plus_x = Poly((1, 1))
     cases = 0
@@ -179,7 +184,7 @@ def test_criterion_07_recurrence_and_derivative_identities():
         V_prev = truncated_binomial(m - d, d, E - 1)
         tail = Poly.monomial(gen_binom(r - 1, E - 1), E - 1)
         assert V == one_plus_x * V_prev + tail, (d, E, m)
-        assert V.derivative() == V_prev * r, (d, E, m)
+        assert derivative(V) == V_prev * r, (d, E, m)
         cases += 1
     assert cases >= 200
     print(

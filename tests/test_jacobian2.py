@@ -28,7 +28,7 @@ from torsionforge.jacobian2 import (
     order_of,
     validate,
 )
-from torsionforge.polyring import Poly
+from torsionforge.polyring import Poly, exact_div, xgcd
 from torsionforge.scalars import GaussianRational
 
 
@@ -297,6 +297,9 @@ def test_embed_point_by_the_field_of_the_ordinate():
     assert model.f == -curve.f and E == MumfordDivisor(Poly((1, 1)), Poly((1,)))
     with pytest.raises(ValueError):
         embed_point(curve, AffinePoint(Fraction(0), GaussianRational(1, 1)))
+    # f(-1) = -1, so (-1, 1 + i) passes the twist's test -f(-1) = 1**2 but is off the curve
+    with pytest.raises(ValueError):
+        embed_point(curve, AffinePoint(Fraction(-1), GaussianRational(1, 1)))
 
 
 def ladder_certificates(max_n):
@@ -315,82 +318,97 @@ def test_order_of_matches_the_reference_scan_on_the_ladders():
 
 
 # ---------------------------------------------------------------------------
-# order_of's step: adding the base point without a gcd
+# add's three compositions against Cantor's algorithm alone
 # ---------------------------------------------------------------------------
 
 # y^2 = x^5 - x + 1 carries (0, +-1), (1, +-1) and (-1, +-1)
 THREE_POINTS = Curve(2, 5, Poly((1, -1, 0, 0, 0, 1)))
 
 
+def cantor_add(curve, D1, D2):
+    """D1 + D2 by Cantor's composition through a three-way extended gcd,
+    then his reduction (Math. Comp. 48, 1987): the reference for ``add``."""
+    f = curve.f
+    (u1, v1), (u2, v2) = D1, D2
+    d0, e1, e2 = xgcd(u1, u2)
+    d, c1, c2 = xgcd(d0, v1 + v2)
+    u = exact_div(u1 * u2, d * d)
+    num = c1 * e1 * u1 * v2 + c1 * e2 * u2 * v1 + c2 * (v1 * v2 + f)
+    v = exact_div(num, d) % u
+    while u.degree > curve.genus:
+        u = exact_div(f - v ** 2, u).monic()
+        v = (-v) % u
+    return MumfordDivisor(u, v)
+
+
 @pytest.fixture
-def add_calls(monkeypatch):
-    """Count the steps that fall back to Cantor's ``jacobian2.add``."""
+def xgcd_calls(monkeypatch):
+    """Count the calls ``add`` makes into ``jacobian2.xgcd``: two per Cantor composition."""
     calls = []
-    cantor = jacobian2.add
 
-    def counted(curve, D1, D2):
-        calls.append(D1)
-        return cantor(curve, D1, D2)
+    def counted(f, g):
+        calls.append((f, g))
+        return xgcd(f, g)
 
-    monkeypatch.setattr(jacobian2, "add", counted)
+    monkeypatch.setattr(jacobian2, "xgcd", counted)
     return calls
 
 
 def branch(D, E):
     """The case of the module docstring that D + E falls into."""
     if E.u.degree != 1:
-        return "fallback"
+        return "composition"
     a, b = -E.u[0], E.v[0]
     if D.u(a):
         return "interpolation"
-    return "newton" if b and D.v(a) == b else "fallback"
+    return "newton" if b and D.v(a) == b else "composition"
 
 
-def assert_step(curve, D, E, expected, add_calls):
-    """_add_point equals add on D + E, takes the named case and returns the sum."""
+def assert_step(curve, D, E, expected, xgcd_calls):
+    """add equals cantor_add on D + E, takes the named case and returns the sum."""
     assert branch(D, E) == expected
-    before = len(add_calls)
-    out = jacobian2._add_point(curve, D, E)
-    assert out == add(curve, D, E)
-    assert len(add_calls) - before == (expected == "fallback")
+    before = len(xgcd_calls)
+    out = add(curve, D, E)
+    assert out == cantor_add(curve, D, E)
+    assert len(xgcd_calls) - before == (2 if expected == "composition" else 0)
     return out
 
 
-def test_interpolation_through_a_second_point(add_calls):
+def test_interpolation_through_a_second_point(xgcd_calls):
     P = embed(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
     Q = embed(THREE_POINTS, AffinePoint(Fraction(1), Fraction(1)))
     # the line through (0, 1) and (1, 1) is v = 1
-    S = assert_step(THREE_POINTS, P, Q, "interpolation", add_calls)
+    S = assert_step(THREE_POINTS, P, Q, "interpolation", xgcd_calls)
     assert S == MumfordDivisor(Poly((0, -1, 1)), Poly((1,)))
 
 
-def test_newton_lift_doubles_a_point(add_calls):
+def test_newton_lift_doubles_a_point(xgcd_calls):
     P = embed(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
     # the tangent at (0, 1): v = 1 + f'(0)/2 * x, and x^2 | v^2 - f
-    S = assert_step(THREE_POINTS, P, P, "newton", add_calls)
+    S = assert_step(THREE_POINTS, P, P, "newton", xgcd_calls)
     assert S == MumfordDivisor(Poly((0, 0, 1)), Poly((1, Fraction(-1, 2))))
 
 
-def test_weierstrass_base_point_falls_back(add_calls):
+def test_weierstrass_base_point_falls_back(xgcd_calls):
     W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
-    assert assert_step(GENUS2_SPLIT, W[0], W[0], "fallback", add_calls).is_identity()
+    assert assert_step(GENUS2_SPLIT, W[0], W[0], "composition", xgcd_calls).is_identity()
     # b = 0 but x(W[0]) is not in u1: interpolation needs no nonzero b
-    assert_step(GENUS2_SPLIT, W[1], W[0], "interpolation", add_calls)
+    assert_step(GENUS2_SPLIT, W[1], W[0], "interpolation", xgcd_calls)
 
 
-def test_opposite_point_falls_back_to_the_identity(add_calls):
+def test_opposite_point_falls_back_to_the_identity(xgcd_calls):
     E = embed(THREE_POINTS, AffinePoint(Fraction(-1), Fraction(1)))
-    S = assert_step(THREE_POINTS, neg(THREE_POINTS, E), E, "fallback", add_calls)
+    S = assert_step(THREE_POINTS, neg(THREE_POINTS, E), E, "composition", xgcd_calls)
     assert S == IDENTITY
 
 
-def test_degree_two_base_divisor_falls_back(add_calls):
+def test_degree_two_base_divisor_falls_back(xgcd_calls):
     P = embed(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
     Q = embed(THREE_POINTS, AffinePoint(Fraction(1), Fraction(1)))
     E = add(THREE_POINTS, P, Q)
     assert E.u.degree == 2
-    assert_step(THREE_POINTS, E, E, "fallback", add_calls)
-    assert_step(THREE_POINTS, P, E, "fallback", add_calls)
+    assert_step(THREE_POINTS, E, E, "composition", xgcd_calls)
+    assert_step(THREE_POINTS, P, E, "composition", xgcd_calls)
 
 
 def scan_steps(model, E, bound):
@@ -401,18 +419,18 @@ def scan_steps(model, E, bound):
         if acc.is_identity() or k == half and acc == neg(model, prev if bound % 2 else acc):
             return
         yield acc
-        acc, prev = add(model, acc, E), acc
+        acc, prev = cantor_add(model, acc, E), acc
 
 
-def test_add_point_equals_add_on_the_ladders(add_calls):
-    seen = {"interpolation": 0, "newton": 0, "fallback": 0}
+def test_add_equals_cantor_add_on_the_ladders(xgcd_calls):
+    seen = {"interpolation": 0, "newton": 0, "composition": 0}
     for cert in ladder_certificates(9):
         model, E = embed_point(cert.curve, cert.point)
         for acc in scan_steps(model, E, cert.m):
             case = branch(acc, E)
-            assert_step(model, acc, E, case, add_calls)
+            assert_step(model, acc, E, case, xgcd_calls)
             seen[case] += 1
-    assert seen["interpolation"] > 0 and seen["newton"] > 0
+    assert seen["interpolation"] > 0 and seen["newton"] > 0 and seen["composition"] > 0
 
 
 @st.composite
@@ -443,6 +461,6 @@ def _step_pools():
 
 @settings(max_examples=80, deadline=None)
 @given(base_point_steps())
-def test_add_point_equals_add_property(step):
+def test_add_equals_cantor_add_property(step):
     curve, D, E = step
-    assert jacobian2._add_point(curve, D, E) == add(curve, D, E)
+    assert add(curve, D, E) == cantor_add(curve, D, E)

@@ -94,6 +94,11 @@ def test_recurrence_with_corrected_tail_term():
     assert checked > 100
 
 
+def derivative(f):
+    """f', coefficient by coefficient."""
+    return Poly([k * c for k, c in enumerate(f.coeffs) if k])
+
+
 def test_derivative_identity_on_the_grid():
     # V_{r,E}' = r * V_{r-1,E-1}
     for d, E, m in grid():
@@ -102,7 +107,7 @@ def test_derivative_identity_on_the_grid():
         r = Fraction(m, d)
         V = truncated_binomial(m, d, E)
         V_prev = truncated_binomial(m - d, d, E - 1)
-        assert V.derivative() == V_prev * r, (d, E, m)
+        assert derivative(V) == V_prev * r, (d, E, m)
 
 
 def test_value_at_minus_one_is_never_a_p_integer():

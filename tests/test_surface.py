@@ -105,6 +105,9 @@ def test_tracer_install_and_restore(capsys):
     names = {span[tracer_module.NAME] for span in tracer.spans}
     assert {"constructors.construct", "certify.verify.infinity-shift",
             "jacobian2.order_of.rational", "curves.validate"} <= names
+    # order_of's scan to the half-way point of m = 7 takes ceil(7/2) - 1 = 3 steps, each an add
+    assert sum(span[tracer_module.NAME] == "jacobian2.add" for span in tracer.spans) == 3
+    assert tracer.max_coeff_bits > 0
     for owner, saved in zip(HOOKED, before):
         now = vars(owner)
         assert now.keys() == saved.keys()
