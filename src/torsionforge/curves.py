@@ -82,6 +82,9 @@ class Curve(namedtuple("Curve", "d n f")):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Curve":
+        unknown = set(obj) - {"d", "n", "f"}
+        if unknown:
+            raise ValueError("unknown curve keys %s" % (sorted(unknown),))
         return cls(
             int_from_json("d", obj["d"]), int_from_json("n", obj["n"]), poly_from_json(obj["f"])
         )

@@ -3,10 +3,10 @@
 This is the independent order oracle: it never looks at certificates or
 constructions, only at the curve equation y**2 = f(x) with f of odd
 degree n = 2g + 1.  Divisor classes are held in Mumford form (u, v) with
-u monic, deg v < deg u <= g, and u | v**2 - f, all over Q; general
-addition is Cantor's algorithm (composition via a three-way extended
-gcd, then reduction), which works for any genus.  Nothing assumes f
-monic.
+u monic, deg v < deg u <= g, and u | v**2 - f, all over Q.  Each step
+adds one point to a reduced divisor and then runs Cantor's reduction
+("Computing in the Jacobian of a hyperelliptic curve", Math. Comp. 48,
+1987).  Nothing assumes f monic.
 
 Orders are found by scanning the multiples k*D, and the scan stops at
 the half-way point when it can.  Three facts keep that work over Q,
@@ -18,16 +18,16 @@ short and free of gcds:
   isomorphism over Q(i) from y**2 = f onto y**2 = -f that fixes O, so
   :func:`embed_point` maps P - O to a divisor over Q of the same order
   on the twist, and every step of the scan runs on rationals.
-* One group law.  :func:`add` composes D1 = (u1, v1) with D2 in one of
-  three ways, then reduces.  When D2 = (x - a, b), as at every scan
-  step, u = u1*(x - a) and v = v1 + c*u1 for a constant c, so v agrees
-  with v1 modulo u1 and only v**2 = f modulo x - a is left to solve:
-  - interpolation: if u1(a) != 0, c = (b - v1(a))/u1(a) makes v(a) = b;
-  - Newton lift: if u1(a) = 0 and v1(a) = b != 0, then
-    w = (f - v1**2)/u1 is a polynomial and c = w(a)/(2b) makes
-    (x - a)*u1 divide v**2 - f;
-  - otherwise (b = 0, v1(a) = -b, or D2 of degree other than 1) the
-    pair comes from Cantor's composition.
+* One group law.  :func:`add` adds a point E = (x - a, b) of the model,
+  so b**2 = f(a), to D = (u1, v1) in one of three ways, then reduces:
+  - interpolation: if u1(a) != 0, u = u1*(x - a) and v = v1 + c*u1,
+    where c = (b - v1(a))/u1(a) makes v(a) = b;
+  - Newton lift: if u1(a) = 0 and v1(a) = b != 0, w = (f - v1**2)/u1 is
+    a polynomial, and c = w(a)/(2b) makes that u divide v**2 - f;
+  - cancellation: otherwise u1(a) = 0 forces v1(a)**2 = b**2, so
+    v1(a) = -b and D holds -E = (a, -b); a reduced divisor holds (a, 0)
+    at most once.  D + E drops one copy of -E: u = u1/(x - a) and
+    v = v1 mod u, already reduced.
   In the first two cases gcd(u1, x - a, v1 + b) = 1, so Cantor's
   composition yields the same u and the same v modulo u; reduced
   Mumford pairs are unique, so one reduction gives Cantor's sum.
@@ -45,6 +45,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .curves import AffinePoint, Curve, on_curve
+# xgcd is not called here, but bench/tracer.py hooks jacobian2.xgcd by name
 from .polyring import Poly, exact_div, xgcd
 from .scalars import GaussianRational
 
@@ -124,57 +125,45 @@ def neg(curve: Curve, D: MumfordDivisor) -> MumfordDivisor:
     return MumfordDivisor(D.u, (-D.v) % D.u)
 
 
-def add(curve: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-    """D1 + D2, composed by interpolation, Newton lift or Cantor (see the
-    module docstring), then reduced by Cantor's loop and validated."""
+def add(curve: Curve, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
+    """D + E for a point E = (x - a, b) of the model: one of the three cases
+    of the module docstring, then Cantor's reduction and :func:`validate`."""
     _require_d2(curve)
     f, g = curve.f, curve.genus
-    u1, v1 = D1.u, D1.v
-    u2, v2 = D2.u, D2.v
-
-    c = None
-    if u2.degree == 1:
-        a, b = -u2[0], v2[0]
-        at_a = u1(a)
-        if at_a:
-            c = (b - v1(a)) / at_a
-        elif b and v1(a) == b:
-            c = exact_div(f - v1 ** 2, u1)(a) / (2 * b)
-    if c is not None:
-        u, v = u1 * u2, v1 + u1 * c
-    else:
-        # composition: d = s1*u1 + s2*u2 + s3*(v1 + v2) = gcd(u1, u2, v1 + v2)
-        d0, e1, e2 = xgcd(u1, u2)
-        d, c1, c2 = xgcd(d0, v1 + v2)
-        s1, s2, s3 = c1 * e1, c1 * e2, c2
-
-        u = exact_div(u1 * u2, d * d)
-        num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
-        v = exact_div(num, d) % u
+    u1, v1 = D.u, D.v
+    a, b = -E.u[0], E.v[0]
+    at_a = u1(a)
+    if at_a:  # interpolation
+        u, v = u1 * E.u, v1 + u1 * ((b - v1(a)) / at_a)
+    elif b and v1(a) == b:  # Newton lift
+        u, v = u1 * E.u, v1 + u1 * (exact_div(f - v1 ** 2, u1)(a) / (2 * b))
+    else:  # cancellation: v1(a) = -b, so D holds -E
+        u = exact_div(u1, E.u)
+        v = v1 % u
 
     # reduction
     while u.degree > g:
-        u_next = exact_div(f - v ** 2, u).monic()
-        v = (-v) % u_next
-        u = u_next
+        u = exact_div(f - v ** 2, u).monic()
+        v = (-v) % u
     out = MumfordDivisor(u, v)
     validate(curve, out)
     return out
 
 
 def order_of(curve: Curve, D: MumfordDivisor, bound: int) -> int:
-    """Least k >= 1 with k*D = 0, for k up to bound, where D and its model
-    ``curve`` are what :func:`embed_point` returns (or any divisor on a
-    model over Q).
+    """Least k >= 1 with k*D = 0, for k up to bound, where D = P - O and
+    its model ``curve`` are what :func:`embed_point` returns.
 
     Returns bound after ceil(bound/2) multiples when bound*D = 0 (see
     the module docstring); otherwise every multiple up to bound is
     checked against the identity.  Either way the returned k is the
-    exact order, never a proper multiple of it.  Raises
-    OrderNotFoundError past the bound.
+    exact order, never a proper multiple of it.  Raises ValueError for
+    a base of degree other than 1 and OrderNotFoundError past the bound.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %r" % (bound,))
+    if D.u.degree != 1:
+        raise ValueError("the base must be a point (x - a, b), got %s" % (D,))
     half = (bound + 1) // 2
     acc, prev = D, IDENTITY
     for k in range(1, bound + 1):

@@ -10,6 +10,7 @@ import pytest
 from torsionforge.curves import (
     AffinePoint,
     Curve,
+    CurveError,
     DegreeError,
     GcdError,
     OrderError,
@@ -92,6 +93,15 @@ def test_validation_order_gcd_before_squarefree():
 def test_curve_json_round_trip():
     c = Curve(2, 5, Poly((1, 0, 1, 2, Fraction(1, 4), 1)))
     assert Curve.from_json_dict(c.to_json_dict()) == c
+
+
+def test_curve_json_refuses_keys_the_serializer_never_writes():
+    obj = Curve(2, 5, Poly((1, 0, 1, 2, Fraction(1, 4), 1))).to_json_dict()
+    obj["genus"] = 2
+    # a malformed certificate (exit 2), not an invalid curve (a failed curve-valid line)
+    with pytest.raises(ValueError, match=r"unknown curve keys \['genus'\]") as info:
+        Curve.from_json_dict(obj)
+    assert not isinstance(info.value, CurveError)
 
 
 # ---------------------------------------------------------------------------

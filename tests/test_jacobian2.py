@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsionforge import jacobian2
+from cantor_reference import cantor_add
+from torsionforge import jacobian2, polyring
 from torsionforge.constructors import (
     ConstructionRequest,
     construct,
@@ -28,7 +29,7 @@ from torsionforge.jacobian2 import (
     order_of,
     validate,
 )
-from torsionforge.polyring import Poly, exact_div, xgcd
+from torsionforge.polyring import Poly, xgcd
 from torsionforge.scalars import GaussianRational
 
 
@@ -133,14 +134,14 @@ def test_weierstrass_points_have_order_two():
 
 def test_identity_is_neutral():
     D = embed(GENUS2_SPLIT, AffinePoint(Fraction(2), Fraction(0)))
-    assert add(GENUS2_SPLIT, D, IDENTITY) == D
+    assert cantor_add(GENUS2_SPLIT, D, IDENTITY) == D
     assert add(GENUS2_SPLIT, IDENTITY, D) == D
 
 
 def test_inverse_law():
     for curve, D, m in torsion_generators():
         for E in multiples(curve, D, min(m, 6))[1:]:
-            assert add(curve, E, neg(curve, E)).is_identity()
+            assert cantor_add(curve, E, neg(curve, E)).is_identity()
 
 
 def test_500_random_additions_preserve_invariants():
@@ -159,9 +160,9 @@ def test_500_random_additions_preserve_invariants():
         curve, pool = pools[rng.randrange(len(pools))]
         a = pool[rng.randrange(len(pool))]
         b = pool[rng.randrange(len(pool))]
-        s = add(curve, a, b)
+        s = cantor_add(curve, a, b)
         validate(curve, s)
-        assert add(curve, b, a) == s
+        assert cantor_add(curve, b, a) == s
         additions += 2
         commutes += 1
     assert commutes >= 250
@@ -174,13 +175,15 @@ def test_associativity_on_random_triples():
         elements = multiples(curve, D, m)
         for _ in range(6):
             a, b, c = (elements[rng.randrange(m)] for _ in range(3))
-            assert add(curve, add(curve, a, b), c) == add(curve, a, add(curve, b, c))
+            assert cantor_add(curve, cantor_add(curve, a, b), c) == cantor_add(
+                curve, a, cantor_add(curve, b, c)
+            )
             triples_checked += 1
     w = [embed(GENUS3_SPLIT, P) for P in weierstrass_points(GENUS3_SPLIT)]
     for _ in range(10):
         a, b, c = (w[rng.randrange(len(w))] for _ in range(3))
-        assert add(GENUS3_SPLIT, add(GENUS3_SPLIT, a, b), c) == add(
-            GENUS3_SPLIT, a, add(GENUS3_SPLIT, b, c)
+        assert cantor_add(GENUS3_SPLIT, cantor_add(GENUS3_SPLIT, a, b), c) == cantor_add(
+            GENUS3_SPLIT, a, cantor_add(GENUS3_SPLIT, b, c)
         )
         triples_checked += 1
     assert triples_checked >= 50
@@ -188,13 +191,15 @@ def test_associativity_on_random_triples():
 
 def test_mixed_weierstrass_sums_reduce_correctly():
     # adding distinct branch points yields a degree-2 divisor with v = 0
-    pts = weierstrass_points(GENUS2_SPLIT)
-    D = add(GENUS2_SPLIT, embed(GENUS2_SPLIT, pts[0]), embed(GENUS2_SPLIT, pts[1]))
+    W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
+    D = add(GENUS2_SPLIT, W[0], W[1])
+    assert D == cantor_add(GENUS2_SPLIT, W[0], W[1])
     assert D.u.degree == 2
     assert D.v.is_zero
     validate(GENUS2_SPLIT, D)
     # order of a sum of two distinct two-torsion classes is 2
-    assert order_of(GENUS2_SPLIT, D, bound=4) == 2
+    assert not D.is_identity()
+    assert cantor_add(GENUS2_SPLIT, D, D).is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +276,17 @@ def test_order_of_small_bounds_on_a_weierstrass_point():
         order_of(GENUS2_SPLIT, D, bound=1)
     assert order_of(GENUS2_SPLIT, D, bound=2) == 2
     assert order_of(GENUS2_SPLIT, D, bound=3) == 2
-    assert order_of(GENUS2_SPLIT, IDENTITY, bound=1) == 1
     with pytest.raises(ValueError):
         order_of(GENUS2_SPLIT, D, bound=0)
+
+
+def test_order_of_refuses_a_base_other_than_a_point():
+    W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
+    D = add(GENUS2_SPLIT, W[0], W[1])
+    assert D.u.degree == 2
+    for base in (D, IDENTITY):
+        with pytest.raises(ValueError):
+            order_of(GENUS2_SPLIT, base, bound=4)
 
 
 def test_twisted_pair_is_valid_on_the_twist():
@@ -318,59 +331,44 @@ def test_order_of_matches_the_reference_scan_on_the_ladders():
 
 
 # ---------------------------------------------------------------------------
-# add's three compositions against Cantor's algorithm alone
+# add's three cases against Cantor's algorithm alone
 # ---------------------------------------------------------------------------
 
 # y^2 = x^5 - x + 1 carries (0, +-1), (1, +-1) and (-1, +-1)
 THREE_POINTS = Curve(2, 5, Poly((1, -1, 0, 0, 0, 1)))
 
 
-def cantor_add(curve, D1, D2):
-    """D1 + D2 by Cantor's composition through a three-way extended gcd,
-    then his reduction (Math. Comp. 48, 1987): the reference for ``add``."""
-    f = curve.f
-    (u1, v1), (u2, v2) = D1, D2
-    d0, e1, e2 = xgcd(u1, u2)
-    d, c1, c2 = xgcd(d0, v1 + v2)
-    u = exact_div(u1 * u2, d * d)
-    num = c1 * e1 * u1 * v2 + c1 * e2 * u2 * v1 + c2 * (v1 * v2 + f)
-    v = exact_div(num, d) % u
-    while u.degree > curve.genus:
-        u = exact_div(f - v ** 2, u).monic()
-        v = (-v) % u
-    return MumfordDivisor(u, v)
-
-
 @pytest.fixture
 def xgcd_calls(monkeypatch):
-    """Count the calls ``add`` makes into ``jacobian2.xgcd``: two per Cantor composition."""
+    """Count the calls into ``polyring.xgcd`` and ``jacobian2.xgcd``, the
+    extended gcd that Cantor's composition needs and ``add`` does not."""
     calls = []
 
     def counted(f, g):
         calls.append((f, g))
         return xgcd(f, g)
 
+    monkeypatch.setattr(polyring, "xgcd", counted)
     monkeypatch.setattr(jacobian2, "xgcd", counted)
     return calls
 
 
 def branch(D, E):
-    """The case of the module docstring that D + E falls into."""
-    if E.u.degree != 1:
-        return "composition"
+    """The case of the module docstring that D + E, for a point E, falls into."""
     a, b = -E.u[0], E.v[0]
     if D.u(a):
         return "interpolation"
-    return "newton" if b and D.v(a) == b else "composition"
+    return "newton" if b and D.v(a) == b else "cancellation"
 
 
 def assert_step(curve, D, E, expected, xgcd_calls):
-    """add equals cantor_add on D + E, takes the named case and returns the sum."""
+    """add equals cantor_add on D + E, takes the named case without an
+    extended gcd and returns the sum."""
     assert branch(D, E) == expected
     before = len(xgcd_calls)
     out = add(curve, D, E)
+    assert len(xgcd_calls) == before
     assert out == cantor_add(curve, D, E)
-    assert len(xgcd_calls) - before == (2 if expected == "composition" else 0)
     return out
 
 
@@ -391,24 +389,15 @@ def test_newton_lift_doubles_a_point(xgcd_calls):
 
 def test_weierstrass_base_point_falls_back(xgcd_calls):
     W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
-    assert assert_step(GENUS2_SPLIT, W[0], W[0], "composition", xgcd_calls).is_identity()
+    assert assert_step(GENUS2_SPLIT, W[0], W[0], "cancellation", xgcd_calls).is_identity()
     # b = 0 but x(W[0]) is not in u1: interpolation needs no nonzero b
     assert_step(GENUS2_SPLIT, W[1], W[0], "interpolation", xgcd_calls)
 
 
 def test_opposite_point_falls_back_to_the_identity(xgcd_calls):
     E = embed(THREE_POINTS, AffinePoint(Fraction(-1), Fraction(1)))
-    S = assert_step(THREE_POINTS, neg(THREE_POINTS, E), E, "composition", xgcd_calls)
+    S = assert_step(THREE_POINTS, neg(THREE_POINTS, E), E, "cancellation", xgcd_calls)
     assert S == IDENTITY
-
-
-def test_degree_two_base_divisor_falls_back(xgcd_calls):
-    P = embed(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
-    Q = embed(THREE_POINTS, AffinePoint(Fraction(1), Fraction(1)))
-    E = add(THREE_POINTS, P, Q)
-    assert E.u.degree == 2
-    assert_step(THREE_POINTS, E, E, "composition", xgcd_calls)
-    assert_step(THREE_POINTS, P, E, "composition", xgcd_calls)
 
 
 def scan_steps(model, E, bound):
@@ -423,14 +412,24 @@ def scan_steps(model, E, bound):
 
 
 def test_add_equals_cantor_add_on_the_ladders(xgcd_calls):
-    seen = {"interpolation": 0, "newton": 0, "composition": 0}
+    seen = {"interpolation": 0, "newton": 0, "cancellation": 0}
     for cert in ladder_certificates(9):
         model, E = embed_point(cert.curve, cert.point)
         for acc in scan_steps(model, E, cert.m):
             case = branch(acc, E)
             assert_step(model, acc, E, case, xgcd_calls)
             seen[case] += 1
-    assert seen["interpolation"] > 0 and seen["newton"] > 0 and seen["composition"] > 0
+    assert seen["interpolation"] > 0 and seen["newton"] > 0 and seen["cancellation"] > 0
+
+
+def test_order_of_makes_no_extended_gcd_on_the_ladder_grid(xgcd_calls):
+    # the benchmark's ladder-d2 grid: d = 2, odd n 5..17, m in {2, n, n+1, ..., 2n+1}
+    certs = list(ladder_certificates(17))
+    assert len(certs) == 98
+    xgcd_calls.clear()  # count order_of's calls only, not the constructions'
+    for cert in certs:
+        assert order_of(*embed_point(cert.curve, cert.point), bound=cert.m) == cert.m
+    assert len(xgcd_calls) == 0
 
 
 @st.composite
