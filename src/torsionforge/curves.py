@@ -22,23 +22,7 @@ from .scalars import int_from_json
 
 
 class CurveError(ValueError):
-    """Base for curve validation failures."""
-
-
-class OrderError(CurveError):
-    """Degree ordering violated: requires n > d >= 2."""
-
-
-class GcdError(CurveError):
-    """n and d are not coprime."""
-
-
-class DegreeError(CurveError):
-    """deg(f) differs from the declared n."""
-
-
-class RepeatedRootError(CurveError):
-    """f is not square-free."""
+    """A curve validation failure; its message names the violated condition."""
 
 
 class Curve(namedtuple("Curve", "d n f")):
@@ -59,19 +43,17 @@ class Curve(namedtuple("Curve", "d n f")):
 
     def __post_init__(self):
         if not isinstance(self.d, int) or not isinstance(self.n, int):
-            raise OrderError("d and n must be integers")
+            raise CurveError("d and n must be integers")
         if self.d < 2:
-            raise OrderError("cover degree d must be at least 2, got %d" % (self.d,))
+            raise CurveError("cover degree d must be at least 2, got %d" % (self.d,))
         if self.n <= self.d:
-            raise OrderError("requires n > d, got n=%d, d=%d" % (self.n, self.d))
+            raise CurveError("requires n > d, got n=%d, d=%d" % (self.n, self.d))
         if int_gcd(self.n, self.d) != 1:
-            raise GcdError("n and d must be coprime, got n=%d, d=%d" % (self.n, self.d))
+            raise CurveError("n and d must be coprime, got n=%d, d=%d" % (self.n, self.d))
         if self.f.degree != self.n:
-            raise DegreeError(
-                "deg f = %s but n = %d" % (self.f.degree, self.n)
-            )
+            raise CurveError("deg f = %s but n = %d" % (self.f.degree, self.n))
         if not is_squarefree(self.f):
-            raise RepeatedRootError("f has a repeated root: %s" % (self.f,))
+            raise CurveError("f has a repeated root: %s" % (self.f,))
 
     @property
     def genus(self) -> int:

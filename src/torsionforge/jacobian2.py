@@ -4,9 +4,9 @@ This is the independent order oracle: it never looks at certificates or
 constructions, only at the curve equation y**2 = f(x) with f of odd
 degree n = 2g + 1.  Divisor classes are held in Mumford form (u, v) with
 u monic, deg v < deg u <= g, and u | v**2 - f, all over Q.  Each step
-adds one point to a reduced divisor and then runs Cantor's reduction
-("Computing in the Jacobian of a hyperelliptic curve", Math. Comp. 48,
-1987).  Nothing assumes f monic.
+adds one point to a reduced divisor and then takes one step of Cantor's
+reduction ("Computing in the Jacobian of a hyperelliptic curve", Math.
+Comp. 48, 1987).  Nothing assumes f monic.
 
 Orders are found by scanning the multiples k*D, and the scan stops at
 the half-way point when it can.  Three facts keep that work over Q,
@@ -30,7 +30,10 @@ short and free of gcds:
     v = v1 mod u, already reduced.
   In the first two cases gcd(u1, x - a, v1 + b) = 1, so Cantor's
   composition yields the same u and the same v modulo u; reduced
-  Mumford pairs are unique, so one reduction gives Cantor's sum.
+  Mumford pairs are unique, so reducing gives Cantor's sum.  One
+  reduction step is enough: deg u1 <= g, so deg u <= g + 1 after any
+  case, and when deg u = g + 1, deg v <= g makes deg(f - v**2) = 2g + 1,
+  so u' = (f - v**2)/u has degree g.  :func:`validate` checks each sum.
 * Half-length scan.  Once 2k >= bound, k*D + (bound-k)*D = bound*D, so
   bound*D = 0 exactly when k*D equals -(bound-k)*D (reduced Mumford
   pairs are unique).  Then the order divides bound, and each proper
@@ -48,10 +51,6 @@ from .curves import AffinePoint, Curve, on_curve
 # xgcd is not called here, but bench/tracer.py hooks jacobian2.xgcd by name
 from .polyring import Poly, exact_div, xgcd
 from .scalars import GaussianRational
-
-
-class UnsupportedDegreeError(ValueError):
-    """The Jacobian oracle only handles cover degree 2."""
 
 
 class OrderNotFoundError(RuntimeError):
@@ -75,9 +74,7 @@ IDENTITY = MumfordDivisor(Poly.one(), Poly.zero())
 
 def _require_d2(curve: Curve):
     if curve.d != 2:
-        raise UnsupportedDegreeError(
-            "divisor arithmetic is implemented for d=2 only, got d=%d" % (curve.d,)
-        )
+        raise ValueError("divisor arithmetic is implemented for d=2 only, got d=%d" % (curve.d,))
 
 
 def validate(curve: Curve, D: MumfordDivisor):
@@ -121,13 +118,14 @@ def embed_point(curve: Curve, point: AffinePoint):
 
 
 def neg(curve: Curve, D: MumfordDivisor) -> MumfordDivisor:
+    """-D = (u, -v): -v is already reduced modulo u, as deg v < deg u."""
     _require_d2(curve)
-    return MumfordDivisor(D.u, (-D.v) % D.u)
+    return MumfordDivisor(D.u, -D.v)
 
 
 def add(curve: Curve, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
     """D + E for a point E = (x - a, b) of the model: one of the three cases
-    of the module docstring, then Cantor's reduction and :func:`validate`."""
+    of the module docstring, then one reduction step and :func:`validate`."""
     _require_d2(curve)
     f, g = curve.f, curve.genus
     u1, v1 = D.u, D.v
@@ -141,8 +139,8 @@ def add(curve: Curve, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
         u = exact_div(u1, E.u)
         v = v1 % u
 
-    # reduction
-    while u.degree > g:
+    # reduction: one step suffices (see the module docstring)
+    if u.degree > g:
         u = exact_div(f - v ** 2, u).monic()
         v = (-v) % u
     out = MumfordDivisor(u, v)

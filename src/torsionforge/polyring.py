@@ -15,8 +15,9 @@ gcd: ``+`` and ``-`` align the two denominators by their lcm, ``*`` is a
 schoolbook convolution of the numerators, (n0 + n1*x)**k is expanded by
 the binomial theorem, evaluation at p/q is Horner's rule on p and q, and
 ``divmod`` is pseudo-division (Knuth, *TAOCP* vol. 2, section 4.6.1,
-Algorithm R).  ``Fraction``s are built only at the edges: ``coeffs``,
-``[k]``, ``leading_coefficient`` and the value of a polynomial at a point.
+Algorithm R), scaled at each step only as far as that step needs.
+``Fraction``s are built only at the edges: ``coeffs``, ``[k]``,
+``leading_coefficient`` and the value of a polynomial at a point.
 
 Square-freeness is decided modulo primes only, on plain ``int`` lists
 with ``pow(x, -1, p)`` inverses, so no coefficient grows: a unit gcd of
@@ -39,10 +40,6 @@ from .scalars import is_prime, scalar_from_json, scalar_to_json
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
-
-
-class DivisibilityError(ArithmeticError):
-    """Raised by exact_div when the division leaves a remainder."""
 
 
 def _rational(c):
@@ -205,12 +202,16 @@ class Poly:
             base = base * base
 
     def __divmod__(self, other):
-        """Pseudo-division (Knuth, Algorithm R) on the numerators.
+        """Pseudo-division (Knuth, Algorithm R) on the numerators, scaled
+        only as far as each step needs.
 
-        With self = A/da and other = B/db, L the leading numerator of B
-        and e = deg A - deg B + 1, it finds L**e * A = Q*B + R; the
-        quotient is Q*db / (L**e * da) and the remainder R / (L**e * da),
-        whose signs ``_make`` flips when L**e is negative.
+        With self = A/da, other = B/db and L the leading numerator of B,
+        a step whose top remainder numerator is c scales the remainder and
+        the quotient so far by s = |L| / gcd(c, L) and takes c*s/L as its
+        quotient term.  With S the product of the s, S*A = Q*B + R, so the
+        quotient is Q*db / (S*da) and the remainder R / (S*da).  A monic
+        divisor has primitive numerators, so by Gauss's lemma an exact
+        division by it has s = 1 at every step and scales nothing.
         """
         if not isinstance(other, Poly):
             return NotImplemented
@@ -220,16 +221,17 @@ class Poly:
         e = len(rem) - len(low)
         if e <= 0:
             return Poly.zero(), self
-        quot = [0] * e
+        quot, scale = [0] * e, 1
         for k in range(e - 1, -1, -1):
             c = rem.pop()
-            quot[k] = c * lead ** k
-            if lead != 1:
-                rem = [lead * r for r in rem]
-            if c:
+            s = abs(lead) // math.gcd(c, lead)
+            if s != 1:
+                rem, quot, scale = [s * r for r in rem], [s * q for q in quot], scale * s
+            quot[k] = q = c * s // lead
+            if q:
                 for j, y in enumerate(low, k):
-                    rem[j] -= c * y
-        den = lead ** e * self._den
+                    rem[j] -= q * y
+        den = scale * self._den
         return _make([q * other._den for q in quot], den), _make(rem, den)
 
     def __mod__(self, other):
@@ -279,12 +281,10 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 def exact_div(f: Poly, g: Poly) -> Poly:
-    """Quotient f/g when g divides f exactly; DivisibilityError otherwise."""
+    """Quotient f/g when g divides f exactly; ValueError otherwise."""
     q, r = divmod(f, g)
     if not r.is_zero:
-        raise DivisibilityError(
-            "%s does not divide %s exactly (remainder %s)" % (g, f, r)
-        )
+        raise ValueError("%s does not divide %s exactly (remainder %s)" % (g, f, r))
     return q
 
 

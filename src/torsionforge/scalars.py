@@ -26,19 +26,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: probable prime to every base in :data:`_MR_BASES`.
 _MR_BOUND = 3317044064679887385961981
 
-#: Sorenson and Webster (2015): no composite below this is a strong
-#: probable prime to the nine bases 2..23; it is one (149491 * 747451 *
-#: 34233211).  The primes of the square-free walk lie below it.
-_PSI_9 = 3825123056546413051
-
 
 def is_prime(p: int) -> bool:
     """Deterministic primality.
 
     Below :data:`_MR_BOUND` this is Miller-Rabin with the thirteen prime
-    bases 2..41, which is exact there, or with the first nine of them
-    below :data:`_PSI_9`.  At or above :data:`_MR_BOUND`, a p with no
-    prime factor up to 41 raises ValueError rather than take unbounded work.
+    bases 2..41, which is exact there.  At or above it, a p with no prime
+    factor up to 41 raises ValueError rather than take unbounded work.
     """
     if p < 2:
         return False
@@ -50,7 +44,7 @@ def is_prime(p: int) -> bool:
     s, t = 0, p - 1
     while t % 2 == 0:
         s, t = s + 1, t // 2
-    for a in _MR_BASES if p >= _PSI_9 else _MR_BASES[:9]:
+    for a in _MR_BASES:
         x = pow(a, t, p)
         if x == 1 or x == p - 1:
             continue

@@ -63,7 +63,7 @@ def truncation_quotient(m: int, d: int, E: int, v: Poly) -> Poly:
 
     Under the hypothesis of :func:`check_truncation_valuation` this is a
     degree m - E polynomial; the division is exact rather than trusting
-    that, so a short vanishing order raises DivisibilityError.
+    that, so a short vanishing order raises ValueError.
     """
     diff = Poly((1, 1)) ** m - v ** d
     return exact_div(diff, Poly.x_power(E))

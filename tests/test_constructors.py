@@ -22,7 +22,7 @@ from torsionforge.constructors import (
     default_search_limit,
     infer_style,
 )
-from torsionforge.curves import AffinePoint, RepeatedRootError
+from torsionforge.curves import AffinePoint, CurveError
 from torsionforge.jacobian2 import embed_point, order_of
 from torsionforge.polyring import Poly
 from torsionforge.scalars import GAUSSIAN_I, GaussianRational, gen_binom
@@ -160,7 +160,7 @@ def _rejecting_build(k: int):
     """A build that rejects its first k candidates as not square-free."""
     def build(cand):
         if cand <= k:
-            raise RepeatedRootError("candidate %d rejected" % (cand,))
+            raise CurveError("candidate %d rejected" % (cand,))
         return cand
     return build
 

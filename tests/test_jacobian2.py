@@ -22,7 +22,6 @@ from torsionforge.jacobian2 import (
     IDENTITY,
     MumfordDivisor,
     OrderNotFoundError,
-    UnsupportedDegreeError,
     add,
     embed_point,
     neg,
@@ -115,7 +114,7 @@ def test_validate_rejects_bad_mumford_pairs():
 
 def test_only_hyperelliptic_covers_supported():
     c = Curve(3, 5, Poly((-1, 0, 0, 0, 0, 1)))
-    with pytest.raises(UnsupportedDegreeError):
+    with pytest.raises(ValueError, match="implemented for d=2 only, got d=3"):
         embed_point(c, AffinePoint(Fraction(1), Fraction(0)))
 
 
@@ -430,6 +429,50 @@ def test_order_of_makes_no_extended_gcd_on_the_ladder_grid(xgcd_calls):
     for cert in certs:
         assert order_of(*embed_point(cert.curve, cert.point), bound=cert.m) == cert.m
     assert len(xgcd_calls) == 0
+
+
+def test_order_of_keeps_numerators_small_at_n65(monkeypatch):
+    """Every divisor the oracle divides by is monic, so its exact divisions
+    scale nothing: no numerator or denominator through ``polyring._make``
+    grows past 1,024 bits on the n = 65, m = 131 infinity-shift point."""
+    cert = construct_n_plus_ed(65, 2, 33)
+    model, D = embed_point(cert.curve, cert.point)
+    make, widest = polyring._make, 0
+
+    def recording_make(num, den):
+        nonlocal widest
+        widest = max(widest, den.bit_length(), *(abs(c).bit_length() for c in num))
+        return make(num, den)
+
+    monkeypatch.setattr(polyring, "_make", recording_make)
+    assert order_of(model, D, bound=cert.m) == cert.m == 131
+    assert widest <= 1024
+
+
+def test_neg_divides_nothing_on_the_ladder(monkeypatch):
+    """-(u, v) = (u, -v) with no division, on every multiple order_of scans."""
+    scanned, real_add = [], jacobian2.add
+
+    def recording_add(curve, D, E):
+        out = real_add(curve, D, E)
+        scanned.append((curve, out))
+        return out
+
+    monkeypatch.setattr(jacobian2, "add", recording_add)
+    for cert in ladder_certificates(9):
+        model, D = embed_point(cert.curve, cert.point)
+        scanned.append((model, D))
+        assert order_of(model, D, bound=cert.m) == cert.m
+    expected = [MumfordDivisor(M.u, (-M.v) % M.u) for _, M in scanned]
+    divisions, real_divmod = [], Poly.__divmod__
+
+    def counted(f, g):
+        divisions.append((f, g))
+        return real_divmod(f, g)
+
+    monkeypatch.setattr(Poly, "__divmod__", counted)
+    assert [neg(model, M) for model, M in scanned] == expected
+    assert len(scanned) > 100 and divisions == []
 
 
 @st.composite

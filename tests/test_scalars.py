@@ -110,13 +110,8 @@ def _strong_probable_prime(p: int, a: int) -> bool:
     return x in (1, p - 1) or any(pow(x, 2**r, p) == p - 1 for r in range(1, s))
 
 
-def test_nine_bases_stop_at_psi_9():
-    # Below psi_9 is_prime uses the bases 2..23 only.  psi_9 itself passes
-    # every base up to 31, so only base 37 of the thirteen exposes it.
-    psi_9 = scalars._PSI_9
-    assert psi_9 == 149491 * 747451 * 34233211 == 3825123056546413051 > 2**61
-    assert [a for a in scalars._MR_BASES if not _strong_probable_prime(psi_9, a)] == [37, 41]
-    assert is_prime(psi_9) is False
+def test_is_prime_decides_the_walk_primes():
+    # the square-free walk tests the odd numbers from 2**61 - 1 down
     assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
     assert [p for p in range(2**61 - 1, 2**61 - 200, -2) if is_prime(p)] == [
         p for p in range(2**61 - 1, 2**61 - 200, -2)
