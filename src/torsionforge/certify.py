@@ -66,7 +66,7 @@ point's abscissa must be spelled as the serializer spells them; any
 other spelling is malformed.  Only ``point.y`` and ``lambda`` may be
 Gaussian rationals: a Gaussian coefficient of f, u or v, a Gaussian
 ``a`` or a Gaussian ``point.x`` is malformed too.  So is any value but
-the serializer's in a field the kind's verifier never reads (``_UNREAD``).
+the serializer's in a field the kind's verifier never reads (``_KINDS``).
 """
 
 from __future__ import annotations
@@ -94,15 +94,6 @@ TWO_TORSION_LINK = "two-torsion-link"
 
 # the keys of a serialized certificate, in the serializer's order
 _CERT_KEYS = ("curve", "point", "m", "identity_kind", "u", "v", "a", "e", "lambda", "exactness_rule")
-
-# per kind, each field its verifier never reads and the one value the serializer writes there
-_UNREAD = {
-    PURE_POWER: {"u": None, "e": 0, "lambda": None},
-    SHIFT_POWER: {"e": 0, "lambda": None},
-    INFINITY_SHIFT: {"u": None, "a": "-1"},
-    ORDER_D: {"u": None, "v": None, "e": 0, "lambda": None},
-    TWO_TORSION_LINK: {"e": 0, "lambda": None},
-}
 
 # exactness rules
 RULE_PRIME = "prime-order"
@@ -210,7 +201,8 @@ class TorsionCertificate(namedtuple(
         # the serializer writes a symbolic point's abscissa from a
         if symbolic and scalar_from_json(pt["x"]) != cert.a:
             raise ValueError("symbolic point abscissa %r is not a = %s" % (pt["x"], cert.a))
-        for key, value in _UNREAD.get(cert.identity_kind, {}).items():
+        known = _KINDS.get(cert.identity_kind)
+        for key, value in (known.unread if known else {}).items():
             if obj[key] != value:
                 raise ValueError("the %s verifier never reads %s, so it must be %s, got %s" % (
                     cert.identity_kind, key, json.dumps(value), json.dumps(obj[key])))
@@ -300,14 +292,14 @@ def verify_certificate(cert: TorsionCertificate) -> tuple[bool, list[CheckLine]]
     r.check("curve-valid", True, "d=%d n=%d genus=%d" % (curve.d, curve.n, curve.genus))
 
     kind = cert.identity_kind
-    verifier = _VERIFIERS.get(kind)
-    if not r.check("identity-kind", verifier is not None, "kind=%r" % (kind,)):
+    known = _KINDS.get(kind)
+    if not r.check("identity-kind", known is not None, "kind=%r" % (kind,)):
         return False, r.lines
 
     if not r.check("order-positive", cert.m >= 2, "m=%d" % (cert.m,)):
         return False, r.lines
 
-    verifier(r, cert, curve)
+    known.verify(r, cert, curve)
     return r.ok, r.lines
 
 
@@ -457,12 +449,14 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
     _check_fixed_rule(r, cert, RULE_TWO_TORSION)
 
 
-_VERIFIERS = {
-    PURE_POWER: _verify_pure_power,
-    SHIFT_POWER: _verify_shift_power,
-    INFINITY_SHIFT: _verify_infinity_shift,
-    ORDER_D: _verify_order_d,
-    TWO_TORSION_LINK: _verify_two_torsion_link,
+# per identity kind: its verifier, and the serializer's value for each field it never reads
+_Kind = namedtuple("_Kind", "verify unread")
+_KINDS = {
+    PURE_POWER: _Kind(_verify_pure_power, {"u": None, "e": 0, "lambda": None}),
+    SHIFT_POWER: _Kind(_verify_shift_power, {"e": 0, "lambda": None}),
+    INFINITY_SHIFT: _Kind(_verify_infinity_shift, {"u": None, "a": "-1"}),
+    ORDER_D: _Kind(_verify_order_d, {"u": None, "v": None, "e": 0, "lambda": None}),
+    TWO_TORSION_LINK: _Kind(_verify_two_torsion_link, {"e": 0, "lambda": None}),
 }
 
 

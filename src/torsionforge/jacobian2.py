@@ -125,8 +125,11 @@ def neg(curve: Curve, D: MumfordDivisor) -> MumfordDivisor:
 
 def add(curve: Curve, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
     """D + E for a point E = (x - a, b) of the model: one of the three cases
-    of the module docstring, then one reduction step and :func:`validate`."""
+    of the module docstring, then one reduction step and :func:`validate`.
+    Raises ValueError for a summand E that is not a point."""
     _require_d2(curve)
+    if E.u.degree != 1:
+        raise ValueError("the summand must be a point (x - a, b), got E = %s" % (E,))
     f, g = curve.f, curve.genus
     u1, v1 = D.u, D.v
     a, b = -E.u[0], E.v[0]

@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 from itertools import chain, count
 
-from .scalars import is_prime, scalar_from_json, scalar_to_json
+from .scalars import is_prime, repeated_squaring, scalar_from_json, scalar_to_json
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -184,22 +184,12 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        if k == 0:
-            return Poly.one()
         if len(self._num) == 2:
             # (n0 + n1*x)**k / den**k by the binomial theorem
             n0, n1 = self._num
             return _make([math.comb(k, j) * n0 ** (k - j) * n1 ** j for j in range(k + 1)],
                          self._den ** k)
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return repeated_squaring(self, k) if k else Poly.one()
 
     def __divmod__(self, other):
         """Pseudo-division (Knuth, Algorithm R) on the numerators, scaled

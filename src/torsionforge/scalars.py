@@ -76,13 +76,35 @@ def gen_binom(r: int | Fraction, k: int) -> Fraction:
     return num / fact
 
 
+def repeated_squaring(base, k: int):
+    """base**k for k >= 1 by the right-to-left binary method (Knuth, *TAOCP*
+    vol. 2, section 4.6.3, Algorithm A), squaring no further than k's top bit."""
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
+def _field(other, op):
+    """op(o) for the operand o of a GaussianRational operator, lifted to one
+    if it is an ``int`` or a ``Fraction``; NotImplemented for any other type."""
+    if isinstance(other, (int, Fraction)):
+        other = GaussianRational(other)
+    elif not isinstance(other, GaussianRational):
+        return NotImplemented
+    return op(other)
+
+
 class GaussianRational:
     """An element a + b*i of the Gaussian rationals, a and b exact rationals.
 
-    Supports field arithmetic, mixes freely with int and Fraction
-    operands, and hashes consistently with Fraction when the imaginary
-    part is zero (so ``GaussianRational(3, 0) == Fraction(3)`` and the
-    two share a hash).
+    Every binary operator takes its operand by one rule, :func:`_field`: an
+    ``int`` or a ``Fraction`` on either side is lifted and any other type is
+    left to Python.  ``GaussianRational(3, 0) == Fraction(3)``, with one hash.
     """
 
     __slots__ = ("re", "im")
@@ -97,82 +119,45 @@ class GaussianRational:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("GaussianRational is immutable")
 
-    @staticmethod
-    def _coerce(x) -> "GaussianRational | None":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _field(other, lambda o: GaussianRational(self.re + o.re, self.im + o.im))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _field(other, lambda o: GaussianRational(self.re - o.re, self.im - o.im))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _field(other, lambda o: GaussianRational(o.re - self.re, o.im - self.im))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        return _field(other, lambda o: GaussianRational(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
+    def _inverse(self):
+        n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        return GaussianRational(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return _field(other, lambda o: self * o._inverse())
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return _field(other, lambda o: o * self._inverse())
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return repeated_squaring(self, k) if k else GaussianRational(1)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return _field(other, lambda o: self.re == o.re and self.im == o.im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

@@ -288,6 +288,17 @@ def test_order_of_refuses_a_base_other_than_a_point():
             order_of(GENUS2_SPLIT, base, bound=4)
 
 
+def test_add_refuses_a_summand_other_than_a_point():
+    cert = construct(ConstructionRequest(n=7, d=2, m=8))
+    model, P = embed_point(cert.curve, cert.point)
+    E = add(model, P, P)
+    assert E.u.degree == 2
+    # the sum exists, but add's three cases read E as the point (x - E.u[0], E.v[0])
+    assert str(cantor_add(model, E, E)) == "<u=x^3 + 2, v=0>"
+    with pytest.raises(ValueError, match="summand must be a point"):
+        add(model, E, E)
+
+
 def test_twisted_pair_is_valid_on_the_twist():
     cert = construct_n_plus_ed(5, 2, 1)
     curve, point = cert.curve, cert.point

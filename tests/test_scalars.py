@@ -166,6 +166,40 @@ def test_gaussian_equality_with_rationals_when_imaginary_part_vanishes():
     assert GaussianRational(1, 1) != 1
 
 
+def test_every_gaussian_operator_by_operand_type():
+    z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+    zn = z.re * z.re + z.im * z.im
+    for w in (3, Fraction(2, 5), GaussianRational(Fraction(-1, 3), 2)):
+        g = w if isinstance(w, GaussianRational) else GaussianRational(w)
+        n = g.re * g.re + g.im * g.im
+        for got, re_part, im_part in (
+            (z + w, z.re + g.re, z.im + g.im),
+            (w + z, z.re + g.re, z.im + g.im),
+            (z - w, z.re - g.re, z.im - g.im),
+            (w - z, g.re - z.re, g.im - z.im),
+            (z * w, z.re * g.re - z.im * g.im, z.re * g.im + z.im * g.re),
+            (w * z, z.re * g.re - z.im * g.im, z.re * g.im + z.im * g.re),
+            (z / w, (z.re * g.re + z.im * g.im) / n, (z.im * g.re - z.re * g.im) / n),
+            (w / z, (g.re * z.re + g.im * z.im) / zn, (g.im * z.re - g.re * z.im) / zn),
+        ):
+            assert type(got) is GaussianRational and (got.re, got.im) == (re_part, im_part), w
+        assert not z == w and not w == z and z != w and w != z
+        assert g == w and w == g and not g != w
+    assert -z == GaussianRational(Fraction(-1, 2), Fraction(3, 4))
+    assert (z == "1") is False and z != "1"
+    with pytest.raises(TypeError):
+        z + "x"
+    with pytest.raises(TypeError):
+        "x" * z
+    for zero_division in (lambda: z / 0, lambda: 1 / GaussianRational(0)):
+        with pytest.raises(ZeroDivisionError, match="^division by zero Gaussian rational$"):
+            zero_division()
+    product = GaussianRational(1)
+    for k in range(6):
+        assert z ** k == product and type(z ** k) is GaussianRational
+        product = product * z
+
+
 def test_gaussian_is_immutable():
     z = GaussianRational(1, 2)
     with pytest.raises(AttributeError):
