@@ -71,7 +71,7 @@ def _emit(text: str, out: str | None) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str, flag: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
+def _parse_range(text: str, flag: str, error) -> tuple[int, int]:
     """Parse "7" or "2..11" into an inclusive integer interval."""
     lo, sep, hi = text.partition("..")
     try:
@@ -79,21 +79,21 @@ def _parse_range(text: str, flag: str, parser: argparse.ArgumentParser) -> tuple
             return int(lo), int(hi)
         return int(text), int(text)
     except ValueError:
-        parser.error("%s expects an integer or a..b range, got %r" % (flag, text))
+        error("%s expects an integer or a..b range, got %r" % (flag, text))
 
 
-def _check_shape_args(parser: argparse.ArgumentParser, n: int, d: int):
+def _check_shape_args(error, n: int, d: int):
     if d < 2:
-        parser.error("--d must be at least 2, got %d" % (d,))
+        error("--d must be at least 2, got %d" % (d,))
     if n <= d:
-        parser.error("--n must exceed --d, got n=%d d=%d" % (n, d))
+        error("--n must exceed --d, got n=%d d=%d" % (n, d))
     if int_gcd(n, d) != 1:
-        parser.error("gcd(n, d) must be 1, got n=%d d=%d" % (n, d))
+        error("gcd(n, d) must be 1, got n=%d d=%d" % (n, d))
 
 
-def _check_budget(parser: argparse.ArgumentParser, c_range: int | None):
+def _check_budget(error, c_range: int | None):
     if c_range is not None and c_range < 0:
-        parser.error("--c-range must be a nonnegative integer, got %d" % (c_range,))
+        error("--c-range must be a nonnegative integer, got %d" % (c_range,))
 
 
 def _oracle_check(cert: TorsionCertificate) -> tuple[bool, str]:
@@ -165,19 +165,19 @@ def certify_request(
 # construct
 # ---------------------------------------------------------------------------
 
-def cmd_construct(args, parser) -> int:
-    _check_shape_args(parser, args.n, args.d)
-    _check_budget(parser, args.c_range)
+def cmd_construct(args, error) -> int:
+    _check_shape_args(error, args.n, args.d)
+    _check_budget(error, args.c_range)
     if args.m is None and args.e is None:
-        parser.error("construct needs --m or --e")
+        error("construct needs --m or --e")
     m = args.m
     if args.e is not None:
         from_e = args.n + args.e * args.d
         if m is not None and m != from_e:
-            parser.error("--m %d conflicts with --e %d (which means m = %d)" % (m, args.e, from_e))
+            error("--m %d conflicts with --e %d (which means m = %d)" % (m, args.e, from_e))
         m = from_e
     if m < 2:
-        parser.error("--m must be at least 2, got %d" % (m,))
+        error("--m must be at least 2, got %d" % (m,))
 
     verdict = reachability_verdict(args.n, args.d, m)
     if verdict.status == STATUS_UNREACHABLE:
@@ -251,35 +251,35 @@ def cmd_verify(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_rows(args, parser):
-    n_lo, n_hi = _parse_range(args.n, "--n", parser)
+def _scan_rows(args, error):
+    n_lo, n_hi = _parse_range(args.n, "--n", error)
     for n in range(n_lo, n_hi + 1):
         if n <= args.d or int_gcd(n, args.d) != 1:
             continue
         if args.preset == PRESET_HYPERELLIPTIC_LADDER:
             m_lo, m_hi = n + 1, 2 * n + 1
         else:
-            m_lo, m_hi = _parse_range(args.m, "--m", parser)
+            m_lo, m_hi = _parse_range(args.m, "--m", error)
         for m in range(max(2, m_lo), m_hi + 1):
             yield n, m
 
 
-def cmd_scan(args, parser) -> int:
+def cmd_scan(args, error) -> int:
     if args.d < 2:
-        parser.error("--d must be at least 2, got %d" % (args.d,))
+        error("--d must be at least 2, got %d" % (args.d,))
     if args.preset == PRESET_HYPERELLIPTIC_LADDER and args.d != 2:
-        parser.error("preset %s requires --d 2" % (PRESET_HYPERELLIPTIC_LADDER,))
+        error("preset %s requires --d 2" % (PRESET_HYPERELLIPTIC_LADDER,))
     if args.preset is None and args.m is None:
-        parser.error("scan needs --m or --preset")
+        error("scan needs --m or --preset")
     if args.n is None:
-        parser.error("scan needs --n")
-    _check_budget(parser, args.c_range)
+        error("scan needs --n")
+    _check_budget(error, args.c_range)
 
     # one dict per row; a constructed row also carries its "certificate"
     # and, with --out, the "certificate_path" it is written to
     base = None if args.out is None else os.path.splitext(args.out)[0]
     rows = []
-    for n, m in _scan_rows(args, parser):
+    for n, m in _scan_rows(args, error):
         verdict = reachability_verdict(n, args.d, m)
         row = {
             "n": n,
@@ -395,44 +395,43 @@ _COMMANDS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser, with a real subparser for ``command`` only
-    (for every subcommand when None).
-
-    The others register their name and help, from which argparse draws the
-    top-level usage, choices, help and errors, but their parser is None.
-    Only the subcommand named by the first argument ever parses, and
-    ``main`` passes that name only when ``argv[0]`` is one, so a
-    placeholder is never selected.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with every subcommand (``main`` says when it is built)."""
     parser = argparse.ArgumentParser(
         prog="torsion-forge",
         description="Construct, verify, and tabulate torsion certificates "
         "for superelliptic curves y^d = f(x).",
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        prog=parser.prog,
-        parser_class=lambda real, **kwargs: argparse.ArgumentParser(**kwargs) if real else None,
-    )
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, help_text, add_arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text, real=command in (None, name))
-        if p is not None:
-            add_arguments(p)
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _usage_error(message: str):
+    """The top-level parser's ``error``, which builds that parser only when called."""
+    build_parser().error(message)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Parse with the parser of the subcommand named first, by the call the top-level
+    parser makes on it; the top-level parser parses only if none is named or args are left."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in {c[0] for c in _COMMANDS} else None)
-    args = parser.parse_args(argv)
+    args = extras = None
+    for name, _, add_arguments in _COMMANDS:
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog="torsion-forge " + name)
+            add_arguments(parser)
+            args, extras = parser.parse_known_args(argv[1:])
+            args.command = name
+    if args is None or extras:
+        args = build_parser().parse_args(argv)
     if args.command == "construct":
-        return cmd_construct(args, parser)
+        return cmd_construct(args, _usage_error)
     if args.command == "verify":
         return cmd_verify(args)
-    return cmd_scan(args, parser)
+    return cmd_scan(args, _usage_error)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,6 +3,12 @@ command, by default the installed ``torsion-forge`` console script.
 
     python tests/replay_exit_paths.py [COMMAND ...]
 
+COMMAND may also run this checkout's package, uninstalled, under any
+interpreter: ``PYTHON -m torsionforge.cli``, with ``PYTHONPATH`` set to the
+absolute path of ``src`` (the cases run in other directories), as in
+
+    PYTHONPATH="$PWD/src" python3 tests/replay_exit_paths.py python3.12 -m torsionforge.cli
+
 Each case whose ``patch`` is null runs in a fresh temporary directory,
 with its input written to a file there in place of ``{input}``, with
 TORSION_FORGE_SEARCH_LIMIT unset, and with COLUMNS=80, the width at which

@@ -22,12 +22,12 @@ Two corpora are replayed through ``cli.main``, read-only:
   help, usage and error bytes.
 
 argparse wraps usage and help to the terminal width, which it reads from
-COLUMNS, so every case runs with COLUMNS=80.  ``main`` builds a real
-parser only for the subcommand named first (the others are None
-placeholders that never parse); at COLUMNS=37, where Python versions wrap
-differently, the parser cases are compared with a parser built for every
-subcommand rather than pinned, and every argv the benchmark runs must
-parse to the same namespace either way.
+COLUMNS, so every case runs with COLUMNS=80.  ``main`` parses with the
+parser of the subcommand named first, alone, and builds the top-level
+parser only for help and errors; at COLUMNS=37, where Python versions wrap
+differently, the parser cases are compared with runs that parse every argv
+with the top-level parser rather than pinned, and every argv the benchmark
+runs must parse to the same namespace either way.
 """
 
 from __future__ import annotations
@@ -160,49 +160,73 @@ def test_exit_path_bytes(capsys, tmp_path, monkeypatch, case):
     assert got == (case["exit"], case["stdout"], case["stderr"])
 
 
+def _main_by_the_full_parser(argv):
+    """``cli.main`` with its one-parser path switched off: every argv is
+    parsed by ``build_parser().parse_args``."""
+    args = cli.build_parser().parse_args(argv)
+    if args.command == "verify":
+        return cli.cmd_verify(args)
+    command = cli.cmd_construct if args.command == "construct" else cli.cmd_scan
+    return command(args, cli._usage_error)
+
+
 @pytest.mark.parametrize("case", PARSER_CASES, ids=[case["name"] for case in PARSER_CASES])
 def test_parser_bytes_equal_the_full_parser_at_37_columns(capsys, tmp_path, monkeypatch, case):
     monkeypatch.setenv("COLUMNS", "37")
     got = run_cli(capsys, tmp_path, case["argv"], None)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(cli, "main", _main_by_the_full_parser)
     assert got == run_cli(capsys, tmp_path, case["argv"], None)
     assert got[0] == case["exit"]
 
 
-def test_main_adds_the_arguments_of_the_named_command_only(capsys, tmp_path, monkeypatch):
+FULL_PARSER = ["torsion-forge", "torsion-forge construct", "torsion-forge verify", "torsion-forge scan"]
+
+
+@pytest.fixture
+def built_parsers(monkeypatch) -> list:
+    """The prog of every ``argparse.ArgumentParser`` built, in order."""
     built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
-    for argv in (["scan", "-h"], ["-h", "verify"], [], ["frobnicate"], ["--", "verify", "x.json"]):
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_main_builds_one_parser_for_a_named_command(monkeypatch, built_parsers):
+    argvs = _parsed_argvs()
+    monkeypatch.setattr(cli, "cmd_construct", lambda args, error: 0)
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 0)
+    monkeypatch.setattr(cli, "cmd_scan", lambda args, error: 0)
+    for argv in argvs:
+        built_parsers.clear()
+        assert cli.main(list(argv)) == 0
+        assert built_parsers == ["torsion-forge " + argv[0]], argv
+
+
+def test_main_builds_the_full_parser_only_for_help_and_errors(capsys, tmp_path, monkeypatch, built_parsers):
+    cases = [
+        ([], FULL_PARSER),
+        (["-h", "verify"], FULL_PARSER),
+        (["frobnicate"], FULL_PARSER),
+        (["--", "verify", "x.json"], FULL_PARSER),
+        (["verify", "a.json", "extra"], ["torsion-forge verify"] + FULL_PARSER),
+        (["construct", "--n", "4", "--d", "2", "--m", "6"], ["torsion-forge construct"] + FULL_PARSER),
+        (["scan", "-h"], ["torsion-forge scan"]),
+    ]
+    for argv, expected in cases:
+        built_parsers.clear()
         run_cli(capsys, tmp_path, argv, None)
+        assert built_parsers == expected, argv
+    built_parsers.clear()
     monkeypatch.setattr(sys, "argv", ["torsion-forge", "construct", "-h"])
     with pytest.raises(SystemExit):
         cli.main()
-    assert built == ["scan", None, None, None, None, "construct"]
+    assert built_parsers == ["torsion-forge construct"]
     assert capsys.readouterr().out.startswith("usage: torsion-forge construct [-h] --n N --d D")
-
-
-FULL_OPTIONS = {
-    "construct": [["-h", "--help"], ["--n"], ["--d"], ["--m"], ["--e"], ["--style"],
-                  ["--c-range"], ["--oracle"], ["--out"]],
-    "verify": [["-h", "--help"], [], ["--oracle"]],
-    "scan": [["-h", "--help"], ["--d"], ["--n"], ["--m"], ["--preset"], ["--construct"],
-             ["--oracle"], ["--c-range"], ["--format"], ["--out"]],
-}
-
-
-def _subparsers(parser: argparse.ArgumentParser) -> dict:
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: None if p is None else [a.option_strings for a in p._actions]
-            for name, p in sub.choices.items()}
-
-
-def test_build_parser_builds_a_parser_for_the_named_command_only():
-    assert _subparsers(cli.build_parser()) == FULL_OPTIONS
-    for command, options in FULL_OPTIONS.items():
-        expected = {name: options if name == command else None for name in FULL_OPTIONS}
-        assert _subparsers(cli.build_parser(command)) == expected
 
 
 def _parsed_argvs() -> list[list[str]]:
@@ -224,6 +248,11 @@ def _parsed_argvs() -> list[list[str]]:
 def test_the_named_commands_parser_parses_like_the_full_parser():
     argvs = _parsed_argvs()
     assert len(argvs) == 98 + 58 + 345 + 2
+    add_arguments = {name: add for name, _, add in cli._COMMANDS}
     for argv in argvs:
-        got = cli.build_parser(argv[0]).parse_args(argv)
+        parser = argparse.ArgumentParser(prog="torsion-forge " + argv[0])
+        add_arguments[argv[0]](parser)
+        got, extras = parser.parse_known_args(argv[1:])
+        assert extras == [], argv
+        got.command = argv[0]
         assert got == cli.build_parser().parse_args(argv), argv
