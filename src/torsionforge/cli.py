@@ -71,7 +71,12 @@ def _emit(text: str, out: str | None) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str, flag: str, error) -> tuple[int, int]:
+def _usage_error(message: str):
+    """The top-level parser's ``error``, which builds that parser only when called."""
+    build_parser().error(message)
+
+
+def _parse_range(text: str, flag: str) -> tuple[int, int]:
     """Parse "7" or "2..11" into an inclusive integer interval."""
     lo, sep, hi = text.partition("..")
     try:
@@ -79,21 +84,21 @@ def _parse_range(text: str, flag: str, error) -> tuple[int, int]:
             return int(lo), int(hi)
         return int(text), int(text)
     except ValueError:
-        error("%s expects an integer or a..b range, got %r" % (flag, text))
+        _usage_error("%s expects an integer or a..b range, got %r" % (flag, text))
 
 
-def _check_shape_args(error, n: int, d: int):
+def _check_shape_args(n: int, d: int):
     if d < 2:
-        error("--d must be at least 2, got %d" % (d,))
+        _usage_error("--d must be at least 2, got %d" % (d,))
     if n <= d:
-        error("--n must exceed --d, got n=%d d=%d" % (n, d))
+        _usage_error("--n must exceed --d, got n=%d d=%d" % (n, d))
     if int_gcd(n, d) != 1:
-        error("gcd(n, d) must be 1, got n=%d d=%d" % (n, d))
+        _usage_error("gcd(n, d) must be 1, got n=%d d=%d" % (n, d))
 
 
-def _check_budget(error, c_range: int | None):
+def _check_budget(c_range: int | None):
     if c_range is not None and c_range < 0:
-        error("--c-range must be a nonnegative integer, got %d" % (c_range,))
+        _usage_error("--c-range must be a nonnegative integer, got %d" % (c_range,))
 
 
 def _oracle_check(cert: TorsionCertificate) -> tuple[bool, str]:
@@ -165,19 +170,19 @@ def certify_request(
 # construct
 # ---------------------------------------------------------------------------
 
-def cmd_construct(args, error) -> int:
-    _check_shape_args(error, args.n, args.d)
-    _check_budget(error, args.c_range)
+def cmd_construct(args) -> int:
+    _check_shape_args(args.n, args.d)
+    _check_budget(args.c_range)
     if args.m is None and args.e is None:
-        error("construct needs --m or --e")
+        _usage_error("construct needs --m or --e")
     m = args.m
     if args.e is not None:
         from_e = args.n + args.e * args.d
         if m is not None and m != from_e:
-            error("--m %d conflicts with --e %d (which means m = %d)" % (m, args.e, from_e))
+            _usage_error("--m %d conflicts with --e %d (which means m = %d)" % (m, args.e, from_e))
         m = from_e
     if m < 2:
-        error("--m must be at least 2, got %d" % (m,))
+        _usage_error("--m must be at least 2, got %d" % (m,))
 
     verdict = reachability_verdict(args.n, args.d, m)
     if verdict.status == STATUS_UNREACHABLE:
@@ -251,35 +256,35 @@ def cmd_verify(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_rows(args, error):
-    n_lo, n_hi = _parse_range(args.n, "--n", error)
+def _scan_rows(args):
+    n_lo, n_hi = _parse_range(args.n, "--n")
     for n in range(n_lo, n_hi + 1):
         if n <= args.d or int_gcd(n, args.d) != 1:
             continue
         if args.preset == PRESET_HYPERELLIPTIC_LADDER:
             m_lo, m_hi = n + 1, 2 * n + 1
         else:
-            m_lo, m_hi = _parse_range(args.m, "--m", error)
+            m_lo, m_hi = _parse_range(args.m, "--m")
         for m in range(max(2, m_lo), m_hi + 1):
             yield n, m
 
 
-def cmd_scan(args, error) -> int:
+def cmd_scan(args) -> int:
     if args.d < 2:
-        error("--d must be at least 2, got %d" % (args.d,))
+        _usage_error("--d must be at least 2, got %d" % (args.d,))
     if args.preset == PRESET_HYPERELLIPTIC_LADDER and args.d != 2:
-        error("preset %s requires --d 2" % (PRESET_HYPERELLIPTIC_LADDER,))
+        _usage_error("preset %s requires --d 2" % (PRESET_HYPERELLIPTIC_LADDER,))
     if args.preset is None and args.m is None:
-        error("scan needs --m or --preset")
+        _usage_error("scan needs --m or --preset")
     if args.n is None:
-        error("scan needs --n")
-    _check_budget(error, args.c_range)
+        _usage_error("scan needs --n")
+    _check_budget(args.c_range)
 
     # one dict per row; a constructed row also carries its "certificate"
     # and, with --out, the "certificate_path" it is written to
     base = None if args.out is None else os.path.splitext(args.out)[0]
     rows = []
-    for n, m in _scan_rows(args, error):
+    for n, m in _scan_rows(args):
         verdict = reachability_verdict(n, args.d, m)
         row = {
             "n": n,
@@ -408,11 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message: str):
-    """The top-level parser's ``error``, which builds that parser only when called."""
-    build_parser().error(message)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Parse with the parser of the subcommand named first, by the call the top-level
     parser makes on it; the top-level parser parses only if none is named or args are left."""
@@ -428,10 +428,10 @@ def main(argv: list[str] | None = None) -> int:
     if args is None or extras:
         args = build_parser().parse_args(argv)
     if args.command == "construct":
-        return cmd_construct(args, _usage_error)
+        return cmd_construct(args)
     if args.command == "verify":
         return cmd_verify(args)
-    return cmd_scan(args, _usage_error)
+    return cmd_scan(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

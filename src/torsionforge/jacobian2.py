@@ -1,12 +1,13 @@
 """Divisor arithmetic on hyperelliptic Jacobians (cover degree 2).
 
 This is the independent order oracle: it never looks at certificates or
-constructions, only at the curve equation y**2 = f(x) with f of odd
-degree n = 2g + 1.  Divisor classes are held in Mumford form (u, v) with
-u monic, deg v < deg u <= g, and u | v**2 - f, all over Q.  Each step
-adds one point to a reduced divisor and then takes one step of Cantor's
-reduction ("Computing in the Jacobian of a hyperelliptic curve", Math.
-Comp. 48, 1987).  Nothing assumes f monic.
+constructions.  :func:`embed_point` reads the curve and the point; the rest
+reads only the model y**2 = f(x), f of odd degree n = 2g + 1.  Divisor
+classes are held in Mumford form (u, v) with u monic, deg v < deg u <= g,
+and u | v**2 - f, all over Q.  Each step adds one point to a reduced
+divisor and then takes one step of Cantor's reduction ("Computing in the
+Jacobian of a hyperelliptic curve", Math. Comp. 48, 1987).  Nothing
+assumes f monic.
 
 Orders are found by scanning the multiples k*D, and the scan stops at
 the half-way point when it can.  Three facts keep that work over Q,
@@ -16,8 +17,8 @@ short and free of gcds:
   rational and y(P) lies in Q or in i*Q (the points the infinity-shift
   constructor emits).  In the second case (x, y) -> (x, y/i) is an
   isomorphism over Q(i) from y**2 = f onto y**2 = -f that fixes O, so
-  :func:`embed_point` maps P - O to a divisor over Q of the same order
-  on the twist, and every step of the scan runs on rationals.
+  :func:`embed_point` returns -f as the model and P - O as a divisor over
+  Q of the same order on it, and every step of the scan runs on rationals.
 * One group law.  :func:`add` adds a point E = (x - a, b) of the model,
   so b**2 = f(a), to D = (u1, v1) in one of three ways, then reduces:
   - interpolation: if u1(a) != 0, u = u1*(x - a) and v = v1 + c*u1,
@@ -72,65 +73,50 @@ class MumfordDivisor(namedtuple("MumfordDivisor", "u v")):
 IDENTITY = MumfordDivisor(Poly.one(), Poly.zero())
 
 
-def _require_d2(curve: Curve):
-    if curve.d != 2:
-        raise ValueError("divisor arithmetic is implemented for d=2 only, got d=%d" % (curve.d,))
-
-
-def validate(curve: Curve, D: MumfordDivisor):
-    """Check the Mumford invariants; raises ValueError on violation."""
-    _require_d2(curve)
-    if D.u.is_zero or not D.u.is_monic:
+def validate(f: Poly, D: MumfordDivisor):
+    """Check the Mumford invariants on y**2 = f; raises ValueError on violation."""
+    if not D.u.is_monic:
         raise ValueError("u must be monic, got %s" % (D.u,))
-    if D.u.degree > curve.genus:
-        raise ValueError(
-            "deg u = %s exceeds genus %d" % (D.u.degree, curve.genus)
-        )
+    if 2 * D.u.degree > f.degree:
+        raise ValueError("deg u = %s exceeds genus %d" % (D.u.degree, f.degree // 2))
     if not D.v.is_zero and D.v.degree >= D.u.degree:
         raise ValueError("need deg v < deg u, got %s / %s" % (D.v, D.u))
-    if not ((D.v ** 2 - curve.f) % D.u).is_zero:
+    if not ((D.v ** 2 - f) % D.u).is_zero:
         raise ValueError("u does not divide v^2 - f")
 
 
-# The model y**2 = -f, with the fields Cantor's algorithm reads.  Not a
-# ``Curve``: -f is square-free exactly when f is, so the twist needs no
-# second validation.
-_Twist = namedtuple("_Twist", "d f genus")
-
-
 def embed_point(curve: Curve, point: AffinePoint):
-    """(model, D): the class of P - O, for an affine point P with rational
-    abscissa on the curve, as a divisor D over Q on ``model``.
+    """(f, D): the class of P - O, for an affine point P with rational
+    abscissa on a d = 2 curve, as a divisor D over Q on the model y**2 = f.
 
-    ``model`` is the curve itself, or its twist y**2 = -f when y(P) lies
-    in i*Q (see the module docstring).
+    f is the curve's own polynomial, or -f for the twist when y(P) lies
+    in i*Q (see the module docstring); -f is square-free exactly when f
+    is, so the twist needs no second validation.
     """
-    _require_d2(curve)
+    if curve.d != 2:
+        raise ValueError("divisor arithmetic is implemented for d=2 only, got d=%d" % (curve.d,))
     if not on_curve(curve, point):
         raise ValueError("point %s is not on the curve" % (point,))
-    y = point.y
+    f, y = curve.f, point.y
     if isinstance(y, GaussianRational):
         # y**2 = f(x(P)) is rational, so y.re * y.im == 0
         if y.im:
-            curve = _Twist(curve.d, -curve.f, curve.genus)
+            f = -f
         y = y.im or y.re
-    return curve, MumfordDivisor(Poly((-point.x, 1)), Poly.constant(y))
+    return f, MumfordDivisor(Poly((-point.x, 1)), Poly.constant(y))
 
 
-def neg(curve: Curve, D: MumfordDivisor) -> MumfordDivisor:
+def neg(D: MumfordDivisor) -> MumfordDivisor:
     """-D = (u, -v): -v is already reduced modulo u, as deg v < deg u."""
-    _require_d2(curve)
     return MumfordDivisor(D.u, -D.v)
 
 
-def add(curve: Curve, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
-    """D + E for a point E = (x - a, b) of the model: one of the three cases
-    of the module docstring, then one reduction step and :func:`validate`.
-    Raises ValueError for a summand E that is not a point."""
-    _require_d2(curve)
+def add(f: Poly, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
+    """D + E on y**2 = f for a point E = (x - a, b), so b**2 = f(a): one of
+    the three cases of the module docstring, then one reduction step and
+    :func:`validate`.  Raises ValueError for a summand E that is not a point."""
     if E.u.degree != 1:
         raise ValueError("the summand must be a point (x - a, b), got E = %s" % (E,))
-    f, g = curve.f, curve.genus
     u1, v1 = D.u, D.v
     a, b = -E.u[0], E.v[0]
     at_a = u1(a)
@@ -143,17 +129,17 @@ def add(curve: Curve, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
         v = v1 % u
 
     # reduction: one step suffices (see the module docstring)
-    if u.degree > g:
+    if 2 * u.degree > f.degree:
         u = exact_div(f - v ** 2, u).monic()
         v = (-v) % u
     out = MumfordDivisor(u, v)
-    validate(curve, out)
+    validate(f, out)
     return out
 
 
-def order_of(curve: Curve, D: MumfordDivisor, bound: int) -> int:
+def order_of(f: Poly, D: MumfordDivisor, bound: int) -> int:
     """Least k >= 1 with k*D = 0, for k up to bound, where D = P - O and
-    its model ``curve`` are what :func:`embed_point` returns.
+    its model y**2 = f are what :func:`embed_point` returns.
 
     Returns bound after ceil(bound/2) multiples when bound*D = 0 (see
     the module docstring); otherwise every multiple up to bound is
@@ -171,9 +157,7 @@ def order_of(curve: Curve, D: MumfordDivisor, bound: int) -> int:
         if acc.is_identity():
             return k
         # at k = ceil(bound/2): is k*D == -(bound-k)*D, i.e. bound*D = 0?
-        if k == half and acc == neg(curve, prev if bound % 2 else acc):
+        if k == half and acc == neg(prev if bound % 2 else acc):
             return bound
-        acc, prev = add(curve, acc, D), acc
-    raise OrderNotFoundError(
-        "no order <= %d found for %s" % (bound, D)
-    )
+        acc, prev = add(f, acc, D), acc
+    raise OrderNotFoundError("no order <= %d found for %s" % (bound, D))

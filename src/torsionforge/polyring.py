@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, count
+from itertools import accumulate, chain, count, repeat
 
 from .scalars import is_prime, repeated_squaring, scalar_from_json, scalar_to_json
 
@@ -185,10 +185,15 @@ class Poly:
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
         if len(self._num) == 2:
-            # (n0 + n1*x)**k / den**k by the binomial theorem
+            # (n0 + n1*x)**k / den**k by the binomial theorem, with the row stepped
+            # by C(k, j+1) = C(k, j)*(k - j) // (j + 1) and each power by one product
             n0, n1 = self._num
-            return _make([math.comb(k, j) * n0 ** (k - j) * n1 ** j for j in range(k + 1)],
-                         self._den ** k)
+            low = list(accumulate(repeat(n0, k), int.__mul__, initial=1))  # n0**0 .. n0**k
+            coeffs, c, high = [], 1, 1
+            for j in range(k + 1):
+                coeffs.append(c * low[k - j] * high)
+                c, high = c * (k - j) // (j + 1), high * n1
+            return _make(coeffs, self._den ** k)
         return repeated_squaring(self, k) if k else Poly.one()
 
     def __divmod__(self, other):

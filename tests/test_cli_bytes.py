@@ -164,10 +164,8 @@ def _main_by_the_full_parser(argv):
     """``cli.main`` with its one-parser path switched off: every argv is
     parsed by ``build_parser().parse_args``."""
     args = cli.build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cli.cmd_verify(args)
-    command = cli.cmd_construct if args.command == "construct" else cli.cmd_scan
-    return command(args, cli._usage_error)
+    commands = {"construct": cli.cmd_construct, "verify": cli.cmd_verify, "scan": cli.cmd_scan}
+    return commands[args.command](args)
 
 
 @pytest.mark.parametrize("case", PARSER_CASES, ids=[case["name"] for case in PARSER_CASES])
@@ -198,9 +196,9 @@ def built_parsers(monkeypatch) -> list:
 
 def test_main_builds_one_parser_for_a_named_command(monkeypatch, built_parsers):
     argvs = _parsed_argvs()
-    monkeypatch.setattr(cli, "cmd_construct", lambda args, error: 0)
+    monkeypatch.setattr(cli, "cmd_construct", lambda args: 0)
     monkeypatch.setattr(cli, "cmd_verify", lambda args: 0)
-    monkeypatch.setattr(cli, "cmd_scan", lambda args, error: 0)
+    monkeypatch.setattr(cli, "cmd_scan", lambda args: 0)
     for argv in argvs:
         built_parsers.clear()
         assert cli.main(list(argv)) == 0

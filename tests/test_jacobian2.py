@@ -46,17 +46,17 @@ GENUS3_SPLIT = Curve(
 
 
 def embed(curve, P):
-    """P - O for a point with rational ordinate, which embed_point leaves on its curve."""
+    """P - O for a point with rational ordinate, whose model is the curve's own f."""
     model, D = embed_point(curve, P)
-    assert model is curve
+    assert model is curve.f
     return D
 
 
-def multiples(curve, D, count):
-    """[0*D, 1*D, ..., (count-1)*D] by repeated addition."""
+def multiples(f, D, count):
+    """[0*D, 1*D, ..., (count-1)*D] on y**2 = f by repeated addition."""
     out = [IDENTITY]
     while len(out) < count:
-        out.append(add(curve, out[-1], D))
+        out.append(add(f, out[-1], D))
     return out
 
 
@@ -88,7 +88,7 @@ def torsion_generators():
 
 def test_identity_element():
     assert IDENTITY.is_identity()
-    validate(GENUS2_SPLIT, IDENTITY)
+    validate(GENUS2_SPLIT.f, IDENTITY)
 
 
 def test_embed_point_shape():
@@ -105,11 +105,11 @@ def test_embed_rejects_points_off_the_curve():
 
 def test_validate_rejects_bad_mumford_pairs():
     with pytest.raises(ValueError):
-        validate(GENUS2_SPLIT, MumfordDivisor(Poly((1, 2)), Poly.zero()))   # u not monic
+        validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((1, 2)), Poly.zero()))   # u not monic
     with pytest.raises(ValueError):
-        validate(GENUS2_SPLIT, MumfordDivisor(Poly((0, 0, 0, 1)), Poly.zero()))  # deg u > g
+        validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((0, 0, 0, 1)), Poly.zero()))  # deg u > g
     with pytest.raises(ValueError):
-        validate(GENUS2_SPLIT, MumfordDivisor(Poly((-1, 1)), Poly((5,))))   # u does not divide v^2 - f
+        validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((-1, 1)), Poly((5,))))   # u does not divide v^2 - f
 
 
 def test_only_hyperelliptic_covers_supported():
@@ -127,20 +127,20 @@ def test_weierstrass_points_have_order_two():
         for P in weierstrass_points(curve):
             D = embed(curve, P)
             assert not D.is_identity()
-            assert add(curve, D, D).is_identity()
-            assert order_of(curve, D, bound=4) == 2
+            assert add(curve.f, D, D).is_identity()
+            assert order_of(curve.f, D, bound=4) == 2
 
 
 def test_identity_is_neutral():
     D = embed(GENUS2_SPLIT, AffinePoint(Fraction(2), Fraction(0)))
-    assert cantor_add(GENUS2_SPLIT, D, IDENTITY) == D
-    assert add(GENUS2_SPLIT, IDENTITY, D) == D
+    assert cantor_add(GENUS2_SPLIT.f, D, IDENTITY) == D
+    assert add(GENUS2_SPLIT.f, IDENTITY, D) == D
 
 
 def test_inverse_law():
-    for curve, D, m in torsion_generators():
-        for E in multiples(curve, D, min(m, 6))[1:]:
-            assert cantor_add(curve, E, neg(curve, E)).is_identity()
+    for f, D, m in torsion_generators():
+        for E in multiples(f, D, min(m, 6))[1:]:
+            assert cantor_add(f, E, neg(E)).is_identity()
 
 
 def test_500_random_additions_preserve_invariants():
@@ -148,20 +148,20 @@ def test_500_random_additions_preserve_invariants():
     pools = []
     for curve in (GENUS2_SPLIT, GENUS3_SPLIT):
         pool = [embed(curve, P) for P in weierstrass_points(curve)]
-        pools.append((curve, pool))
-    for curve, D, m in torsion_generators():
-        pool = multiples(curve, D, m)[1:]
-        pools.append((curve, pool))
+        pools.append((curve.f, pool))
+    for f, D, m in torsion_generators():
+        pool = multiples(f, D, m)[1:]
+        pools.append((f, pool))
 
     additions = 0
     commutes = 0
     while additions < 500:
-        curve, pool = pools[rng.randrange(len(pools))]
+        f, pool = pools[rng.randrange(len(pools))]
         a = pool[rng.randrange(len(pool))]
         b = pool[rng.randrange(len(pool))]
-        s = cantor_add(curve, a, b)
-        validate(curve, s)
-        assert cantor_add(curve, b, a) == s
+        s = cantor_add(f, a, b)
+        validate(f, s)
+        assert cantor_add(f, b, a) == s
         additions += 2
         commutes += 1
     assert commutes >= 250
@@ -170,20 +170,17 @@ def test_500_random_additions_preserve_invariants():
 def test_associativity_on_random_triples():
     rng = random.Random(7)
     triples_checked = 0
-    for curve, D, m in torsion_generators():
-        elements = multiples(curve, D, m)
+    for f, D, m in torsion_generators():
+        elements = multiples(f, D, m)
         for _ in range(6):
             a, b, c = (elements[rng.randrange(m)] for _ in range(3))
-            assert cantor_add(curve, cantor_add(curve, a, b), c) == cantor_add(
-                curve, a, cantor_add(curve, b, c)
-            )
+            assert cantor_add(f, cantor_add(f, a, b), c) == cantor_add(f, a, cantor_add(f, b, c))
             triples_checked += 1
     w = [embed(GENUS3_SPLIT, P) for P in weierstrass_points(GENUS3_SPLIT)]
     for _ in range(10):
         a, b, c = (w[rng.randrange(len(w))] for _ in range(3))
-        assert cantor_add(GENUS3_SPLIT, cantor_add(GENUS3_SPLIT, a, b), c) == cantor_add(
-            GENUS3_SPLIT, a, cantor_add(GENUS3_SPLIT, b, c)
-        )
+        f = GENUS3_SPLIT.f
+        assert cantor_add(f, cantor_add(f, a, b), c) == cantor_add(f, a, cantor_add(f, b, c))
         triples_checked += 1
     assert triples_checked >= 50
 
@@ -191,14 +188,14 @@ def test_associativity_on_random_triples():
 def test_mixed_weierstrass_sums_reduce_correctly():
     # adding distinct branch points yields a degree-2 divisor with v = 0
     W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
-    D = add(GENUS2_SPLIT, W[0], W[1])
-    assert D == cantor_add(GENUS2_SPLIT, W[0], W[1])
+    D = add(GENUS2_SPLIT.f, W[0], W[1])
+    assert D == cantor_add(GENUS2_SPLIT.f, W[0], W[1])
     assert D.u.degree == 2
     assert D.v.is_zero
-    validate(GENUS2_SPLIT, D)
+    validate(GENUS2_SPLIT.f, D)
     # order of a sum of two distinct two-torsion classes is 2
     assert not D.is_identity()
-    assert cantor_add(GENUS2_SPLIT, D, D).is_identity()
+    assert cantor_add(GENUS2_SPLIT.f, D, D).is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +203,14 @@ def test_mixed_weierstrass_sums_reduce_correctly():
 # ---------------------------------------------------------------------------
 
 def test_order_of_certified_generators():
-    for curve, D, m in torsion_generators():
-        assert order_of(curve, D, bound=m) == m
+    for f, D, m in torsion_generators():
+        assert order_of(f, D, bound=m) == m
 
 
 def test_order_of_respects_the_bound():
-    curve, D, m = torsion_generators()[0]
+    f, D, m = torsion_generators()[0]
     with pytest.raises(OrderNotFoundError):
-        order_of(curve, D, bound=m - 1)
+        order_of(f, D, bound=m - 1)
 
 
 def test_order_of_gaussian_point():
@@ -227,25 +224,25 @@ def test_order_of_gaussian_point():
 # embed_point's quadratic twist and order_of's half-length scan
 # ---------------------------------------------------------------------------
 
-def reference_order(curve, D, bound):
-    """The plain linear scan on the given model: least k <= bound with k*D = 0, or None."""
+def reference_order(f, D, bound):
+    """The plain linear scan on the model y**2 = f: least k <= bound with k*D = 0, or None."""
     acc = D
     for k in range(1, bound + 1):
         if acc.is_identity():
             return k
-        acc = add(curve, acc, D)
+        acc = add(f, acc, D)
     return None
 
 
-def assert_agrees_with_reference(curve, D, bounds):
+def assert_agrees_with_reference(f, D, bounds):
     """order_of at each bound gives what a plain scan up to max(bounds) implies."""
-    first = reference_order(curve, D, max(bounds))
+    first = reference_order(f, D, max(bounds))
     for bound in bounds:
         if first is not None and first <= bound:
-            assert order_of(curve, D, bound) == first, bound
+            assert order_of(f, D, bound) == first, bound
         else:
             with pytest.raises(OrderNotFoundError):
-                order_of(curve, D, bound)
+                order_of(f, D, bound)
 
 
 def rational_generator():
@@ -260,32 +257,32 @@ def gaussian_generator():
 
 @pytest.mark.parametrize("generator", [rational_generator, gaussian_generator])
 def test_order_of_contract(generator):
-    curve, D, m = generator()
+    f, D, m = generator()
     for bound in (m, 2 * m, 3 * m):
-        assert order_of(curve, D, bound) == m
+        assert order_of(f, D, bound) == m
     # (m + 1)*D != 0, so the half-way test fails and the scan goes on to m
-    assert order_of(curve, D, m + 1) == m
+    assert order_of(f, D, m + 1) == m
     with pytest.raises(OrderNotFoundError):
-        order_of(curve, D, m - 1)
+        order_of(f, D, m - 1)
 
 
 def test_order_of_small_bounds_on_a_weierstrass_point():
     D = embed(GENUS2_SPLIT, weierstrass_points(GENUS2_SPLIT)[0])
     with pytest.raises(OrderNotFoundError):
-        order_of(GENUS2_SPLIT, D, bound=1)
-    assert order_of(GENUS2_SPLIT, D, bound=2) == 2
-    assert order_of(GENUS2_SPLIT, D, bound=3) == 2
+        order_of(GENUS2_SPLIT.f, D, bound=1)
+    assert order_of(GENUS2_SPLIT.f, D, bound=2) == 2
+    assert order_of(GENUS2_SPLIT.f, D, bound=3) == 2
     with pytest.raises(ValueError):
-        order_of(GENUS2_SPLIT, D, bound=0)
+        order_of(GENUS2_SPLIT.f, D, bound=0)
 
 
 def test_order_of_refuses_a_base_other_than_a_point():
     W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
-    D = add(GENUS2_SPLIT, W[0], W[1])
+    D = add(GENUS2_SPLIT.f, W[0], W[1])
     assert D.u.degree == 2
     for base in (D, IDENTITY):
         with pytest.raises(ValueError):
-            order_of(GENUS2_SPLIT, base, bound=4)
+            order_of(GENUS2_SPLIT.f, base, bound=4)
 
 
 def test_add_refuses_a_summand_other_than_a_point():
@@ -300,24 +297,27 @@ def test_add_refuses_a_summand_other_than_a_point():
 
 
 def test_twisted_pair_is_valid_on_the_twist():
+    rational = construct_div_d(5, 2, 6)
+    assert embed_point(rational.curve, rational.point)[0] is rational.curve.f
     cert = construct_n_plus_ed(5, 2, 1)
     curve, point = cert.curve, cert.point
     model, E = embed_point(curve, point)
-    assert model.f == -curve.f
+    assert model == -curve.f
     assert E.u == Poly.x_minus(point.x)
     assert E.v == Poly.constant(point.y.im)
     assert all(isinstance(c, Fraction) for c in E.v.coeffs)
     validate(model, E)
-    validate(Curve(2, curve.n, -curve.f), E)
+    # -f is square-free as f is, so the twist is a valid curve of the same shape
+    assert Curve(2, curve.n, model).genus == curve.genus
 
 
 def test_embed_point_by_the_field_of_the_ordinate():
     # y^2 = x^5 + x^2 + 2x + 1 carries (0, 1) and (-1, i), and f is rational
     curve = construct(ConstructionRequest(n=5, d=2, m=5)).curve
     assert embed_point(curve, AffinePoint(Fraction(0), GaussianRational(1))) == (
-        curve, embed(curve, AffinePoint(Fraction(0), Fraction(1))))
+        curve.f, embed(curve, AffinePoint(Fraction(0), Fraction(1))))
     model, E = embed_point(curve, AffinePoint(Fraction(-1), GaussianRational(0, 1)))
-    assert model.f == -curve.f and E == MumfordDivisor(Poly((1, 1)), Poly((1,)))
+    assert model == -curve.f and E == MumfordDivisor(Poly((1, 1)), Poly((1,)))
     with pytest.raises(ValueError):
         embed_point(curve, AffinePoint(Fraction(0), GaussianRational(1, 1)))
     # f(-1) = -1, so (-1, 1 + i) passes the twist's test -f(-1) = 1**2 but is off the curve
@@ -371,14 +371,14 @@ def branch(D, E):
     return "newton" if b and D.v(a) == b else "cancellation"
 
 
-def assert_step(curve, D, E, expected, xgcd_calls):
+def assert_step(f, D, E, expected, xgcd_calls):
     """add equals cantor_add on D + E, takes the named case without an
     extended gcd and returns the sum."""
     assert branch(D, E) == expected
     before = len(xgcd_calls)
-    out = add(curve, D, E)
+    out = add(f, D, E)
     assert len(xgcd_calls) == before
-    assert out == cantor_add(curve, D, E)
+    assert out == cantor_add(f, D, E)
     return out
 
 
@@ -386,27 +386,27 @@ def test_interpolation_through_a_second_point(xgcd_calls):
     P = embed(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
     Q = embed(THREE_POINTS, AffinePoint(Fraction(1), Fraction(1)))
     # the line through (0, 1) and (1, 1) is v = 1
-    S = assert_step(THREE_POINTS, P, Q, "interpolation", xgcd_calls)
+    S = assert_step(THREE_POINTS.f, P, Q, "interpolation", xgcd_calls)
     assert S == MumfordDivisor(Poly((0, -1, 1)), Poly((1,)))
 
 
 def test_newton_lift_doubles_a_point(xgcd_calls):
     P = embed(THREE_POINTS, AffinePoint(Fraction(0), Fraction(1)))
     # the tangent at (0, 1): v = 1 + f'(0)/2 * x, and x^2 | v^2 - f
-    S = assert_step(THREE_POINTS, P, P, "newton", xgcd_calls)
+    S = assert_step(THREE_POINTS.f, P, P, "newton", xgcd_calls)
     assert S == MumfordDivisor(Poly((0, 0, 1)), Poly((1, Fraction(-1, 2))))
 
 
 def test_weierstrass_base_point_falls_back(xgcd_calls):
     W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
-    assert assert_step(GENUS2_SPLIT, W[0], W[0], "cancellation", xgcd_calls).is_identity()
+    assert assert_step(GENUS2_SPLIT.f, W[0], W[0], "cancellation", xgcd_calls).is_identity()
     # b = 0 but x(W[0]) is not in u1: interpolation needs no nonzero b
-    assert_step(GENUS2_SPLIT, W[1], W[0], "interpolation", xgcd_calls)
+    assert_step(GENUS2_SPLIT.f, W[1], W[0], "interpolation", xgcd_calls)
 
 
 def test_opposite_point_falls_back_to_the_identity(xgcd_calls):
     E = embed(THREE_POINTS, AffinePoint(Fraction(-1), Fraction(1)))
-    S = assert_step(THREE_POINTS, neg(THREE_POINTS, E), E, "cancellation", xgcd_calls)
+    S = assert_step(THREE_POINTS.f, neg(E), E, "cancellation", xgcd_calls)
     assert S == IDENTITY
 
 
@@ -415,7 +415,7 @@ def scan_steps(model, E, bound):
     half = (bound + 1) // 2
     acc, prev = E, IDENTITY
     for k in range(1, bound + 1):
-        if acc.is_identity() or k == half and acc == neg(model, prev if bound % 2 else acc):
+        if acc.is_identity() or k == half and acc == neg(prev if bound % 2 else acc):
             return
         yield acc
         acc, prev = cantor_add(model, acc, E), acc
@@ -464,17 +464,17 @@ def test_neg_divides_nothing_on_the_ladder(monkeypatch):
     """-(u, v) = (u, -v) with no division, on every multiple order_of scans."""
     scanned, real_add = [], jacobian2.add
 
-    def recording_add(curve, D, E):
-        out = real_add(curve, D, E)
-        scanned.append((curve, out))
+    def recording_add(f, D, E):
+        out = real_add(f, D, E)
+        scanned.append(out)
         return out
 
     monkeypatch.setattr(jacobian2, "add", recording_add)
     for cert in ladder_certificates(9):
         model, D = embed_point(cert.curve, cert.point)
-        scanned.append((model, D))
+        scanned.append(D)
         assert order_of(model, D, bound=cert.m) == cert.m
-    expected = [MumfordDivisor(M.u, (-M.v) % M.u) for _, M in scanned]
+    expected = [MumfordDivisor(M.u, (-M.v) % M.u) for M in scanned]
     divisions, real_divmod = [], Poly.__divmod__
 
     def counted(f, g):
@@ -482,20 +482,20 @@ def test_neg_divides_nothing_on_the_ladder(monkeypatch):
         return real_divmod(f, g)
 
     monkeypatch.setattr(Poly, "__divmod__", counted)
-    assert [neg(model, M) for model, M in scanned] == expected
+    assert [neg(M) for M in scanned] == expected
     assert len(scanned) > 100 and divisions == []
 
 
 @st.composite
 def base_point_steps(draw):
-    """(curve, D, E): E of degree 1 and D an element of the group it lives in.
+    """(f, D, E): E of degree 1 and D an element of the group it lives in on y**2 = f.
 
     GENUS2_SPLIT and GENUS3_SPLIT have no rational points of small height
     off the branch points, so there D is a random sum of two-torsion
     points; on the torsion generators' curves D is a random multiple k*E.
     """
-    curve, pool, points = draw(st.sampled_from(_step_pools()))
-    return curve, draw(st.sampled_from(pool)), draw(st.sampled_from(points))
+    f, pool, points = draw(st.sampled_from(_step_pools()))
+    return f, draw(st.sampled_from(pool)), draw(st.sampled_from(points))
 
 
 @functools.cache
@@ -505,15 +505,15 @@ def _step_pools():
         W = [embed(curve, P) for P in weierstrass_points(curve)]
         sums = [IDENTITY]
         for w in W:
-            sums += [add(curve, s, w) for s in sums]
-        pools.append((curve, sums, W))
-    for curve, E, m in torsion_generators():
-        pools.append((curve, multiples(curve, E, m), [E]))
+            sums += [add(curve.f, s, w) for s in sums]
+        pools.append((curve.f, sums, W))
+    for f, E, m in torsion_generators():
+        pools.append((f, multiples(f, E, m), [E]))
     return pools
 
 
 @settings(max_examples=80, deadline=None)
 @given(base_point_steps())
 def test_add_equals_cantor_add_property(step):
-    curve, D, E = step
-    assert add(curve, D, E) == cantor_add(curve, D, E)
+    f, D, E = step
+    assert add(f, D, E) == cantor_add(f, D, E)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import gcd as gcd_int, lcm
@@ -19,7 +20,7 @@ from torsionforge.polyring import (
     poly_to_json,
     xgcd,
 )
-from torsionforge.scalars import GaussianRational, is_prime
+from torsionforge.scalars import GaussianRational, is_prime, repeated_squaring
 
 coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=0, max_size=6
@@ -446,4 +447,27 @@ def test_linear_power_kernel_matches_repeated_product(c, k):
     p = base ** k
     _assert_canonical(p)
     assert list(p.coeffs) == expected
+
+
+@given(st.tuples(wide_fractions, wide_fractions.filter(bool)), st.integers(min_value=0, max_value=60))
+@example((Fraction(0), Fraction(1)), 0)
+@example((Fraction(0), Fraction(-3, 7)), 41)
+@example((Fraction(-5, 2), Fraction(-1)), 60)
+def test_linear_power_row_matches_repeated_squaring(c, k):
+    """The binomial row stepped by C(k, j+1) = C(k, j)*(k - j) // (j + 1)
+    equals the binary method's repeated products, with x**0 = 1."""
+    base = Poly(c)
+    p = base ** k
+    _assert_canonical(p)
+    assert p == (repeated_squaring(base, k) if k else Poly.one())
+
+
+def test_linear_power_needs_no_binomial_coefficient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("math.comb called with %r" % (args,))
+
+    monkeypatch.setattr(math, "comb", refuse)
+    assert Poly.x_power(1) ** 6400 == Poly.x_power(6400)
+    assert Poly((1, 1)) ** 5 == Poly((1, 5, 10, 10, 5, 1))
+    assert Poly((-3, 2)) ** 3 == Poly((-27, 54, -36, 8))
 
