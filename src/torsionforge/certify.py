@@ -74,15 +74,10 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd as int_gcd
 
-from .curves import AffinePoint, Curve, CurveError, on_curve
+from .curves import AffinePoint, Curve, CurveError, PreconditionError, check_shape, on_curve
 from .polyring import Poly, poly_from_json, poly_to_json
-from .scalars import int_from_json, is_prime, rational_from_str, scalar_from_json, scalar_to_json
-
-
-class PreconditionError(ValueError):
-    """A stated precondition of an operation fails."""
+from .scalars import field_from_json, is_prime, rational_from_str, scalar_from_json, scalar_to_json
 
 
 # identity kinds
@@ -113,16 +108,6 @@ _DIVISOR_RULES = {
 def exactness_rule_for(m: int, n: int) -> str | None:
     """First divisor-to-exact-order rule applicable to (m, n), if any."""
     return next((rule for rule, holds in _DIVISOR_RULES.items() if holds(m, n)), None)
-
-
-def check_shape(n: int, d: int):
-    """Require integers with n > d >= 2 and gcd(n, d) = 1."""
-    if not (isinstance(n, int) and isinstance(d, int)):
-        raise PreconditionError("n and d must be integers, got n=%r d=%r" % (n, d))
-    if d < 2 or n <= d:
-        raise PreconditionError("requires n > d >= 2, got n=%d d=%d" % (n, d))
-    if int_gcd(n, d) != 1:
-        raise PreconditionError("requires gcd(n, d) = 1, got n=%d d=%d" % (n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +172,14 @@ class TorsionCertificate(namedtuple(
         u, v, a, lam = obj["u"], obj["v"], obj["a"], obj["lambda"]
         cert = cls(
             curve=curve,
-            m=int_from_json("m", obj["m"]),
-            identity_kind=_str_from_json("identity_kind", obj["identity_kind"]),
+            m=field_from_json("m", obj["m"], int),
+            identity_kind=field_from_json("identity_kind", obj["identity_kind"], str),
             v=poly_from_json(v) if v is not None else None,
             u=poly_from_json(u) if u is not None else None,
             a=rational_from_str(a) if a is not None else None,
-            e=int_from_json("e", obj["e"]),
+            e=field_from_json("e", obj["e"], int),
             lam=scalar_from_json(lam) if lam is not None else None,
-            exactness_rule=_str_from_json("exactness_rule", obj["exactness_rule"]),
+            exactness_rule=field_from_json("exactness_rule", obj["exactness_rule"], str),
             point=point,
             point_symbolic=symbolic,
         )
@@ -207,12 +192,6 @@ class TorsionCertificate(namedtuple(
                 raise ValueError("the %s verifier never reads %s, so it must be %s, got %s" % (
                     cert.identity_kind, key, json.dumps(value), json.dumps(obj[key])))
         return cert
-
-
-def _str_from_json(name: str, obj) -> str:
-    if not isinstance(obj, str):
-        raise TypeError("%s must be a JSON string, got %r" % (name, obj))
-    return obj
 
 
 def canonical_json(obj) -> str:

@@ -8,7 +8,7 @@ Exit codes (fixed so shell harnesses can assert on them):
 2  invalid arguments, bad bounds, an unparseable certificate file, an
    unwritable --out path, or an invalid TORSION_FORGE_SEARCH_LIMIT when a
    construction searches
-3  a stated precondition or hypothesis fails (including unreachable orders)
+3  a stated precondition fails: an unreachable order, or any PreconditionError
 4  the candidate search budget was exhausted
 
 Identical invocations produce byte-identical output: JSON uses a fixed key
@@ -35,9 +35,7 @@ from .certify import (
     verify_certificate,
 )
 from .constructors import STYLES, ConstructionRequest, SearchExhausted, SearchLimitError, construct
-from .curves import CurveError
 from .jacobian2 import OrderNotFoundError, embed_point, order_of
-from .series import HypothesisError
 
 PRESET_HYPERELLIPTIC_LADDER = "hyperelliptic-ladder"
 
@@ -46,8 +44,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_PRECONDITION = 3
 EXIT_SEARCH_EXHAUSTED = 4
-
-_PRECONDITION_ERRORS = (PreconditionError, HypothesisError, CurveError)
 
 
 def _error_json(exc_type: str, message: str, **extra) -> str:
@@ -141,7 +137,7 @@ def certify_request(
     except SearchLimitError as exc:
         print("torsion-forge: error: %s" % (exc,), file=sys.stderr)
         return EXIT_BAD_ARGS, None
-    except (SearchExhausted, *_PRECONDITION_ERRORS) as exc:
+    except (SearchExhausted, PreconditionError) as exc:
         code = EXIT_SEARCH_EXHAUSTED if isinstance(exc, SearchExhausted) else EXIT_PRECONDITION
         sys.stdout.write(_error_json(type(exc).__name__, str(exc), **where))
         return code, None

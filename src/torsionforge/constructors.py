@@ -49,12 +49,10 @@ from .certify import (
     RULE_TWO_TORSION,
     RULE_ZERO_ORDINATE,
     TWO_TORSION_LINK,
-    PreconditionError,
     TorsionCertificate,
-    check_shape,
     exactness_rule_for,
 )
-from .curves import AffinePoint, Curve, CurveError
+from .curves import AffinePoint, Curve, CurveError, PreconditionError, check_shape
 from .polyring import Poly
 from .scalars import GAUSSIAN_I
 from .series import check_truncation_valuation, truncated_binomial, truncation_quotient

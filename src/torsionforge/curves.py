@@ -10,6 +10,10 @@ its curve, so no root finding happens anywhere.
 
 f is a polynomial over Q.  A point's abscissa is rational; its ordinate
 may be a ``GaussianRational``, as for the d = 2 points of order n + e*d.
+
+The (n, d) rule is stated once, in ``check_shape``.  Every refused
+precondition is a ``PreconditionError``; ``CurveError`` and
+``series.HypothesisError`` are its subclasses.
 """
 
 from __future__ import annotations
@@ -18,11 +22,27 @@ from collections import namedtuple
 from math import gcd as int_gcd
 
 from .polyring import is_squarefree, poly_from_json, poly_to_json
-from .scalars import int_from_json
+from .scalars import field_from_json
 
 
-class CurveError(ValueError):
+class PreconditionError(ValueError):
+    """A stated precondition of an operation fails."""
+
+
+class CurveError(PreconditionError):
     """A curve validation failure; its message names the violated condition."""
+
+
+def check_shape(n: int, d: int):
+    """Require integers with n > d >= 2 and gcd(n, d) = 1, else CurveError."""
+    if not isinstance(d, int) or not isinstance(n, int):
+        raise CurveError("d and n must be integers")
+    if d < 2:
+        raise CurveError("cover degree d must be at least 2, got %d" % (d,))
+    if n <= d:
+        raise CurveError("requires n > d, got n=%d, d=%d" % (n, d))
+    if int_gcd(n, d) != 1:
+        raise CurveError("n and d must be coprime, got n=%d, d=%d" % (n, d))
 
 
 class Curve(namedtuple("Curve", "d n f")):
@@ -42,14 +62,7 @@ class Curve(namedtuple("Curve", "d n f")):
         return cls(*iterable)
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or not isinstance(self.n, int):
-            raise CurveError("d and n must be integers")
-        if self.d < 2:
-            raise CurveError("cover degree d must be at least 2, got %d" % (self.d,))
-        if self.n <= self.d:
-            raise CurveError("requires n > d, got n=%d, d=%d" % (self.n, self.d))
-        if int_gcd(self.n, self.d) != 1:
-            raise CurveError("n and d must be coprime, got n=%d, d=%d" % (self.n, self.d))
+        check_shape(self.n, self.d)
         if self.f.degree != self.n:
             raise CurveError("deg f = %s but n = %d" % (self.f.degree, self.n))
         if not is_squarefree(self.f):
@@ -67,9 +80,8 @@ class Curve(namedtuple("Curve", "d n f")):
         unknown = set(obj) - {"d", "n", "f"}
         if unknown:
             raise ValueError("unknown curve keys %s" % (sorted(unknown),))
-        return cls(
-            int_from_json("d", obj["d"]), int_from_json("n", obj["n"]), poly_from_json(obj["f"])
-        )
+        d, n = (field_from_json(key, obj[key], int) for key in ("d", "n"))
+        return cls(d, n, poly_from_json(obj["f"]))
 
 
 class AffinePoint(namedtuple("AffinePoint", "x y")):

@@ -219,10 +219,10 @@ def scalar_to_json(x: Fraction | GaussianRational | int):
     return rational_to_str(x)
 
 
-def int_from_json(name: str, obj) -> int:
-    """A JSON integer field: an ``int`` that is not a ``bool``, else TypeError."""
-    if type(obj) is not int:
-        raise TypeError("%s must be a JSON integer, got %r" % (name, obj))
+def field_from_json(name: str, obj, kind: type):
+    """A JSON field of type ``kind`` (``int``, which no ``bool`` is, or ``str``), else TypeError."""
+    if type(obj) is not kind:
+        raise TypeError("%s must be a JSON %s, got %r" % (name, "integer" if kind is int else "string", obj))
     return obj
 
 

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .curves import PreconditionError
 from .polyring import Poly, exact_div
 from .scalars import gen_binom
 
 
-class HypothesisError(ValueError):
+class HypothesisError(PreconditionError):
     """An inequality hypothesis required by a construction fails."""
 
 

@@ -7,14 +7,24 @@ from fractions import Fraction
 
 import pytest
 
+from torsionforge import certify
+from torsionforge.certify import reachability_verdict
+from torsionforge.constructors import (
+    construct_div_d,
+    construct_n_plus_ed,
+    construct_order_d,
+    construct_order_n,
+)
 from torsionforge.curves import (
     AffinePoint,
     Curve,
     CurveError,
+    PreconditionError,
     on_curve,
 )
 from torsionforge.polyring import Poly
 from torsionforge.scalars import GaussianRational
+from torsionforge.series import HypothesisError
 
 
 X5_MINUS_1 = Poly((-1, 0, 0, 0, 0, 1))
@@ -46,6 +56,32 @@ def test_gcd_violation_detected():
         Curve(2, 6, f6)
     with pytest.raises(CurveError, match="n and d must be coprime"):
         Curve(4, 6, f6)
+
+
+BAD_SHAPES = [(4, 2), (5, 1), (2, 5), (6, 3), (7, 7), (Fraction(11, 2), 2)]
+
+
+@pytest.mark.parametrize("n, d", BAD_SHAPES, ids=["n%s-d%s" % shape for shape in BAD_SHAPES])
+def test_every_shape_refusal_is_the_curve_rule(n, d):
+    with pytest.raises(CurveError) as by_curve:
+        Curve(d, n, X5_MINUS_1)
+    refusals = (
+        lambda: reachability_verdict(n, d, 6),
+        lambda: construct_order_d(n, d),
+        lambda: construct_order_n(n, d),
+        lambda: construct_div_d(n, d, 6),
+        lambda: construct_n_plus_ed(n, d, 1),
+    )
+    for refuse in refusals:
+        with pytest.raises(CurveError) as caught:
+            refuse()
+        assert str(caught.value) == str(by_curve.value)
+
+
+def test_every_refused_precondition_is_a_precondition_error():
+    assert issubclass(CurveError, PreconditionError)
+    assert issubclass(HypothesisError, PreconditionError)
+    assert certify.PreconditionError is PreconditionError
 
 
 def test_wrong_degree_detected():
