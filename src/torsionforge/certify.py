@@ -211,17 +211,10 @@ class CheckLine(namedtuple("CheckLine", "name ok detail", defaults=("",))):
         return "%s %-22s %s" % (mark, self.name, self.detail)
 
 
-class _Report:
-    def __init__(self):
-        self.lines: list[CheckLine] = []
-
+class _Report(list):
     def check(self, name: str, ok: bool, detail: str = "") -> bool:
-        self.lines.append(CheckLine(name, bool(ok), detail))
+        self.append(CheckLine(name, bool(ok), detail))
         return bool(ok)
-
-    @property
-    def ok(self) -> bool:
-        return all(line.ok for line in self.lines)
 
 
 def _match_scaled_power(q: Poly, target: Poly):
@@ -273,13 +266,13 @@ def verify_certificate(cert: TorsionCertificate) -> tuple[bool, list[CheckLine]]
     kind = cert.identity_kind
     known = _KINDS.get(kind)
     if not r.check("identity-kind", known is not None, "kind=%r" % (kind,)):
-        return False, r.lines
+        return False, r
 
     if not r.check("order-positive", cert.m >= 2, "m=%d" % (cert.m,)):
-        return False, r.lines
+        return False, r
 
     known.verify(r, cert, curve)
-    return r.ok, r.lines
+    return all(line.ok for line in r), r
 
 
 def _check_point(
@@ -464,49 +457,37 @@ class Verdict(namedtuple("Verdict", "status deciding_rule")):
     __slots__ = ()
 
 
-def _has_congruence_witness(n: int, d: int, M: int) -> bool:
-    """Whether some j with 0 <= j <= M//n has M = j*n mod d.
-
-    For 1 < M < n*d, a function with pole divisor M*(O) and a single
-    affine zero exists only if such a j does.
-    """
-    return any((M - j * n) % d == 0 for j in range(M // n + 1))
+# (rule, status, decides(n, d, m)): reachability_verdict returns the first row
+# that decides.  Since gcd(n, d) == 1, d | m and d | m - n never hold together.
+_VERDICT_RULES = (
+    (RULE_COVER_DEGREE, STATUS_CONSTRUCTIVE, lambda n, d, m: m == d),
+    (RULE_DEGREE_FLOOR, STATUS_UNREACHABLE, lambda n, d, m: m < n),
+    (RULE_CURVE_DEGREE, STATUS_CONSTRUCTIVE, lambda n, d, m: m == n),
+    # for 1 < m < n*d, a function with pole divisor m*(O) and a single affine
+    # zero exists only if m = j*n mod d for some 0 <= j <= m//n
+    (RULE_POLE_CONGRUENCE, STATUS_UNREACHABLE,
+     lambda n, d, m: m < n * d and all((m - j * n) % d for j in range(m // n + 1))),
+    (RULE_DIVISIBLE_MULTIPLE, STATUS_CONSTRUCTIVE, lambda n, d, m: m % d == 0 and n - m + m // d >= 0),
+    # the least multiple of d above n, reached only when its deficit is negative
+    (RULE_MULTIPLE_DEFICIT, STATUS_UNREACHABLE, lambda n, d, m: m == d * ((n + d) // d)),
+    # m = n + e*d with e*d^2 - (e+1)*d < n
+    (RULE_CONGRUENT_STEP, STATUS_CONSTRUCTIVE, lambda n, d, m: (m - n) % d == 0 and (m - n) * (d - 1) - d < n),
+    # e = 1, reached only when the bound above fails
+    (RULE_STEP_THRESHOLD, STATUS_UNREACHABLE, lambda n, d, m: m == n + d),
+)
 
 
 def reachability_verdict(n: int, d: int, m: int) -> Verdict:
     """Decide reachability of torsion order m on degree-(n, d) curves.
 
-    The battery runs the strongest applicable rule; triples no rule
-    decides come back "undecided" (the honest answer, never a guess).
+    The first row of ``_VERDICT_RULES`` that decides gives the verdict;
+    triples no row decides come back "undecided" (the honest answer,
+    never a guess).
     """
     check_shape(n, d)
     if m < 2:
         raise PreconditionError("orders below 2 are not meaningful, got m=%d" % (m,))
-
-    if m == d:
-        return Verdict(STATUS_CONSTRUCTIVE, RULE_COVER_DEGREE)
-    if m < n:
-        return Verdict(STATUS_UNREACHABLE, RULE_DEGREE_FLOOR)
-    if m == n:
-        return Verdict(STATUS_CONSTRUCTIVE, RULE_CURVE_DEGREE)
-
-    if m < n * d and not _has_congruence_witness(n, d, m):
-        return Verdict(STATUS_UNREACHABLE, RULE_POLE_CONGRUENCE)
-
-    if m % d == 0:
-        if n - m + m // d >= 0:
-            return Verdict(STATUS_CONSTRUCTIVE, RULE_DIVISIBLE_MULTIPLE)
-        # the least multiple of d above n
-        if m == d * ((n + d) // d):
-            return Verdict(STATUS_UNREACHABLE, RULE_MULTIPLE_DEFICIT)
-        return Verdict(STATUS_UNDECIDED, RULE_UNDECIDED)
-
-    if (m - n) % d == 0:
-        e = (m - n) // d
-        if e * d * d - (e + 1) * d < n:
-            return Verdict(STATUS_CONSTRUCTIVE, RULE_CONGRUENT_STEP)
-        if e == 1:
-            return Verdict(STATUS_UNREACHABLE, RULE_STEP_THRESHOLD)
-        return Verdict(STATUS_UNDECIDED, RULE_UNDECIDED)
-
+    for rule, status, decides in _VERDICT_RULES:
+        if decides(n, d, m):
+            return Verdict(status, rule)
     return Verdict(STATUS_UNDECIDED, RULE_UNDECIDED)

@@ -94,6 +94,36 @@ def test_verdict_undecided_cases_stay_undecided():
     assert v.status == STATUS_UNDECIDED
 
 
+def test_verdict_battery_states_the_paper_results():
+    """[BZR]'s floor and the abstract's four results, over every coprime (n, d)
+    with 2 <= d <= 12 and d < n <= 80."""
+    def status(n, d, m):
+        return reachability_verdict(n, d, m).status
+
+    def expect(ok):
+        return STATUS_CONSTRUCTIVE if ok else STATUS_UNREACHABLE
+
+    pairs = [(n, d) for d in range(2, 13) for n in range(d + 1, 81) if gcd(n, d) == 1]
+    assert len(pairs) == 475
+    for n, d in pairs:
+        # [BZR]: below n, only d and n themselves are reachable
+        for m in range(2, n + 1):
+            assert status(n, d, m) == expect(m in (d, n)), (n, d, m)
+        # result 1: between n and 2n, off both congruence classes, unreachable
+        for m in range(n + 1, 2 * n):
+            if m % d and (m - n) % d:
+                assert status(n, d, m) == STATUS_UNREACHABLE, (n, d, m)
+        # result 2: the least multiple of d above n
+        k = (n + d) // d
+        assert status(n, d, d * k) == expect(n - (d - 1) * k >= 0), (n, d)
+        # result 3: one step of d above n
+        assert status(n, d, n + d) == expect(d * d - 2 * d < n), (n, d)
+        # result 4: on hyperelliptic curves every order from n + 1 to 2n + 1
+        if d == 2:
+            for m in range(n + 1, 2 * n + 2):
+                assert status(n, d, m) == STATUS_CONSTRUCTIVE, (n, m)
+
+
 def test_verdict_validates_shape():
     with pytest.raises(PreconditionError):
         reachability_verdict(4, 2, 6)
