@@ -34,7 +34,7 @@ from .certify import (
     reachability_verdict,
     verify_certificate,
 )
-from .constructors import STYLES, ConstructionRequest, SearchExhausted, SearchLimitError, construct
+from .constructors import ConstructionRequest, SearchExhausted, SearchLimitError, construct
 from .jacobian2 import OrderNotFoundError, embed_point, order_of
 
 PRESET_HYPERELLIPTIC_LADDER = "hyperelliptic-ladder"
@@ -192,7 +192,7 @@ def cmd_construct(args) -> int:
         return EXIT_PRECONDITION
 
     code, cert = certify_request(
-        ConstructionRequest(n=args.n, d=args.d, m=m, style=args.style, search_limit=args.c_range),
+        ConstructionRequest(n=args.n, d=args.d, m=m, search_limit=args.c_range),
         args.oracle,
     )
     if code == EXIT_OK:
@@ -339,7 +339,6 @@ def _construct_arguments(p: argparse.ArgumentParser):
     p.add_argument("--d", type=int, required=True, help="cover degree")
     p.add_argument("--m", type=int, help="target torsion order")
     p.add_argument("--e", type=int, help="target order as m = n + e*d (alternative to --m)")
-    p.add_argument("--style", choices=STYLES, help="construction family (inferred from m when omitted)")
     p.add_argument(
         "--c-range",
         dest="c_range",

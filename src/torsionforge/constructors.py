@@ -64,13 +64,6 @@ _BUDGET_MESSAGE = (
     "raise " + SEARCH_LIMIT_ENV + " to widen the search"
 )
 
-STYLE_ORDER_D = "order-d"
-STYLE_ORDER_N = "order-n"
-STYLE_DIV_D = "div-d"
-STYLE_N_PLUS_ED = "n-plus-ed"
-
-STYLES = (STYLE_ORDER_D, STYLE_ORDER_N, STYLE_DIV_D, STYLE_N_PLUS_ED)
-
 
 class SearchExhausted(RuntimeError):
     """No candidate within the search budget produced a valid curve."""
@@ -305,47 +298,24 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
 # dispatch
 # ---------------------------------------------------------------------------
 
-ConstructionRequest = namedtuple("ConstructionRequest", "n d m style search_limit", defaults=(None, None))
-
-
-def infer_style(n: int, d: int, m: int) -> str:
-    """Which construction family covers order m on degree-(n, d) curves.
-
-    The shape of (n, d) is checked once, by the family's constructor.
-    """
-    if m == d:
-        return STYLE_ORDER_D
-    if m == n:
-        return STYLE_ORDER_N
-    if m > n and d != 0:
-        if m % d == 0:
-            return STYLE_DIV_D
-        if (m - n) % d == 0:
-            return STYLE_N_PLUS_ED
-    raise PreconditionError(
-        "no construction family covers m=%d on (n=%d, d=%d) curves" % (m, n, d)
-    )
+ConstructionRequest = namedtuple("ConstructionRequest", "n d m search_limit", defaults=(None,))
 
 
 def construct(request: ConstructionRequest) -> TorsionCertificate:
-    """Dispatch a construction request to the family that covers it."""
+    """The certificate of the one family that covers order m on (n, d).
+
+    m = d is order-d and m = n is order-n.  Beyond n, gcd(n, d) = 1 makes
+    d | m (div-d) and d | m - n (n-plus-ed) exclusive; no other m is covered."""
     n, d, m = request.n, request.d, request.m
-    style = request.style or infer_style(n, d, m)
-    if style not in STYLES:
-        raise PreconditionError("unknown construction style %r" % (style,))
-    if style == STYLE_ORDER_D:
-        if m != d:
-            raise PreconditionError("style %s requires m = d" % (style,))
-        return construct_order_d(n, d)
-    if style == STYLE_ORDER_N:
-        if m != n:
-            raise PreconditionError("style %s requires m = n" % (style,))
-        return construct_order_n(n, d, search_limit=request.search_limit)
-    if style == STYLE_DIV_D:
-        return construct_div_d(n, d, m, search_limit=request.search_limit)
     check_shape(n, d)
-    if m <= n or (m - n) % d != 0:
-        raise PreconditionError(
-            "style %s requires m = n + e*d with e >= 1, got m=%d" % (style, m)
-        )
-    return construct_n_plus_ed(n, d, (m - n) // d)
+    if m == d:
+        return construct_order_d(n, d)
+    if m == n:
+        return construct_order_n(n, d, search_limit=request.search_limit)
+    if m > n and m % d == 0:
+        return construct_div_d(n, d, m, search_limit=request.search_limit)
+    if m > n and (m - n) % d == 0:
+        return construct_n_plus_ed(n, d, (m - n) // d)
+    raise PreconditionError(
+        "no construction family covers m=%d on (n=%d, d=%d) curves" % (m, n, d)
+    )

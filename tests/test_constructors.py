@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -20,7 +21,6 @@ from torsionforge.constructors import (
     construct_order_d,
     construct_order_n,
     default_search_limit,
-    infer_style,
 )
 from torsionforge.curves import AffinePoint, CurveError
 from torsionforge.jacobian2 import embed_point, order_of
@@ -236,31 +236,30 @@ def test_n_plus_ed_lambda_at_larger_cover_degrees(n, d, lam):
 # dispatch
 # ---------------------------------------------------------------------------
 
-def test_infer_style():
-    assert infer_style(5, 2, 2) == "order-d"
-    assert infer_style(5, 2, 5) == "order-n"
-    assert infer_style(5, 2, 6) == "div-d"
-    assert infer_style(5, 2, 10) == "div-d"
-    assert infer_style(5, 2, 7) == "n-plus-ed"
-    with pytest.raises(PreconditionError):
-        infer_style(5, 2, 3)
-    with pytest.raises(PreconditionError):
-        infer_style(5, 2, 4)
+def test_construct_picks_the_family_by_m():
+    kinds = {2: "order-d", 5: "pure-power", 6: "pure-power", 10: "two-torsion-link", 7: "infinity-shift"}
+    for m, kind in kinds.items():
+        assert construct(ConstructionRequest(5, 2, m)).identity_kind == kind
+    for m in (3, 4):
+        message = "no construction family covers m=%d on (n=5, d=2) curves" % (m,)
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            construct(ConstructionRequest(5, 2, m))
 
 
-BAD_SHAPES = [
-    (5, 0, 7, None), (5, 1, 7, None), (4, 2, 6, None), (3, 5, 8, None), (6, 3, 6, None),
-    (5, 2, 3, None), (5, 0, 7, "n-plus-ed"),
-]
+def test_construct_checks_the_shape_before_the_order():
+    with pytest.raises(CurveError, match="cover degree d must be at least 2, got 0"):
+        construct(ConstructionRequest(5, 0, 7))
+
+
+BAD_SHAPES = [(5, 0, 7), (5, 1, 7), (4, 2, 6), (3, 5, 8), (6, 3, 6), (5, 2, 3)]
 
 
 @pytest.mark.parametrize(
-    "n, d, m, style", BAD_SHAPES,
-    ids=["-".join(str(x) for x in case if x is not None) for case in BAD_SHAPES],
+    "n, d, m", BAD_SHAPES, ids=["-".join(str(x) for x in case) for case in BAD_SHAPES],
 )
-def test_construct_rejects_bad_shapes(n, d, m, style):
+def test_construct_rejects_bad_shapes(n, d, m):
     with pytest.raises(PreconditionError):
-        construct(ConstructionRequest(n=n, d=d, m=m, style=style))
+        construct(ConstructionRequest(n=n, d=d, m=m))
 
 
 def test_construct_dispatch_round_trip():
@@ -268,17 +267,6 @@ def test_construct_dispatch_round_trip():
         cert = construct(ConstructionRequest(n=5, d=2, m=m))
         assert cert.m == m
         assert_verifies(cert)
-
-
-def test_construct_rejects_style_order_mismatch():
-    with pytest.raises(PreconditionError):
-        construct(ConstructionRequest(n=5, d=2, m=6, style="order-n"))
-    with pytest.raises(PreconditionError):
-        construct(ConstructionRequest(n=5, d=2, m=5, style="order-d"))
-    with pytest.raises(PreconditionError):
-        construct(ConstructionRequest(n=5, d=2, m=6, style="n-plus-ed"))
-    with pytest.raises(PreconditionError):
-        construct(ConstructionRequest(n=5, d=2, m=6, style="mystery"))
 
 
 def test_shape_validation():
