@@ -5,9 +5,8 @@ Exit codes (fixed so shell harnesses can assert on them):
 
 0  success
 1  verification failure (a certificate check or the divisor oracle fails)
-2  invalid arguments, bad bounds, an unparseable certificate file, an
-   unwritable --out path, or an invalid TORSION_FORGE_SEARCH_LIMIT when a
-   construction searches
+2  invalid arguments, bad bounds, an unparseable certificate file, or an
+   unwritable --out path
 3  a stated precondition fails: an unreachable order, or any PreconditionError
 4  the candidate search budget was exhausted
 
@@ -34,7 +33,7 @@ from .certify import (
     reachability_verdict,
     verify_certificate,
 )
-from .constructors import ConstructionRequest, SearchExhausted, SearchLimitError, construct
+from .constructors import DEFAULT_SEARCH_LIMIT, ConstructionRequest, SearchExhausted, construct
 from .jacobian2 import OrderNotFoundError, embed_point, order_of
 
 PRESET_HYPERELLIPTIC_LADDER = "hyperelliptic-ladder"
@@ -92,8 +91,8 @@ def _check_shape_args(n: int, d: int):
         _usage_error("gcd(n, d) must be 1, got n=%d d=%d" % (n, d))
 
 
-def _check_budget(c_range: int | None):
-    if c_range is not None and c_range < 0:
+def _check_budget(c_range: int):
+    if c_range < 0:
         _usage_error("--c-range must be a nonnegative integer, got %d" % (c_range,))
 
 
@@ -124,19 +123,15 @@ def certify_request(
 
     Output is printed where it is decided: the oracle line and a failed
     self-verification's report go to stderr, a failure's error JSON to
-    stdout; the caller prints the certificate.  An invalid TORSION_FORGE_SEARCH_LIMIT, read only
-    when a construction searches without a budget of its own, is one
-    stderr line and exit 2.  With ``scan_row`` the request is one row of
-    a scan: its n and m go into the error JSON, the oracle line is
-    prefixed with them, and a failed self-verification names the row.
+    stdout; the caller prints the certificate.  With ``scan_row`` the
+    request is one row of a scan: its n and m go into the error JSON, the
+    oracle line is prefixed with them, and a failed self-verification
+    names the row.
     """
     n, m = request.n, request.m
     where = {"n": n, "m": m} if scan_row else {}
     try:
         cert = construct(request)
-    except SearchLimitError as exc:
-        print("torsion-forge: error: %s" % (exc,), file=sys.stderr)
-        return EXIT_BAD_ARGS, None
     except (SearchExhausted, PreconditionError) as exc:
         code = EXIT_SEARCH_EXHAUSTED if isinstance(exc, SearchExhausted) else EXIT_PRECONDITION
         sys.stdout.write(_error_json(type(exc).__name__, str(exc), **where))
@@ -343,8 +338,8 @@ def _construct_arguments(p: argparse.ArgumentParser):
         "--c-range",
         dest="c_range",
         type=int,
-        help="candidate budget for constant searches (default: "
-        "TORSION_FORGE_SEARCH_LIMIT or 64)",
+        default=DEFAULT_SEARCH_LIMIT,
+        help="candidate budget for constant searches (default: %(default)s)",
     )
     p.add_argument(
         "--oracle",
@@ -382,7 +377,8 @@ def _scan_arguments(p: argparse.ArgumentParser):
         action="store_true",
         help="confirm constructed d=2 orders by divisor arithmetic",
     )
-    p.add_argument("--c-range", dest="c_range", type=int, help="candidate budget for constant searches")
+    p.add_argument("--c-range", dest="c_range", type=int, default=DEFAULT_SEARCH_LIMIT,
+                   help="candidate budget for constant searches")
     p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
     p.add_argument("--out", help="write the report to this path")
 

@@ -29,18 +29,16 @@ Search is deterministic, so rerunning a construction always reproduces
 the same certificate.  Three constructions search: order-n tries
 v = x + 1, x + 2, ...; div-d and the d = 2 two-torsion link try the
 constants 1, -1, 2, -2, ...  Every search runs through ``_search``, which
-alone applies the budget: the caller's limit, else the
-TORSION_FORGE_SEARCH_LIMIT environment variable (default 64; any value
-but a positive integer raises SearchLimitError).  The n = 3 link and the
-zero-deficit div-d witness are fixed and ignore the budget.
+alone applies the budget: the caller's ``search_limit`` candidates
+(default 64).  The n = 3 link and the zero-deficit div-d witness are
+fixed and ignore the budget.
 """
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 
 from .certify import (
     INFINITY_SHIFT,
@@ -57,33 +55,11 @@ from .polyring import Poly
 from .scalars import GAUSSIAN_I
 from .series import check_truncation_valuation, truncated_binomial, truncation_quotient
 
-SEARCH_LIMIT_ENV = "TORSION_FORGE_SEARCH_LIMIT"
 DEFAULT_SEARCH_LIMIT = 64
-_BUDGET_MESSAGE = (
-    "no square-free curve with a point of order %s found within the budget ({error}); "
-    "raise " + SEARCH_LIMIT_ENV + " to widen the search"
-)
 
 
 class SearchExhausted(RuntimeError):
     """No candidate within the search budget produced a valid curve."""
-
-
-class SearchLimitError(ValueError):
-    """TORSION_FORGE_SEARCH_LIMIT is set but is not a positive integer."""
-
-
-def default_search_limit() -> int:
-    raw = os.environ.get(SEARCH_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_SEARCH_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise SearchLimitError("%s must be a positive integer, got %r" % (SEARCH_LIMIT_ENV, raw))
-    return limit
 
 
 def _constants(skip: set):
@@ -94,24 +70,20 @@ def _constants(skip: set):
                 yield c
 
 
-def _search(
-    candidates,
-    build,
-    message: str,
-    search_limit: int | None,
-) -> TorsionCertificate:
-    """``build`` of the first of at most ``search_limit`` candidates (else
-    the default budget) that it does not reject with CurveError; else
-    SearchExhausted, with the budget in ``message``'s {limit} and the last
-    such error in its {error}."""
-    limit = default_search_limit() if search_limit is None else search_limit
+def _search(candidates, build, order: str, search_limit: int) -> TorsionCertificate:
+    """``build`` of the first of at most ``search_limit`` candidates that it
+    does not reject with CurveError; else SearchExhausted, naming the
+    ``order`` label, the budget and the last such error."""
     last_error: CurveError | None = None
-    for cand in islice(candidates, max(limit, 0)):
+    for _, cand in zip(range(search_limit), candidates):
         try:
             return build(cand)
         except CurveError as exc:
             last_error = exc
-    raise SearchExhausted(message.format(limit=limit, error=last_error))
+    raise SearchExhausted(
+        "no square-free curve with a point of order %s found within %d candidates (%s); "
+        "raise --c-range to widen the search" % (order, search_limit, last_error)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +110,7 @@ def construct_order_d(n: int, d: int) -> TorsionCertificate:
 # order-n
 # ---------------------------------------------------------------------------
 
-def construct_order_n(n: int, d: int, search_limit: int | None = None) -> TorsionCertificate:
+def construct_order_n(n: int, d: int, search_limit: int = DEFAULT_SEARCH_LIMIT) -> TorsionCertificate:
     """Curve f = x**n + v**d with P = (0, v(0)) of exact order n.
 
     The witnesses v = x + 1, x + 2, ... are tried until f is square-free;
@@ -154,7 +126,7 @@ def construct_order_n(n: int, d: int, search_limit: int | None = None) -> Torsio
     return _search(
         (Poly((k, 1)) for k in count(1)),
         lambda v: _pure_power(n, d, n, v, Poly.x_power(n) + v ** d),
-        "no square-free curve of order n=%d found within {limit} candidates ({error})" % (n,),
+        "n=%d" % (n,),
         search_limit,
     )
 
@@ -178,7 +150,7 @@ def _pure_power(n: int, d: int, m: int, v: Poly, f: Poly) -> TorsionCertificate:
 # ---------------------------------------------------------------------------
 
 def construct_div_d(
-    n: int, d: int, m: int, search_limit: int | None = None
+    n: int, d: int, m: int, search_limit: int = DEFAULT_SEARCH_LIMIT
 ) -> TorsionCertificate:
     """Curve with a point of exact order m where d | m and m > n.
 
@@ -204,7 +176,7 @@ def construct_div_d(
     return _search(
         _constants({Fraction(0), -Fraction(1, d)}),
         lambda c: _div_d_with(n, d, m, l, s, c),
-        _BUDGET_MESSAGE % ("m=%d" % (m,)),
+        "m=%d" % (m,),
         search_limit,
     )
 
@@ -214,7 +186,7 @@ def _div_d_with(n: int, d: int, m: int, l: int, s: int, c: Fraction) -> TorsionC
     return _pure_power(n, d, m, v, v ** d - Poly.x_power(m))
 
 
-def _two_torsion_link(n: int, search_limit: int | None) -> TorsionCertificate:
+def _two_torsion_link(n: int, search_limit: int) -> TorsionCertificate:
     """d = 2, m = 2n: certify via a divisor linking P to two-torsion.
 
     With w = 1 and t = x**k + x**(k-1) + c, k = (n-1)/2, the curve
@@ -229,7 +201,7 @@ def _two_torsion_link(n: int, search_limit: int | None) -> TorsionCertificate:
     return _search(
         _constants({Fraction(0)}),
         lambda c: _two_torsion_link_with(n, k, c),
-        _BUDGET_MESSAGE % ("2n=%d" % (2 * n,)),
+        "2n=%d" % (2 * n,),
         search_limit,
     )
 
@@ -298,7 +270,7 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
 # dispatch
 # ---------------------------------------------------------------------------
 
-ConstructionRequest = namedtuple("ConstructionRequest", "n d m search_limit", defaults=(None,))
+ConstructionRequest = namedtuple("ConstructionRequest", "n d m search_limit", defaults=(DEFAULT_SEARCH_LIMIT,))
 
 
 def construct(request: ConstructionRequest) -> TorsionCertificate:

@@ -10,11 +10,10 @@ absolute path of ``src`` (the cases run in other directories), as in
     PYTHONPATH="$PWD/src" python3 tests/replay_exit_paths.py python3.12 -m torsionforge.cli
 
 Each case whose ``patch`` is null runs in a fresh temporary directory,
-with its input written to a file there in place of ``{input}``, with
-TORSION_FORGE_SEARCH_LIMIT unset, and with COLUMNS=80, the width at which
-the parser cases' help and usage lines were recorded.  Its exit code,
-stdout and stderr must equal the recorded bytes.  The script names each
-case that differs and exits 1 if any does.
+with its input written to a file there in place of ``{input}``, and with
+COLUMNS=80, the width at which the parser cases' help and usage lines
+were recorded.  Its exit code, stdout and stderr must equal the recorded
+bytes.  The script names each case that differs and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ CASES = Path(__file__).resolve().parent / "data" / "cli_exit_paths.json"
 
 def main(command: list[str]) -> int:
     cases = [c for c in json.loads(CASES.read_text(encoding="utf-8"))["cases"] if c["patch"] is None]
-    env = {k: v for k, v in os.environ.items() if k != "TORSION_FORGE_SEARCH_LIMIT"}
-    env["COLUMNS"] = "80"
+    env = dict(os.environ, COLUMNS="80")
     failed = 0
     for case in cases:
         with tempfile.TemporaryDirectory() as tmp:

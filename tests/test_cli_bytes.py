@@ -8,16 +8,16 @@ Two corpora are replayed through ``cli.main``, read-only:
   the certificates those invocations emit;
 * ``data/cli_exit_paths.json``: the construct / scan / verify exit paths
   that corpus does not reach (exit 3 and 4, oracle lines and mismatches,
-  self-verification failures, invalid and malformed certificates, an
-  invalid TORSION_FORGE_SEARCH_LIMIT, a prime-order m that only the
-  Miller-Rabin loop decides).  Its bytes were captured from
-  commit 7929b6e, before the construct ->
+  self-verification failures, invalid and malformed certificates, output
+  that a stray TORSION_FORGE_SEARCH_LIMIT in the environment does not
+  change, a prime-order m that only the Miller-Rabin loop decides).  Its
+  bytes were captured from commit 7929b6e, before the construct ->
   verify -> oracle pipeline was merged into one function; the
   shift-power and large-e ``verify`` cases were captured from commit
   67cb2f2, the last one that could still produce shift-power
   certificates (by carrying a constructed certificate onto a non-monic
   model of its curve).  Paths that the command line alone cannot reach
-  (forced failures, an environment variable) are reached by the named
+  (forced failures, a set environment variable) are reached by the named
   monkeypatches in ``PATCHES``.  Its ``parser-`` cases pin argparse's
   help, usage and error bytes.
 
@@ -113,7 +113,8 @@ def _every_row_constructive(monkeypatch):
     )
 
 
-def _bad_search_limit(monkeypatch):
+def _ignored_search_limit_env(monkeypatch):
+    """A variable that once set the search budget; --c-range alone sets it now."""
     monkeypatch.setenv("TORSION_FORGE_SEARCH_LIMIT", "zero")
 
 
@@ -122,7 +123,7 @@ PATCHES = {
     "oracle-order-off-by-one": _oracle_order_off_by_one,
     "oracle-finds-no-order": _oracle_finds_no_order,
     "every-row-constructive": _every_row_constructive,
-    "bad-search-limit": _bad_search_limit,
+    "ignored-search-limit-env": _ignored_search_limit_env,
 }
 
 

@@ -12,6 +12,7 @@ import pytest
 from torsionforge import series
 from torsionforge.certify import PreconditionError, verify_certificate
 from torsionforge.constructors import (
+    DEFAULT_SEARCH_LIMIT,
     ConstructionRequest,
     SearchExhausted,
     _search,
@@ -20,7 +21,6 @@ from torsionforge.constructors import (
     construct_n_plus_ed,
     construct_order_d,
     construct_order_n,
-    default_search_limit,
 )
 from torsionforge.curves import AffinePoint, CurveError
 from torsionforge.jacobian2 import embed_point, order_of
@@ -137,22 +137,9 @@ def test_div_d_search_is_deterministic():
     assert a.to_json_str() == b.to_json_str()
 
 
-def test_search_limit_env_is_honored(monkeypatch):
-    monkeypatch.setenv("TORSION_FORGE_SEARCH_LIMIT", "17")
-    assert default_search_limit() == 17
-    monkeypatch.setenv("TORSION_FORGE_SEARCH_LIMIT", "zero")
-    with pytest.raises(ValueError):
-        default_search_limit()
-    monkeypatch.setenv("TORSION_FORGE_SEARCH_LIMIT", "0")
-    with pytest.raises(ValueError):
-        default_search_limit()
-    monkeypatch.delenv("TORSION_FORGE_SEARCH_LIMIT")
-    assert default_search_limit() == 64
-
-
 def test_exhausted_search_reports_budget():
     # budget of zero candidates cannot succeed
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(SearchExhausted, match=r"within 0 candidates .*raise --c-range"):
         construct_div_d(7, 2, 8, search_limit=0)
 
 
@@ -165,16 +152,40 @@ def _rejecting_build(k: int):
     return build
 
 
+def _exhausted_message(order: str, limit: int, error) -> str:
+    return (
+        "no square-free curve with a point of order %s found within %d candidates (%s); "
+        "raise --c-range to widen the search" % (order, limit, error)
+    )
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_search_skips_rejected_candidates(k):
-    assert _search(count(1), _rejecting_build(k), "{limit} {error}", search_limit=k + 1) == k + 1
+    assert _search(count(1), _rejecting_build(k), "m=8", search_limit=k + 1) == k + 1
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_search_exhausted_names_the_budget_and_the_last_error(k):
     with pytest.raises(SearchExhausted) as info:
-        _search(count(1), _rejecting_build(k), "budget {limit}; last: {error}", search_limit=k)
-    assert str(info.value) == "budget %d; last: candidate %d rejected" % (k, k)
+        _search(count(1), _rejecting_build(k), "m=8", search_limit=k)
+    assert str(info.value) == _exhausted_message("m=8", k, "candidate %d rejected" % (k,))
+
+
+def test_default_search_limit_is_64_candidates():
+    assert DEFAULT_SEARCH_LIMIT == 64
+    assert ConstructionRequest(5, 2, 6).search_limit == DEFAULT_SEARCH_LIMIT
+    assert _search(count(1), _rejecting_build(63), "n=7", DEFAULT_SEARCH_LIMIT) == 64
+    with pytest.raises(SearchExhausted) as info:
+        _search(count(1), _rejecting_build(64), "n=7", DEFAULT_SEARCH_LIMIT)
+    assert str(info.value) == _exhausted_message("n=7", 64, "candidate 64 rejected")
+
+
+def test_search_limit_none_is_a_type_error():
+    # no implicit budget: None does not mean "unbounded" or "the default"
+    with pytest.raises(TypeError):
+        _search(count(1), _rejecting_build(0), "n=7", None)
+    with pytest.raises(TypeError):
+        construct_div_d(7, 2, 8, search_limit=None)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +262,7 @@ def test_construct_checks_the_shape_before_the_order():
         construct(ConstructionRequest(5, 0, 7))
 
 
-BAD_SHAPES = [(5, 0, 7), (5, 1, 7), (4, 2, 6), (3, 5, 8), (6, 3, 6), (5, 2, 3)]
+BAD_SHAPES = [(5, 0, 7), (5, 1, 7), (4, 2, 6), (3, 5, 8), (6, 3, 6), (5, 5, 6)]
 
 
 @pytest.mark.parametrize(
@@ -267,9 +278,3 @@ def test_construct_dispatch_round_trip():
         cert = construct(ConstructionRequest(n=5, d=2, m=m))
         assert cert.m == m
         assert_verifies(cert)
-
-
-def test_shape_validation():
-    for bad in ((4, 2, 6), (5, 5, 6), (3, 4, 5)):
-        with pytest.raises(PreconditionError):
-            construct(ConstructionRequest(n=bad[0], d=bad[1], m=bad[2]))
