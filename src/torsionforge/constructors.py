@@ -2,7 +2,9 @@
 
 Every function here returns a TorsionCertificate whose claims the verifier
 in certify.py rechecks from scratch; nothing is trusted to the algebra in
-this module.  Four families cover the constructive verdicts:
+this module.  ``construct`` takes the reachability verdict of (n, d, m),
+and the row that decides it picks one of the four families below; the
+private builders recheck none of the row's conditions on m.
 
 order-d       f = x**n - 1, P = (1, 0).  The zero ordinate pins the
               order to exactly d.
@@ -44,11 +46,16 @@ from .certify import (
     INFINITY_SHIFT,
     ORDER_D,
     PURE_POWER,
+    RULE_CONGRUENT_STEP,
+    RULE_COVER_DEGREE,
+    RULE_CURVE_DEGREE,
+    RULE_DIVISIBLE_MULTIPLE,
     RULE_TWO_TORSION,
     RULE_ZERO_ORDINATE,
     TWO_TORSION_LINK,
     TorsionCertificate,
     exactness_rule_for,
+    reachability_verdict,
 )
 from .curves import AffinePoint, Curve, CurveError, PreconditionError, check_shape
 from .polyring import Poly
@@ -74,14 +81,14 @@ def _search(candidates, build, order: str, search_limit: int) -> TorsionCertific
     """``build`` of the first of at most ``search_limit`` candidates that it
     does not reject with CurveError; else SearchExhausted, naming the
     ``order`` label, the budget and the last such error."""
-    last_error: CurveError | None = None
+    last_error = ""  # " (message)" of the last rejection, if any candidate was tried
     for _, cand in zip(range(search_limit), candidates):
         try:
             return build(cand)
         except CurveError as exc:
-            last_error = exc
+            last_error = " (%s)" % (exc,)
     raise SearchExhausted(
-        "no square-free curve with a point of order %s found within %d candidates (%s); "
+        "no square-free curve with a point of order %s found within %d candidates%s; "
         "raise --c-range to widen the search" % (order, search_limit, last_error)
     )
 
@@ -90,9 +97,8 @@ def _search(candidates, build, order: str, search_limit: int) -> TorsionCertific
 # order-d: points with zero ordinate
 # ---------------------------------------------------------------------------
 
-def construct_order_d(n: int, d: int) -> TorsionCertificate:
+def _order_d(n: int, d: int) -> TorsionCertificate:
     """Curve with the point (1, 0) of exact order d: f = x**n - 1."""
-    check_shape(n, d)
     a = Fraction(1)
     curve = Curve(d, n, Poly.x_power(n) - Poly.constant(a))
     return TorsionCertificate(
@@ -110,7 +116,7 @@ def construct_order_d(n: int, d: int) -> TorsionCertificate:
 # order-n
 # ---------------------------------------------------------------------------
 
-def construct_order_n(n: int, d: int, search_limit: int = DEFAULT_SEARCH_LIMIT) -> TorsionCertificate:
+def _order_n(n: int, d: int, search_limit: int) -> TorsionCertificate:
     """Curve f = x**n + v**d with P = (0, v(0)) of exact order n.
 
     The witnesses v = x + 1, x + 2, ... are tried until f is square-free;
@@ -122,7 +128,6 @@ def construct_order_n(n: int, d: int, search_limit: int = DEFAULT_SEARCH_LIMIT) 
     forces n**n = d**d * (n-d)**(n-d) in absolute value, but a prime factor
     of n divides neither d nor n - d, as gcd(n, d) = 1.
     """
-    check_shape(n, d)
     return _search(
         (Poly((k, 1)) for k in count(1)),
         lambda v: _pure_power(n, d, n, v, Poly.x_power(n) + v ** d),
@@ -149,26 +154,11 @@ def _pure_power(n: int, d: int, m: int, v: Poly, f: Poly) -> TorsionCertificate:
 # div-d: m a multiple of d beyond n
 # ---------------------------------------------------------------------------
 
-def construct_div_d(
-    n: int, d: int, m: int, search_limit: int = DEFAULT_SEARCH_LIMIT
-) -> TorsionCertificate:
-    """Curve with a point of exact order m where d | m and m > n.
-
-    Requires the deficit n - m + m/d to be nonnegative; below zero no
-    member of this family reaches order m.
-    """
-    check_shape(n, d)
-    if m % d != 0:
-        raise PreconditionError("requires d | m, got m=%d d=%d" % (m, d))
-    if m <= n:
-        raise PreconditionError("requires m > n, got m=%d n=%d" % (m, n))
+def _div_d(n: int, d: int, m: int, search_limit: int) -> TorsionCertificate:
+    """Curve with a point of exact order m where d | m, m > n and the
+    deficit n - m + m/d is nonnegative (the divisible-multiple row)."""
     l = m // d
     s = n - m + l
-    if s < 0:
-        raise PreconditionError(
-            "deficit n - m + m/d = %d is negative; the family cannot reach m=%d"
-            % (s, m)
-        )
     if s == 0 and d == 2:
         return _two_torsion_link(n, search_limit)
     if s == 0:
@@ -230,7 +220,7 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
     """Curve with a point of exact order m = n + e*d over x = -1.
 
     Requires m > d*(e*d - 1); otherwise the truncated series does not
-    leave a degree-n quotient and a HypothesisError is raised.  Under it
+    leave a degree-n quotient and a PreconditionError is raised.  Under it
     m < 2n when d >= 3, and m is odd with m <= 2n + 1 < 3n when d = 2, so
     an exactness rule always applies.
 
@@ -274,19 +264,21 @@ ConstructionRequest = namedtuple("ConstructionRequest", "n d m search_limit", de
 
 
 def construct(request: ConstructionRequest) -> TorsionCertificate:
-    """The certificate of the one family that covers order m on (n, d).
+    """The certificate of the family that the verdict's constructive row names.
 
-    m = d is order-d and m = n is order-n.  Beyond n, gcd(n, d) = 1 makes
-    d | m (div-d) and d | m - n (n-plus-ed) exclusive; no other m is covered."""
+    ``reachability_verdict`` decides m once, and its deciding row picks the
+    builder: cover-degree is order-d, curve-degree order-n,
+    divisible-multiple div-d and congruent-step n-plus-ed.  Every other
+    verdict, unreachable or undecided, is refused."""
     n, d, m = request.n, request.d, request.m
-    check_shape(n, d)
-    if m == d:
-        return construct_order_d(n, d)
-    if m == n:
-        return construct_order_n(n, d, search_limit=request.search_limit)
-    if m > n and m % d == 0:
-        return construct_div_d(n, d, m, search_limit=request.search_limit)
-    if m > n and (m - n) % d == 0:
+    rule = reachability_verdict(n, d, m).deciding_rule
+    if rule == RULE_COVER_DEGREE:
+        return _order_d(n, d)
+    if rule == RULE_CURVE_DEGREE:
+        return _order_n(n, d, request.search_limit)
+    if rule == RULE_DIVISIBLE_MULTIPLE:
+        return _div_d(n, d, m, request.search_limit)
+    if rule == RULE_CONGRUENT_STEP:
         return construct_n_plus_ed(n, d, (m - n) // d)
     raise PreconditionError(
         "no construction family covers m=%d on (n=%d, d=%d) curves" % (m, n, d)

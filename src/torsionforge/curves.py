@@ -12,8 +12,7 @@ f is a polynomial over Q.  A point's abscissa is rational; its ordinate
 may be a ``GaussianRational``, as for the d = 2 points of order n + e*d.
 
 The (n, d) rule is stated once, in ``check_shape``.  Every refused
-precondition is a ``PreconditionError``; ``CurveError`` and
-``series.HypothesisError`` are its subclasses.
+precondition is a ``PreconditionError``; ``CurveError`` is its subclass.
 """
 
 from __future__ import annotations

@@ -32,10 +32,6 @@ from .polyring import Poly, exact_div
 from .scalars import gen_binom
 
 
-class HypothesisError(PreconditionError):
-    """An inequality hypothesis required by a construction fails."""
-
-
 def truncated_binomial(m: int, d: int, E: int) -> Poly:
     """The polynomial sum_{k<E} binom(m/d, k) x**k, of degree exactly E-1."""
     r = Fraction(m, d)
@@ -43,7 +39,7 @@ def truncated_binomial(m: int, d: int, E: int) -> Poly:
 
 
 def check_truncation_valuation(m: int, d: int, E: int) -> None:
-    """Raise HypothesisError unless m > d*(E-1).
+    """Raise PreconditionError unless m > d*(E-1).
 
     Under that hypothesis (1+x)**m - V**d, V the truncated series,
     vanishes to order exactly E at x = 0: with V(0) = 1 and T =
@@ -54,7 +50,7 @@ def check_truncation_valuation(m: int, d: int, E: int) -> None:
     """
     floor = d * (E - 1)
     if m <= floor:
-        raise HypothesisError(
+        raise PreconditionError(
             "need m > d*(E-1): m=%d, d*(E-1)=%d" % (m, floor)
         )
 

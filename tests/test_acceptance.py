@@ -25,7 +25,7 @@ from torsionforge.certify import (
 from torsionforge.cli import certify_request, main
 from torsionforge.constructors import (
     ConstructionRequest,
-    construct_div_d,
+    construct,
     construct_n_plus_ed,
 )
 from torsionforge.curves import AffinePoint, Curve
@@ -40,7 +40,6 @@ from torsionforge.jacobian2 import (
 from torsionforge.polyring import Poly, is_squarefree
 from torsionforge.scalars import GaussianRational, gen_binom
 from torsionforge.series import (
-    HypothesisError,
     check_truncation_valuation,
     truncated_binomial,
     truncation_quotient,
@@ -95,7 +94,7 @@ def test_criterion_03_worked_examples_match_frozen_constants():
     )
     assert order_of(*embed_point(cert7.curve, cert7.point), bound=7) == 7
 
-    cert6 = construct_div_d(5, 2, 6)
+    cert6 = construct(ConstructionRequest(5, 2, 6))
     assert cert6.curve.f == Poly((1, 0, 1, 2, Fraction(1, 4), 1))
     assert cert6.v == Poly((1, 0, Fraction(1, 2), 1))
     assert cert6.point == AffinePoint(Fraction(0), Fraction(1))
@@ -112,12 +111,12 @@ def test_criterion_04_obstructed_orders_are_refused():
     assert v1.status == STATUS_UNREACHABLE
     assert v1.deciding_rule == "multiple-deficit"
     with pytest.raises(PreconditionError):
-        construct_div_d(7, 5, 10)
+        construct(ConstructionRequest(7, 5, 10))
 
     v2 = reachability_verdict(7, 4, 11)
     assert v2.status == STATUS_UNREACHABLE
     assert v2.deciding_rule == "step-threshold"
-    with pytest.raises(HypothesisError):
+    with pytest.raises(PreconditionError):
         construct_n_plus_ed(7, 4, 1)
 
     print(
@@ -220,7 +219,7 @@ def test_criterion_08_divisor_arithmetic_bulk_check():
         pools.append((curve.f, embeds))
 
     for n, m in ((5, 6), (5, 10), (7, 8), (7, 14)):
-        cert = construct_div_d(n, 2, m)
+        cert = construct(ConstructionRequest(n, 2, m))
         model, D = embed_point(cert.curve, cert.point)
         multiples = [D]
         while len(multiples) < m - 1:

@@ -18,8 +18,10 @@ Two corpora are replayed through ``cli.main``, read-only:
   certificates (by carrying a constructed certificate onto a non-monic
   model of its curve).  Paths that the command line alone cannot reach
   (forced failures, a set environment variable) are reached by the named
-  monkeypatches in ``PATCHES``.  Its ``parser-`` cases pin argparse's
-  help, usage and error bytes.
+  monkeypatches in ``PATCHES``.  The ``every-row-constructive`` patch
+  changes only the rows scan chooses to build: ``construct`` reads the
+  real verdict, so a patched row that no family covers exits 3.  Its
+  ``parser-`` cases pin argparse's help, usage and error bytes.
 
 argparse wraps usage and help to the terminal width, which it reads from
 COLUMNS, so every case runs with COLUMNS=80.  ``main`` parses with the

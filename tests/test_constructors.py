@@ -10,23 +10,19 @@ from math import gcd
 import pytest
 
 from torsionforge import series
-from torsionforge.certify import PreconditionError, verify_certificate
+from torsionforge.certify import PreconditionError, reachability_verdict, verify_certificate
 from torsionforge.constructors import (
     DEFAULT_SEARCH_LIMIT,
     ConstructionRequest,
     SearchExhausted,
     _search,
     construct,
-    construct_div_d,
     construct_n_plus_ed,
-    construct_order_d,
-    construct_order_n,
 )
 from torsionforge.curves import AffinePoint, CurveError
 from torsionforge.jacobian2 import embed_point, order_of
 from torsionforge.polyring import Poly
 from torsionforge.scalars import GAUSSIAN_I, GaussianRational, gen_binom
-from torsionforge.series import HypothesisError
 
 
 def assert_verifies(cert):
@@ -49,7 +45,7 @@ def test_n_plus_ed_worked_constant():
 
 
 def test_div_d_worked_constant():
-    cert = assert_verifies(construct_div_d(5, 2, 6))
+    cert = assert_verifies(construct(ConstructionRequest(5, 2, 6)))
     assert cert.curve.f == Poly((1, 0, 1, 2, Fraction(1, 4), 1))
     assert cert.v == Poly((1, 0, Fraction(1, 2), 1))
     assert cert.point == AffinePoint(Fraction(0), Fraction(1))
@@ -61,7 +57,7 @@ def test_div_d_worked_constant():
 # ---------------------------------------------------------------------------
 
 def test_order_d_basic():
-    cert = assert_verifies(construct_order_d(5, 2))
+    cert = assert_verifies(construct(ConstructionRequest(5, 2, 2)))
     assert cert.curve.f == Poly((-1, 0, 0, 0, 0, 1))
     assert cert.point == AffinePoint(Fraction(1), Fraction(0))
     assert cert.m == 2
@@ -73,19 +69,19 @@ def test_order_d_basic():
 # ---------------------------------------------------------------------------
 
 def test_order_n_default_search():
-    cert = assert_verifies(construct_order_n(5, 2))
+    cert = assert_verifies(construct(ConstructionRequest(5, 2, 5)))
     assert cert.m == 5
     assert cert.curve.f == Poly.x_power(5) + Poly((1, 1)) ** 2
     assert order_of(*embed_point(cert.curve, cert.point), bound=5) == 5
 
 
 def test_order_n_first_witness_is_square_free():
-    # x^n + (x+1)^d is square-free for coprime d < n (construct_order_n's
+    # x^n + (x+1)^d is square-free for coprime d < n (_order_n's
     # docstring proves it), so a budget of one candidate always suffices
     for n in range(3, 41):
         for d in range(2, n):
             if gcd(n, d) == 1:
-                cert = construct_order_n(n, d, search_limit=1)
+                cert = construct(ConstructionRequest(n, d, n, search_limit=1))
                 assert cert.v == Poly((1, 1)), (n, d)
 
 
@@ -94,28 +90,29 @@ def test_order_n_first_witness_is_square_free():
 # ---------------------------------------------------------------------------
 
 def test_div_d_requires_divisibility_and_size():
-    with pytest.raises(PreconditionError):
-        construct_div_d(5, 2, 7)
-    with pytest.raises(PreconditionError):
-        construct_div_d(5, 2, 4)
+    # m = 7 is not a multiple of d, so n-plus-ed builds it; m = 4 lies below n
+    assert construct(ConstructionRequest(5, 2, 7)).identity_kind == "infinity-shift"
+    with pytest.raises(PreconditionError, match=re.escape("no construction family covers m=4")):
+        construct(ConstructionRequest(5, 2, 4))
 
 
 def test_div_d_negative_deficit_refused():
     # (7, 5): m = 10 has deficit 7 - 10 + 2 = -1
-    with pytest.raises(PreconditionError):
-        construct_div_d(7, 5, 10)
+    assert reachability_verdict(7, 5, 10).deciding_rule == "multiple-deficit"
+    with pytest.raises(PreconditionError, match=re.escape("no construction family covers m=10")):
+        construct(ConstructionRequest(7, 5, 10))
 
 
 def test_div_d_zero_deficit_unique_representative():
     # (8, 3): m = 12, deficit 0, no search, v = x^4 + 1/3
-    cert = assert_verifies(construct_div_d(8, 3, 12))
+    cert = assert_verifies(construct(ConstructionRequest(8, 3, 12)))
     assert cert.v == Poly.x_power(4) + Poly.constant(Fraction(1, 3))
     assert cert.curve.f == Poly((Fraction(1, 27), 0, 0, 0, Fraction(1, 3), 0, 0, 0, 1))
     assert cert.point == AffinePoint(Fraction(0), Fraction(1, 3))
 
 
 def test_div_d_two_torsion_link_for_twice_degree():
-    cert = assert_verifies(construct_div_d(5, 2, 10))
+    cert = assert_verifies(construct(ConstructionRequest(5, 2, 10)))
     assert cert.identity_kind == "two-torsion-link"
     assert cert.curve.f == Poly((1, 0, 0, -2, 0, 1))      # x^5 - 2x^3 + 1
     assert cert.point == AffinePoint(Fraction(0), Fraction(1))
@@ -125,22 +122,22 @@ def test_div_d_two_torsion_link_for_twice_degree():
 
 def test_two_torsion_link_smallest_case():
     # n = 3: the witness is fully forced
-    cert = assert_verifies(construct_div_d(3, 2, 6))
+    cert = assert_verifies(construct(ConstructionRequest(3, 2, 6)))
     assert cert.curve.f == Poly.x_minus(Fraction(1)) * Poly((-1, -1, 1))
     assert order_of(*embed_point(cert.curve, cert.point), bound=6) == 6
 
 
 def test_div_d_search_is_deterministic():
-    a = construct_div_d(7, 2, 8)
-    b = construct_div_d(7, 2, 8)
+    a = construct(ConstructionRequest(7, 2, 8))
+    b = construct(ConstructionRequest(7, 2, 8))
     assert a == b
     assert a.to_json_str() == b.to_json_str()
 
 
 def test_exhausted_search_reports_budget():
     # budget of zero candidates cannot succeed
-    with pytest.raises(SearchExhausted, match=r"within 0 candidates .*raise --c-range"):
-        construct_div_d(7, 2, 8, search_limit=0)
+    with pytest.raises(SearchExhausted, match=r"within 0 candidates; raise --c-range"):
+        construct(ConstructionRequest(7, 2, 8, search_limit=0))
 
 
 def _rejecting_build(k: int):
@@ -185,7 +182,7 @@ def test_search_limit_none_is_a_type_error():
     with pytest.raises(TypeError):
         _search(count(1), _rejecting_build(0), "n=7", None)
     with pytest.raises(TypeError):
-        construct_div_d(7, 2, 8, search_limit=None)
+        construct(ConstructionRequest(7, 2, 8, search_limit=None))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +205,10 @@ def test_n_plus_ed_symbolic_point_for_even_d():
 
 
 def test_n_plus_ed_hypothesis_violations_raise():
-    with pytest.raises(HypothesisError):
-        construct_n_plus_ed(7, 4, 1)          # m = 11 <= d*(E-1) = 12
-    with pytest.raises(HypothesisError):
-        construct_n_plus_ed(5, 2, 4)          # m = 13 <= 14
+    with pytest.raises(PreconditionError, match=re.escape("m=11, d*(E-1)=12")):
+        construct_n_plus_ed(7, 4, 1)
+    with pytest.raises(PreconditionError, match=re.escape("m=13, d*(E-1)=14")):
+        construct_n_plus_ed(5, 2, 4)
 
 
 def test_n_plus_ed_builds_the_series_once(monkeypatch):
@@ -251,10 +248,12 @@ def test_construct_picks_the_family_by_m():
     kinds = {2: "order-d", 5: "pure-power", 6: "pure-power", 10: "two-torsion-link", 7: "infinity-shift"}
     for m, kind in kinds.items():
         assert construct(ConstructionRequest(5, 2, m)).identity_kind == kind
-    for m in (3, 4):
+    for m in (3, 4, 13, 15):          # unreachable, then undecided
         message = "no construction family covers m=%d on (n=5, d=2) curves" % (m,)
         with pytest.raises(PreconditionError, match=re.escape(message)):
             construct(ConstructionRequest(5, 2, m))
+    with pytest.raises(PreconditionError, match="orders below 2 are not meaningful, got m=1"):
+        construct(ConstructionRequest(5, 2, 1))
 
 
 def test_construct_checks_the_shape_before_the_order():

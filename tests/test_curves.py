@@ -9,12 +9,7 @@ import pytest
 
 from torsionforge import certify
 from torsionforge.certify import reachability_verdict
-from torsionforge.constructors import (
-    construct_div_d,
-    construct_n_plus_ed,
-    construct_order_d,
-    construct_order_n,
-)
+from torsionforge.constructors import ConstructionRequest, construct, construct_n_plus_ed
 from torsionforge.curves import (
     AffinePoint,
     Curve,
@@ -24,7 +19,6 @@ from torsionforge.curves import (
 )
 from torsionforge.polyring import Poly
 from torsionforge.scalars import GaussianRational
-from torsionforge.series import HypothesisError
 
 
 X5_MINUS_1 = Poly((-1, 0, 0, 0, 0, 1))
@@ -67,9 +61,7 @@ def test_every_shape_refusal_is_the_curve_rule(n, d):
         Curve(d, n, X5_MINUS_1)
     refusals = (
         lambda: reachability_verdict(n, d, 6),
-        lambda: construct_order_d(n, d),
-        lambda: construct_order_n(n, d),
-        lambda: construct_div_d(n, d, 6),
+        lambda: construct(ConstructionRequest(n, d, 6)),
         lambda: construct_n_plus_ed(n, d, 1),
     )
     for refuse in refusals:
@@ -80,7 +72,6 @@ def test_every_shape_refusal_is_the_curve_rule(n, d):
 
 def test_every_refused_precondition_is_a_precondition_error():
     assert issubclass(CurveError, PreconditionError)
-    assert issubclass(HypothesisError, PreconditionError)
     assert certify.PreconditionError is PreconditionError
 
 

@@ -14,7 +14,6 @@ from torsionforge import jacobian2, polyring
 from torsionforge.constructors import (
     ConstructionRequest,
     construct,
-    construct_div_d,
     construct_n_plus_ed,
 )
 from torsionforge.curves import AffinePoint, Curve
@@ -74,7 +73,7 @@ def torsion_generators():
     n-plus-ed points have ordinates in i*Q, so their model is the twist."""
     out = []
     for n, m in ((5, 6), (5, 8), (5, 10), (7, 8), (7, 14)):
-        cert = construct_div_d(n, 2, m)
+        cert = construct(ConstructionRequest(n, 2, m))
         out.append((*embed_point(cert.curve, cert.point), m))
     for n, e in ((5, 1), (5, 2), (7, 3)):
         cert = construct_n_plus_ed(n, 2, e)
@@ -246,7 +245,7 @@ def assert_agrees_with_reference(f, D, bounds):
 
 
 def rational_generator():
-    cert = construct_div_d(5, 2, 6)
+    cert = construct(ConstructionRequest(5, 2, 6))
     return (*embed_point(cert.curve, cert.point), 6)
 
 
@@ -297,7 +296,7 @@ def test_add_refuses_a_summand_other_than_a_point():
 
 
 def test_twisted_pair_is_valid_on_the_twist():
-    rational = construct_div_d(5, 2, 6)
+    rational = construct(ConstructionRequest(5, 2, 6))
     assert embed_point(rational.curve, rational.point)[0] is rational.curve.f
     cert = construct_n_plus_ed(5, 2, 1)
     curve, point = cert.curve, cert.point

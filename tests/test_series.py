@@ -7,10 +7,10 @@ from math import gcd
 
 import pytest
 
+from torsionforge.curves import PreconditionError
 from torsionforge.polyring import Poly, is_squarefree
 from torsionforge.scalars import gen_binom
 from torsionforge.series import (
-    HypothesisError,
     check_truncation_valuation,
     truncated_binomial,
     truncation_quotient,
@@ -40,7 +40,7 @@ def test_truncated_binomial_is_a_series_prefix():
 
 def test_valuation_hypothesis_is_enforced():
     # m must exceed d*(E-1) for the cancellation to reach x^E
-    with pytest.raises(HypothesisError, match=r"need m > d\*\(E-1\): m=9, d\*\(E-1\)=12"):
+    with pytest.raises(PreconditionError, match=r"need m > d\*\(E-1\): m=9, d\*\(E-1\)=12"):
         check_truncation_valuation(9, 4, 4)
     assert check_truncation_valuation(13, 4, 4) is None
 
