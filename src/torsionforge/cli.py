@@ -26,14 +26,13 @@ from math import gcd as int_gcd
 from .certify import (
     PreconditionError,
     STATUS_CONSTRUCTIVE,
-    STATUS_UNREACHABLE,
     TorsionCertificate,
     canonical_json,
     parse_and_verify,
     reachability_verdict,
     verify_certificate,
 )
-from .constructors import DEFAULT_SEARCH_LIMIT, ConstructionRequest, SearchExhausted, construct
+from .constructors import DEFAULT_SEARCH_LIMIT, SearchExhausted, construct
 from .jacobian2 import OrderNotFoundError, embed_point, order_of
 
 PRESET_HYPERELLIPTIC_LADDER = "hyperelliptic-ladder"
@@ -115,7 +114,7 @@ def _oracle_check(cert: TorsionCertificate) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 def certify_request(
-    request: ConstructionRequest, oracle: bool = False, scan_row: bool = False
+    n: int, d: int, m: int, search_limit: int, oracle: bool, scan_row: bool = False
 ) -> tuple[int, TorsionCertificate | None]:
     """Construct a certificate, verify it, and optionally confirm its order
     by the d = 2 divisor oracle.  Returns the exit code and, when it is 0,
@@ -123,17 +122,19 @@ def certify_request(
 
     Output is printed where it is decided: the oracle line and a failed
     self-verification's report go to stderr, a failure's error JSON to
-    stdout; the caller prints the certificate.  With ``scan_row`` the
-    request is one row of a scan: its n and m go into the error JSON, the
-    oracle line is prefixed with them, and a failed self-verification
-    names the row.
+    stdout; the caller prints the certificate.  ``construct`` refuses an
+    order that no family builds, and the error JSON of an unreachable
+    one ends with its deciding ``rule``.  With ``scan_row`` the triple is
+    one row of a scan: its n and m go into the error JSON, the oracle line
+    is prefixed with them, and a failed self-verification names the row.
     """
-    n, m = request.n, request.m
     where = {"n": n, "m": m} if scan_row else {}
     try:
-        cert = construct(request)
+        cert = construct(n, d, m, search_limit)
     except (SearchExhausted, PreconditionError) as exc:
         code = EXIT_SEARCH_EXHAUSTED if isinstance(exc, SearchExhausted) else EXIT_PRECONDITION
+        if hasattr(exc, "rule"):
+            where["rule"] = exc.rule
         sys.stdout.write(_error_json(type(exc).__name__, str(exc), **where))
         return code, None
 
@@ -174,22 +175,7 @@ def cmd_construct(args) -> int:
         m = from_e
     if m < 2:
         _usage_error("--m must be at least 2, got %d" % (m,))
-
-    verdict = reachability_verdict(args.n, args.d, m)
-    if verdict.status == STATUS_UNREACHABLE:
-        sys.stdout.write(
-            _error_json(
-                "PreconditionError",
-                "order m=%d is unreachable on (n=%d, d=%d) curves" % (m, args.n, args.d),
-                rule=verdict.deciding_rule,
-            )
-        )
-        return EXIT_PRECONDITION
-
-    code, cert = certify_request(
-        ConstructionRequest(n=args.n, d=args.d, m=m, search_limit=args.c_range),
-        args.oracle,
-    )
+    code, cert = certify_request(args.n, args.d, m, args.c_range, args.oracle)
     if code == EXIT_OK:
         code = _emit(cert.to_json_str(), args.out)
     return code
@@ -265,6 +251,8 @@ def cmd_scan(args) -> int:
         _usage_error("--d must be at least 2, got %d" % (args.d,))
     if args.preset == PRESET_HYPERELLIPTIC_LADDER and args.d != 2:
         _usage_error("preset %s requires --d 2" % (PRESET_HYPERELLIPTIC_LADDER,))
+    if args.preset is not None and args.m is not None:
+        _usage_error("--m %s conflicts with --preset %s (which sets m = n+1..2n+1)" % (args.m, args.preset))
     if args.preset is None and args.m is None:
         _usage_error("scan needs --m or --preset")
     if args.n is None:
@@ -285,11 +273,7 @@ def cmd_scan(args) -> int:
             "deciding_rule": verdict.deciding_rule,
         }
         if args.construct and verdict.status == STATUS_CONSTRUCTIVE:
-            code, cert = certify_request(
-                ConstructionRequest(n=n, d=args.d, m=m, search_limit=args.c_range),
-                args.oracle,
-                scan_row=True,
-            )
+            code, cert = certify_request(n, args.d, m, args.c_range, args.oracle, scan_row=True)
             if code != EXIT_OK:
                 return code
             row["certificate"] = cert

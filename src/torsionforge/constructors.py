@@ -2,9 +2,10 @@
 
 Every function here returns a TorsionCertificate whose claims the verifier
 in certify.py rechecks from scratch; nothing is trusted to the algebra in
-this module.  ``construct`` takes the reachability verdict of (n, d, m),
-and the row that decides it picks one of the four families below; the
-private builders recheck none of the row's conditions on m.
+this module.  ``construct`` takes the reachability verdict of (n, d, m)
+once: the row that decides a constructive verdict picks one of the four
+families below, and every other verdict is refused there.  The private
+builders recheck none of the row's conditions on m.
 
 order-d       f = x**n - 1, P = (1, 0).  The zero ordinate pins the
               order to exactly d.
@@ -38,7 +39,6 @@ fixed and ignore the budget.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 
@@ -52,6 +52,7 @@ from .certify import (
     RULE_DIVISIBLE_MULTIPLE,
     RULE_TWO_TORSION,
     RULE_ZERO_ORDINATE,
+    STATUS_UNREACHABLE,
     TWO_TORSION_LINK,
     TorsionCertificate,
     exactness_rule_for,
@@ -260,26 +261,26 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
 # dispatch
 # ---------------------------------------------------------------------------
 
-ConstructionRequest = namedtuple("ConstructionRequest", "n d m search_limit", defaults=(DEFAULT_SEARCH_LIMIT,))
-
-
-def construct(request: ConstructionRequest) -> TorsionCertificate:
+def construct(n: int, d: int, m: int, search_limit: int = DEFAULT_SEARCH_LIMIT) -> TorsionCertificate:
     """The certificate of the family that the verdict's constructive row names.
 
     ``reachability_verdict`` decides m once, and its deciding row picks the
     builder: cover-degree is order-d, curve-degree order-n,
     divisible-multiple div-d and congruent-step n-plus-ed.  Every other
-    verdict, unreachable or undecided, is refused."""
-    n, d, m = request.n, request.d, request.m
-    rule = reachability_verdict(n, d, m).deciding_rule
+    verdict is refused with a PreconditionError, which for an unreachable
+    order carries the deciding rule as its attribute ``rule``."""
+    verdict = reachability_verdict(n, d, m)
+    rule = verdict.deciding_rule
     if rule == RULE_COVER_DEGREE:
         return _order_d(n, d)
     if rule == RULE_CURVE_DEGREE:
-        return _order_n(n, d, request.search_limit)
+        return _order_n(n, d, search_limit)
     if rule == RULE_DIVISIBLE_MULTIPLE:
-        return _div_d(n, d, m, request.search_limit)
+        return _div_d(n, d, m, search_limit)
     if rule == RULE_CONGRUENT_STEP:
         return construct_n_plus_ed(n, d, (m - n) // d)
-    raise PreconditionError(
-        "no construction family covers m=%d on (n=%d, d=%d) curves" % (m, n, d)
-    )
+    if verdict.status == STATUS_UNREACHABLE:
+        error = PreconditionError("order m=%d is unreachable on (n=%d, d=%d) curves" % (m, n, d))
+        error.rule = rule
+        raise error
+    raise PreconditionError("no construction family covers m=%d on (n=%d, d=%d) curves" % (m, n, d))

@@ -24,7 +24,7 @@ from torsionforge.certify import (
 )
 from torsionforge.cli import certify_request, main
 from torsionforge.constructors import (
-    ConstructionRequest,
+    DEFAULT_SEARCH_LIMIT,
     construct,
     construct_n_plus_ed,
 )
@@ -51,7 +51,7 @@ def build_and_check(n: int, d: int, m: int, oracle: bool = True):
     confirm the order independently by divisor arithmetic, through the
     same pipeline as ``construct`` and ``scan --construct``, which prints
     any failure report itself."""
-    code, cert = certify_request(ConstructionRequest(n=n, d=d, m=m), oracle)
+    code, cert = certify_request(n, d, m, DEFAULT_SEARCH_LIMIT, oracle)
     assert code == 0, "pipeline failed for (n=%d, d=%d, m=%d)" % (n, d, m)
     assert cert.m == m
     return cert
@@ -94,7 +94,7 @@ def test_criterion_03_worked_examples_match_frozen_constants():
     )
     assert order_of(*embed_point(cert7.curve, cert7.point), bound=7) == 7
 
-    cert6 = construct(ConstructionRequest(5, 2, 6))
+    cert6 = construct(5, 2, 6)
     assert cert6.curve.f == Poly((1, 0, 1, 2, Fraction(1, 4), 1))
     assert cert6.v == Poly((1, 0, Fraction(1, 2), 1))
     assert cert6.point == AffinePoint(Fraction(0), Fraction(1))
@@ -111,7 +111,7 @@ def test_criterion_04_obstructed_orders_are_refused():
     assert v1.status == STATUS_UNREACHABLE
     assert v1.deciding_rule == "multiple-deficit"
     with pytest.raises(PreconditionError):
-        construct(ConstructionRequest(7, 5, 10))
+        construct(7, 5, 10)
 
     v2 = reachability_verdict(7, 4, 11)
     assert v2.status == STATUS_UNREACHABLE
@@ -219,7 +219,7 @@ def test_criterion_08_divisor_arithmetic_bulk_check():
         pools.append((curve.f, embeds))
 
     for n, m in ((5, 6), (5, 10), (7, 8), (7, 14)):
-        cert = construct(ConstructionRequest(n, 2, m))
+        cert = construct(n, 2, m)
         model, D = embed_point(cert.curve, cert.point)
         multiples = [D]
         while len(multiples) < m - 1:

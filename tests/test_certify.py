@@ -31,7 +31,6 @@ from torsionforge.certify import (
     verify_certificate,
 )
 from torsionforge.constructors import (
-    ConstructionRequest,
     construct,
     construct_n_plus_ed,
 )
@@ -145,7 +144,7 @@ def test_exactness_rule_selection():
 def test_exactness_rule_holds():
     def holds(rule, m, n):
         """Whether the verifier accepts ``rule`` for order m on a degree-n curve."""
-        cert = construct(ConstructionRequest(n, 2, n))._replace(m=m, exactness_rule=rule)
+        cert = construct(n, 2, n)._replace(m=m, exactness_rule=rule)
         lines = [line for line in verify_certificate(cert)[1] if line.name.startswith("exactness-rule")]
         return bool(lines) and all(line.ok for line in lines)
 
@@ -164,10 +163,10 @@ def test_exactness_rule_holds():
 
 def certificates_of_every_kind():
     return [
-        construct(ConstructionRequest(5, 2, 2)),   # order-d
-        construct(ConstructionRequest(5, 2, 5)),   # pure-power at m = n
-        construct(ConstructionRequest(5, 2, 6)),   # pure-power at m > n
-        construct(ConstructionRequest(5, 2, 10)),  # two-torsion-link
+        construct(5, 2, 2),   # order-d
+        construct(5, 2, 5),   # pure-power at m = n
+        construct(5, 2, 6),   # pure-power at m > n
+        construct(5, 2, 10),  # two-torsion-link
         construct_n_plus_ed(5, 2, 1),              # infinity-shift, Gaussian point
         construct_n_plus_ed(7, 3, 1),              # infinity-shift, rational point
         construct_n_plus_ed(9, 4, 1),              # infinity-shift, symbolic point
@@ -181,7 +180,7 @@ def test_constructed_certificates_verify():
 
 
 def test_verifier_rejects_wrong_order():
-    cert = construct(ConstructionRequest(5, 2, 6))
+    cert = construct(5, 2, 6)
     bad = cert._replace(m=8)
     ok, lines = verify_certificate(bad)
     assert not ok
@@ -190,14 +189,14 @@ def test_verifier_rejects_wrong_order():
 
 
 def test_verifier_rejects_tampered_witness():
-    cert = construct(ConstructionRequest(5, 2, 6))
+    cert = construct(5, 2, 6)
     bad = cert._replace(v=cert.v + Poly.one())
     ok, lines = verify_certificate(bad)
     assert not ok
 
 
 def test_verifier_rejects_wrong_point():
-    cert = construct(ConstructionRequest(5, 2, 6))
+    cert = construct(5, 2, 6)
     bad = cert._replace(point=AffinePoint(Fraction(0), Fraction(-1)))
     ok, lines = verify_certificate(bad)
     assert not ok
@@ -208,7 +207,7 @@ def test_verifier_rejects_wrong_point():
 def test_verifier_rejects_zero_ordinate_outside_order_d():
     # a witness vanishing at a would put the point on the x-axis, where the
     # order is d; the check fires even though the identity also breaks
-    cert = construct(ConstructionRequest(5, 2, 5))
+    cert = construct(5, 2, 5)
     bad = cert._replace(v=Poly((0, 1)), point=AffinePoint(Fraction(0), Fraction(0)))
     ok, lines = verify_certificate(bad)
     assert not ok
@@ -218,7 +217,7 @@ def test_verifier_rejects_zero_ordinate_outside_order_d():
 
 
 def test_verifier_rejects_wrong_exactness_rule():
-    cert = construct(ConstructionRequest(5, 2, 10))
+    cert = construct(5, 2, 10)
     bad = cert._replace(exactness_rule="below-twice-degree")
     ok, lines = verify_certificate(bad)
     assert not ok
@@ -234,14 +233,14 @@ def test_verifier_rejects_misassigned_lambda():
 
 
 def test_verifier_rejects_unknown_kind():
-    cert = construct(ConstructionRequest(5, 2, 6))
+    cert = construct(5, 2, 6)
     bad = cert._replace(identity_kind="mystery")
     ok, lines = verify_certificate(bad)
     assert not ok
 
 
 def test_verifier_never_raises_on_mangled_certificates():
-    cert = construct(ConstructionRequest(5, 2, 10))
+    cert = construct(5, 2, 10)
     manglings = [
         cert._replace(v=None),
         cert._replace(u=None),
@@ -258,7 +257,7 @@ def test_verifier_never_raises_on_mangled_certificates():
 
 
 def test_two_torsion_link_requires_witness_vanishing_at_link():
-    cert = construct(ConstructionRequest(5, 2, 10))
+    cert = construct(5, 2, 10)
     bad = cert._replace(u=Poly.x_minus(Fraction(2)))
     ok, lines = verify_certificate(bad)
     assert not ok
@@ -315,7 +314,7 @@ def _pole_mismatch_certificate(kind: str) -> TorsionCertificate:
     d = 40 exit-path cases (deg v = 40, so v**40 has degree 1600), and a
     two-torsion link whose v gains an x**800 term."""
     if kind == "two-torsion-link":
-        cert = construct(ConstructionRequest(5, 2, 10))
+        cert = construct(5, 2, 10)
         return cert._replace(v=cert.v + Poly.monomial(1, 800))
     case = next(c for c in _exit_path_cases() if c["name"] == "verify-%s-pole-mismatch" % (kind,))
     return TorsionCertificate.from_json_dict(json.loads(case["input"]))
@@ -390,7 +389,7 @@ def test_certificate_json_round_trip():
 
 
 def test_certificate_json_key_order_is_canonical():
-    cert = construct(ConstructionRequest(5, 2, 6))
+    cert = construct(5, 2, 6)
     obj = json.loads(cert.to_json_str())
     assert list(obj.keys()) == [
         "curve", "point", "m", "identity_kind", "u", "v", "a", "e",
@@ -399,7 +398,7 @@ def test_certificate_json_key_order_is_canonical():
 
 
 def test_verify_certificate_json_flags_invalid_curves():
-    cert = construct(ConstructionRequest(5, 2, 6))
+    cert = construct(5, 2, 6)
     obj = json.loads(cert.to_json_str())
     obj["curve"]["f"] = ["0", "0", "0", "0", "0", "1"]     # x^5: repeated root
     cert, lines = parse_and_verify(obj)
@@ -408,7 +407,7 @@ def test_verify_certificate_json_flags_invalid_curves():
 
 
 def test_verify_certificate_json_raises_on_malformed_structure():
-    cert = construct(ConstructionRequest(5, 2, 6))
+    cert = construct(5, 2, 6)
     obj = json.loads(cert.to_json_str())
     del obj["m"]
     with pytest.raises(KeyError):
@@ -521,7 +520,7 @@ _ladder_json = {}
 
 def _ladder_certificate(n: int, m: int) -> dict:
     if (n, m) not in _ladder_json:
-        _ladder_json[n, m] = canonical_json(construct(ConstructionRequest(n=n, d=2, m=m)).to_json_dict())
+        _ladder_json[n, m] = canonical_json(construct(n=n, d=2, m=m).to_json_dict())
     return json.loads(_ladder_json[n, m])
 
 
@@ -592,7 +591,7 @@ def _mutation_corpus() -> list[TorsionCertificate]:
                 continue
             for m in range(2, 2 * n + 2):
                 try:
-                    certs.append(construct(ConstructionRequest(n=n, d=d, m=m)))
+                    certs.append(construct(n=n, d=d, m=m))
                 except PreconditionError:
                     assert reachability_verdict(n, d, m).status != STATUS_CONSTRUCTIVE, (n, d, m)
     certs += [TorsionCertificate.from_json_dict(json.loads(case["input"]))
@@ -656,7 +655,7 @@ def test_every_constructed_certificate_validates_without_the_exact_gcd(euclid_pr
                 continue
             for m in range(2, 2 * n + 2):
                 try:
-                    cert = construct(ConstructionRequest(n=n, d=d, m=m))
+                    cert = construct(n=n, d=d, m=m)
                 except PreconditionError:
                     assert reachability_verdict(n, d, m).status != STATUS_CONSTRUCTIVE, (n, d, m)
                     continue

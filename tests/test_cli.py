@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsionforge import cli, constructors
 from torsionforge.cli import main
 from torsionforge.polyring import Poly, poly_from_json
 
@@ -48,6 +49,19 @@ def test_construct_unreachable_exits_3_with_rule(capsys):
     obj = json.loads(out)
     assert obj["error"]["type"] == "PreconditionError"
     assert obj["error"]["rule"] == "step-threshold"
+
+
+def test_construct_takes_the_verdict_once(capsys, monkeypatch):
+    # construct alone decides the order; the CLI does not take the verdict first
+    calls = []
+    for module in (cli, constructors):
+        def counted(n, d, m, verdict=module.reachability_verdict):
+            calls.append((n, d, m))
+            return verdict(n, d, m)
+        monkeypatch.setattr(module, "reachability_verdict", counted)
+    code, _, _ = run_cli(capsys, "construct", "--n", "7", "--d", "2", "--m", "12")
+    assert code == 0
+    assert calls == [(7, 2, 12)]
 
 
 def test_construct_multiple_deficit_exits_3(capsys):
@@ -344,6 +358,17 @@ def test_scan_preset_requires_d2(capsys):
         capsys, "scan", "--d", "3", "--n", "7", "--preset", "hyperelliptic-ladder"
     )
     assert code == 2
+
+
+def test_scan_preset_refuses_m(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "--d", "2", "--n", "5", "--preset", "hyperelliptic-ladder",
+        "--m", "garbage", "--format", "csv",
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "error: --m garbage conflicts with --preset hyperelliptic-ladder (which sets m = n+1..2n+1)\n"
+    )
 
 
 def test_scan_empty_grid_is_ok(capsys):

@@ -20,7 +20,8 @@ Two corpora are replayed through ``cli.main``, read-only:
   (forced failures, a set environment variable) are reached by the named
   monkeypatches in ``PATCHES``.  The ``every-row-constructive`` patch
   changes only the rows scan chooses to build: ``construct`` reads the
-  real verdict, so a patched row that no family covers exits 3.  Its
+  real verdict, so a patched row that no family covers exits 3 with
+  construct's own refusal, and an unreachable one names its rule.  Its
   ``parser-`` cases pin argparse's help, usage and error bytes.
 
 argparse wraps usage and help to the terminal width, which it reads from

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -10,10 +12,16 @@ from math import gcd
 import pytest
 
 from torsionforge import series
-from torsionforge.certify import PreconditionError, reachability_verdict, verify_certificate
+from torsionforge.certify import (
+    STATUS_CONSTRUCTIVE,
+    STATUS_UNDECIDED,
+    STATUS_UNREACHABLE,
+    PreconditionError,
+    reachability_verdict,
+    verify_certificate,
+)
 from torsionforge.constructors import (
     DEFAULT_SEARCH_LIMIT,
-    ConstructionRequest,
     SearchExhausted,
     _search,
     construct,
@@ -45,7 +53,7 @@ def test_n_plus_ed_worked_constant():
 
 
 def test_div_d_worked_constant():
-    cert = assert_verifies(construct(ConstructionRequest(5, 2, 6)))
+    cert = assert_verifies(construct(5, 2, 6))
     assert cert.curve.f == Poly((1, 0, 1, 2, Fraction(1, 4), 1))
     assert cert.v == Poly((1, 0, Fraction(1, 2), 1))
     assert cert.point == AffinePoint(Fraction(0), Fraction(1))
@@ -57,7 +65,7 @@ def test_div_d_worked_constant():
 # ---------------------------------------------------------------------------
 
 def test_order_d_basic():
-    cert = assert_verifies(construct(ConstructionRequest(5, 2, 2)))
+    cert = assert_verifies(construct(5, 2, 2))
     assert cert.curve.f == Poly((-1, 0, 0, 0, 0, 1))
     assert cert.point == AffinePoint(Fraction(1), Fraction(0))
     assert cert.m == 2
@@ -69,7 +77,7 @@ def test_order_d_basic():
 # ---------------------------------------------------------------------------
 
 def test_order_n_default_search():
-    cert = assert_verifies(construct(ConstructionRequest(5, 2, 5)))
+    cert = assert_verifies(construct(5, 2, 5))
     assert cert.m == 5
     assert cert.curve.f == Poly.x_power(5) + Poly((1, 1)) ** 2
     assert order_of(*embed_point(cert.curve, cert.point), bound=5) == 5
@@ -81,7 +89,7 @@ def test_order_n_first_witness_is_square_free():
     for n in range(3, 41):
         for d in range(2, n):
             if gcd(n, d) == 1:
-                cert = construct(ConstructionRequest(n, d, n, search_limit=1))
+                cert = construct(n, d, n, search_limit=1)
                 assert cert.v == Poly((1, 1)), (n, d)
 
 
@@ -91,28 +99,29 @@ def test_order_n_first_witness_is_square_free():
 
 def test_div_d_requires_divisibility_and_size():
     # m = 7 is not a multiple of d, so n-plus-ed builds it; m = 4 lies below n
-    assert construct(ConstructionRequest(5, 2, 7)).identity_kind == "infinity-shift"
-    with pytest.raises(PreconditionError, match=re.escape("no construction family covers m=4")):
-        construct(ConstructionRequest(5, 2, 4))
+    assert construct(5, 2, 7).identity_kind == "infinity-shift"
+    with pytest.raises(PreconditionError, match=re.escape("order m=4 is unreachable on (n=5, d=2)")):
+        construct(5, 2, 4)
 
 
 def test_div_d_negative_deficit_refused():
     # (7, 5): m = 10 has deficit 7 - 10 + 2 = -1
     assert reachability_verdict(7, 5, 10).deciding_rule == "multiple-deficit"
-    with pytest.raises(PreconditionError, match=re.escape("no construction family covers m=10")):
-        construct(ConstructionRequest(7, 5, 10))
+    with pytest.raises(PreconditionError, match=re.escape("order m=10 is unreachable on (n=7, d=5)")) as info:
+        construct(7, 5, 10)
+    assert info.value.rule == "multiple-deficit"
 
 
 def test_div_d_zero_deficit_unique_representative():
     # (8, 3): m = 12, deficit 0, no search, v = x^4 + 1/3
-    cert = assert_verifies(construct(ConstructionRequest(8, 3, 12)))
+    cert = assert_verifies(construct(8, 3, 12))
     assert cert.v == Poly.x_power(4) + Poly.constant(Fraction(1, 3))
     assert cert.curve.f == Poly((Fraction(1, 27), 0, 0, 0, Fraction(1, 3), 0, 0, 0, 1))
     assert cert.point == AffinePoint(Fraction(0), Fraction(1, 3))
 
 
 def test_div_d_two_torsion_link_for_twice_degree():
-    cert = assert_verifies(construct(ConstructionRequest(5, 2, 10)))
+    cert = assert_verifies(construct(5, 2, 10))
     assert cert.identity_kind == "two-torsion-link"
     assert cert.curve.f == Poly((1, 0, 0, -2, 0, 1))      # x^5 - 2x^3 + 1
     assert cert.point == AffinePoint(Fraction(0), Fraction(1))
@@ -122,14 +131,14 @@ def test_div_d_two_torsion_link_for_twice_degree():
 
 def test_two_torsion_link_smallest_case():
     # n = 3: the witness is fully forced
-    cert = assert_verifies(construct(ConstructionRequest(3, 2, 6)))
+    cert = assert_verifies(construct(3, 2, 6))
     assert cert.curve.f == Poly.x_minus(Fraction(1)) * Poly((-1, -1, 1))
     assert order_of(*embed_point(cert.curve, cert.point), bound=6) == 6
 
 
 def test_div_d_search_is_deterministic():
-    a = construct(ConstructionRequest(7, 2, 8))
-    b = construct(ConstructionRequest(7, 2, 8))
+    a = construct(7, 2, 8)
+    b = construct(7, 2, 8)
     assert a == b
     assert a.to_json_str() == b.to_json_str()
 
@@ -137,7 +146,7 @@ def test_div_d_search_is_deterministic():
 def test_exhausted_search_reports_budget():
     # budget of zero candidates cannot succeed
     with pytest.raises(SearchExhausted, match=r"within 0 candidates; raise --c-range"):
-        construct(ConstructionRequest(7, 2, 8, search_limit=0))
+        construct(7, 2, 8, search_limit=0)
 
 
 def _rejecting_build(k: int):
@@ -170,7 +179,7 @@ def test_search_exhausted_names_the_budget_and_the_last_error(k):
 
 def test_default_search_limit_is_64_candidates():
     assert DEFAULT_SEARCH_LIMIT == 64
-    assert ConstructionRequest(5, 2, 6).search_limit == DEFAULT_SEARCH_LIMIT
+    assert inspect.signature(construct).parameters["search_limit"].default == DEFAULT_SEARCH_LIMIT
     assert _search(count(1), _rejecting_build(63), "n=7", DEFAULT_SEARCH_LIMIT) == 64
     with pytest.raises(SearchExhausted) as info:
         _search(count(1), _rejecting_build(64), "n=7", DEFAULT_SEARCH_LIMIT)
@@ -182,7 +191,7 @@ def test_search_limit_none_is_a_type_error():
     with pytest.raises(TypeError):
         _search(count(1), _rejecting_build(0), "n=7", None)
     with pytest.raises(TypeError):
-        construct(ConstructionRequest(7, 2, 8, search_limit=None))
+        construct(7, 2, 8, search_limit=None)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +256,46 @@ def test_n_plus_ed_lambda_at_larger_cover_degrees(n, d, lam):
 def test_construct_picks_the_family_by_m():
     kinds = {2: "order-d", 5: "pure-power", 6: "pure-power", 10: "two-torsion-link", 7: "infinity-shift"}
     for m, kind in kinds.items():
-        assert construct(ConstructionRequest(5, 2, m)).identity_kind == kind
-    for m in (3, 4, 13, 15):          # unreachable, then undecided
+        assert construct(5, 2, m).identity_kind == kind
+    for m in (3, 4):
+        message = "order m=%d is unreachable on (n=5, d=2) curves" % (m,)
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            construct(5, 2, m)
+    for m in (13, 15):
         message = "no construction family covers m=%d on (n=5, d=2) curves" % (m,)
         with pytest.raises(PreconditionError, match=re.escape(message)):
-            construct(ConstructionRequest(5, 2, m))
+            construct(5, 2, m)
     with pytest.raises(PreconditionError, match="orders below 2 are not meaningful, got m=1"):
-        construct(ConstructionRequest(5, 2, 1))
+        construct(5, 2, 1)
+
+
+def test_every_refusal_is_a_precondition_error_with_the_unreachable_rule():
+    # construct builds exactly the constructive triples; it refuses the rest
+    # itself, naming the deciding rule of an unreachable order
+    refused = Counter()
+    for d in range(2, 6):
+        for n in (n for n in range(d + 1, 12) if gcd(n, d) == 1):
+            for m in range(2, 2 * n + 2):
+                verdict = reachability_verdict(n, d, m)
+                if verdict.status == STATUS_CONSTRUCTIVE:
+                    continue
+                with pytest.raises(PreconditionError) as info:
+                    construct(n, d, m)
+                assert type(info.value) is PreconditionError, (n, d, m)
+                refused[verdict.status] += 1
+                if verdict.status == STATUS_UNREACHABLE:
+                    message = "order m=%d is unreachable on (n=%d, d=%d) curves"
+                    assert info.value.rule == verdict.deciding_rule, (n, d, m)
+                else:
+                    message = "no construction family covers m=%d on (n=%d, d=%d) curves"
+                    assert not hasattr(info.value, "rule"), (n, d, m)
+                assert str(info.value) == message % (m, n, d)
+    assert refused[STATUS_UNREACHABLE] > 0 and refused[STATUS_UNDECIDED] > 0
 
 
 def test_construct_checks_the_shape_before_the_order():
     with pytest.raises(CurveError, match="cover degree d must be at least 2, got 0"):
-        construct(ConstructionRequest(5, 0, 7))
+        construct(5, 0, 7)
 
 
 BAD_SHAPES = [(5, 0, 7), (5, 1, 7), (4, 2, 6), (3, 5, 8), (6, 3, 6), (5, 5, 6)]
@@ -269,11 +306,11 @@ BAD_SHAPES = [(5, 0, 7), (5, 1, 7), (4, 2, 6), (3, 5, 8), (6, 3, 6), (5, 5, 6)]
 )
 def test_construct_rejects_bad_shapes(n, d, m):
     with pytest.raises(PreconditionError):
-        construct(ConstructionRequest(n=n, d=d, m=m))
+        construct(n=n, d=d, m=m)
 
 
 def test_construct_dispatch_round_trip():
     for m in (2, 5, 6, 7, 8, 9, 10, 11):
-        cert = construct(ConstructionRequest(n=5, d=2, m=m))
+        cert = construct(n=5, d=2, m=m)
         assert cert.m == m
         assert_verifies(cert)

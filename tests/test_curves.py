@@ -9,7 +9,7 @@ import pytest
 
 from torsionforge import certify
 from torsionforge.certify import reachability_verdict
-from torsionforge.constructors import ConstructionRequest, construct, construct_n_plus_ed
+from torsionforge.constructors import construct, construct_n_plus_ed
 from torsionforge.curves import (
     AffinePoint,
     Curve,
@@ -61,7 +61,7 @@ def test_every_shape_refusal_is_the_curve_rule(n, d):
         Curve(d, n, X5_MINUS_1)
     refusals = (
         lambda: reachability_verdict(n, d, 6),
-        lambda: construct(ConstructionRequest(n, d, 6)),
+        lambda: construct(n, d, 6),
         lambda: construct_n_plus_ed(n, d, 1),
     )
     for refuse in refusals:

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from cantor_reference import cantor_add
 from torsionforge import jacobian2, polyring
 from torsionforge.constructors import (
-    ConstructionRequest,
     construct,
     construct_n_plus_ed,
 )
@@ -73,7 +72,7 @@ def torsion_generators():
     n-plus-ed points have ordinates in i*Q, so their model is the twist."""
     out = []
     for n, m in ((5, 6), (5, 8), (5, 10), (7, 8), (7, 14)):
-        cert = construct(ConstructionRequest(n, 2, m))
+        cert = construct(n, 2, m)
         out.append((*embed_point(cert.curve, cert.point), m))
     for n, e in ((5, 1), (5, 2), (7, 3)):
         cert = construct_n_plus_ed(n, 2, e)
@@ -245,7 +244,7 @@ def assert_agrees_with_reference(f, D, bounds):
 
 
 def rational_generator():
-    cert = construct(ConstructionRequest(5, 2, 6))
+    cert = construct(5, 2, 6)
     return (*embed_point(cert.curve, cert.point), 6)
 
 
@@ -285,7 +284,7 @@ def test_order_of_refuses_a_base_other_than_a_point():
 
 
 def test_add_refuses_a_summand_other_than_a_point():
-    cert = construct(ConstructionRequest(n=7, d=2, m=8))
+    cert = construct(n=7, d=2, m=8)
     model, P = embed_point(cert.curve, cert.point)
     E = add(model, P, P)
     assert E.u.degree == 2
@@ -296,7 +295,7 @@ def test_add_refuses_a_summand_other_than_a_point():
 
 
 def test_twisted_pair_is_valid_on_the_twist():
-    rational = construct(ConstructionRequest(5, 2, 6))
+    rational = construct(5, 2, 6)
     assert embed_point(rational.curve, rational.point)[0] is rational.curve.f
     cert = construct_n_plus_ed(5, 2, 1)
     curve, point = cert.curve, cert.point
@@ -312,7 +311,7 @@ def test_twisted_pair_is_valid_on_the_twist():
 
 def test_embed_point_by_the_field_of_the_ordinate():
     # y^2 = x^5 + x^2 + 2x + 1 carries (0, 1) and (-1, i), and f is rational
-    curve = construct(ConstructionRequest(n=5, d=2, m=5)).curve
+    curve = construct(n=5, d=2, m=5).curve
     assert embed_point(curve, AffinePoint(Fraction(0), GaussianRational(1))) == (
         curve.f, embed(curve, AffinePoint(Fraction(0), Fraction(1))))
     model, E = embed_point(curve, AffinePoint(Fraction(-1), GaussianRational(0, 1)))
@@ -327,7 +326,7 @@ def test_embed_point_by_the_field_of_the_ordinate():
 def ladder_certificates(max_n):
     for n in range(5, max_n + 1, 2):
         for m in [2, n] + list(range(n + 1, 2 * n + 2)):
-            yield construct(ConstructionRequest(n=n, d=2, m=m))
+            yield construct(n=n, d=2, m=m)
 
 
 def test_order_of_matches_the_reference_scan_on_the_ladders():
