@@ -81,7 +81,7 @@ def validate(f: Poly, D: MumfordDivisor):
         raise ValueError("deg u = %s exceeds genus %d" % (D.u.degree, f.degree // 2))
     if not D.v.is_zero and D.v.degree >= D.u.degree:
         raise ValueError("need deg v < deg u, got %s / %s" % (D.v, D.u))
-    if not ((D.v ** 2 - f) % D.u).is_zero:
+    if not divmod(D.v ** 2 - f, D.u)[1].is_zero:
         raise ValueError("u does not divide v^2 - f")
 
 
@@ -126,12 +126,12 @@ def add(f: Poly, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
         u, v = u1 * E.u, v1 + u1 * (exact_div(f - v1 ** 2, u1)(a) / (2 * b))
     else:  # cancellation: v1(a) = -b, so D holds -E
         u = exact_div(u1, E.u)
-        v = v1 % u
+        v = divmod(v1, u)[1]
 
     # reduction: one step suffices (see the module docstring)
     if 2 * u.degree > f.degree:
         u = exact_div(f - v ** 2, u).monic()
-        v = (-v) % u
+        v = divmod(-v, u)[1]
     out = MumfordDivisor(u, v)
     validate(f, out)
     return out

@@ -17,12 +17,14 @@ the binomial theorem, evaluation at p/q is Horner's rule on p and q, and
 ``divmod`` is pseudo-division (Knuth, *TAOCP* vol. 2, section 4.6.1,
 Algorithm R), scaled at each step only as far as that step needs.
 ``Fraction``s are built only at the edges: ``coeffs``, ``[k]``,
-``leading_coefficient`` and the value of a polynomial at a point.
+``leading_coefficient`` and the value of a polynomial at a point, never
+in the serializer, which spells each c/den as ``str(Fraction)`` would.
 
 Square-freeness is decided modulo primes only, on plain ``int`` lists
 with ``pow(x, -1, p)`` inverses, so no coefficient grows: a unit gcd of
 f and f' modulo one prime proves True, and enough primes dividing the
-resultant of f and f' prove False (see :func:`is_squarefree`).  No
+resultant of f and f' prove False (see :func:`is_squarefree`).  Each
+prime is below 2**30, so every product fits in two CPython digits.  No
 answer is probabilistic, and no Euclid over Q runs.
 
 The degree of the zero polynomial is the distinguished sentinel
@@ -36,7 +38,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, chain, count, repeat
 
-from .scalars import is_prime, repeated_squaring, scalar_from_json, scalar_to_json
+from .scalars import is_prime, repeated_squaring, scalar_from_json
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -229,9 +231,6 @@ class Poly:
         den = scale * self._den
         return _make([q * other._den for q in quot], den), _make(rem, den)
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __call__(self, t):
         """Evaluate at a rational t = p/q: Horner's rule on the numerators
         F over den gives sum F_i*p^i*q^(n-i), over den*q^n."""
@@ -319,20 +318,21 @@ def is_squarefree(f: Poly) -> bool:
     about polynomials with roots.
 
     F is f's stored integer numerators, n its degree.  The primes p are
-    walked down from 2**61 - 1, skipping those that divide lc(F), so F̄
-    and F̄′ keep degrees n and n − 1 and Res(F̄, F̄′) = Res(F, F′) mod p.  A unit gcd(F̄, F̄′) over F_p makes
-    the resultant nonzero: True.  Otherwise p divides it, and once the
-    product of such primes, squared, exceeds the Hadamard bound
-    (ΣF_i²)^(n−1)·(ΣF′_i²)^n on Res², the resultant is 0: False (von zur
-    Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).  As p > 2**60,
-    at most bound.bit_length() // 120 + 1 primes fail before the answer.
+    walked down from 1073741789 = 2**30 - 35, skipping those dividing lc(F),
+    so F̄ and F̄′ keep degrees n and n − 1 and Res(F̄, F̄′) = Res(F, F′) mod p.
+    A unit gcd(F̄, F̄′) over F_p makes the resultant nonzero: True.
+    Otherwise p divides it, and once the product of such primes, squared,
+    exceeds the Hadamard bound (ΣF_i²)^(n−1)·(ΣF′_i²)^n on Res², the
+    resultant is 0: False (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, ch. 6).  As p² > 2**58, at most bound.bit_length() // 58 + 1
+    primes fail, so a repeated-root f costs work linear in the bound's bits.
     """
     if f.degree < 1:
         raise ValueError("square-freeness needs degree >= 1, got %r" % (f,))
     F = f._num
     n, bound, proof = len(F) - 1, None, 1
-    # 2**61 - 1 is a Mersenne prime; only the primes below it are tested
-    for p in chain((2305843009213693951,), filter(is_prime, count(2305843009213693949, -2))):
+    # 1073741789 = 2**30 - 35 is prime; only the primes below it are tested
+    for p in chain((1073741789,), filter(is_prime, count(1073741787, -2))):
         if not F[-1] % p:
             continue
         fbar = [c % p for c in F]
@@ -366,7 +366,10 @@ def _coprime_mod_p(a: list, b: list, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def poly_to_json(f: Poly) -> list:
-    return [scalar_to_json(c) for c in f.coeffs]
+    """Each coefficient c/den spelled as ``str(Fraction(c, den))``, without building it."""
+    den = f._den
+    return ["%d" % (c // g) if (g := math.gcd(c, den)) == den else "%d/%d" % (c // g, den // g)
+            for c in f._num]
 
 
 def poly_from_json(obj) -> Poly:

@@ -187,11 +187,6 @@ GAUSSIAN_I = GaussianRational(0, 1)
 # serialization
 # ---------------------------------------------------------------------------
 
-def rational_to_str(q: int | Fraction) -> str:
-    """Canonical 'p/q' string (bare 'p' when the denominator is 1)."""
-    return str(Fraction(q))
-
-
 #: What ``str(Fraction)`` emits, short of the lowest-terms condition.
 _CANONICAL_RATIONAL = re.compile(r"0|-?[1-9][0-9]*(/([2-9]|[1-9][0-9]+))?")
 
@@ -210,13 +205,13 @@ def rational_from_str(s: str) -> Fraction:
 
 
 def scalar_to_json(x: Fraction | GaussianRational | int):
-    """JSON form of a scalar: rational string, or {'re','im'} object."""
+    """JSON form of a scalar: rational string ``str(x)``, or {'re','im'} object."""
     if isinstance(x, GaussianRational):
         if x.im == 0:
             # a Gaussian value that happens to be rational round-trips as one
-            return rational_to_str(x.re)
-        return {"re": rational_to_str(x.re), "im": rational_to_str(x.im)}
-    return rational_to_str(x)
+            return str(x.re)
+        return {"re": str(x.re), "im": str(x.im)}
+    return str(x)
 
 
 def field_from_json(name: str, obj, kind: type):

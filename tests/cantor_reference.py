@@ -15,8 +15,8 @@ def cantor_add(f, D1, D2):
     d, c1, c2 = xgcd(d0, v1 + v2)
     u = exact_div(u1 * u2, d * d)
     num = c1 * e1 * u1 * v2 + c1 * e2 * u2 * v1 + c2 * (v1 * v2 + f)
-    v = exact_div(num, d) % u
+    v = divmod(exact_div(num, d), u)[1]
     while 2 * u.degree > f.degree:
         u = exact_div(f - v ** 2, u).monic()
-        v = (-v) % u
+        v = divmod(-v, u)[1]
     return MumfordDivisor(u, v)

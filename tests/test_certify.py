@@ -642,7 +642,7 @@ def test_verifier_reports_over_the_mutation_corpus_are_pinned():
 
 
 def test_every_constructed_certificate_validates_without_the_exact_gcd(euclid_primes):
-    """Square-freeness of every constructed curve is decided mod 2^61 - 1.
+    """Square-freeness of every constructed curve is decided mod 2^30 - 35.
 
     Building and re-parsing each certificate construct emits for
     d in {2, 3, 4, 5, 7}, coprime d < n <= 25 and m = 2..2n+1 runs one
@@ -661,4 +661,4 @@ def test_every_constructed_certificate_validates_without_the_exact_gcd(euclid_pr
                     continue
                 assert TorsionCertificate.from_json_dict(cert.to_json_dict()) == cert
                 built += 1
-    assert (built, set(euclid_primes)) == (451, {2**61 - 1})
+    assert (built, set(euclid_primes)) == (451, {2**30 - 35})

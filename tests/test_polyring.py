@@ -141,14 +141,14 @@ def test_exact_div_rejects_remainders():
 def test_gcd_contains_common_factor(p, q, r):
     g = gcd(p * r, q * r)
     # r divides both inputs, so it divides the gcd
-    assert (g % r.monic()).is_zero
+    assert divmod(g, r.monic())[1].is_zero
 
 
 @given(nonzero_polys, nonzero_polys)
 def test_gcd_is_monic_and_divides_both(p, q):
     g = gcd(p, q)
     assert g.is_monic
-    assert (p % g).is_zero and (q % g).is_zero
+    assert divmod(p, g)[1].is_zero and divmod(q, g)[1].is_zero
 
 
 @given(nonzero_polys, nonzero_polys)
@@ -156,7 +156,7 @@ def test_xgcd_bezout_identity(p, q):
     h, s, t = xgcd(p, q)
     assert s * p + t * q == h
     assert h.is_monic
-    assert (p % h).is_zero and (q % h).is_zero
+    assert divmod(p, h)[1].is_zero and divmod(q, h)[1].is_zero
 
 
 def test_xgcd_with_zero():
@@ -197,8 +197,8 @@ def test_is_squarefree_rejects_constants():
         is_squarefree(Poly.one())
 
 
-P61 = 2**61 - 1
-P61_NEXT = 2**61 - 31      # the largest prime below P61
+P30 = 2**30 - 35           # the largest prime below 2**30, the first prime of the walk
+P30_NEXT = 2**30 - 41      # the largest prime below P30
 
 
 def derivative(f):
@@ -215,12 +215,12 @@ def test_is_squarefree_agrees_with_the_euclidean_gcd(p, q, square):
 @pytest.mark.parametrize(
     "coeffs, expected, tried",
     [
-        ((Fraction(1, P61), 3, 1), True, [P61_NEXT]),                # F = (1, 3p, p)
-        ((Fraction(1, P61), 0, Fraction(1, P61)), True, [P61]),      # (x^2 + 1)/p
-        ((-1, 0, 0, P61), True, [P61_NEXT]),                         # p | lc(f)
-        ((Fraction(4, 3), 0, P61 * 5), True, [P61_NEXT]),            # p | numerator of lc(f)
-        ((-P61, 0, 1), True, [P61, P61_NEXT]),                       # x^2 - p is x^2 mod p
-        ((1, 2, 1), False, [P61]),                                   # (x + 1)^2
+        ((Fraction(1, P30), 3, 1), True, [P30_NEXT]),                # F = (1, 3p, p)
+        ((Fraction(1, P30), 0, Fraction(1, P30)), True, [P30]),      # (x^2 + 1)/p
+        ((-1, 0, 0, P30), True, [P30_NEXT]),                         # p | lc(f)
+        ((Fraction(4, 3), 0, P30 * 5), True, [P30_NEXT]),            # p | numerator of lc(f)
+        ((-P30, 0, 1), True, [P30, P30_NEXT]),                       # x^2 - p is x^2 mod p
+        ((1, 2, 1), False, [P30]),                                   # (x + 1)^2
     ],
     ids=["p-in-denominator", "p-in-every-denominator", "p-divides-lc", "p-divides-lc-numerator",
          "square-mod-p-only", "repeated-root"],
@@ -234,22 +234,22 @@ def test_former_fallbacks_are_decided_modulo_primes(euclid_primes, coeffs, expec
 
 def test_square_free_rational_input_never_reaches_the_exact_gcd(euclid_primes):
     for f in (Poly((-1, 0, 0, 0, 0, 1)), Poly((Fraction(1, 3), 1, 0, Fraction(-2, 7))),
-              Poly((P61 + 1, 0, 1)), Poly((0, 1)) * Poly((1, 1)) * Poly((-1, 1))):
+              Poly((P30 + 1, 0, 1)), Poly((0, 1)) * Poly((1, 1)) * Poly((-1, 1))):
         assert is_squarefree(f)
-    assert euclid_primes == [P61] * 4
+    assert euclid_primes == [P30] * 4
 
 
 def test_hostile_leading_coefficient_walks_two_primes(euclid_primes):
-    # the Euclid over Q this replaced took seconds here; P61 divides lc(f) and is skipped
+    # the Euclid over Q this replaced took seconds here; P30 divides lc(f) and is skipped
     rng = random.Random(121)
-    f = Poly([rng.randint(-9, 9) for _ in range(121)] + [3 * P61])
+    f = Poly([rng.randint(-9, 9) for _ in range(121)] + [3 * P30])
     assert is_squarefree(f)
-    assert euclid_primes == [P61_NEXT]
+    assert euclid_primes == [P30_NEXT]
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(nonzero_polys.filter(lambda p: p.degree >= 1), nonzero_polys, st.booleans(),
-       st.sampled_from((1, P61, -3 * P61, P61 * P61_NEXT)))
+       st.sampled_from((1, P30, -3 * P30, P30 * P30_NEXT)))
 def test_primes_walked_are_bounded_by_the_input(euclid_primes, g, h, square, hostile):
     euclid_primes.clear()
     f = g * g * h if square else g * h
@@ -259,10 +259,12 @@ def test_primes_walked_are_bounded_by_the_input(euclid_primes, g, h, square, hos
     F = [(c * den).numerator for c in f.coeffs]
     n = len(F) - 1
     bound = sum(c * c for c in F) ** (n - 1) * sum((k * c) ** 2 for k, c in enumerate(F)) ** n
-    walked = [q for q in range(P61, min(euclid_primes) - 1, -1) if is_prime(q)]
+    walked = [q for q in range(P30, min(euclid_primes) - 1, -1) if is_prime(q)]
     skipped = [q for q in walked if F[-1] % q == 0]
     assert sorted(set(walked) - set(skipped), reverse=True) == euclid_primes
-    assert len(walked) <= bound.bit_length() // 120 + 1 + len(skipped)
+    # every walked prime exceeds 2**29, so k failing primes have a product whose square
+    # exceeds 2**(58k); once 58k >= bound.bit_length() it exceeds the bound and proves False
+    assert len(walked) <= bound.bit_length() // 58 + 1 + len(skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +360,15 @@ wide_fractions = st.one_of(
 )
 wide_coeffs = st.lists(wide_fractions, min_size=0, max_size=7)
 wide_nonzero = wide_coeffs.filter(lambda cs: any(cs))
+
+
+@given(wide_coeffs)
+@example([])
+@example([Fraction(0), Fraction(-3, 9), Fraction(0), Fraction(-4, 2), Fraction(7, 10**25)])
+def test_poly_json_spells_each_coefficient_as_str_fraction(cs):
+    # written from the stored numerators, without building a Fraction, in str(Fraction)'s spelling
+    f = Poly(cs)
+    assert poly_to_json(f) == [str(c) for c in f.coeffs]
 
 
 @given(wide_coeffs, wide_coeffs)

@@ -15,7 +15,6 @@ from torsionforge.scalars import (
     gen_binom,
     is_prime,
     rational_from_str,
-    rational_to_str,
     scalar_from_json,
     scalar_to_json,
 )
@@ -111,10 +110,10 @@ def _strong_probable_prime(p: int, a: int) -> bool:
 
 
 def test_is_prime_decides_the_walk_primes():
-    # the square-free walk tests the odd numbers from 2**61 - 1 down
-    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
-    assert [p for p in range(2**61 - 1, 2**61 - 200, -2) if is_prime(p)] == [
-        p for p in range(2**61 - 1, 2**61 - 200, -2)
+    # the square-free walk tests the odd numbers from 2**30 - 35, the largest prime below 2**30, down
+    assert is_prime(2**30 - 35) and not any(is_prime(p) for p in range(2**30 - 33, 2**30, 2))
+    assert [p for p in range(2**30 - 35, 2**30 - 2000, -2) if is_prime(p)] == [
+        p for p in range(2**30 - 35, 2**30 - 2000, -2)
         if all(_strong_probable_prime(p, a) for a in scalars._MR_BASES)]
 
 
@@ -210,9 +209,9 @@ def test_gaussian_is_immutable():
 # serialization
 # ---------------------------------------------------------------------------
 
-@given(small_fractions)
+@given(st.one_of(small_fractions, st.integers(-10**30, 10**30)))
 def test_rational_string_round_trip(q):
-    assert rational_from_str(rational_to_str(q)) == q
+    assert rational_from_str(scalar_to_json(q)) == q
 
 
 NON_CANONICAL = [
@@ -245,9 +244,11 @@ def test_scalar_from_json_rejects_non_canonical_encodings(obj):
         scalar_from_json(obj)
 
 
-def test_rational_to_str_is_canonical():
-    assert rational_to_str(Fraction(4, 2)) == "2"
-    assert rational_to_str(Fraction(-3, 9)) == "-1/3"
+def test_scalar_to_json_is_canonical():
+    assert scalar_to_json(Fraction(4, 2)) == "2"
+    assert scalar_to_json(Fraction(-3, 9)) == "-1/3"
+    assert scalar_to_json(-7) == "-7" and scalar_to_json(0) == "0"
+    assert scalar_to_json(GaussianRational(Fraction(-3, 9), 2)) == {"re": "-1/3", "im": "2"}
 
 
 @given(st.one_of(small_fractions, gaussians))
