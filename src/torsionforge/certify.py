@@ -10,16 +10,17 @@ a certificate is auditable with no access to the code that produced it.
 Identity kinds
 --------------
 
-pure-power        f - v**d == A*(x-a)**m, A != 0, with pole bookkeeping
-                  max(n, d*deg v) == m and v(a) != 0.  Witness function
-                  y - v(x); P = (a, v(a)).
+pure-power        shift-power at u = 1 with -v**d: f - v**d == A*(x-a)**m,
+                  A != 0, max(n, d*deg v) == m and v(a) != 0.  Witness
+                  function y - v(x); P = (a, v(a)).
 shift-power       u**d * f + v**d == A*(x-a)**m with
                   max(d*deg u + n, d*deg v) == m and v(a) != 0.  Witness
                   u(x)*y - mu*v(x) for a constant mu with mu**d == -1;
                   P = (a, c) with (u(a)*c)**d == -v(a)**d.  No
-                  constructor emits this kind; the verifier accepts it
-                  as outside input.
-infinity-shift    x**(e*d) * f + v**d == A*(1+x)**m with d*deg v < m and
+                  constructor emits this kind, but one core checks it
+                  and the other two power kinds.
+infinity-shift    shift-power at u = x**e and a = -1, with m == n + e*d:
+                  x**(e*d) * f + v**d == A*(1+x)**m with d*deg v < m and
                   v(-1) != 0.  P = (-1, lam*(-1)**e*v(-1)), lam**d == -1.
 order-d           f(a) == 0 and m == d; P = (a, 0).  A zero ordinate
                   forces order exactly d.
@@ -217,14 +218,14 @@ class _Report(list):
         return bool(ok)
 
 
-def _match_scaled_power(q: Poly, target: Poly):
-    """A if q == A * target, else None; the pole-order gate makes q nonzero
-    and of the target's degree (see the module docstring), so A != 0."""
-    A = q.leading_coefficient / target.leading_coefficient
-    return A if q == target * A else None
-
-
-def _check_identity(r: _Report, A, claim: str):
+def _check_identity(r: _Report, claim: str, gate: bool, left, target):
+    """The identity line: left() == A*target(), both built only if the gate
+    passes, which makes left() nonzero and of the target's degree, so A != 0."""
+    A = None
+    if gate:
+        q, t = left(), target()
+        A = q.leading_coefficient / t.leading_coefficient
+        A = A if q == t * A else None
     r.check("identity", A is not None, claim if A is None else "%s, A=%s" % (claim, A))
 
 
@@ -308,90 +309,76 @@ def _verify_order_d(r: _Report, cert: TorsionCertificate, curve: Curve):
     _check_fixed_rule(r, cert, RULE_ZERO_ORDINATE)
 
 
-def _verify_divisor_exactness(r: _Report, cert: TorsionCertificate, curve: Curve):
-    rule = cert.exactness_rule
-    holds = _DIVISOR_RULES.get(rule)
-    if not r.check("exactness-rule-known", holds is not None, rule):
-        return
-    r.check("exactness-rule", holds(cert.m, curve.n), "%s with m=%d n=%d" % (rule, cert.m, curve.n))
+def _verify_power(r: _Report, cert: TorsionCertificate, curve: Curve, du, left, a, texts, point_lines,
+                  symbolic_ok=True, gate=True):
+    """The shift-power identity u^d*f + v^d == A*(x-a)^m with deg u = du, and
+    every line after it.  left() builds the left side; texts, the kind's claim,
+    pole-order detail and name of a, are formatted with d, m, a and the pole."""
+    d, n, m, v = curve.d, curve.n, cert.m, cert.v
+    pole = max(d * du + n, d * v.degree)  # v.degree is -inf for the zero v
+    claim, pole_detail, a_name = (t % {"d": d, "m": m, "a": a, "pole": pole} for t in texts)
+    _check_identity(r, claim, pole == m and gate, left, lambda: Poly.x_minus(a) ** m)
+    r.check("pole-order", pole == m, pole_detail)
+    va = v(a)
+    r.check("witness-nonzero-at-a", va != 0, "v(%s)=%s" % (a_name, va))
+    pt = _check_point(r, cert, curve, a, symbolic_ok)
+    if pt is not None:
+        point_lines(pt, va)
+        r.check("ordinate-nonzero", bool(pt.y))
+    holds = _DIVISOR_RULES.get(cert.exactness_rule)
+    if r.check("exactness-rule-known", holds is not None, cert.exactness_rule):
+        r.check("exactness-rule", holds(m, n), "%s with m=%d n=%d" % (cert.exactness_rule, m, n))
 
 
 def _verify_pure_power(r: _Report, cert: TorsionCertificate, curve: Curve):
-    d, n, f, m = curve.d, curve.n, curve.f, cert.m
-    if cert.v is None or cert.a is None:
+    d, f, v = curve.d, curve.f, cert.v
+    if v is None or cert.a is None:
         r.check("witness-present", False, "pure-power needs v and a")
         return
-    v, a = cert.v, cert.a
-    pole = max(n, d * v.degree)
-    A = _match_scaled_power(f - v ** d, Poly.x_minus(a) ** m) if pole == m else None
-    _check_identity(r, A, "f - v^%d == A*(x-a)^%d, a=%s" % (d, m, a))
-    r.check("pole-order", pole == m, "max(n, d*deg v) = %s, m = %d" % (pole, m))
-    va = v(a)
-    r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (va,))
-    pt = _check_point(r, cert, curve, a, symbolic_ok=False)
-    if pt is not None:
-        r.check("point-ordinate", pt.y == va, "y(P)=%s v(a)=%s" % (pt.y, va))
-        r.check("ordinate-nonzero", bool(pt.y))
-    _verify_divisor_exactness(r, cert, curve)
+    # u = 1 and the sign of v^d flipped: P is the zero of y - v
+    _verify_power(
+        r, cert, curve, 0, lambda: f - v ** d, cert.a,
+        ("f - v^%(d)d == A*(x-a)^%(m)d, a=%(a)s", "max(n, d*deg v) = %(pole)s, m = %(m)d", "a"),
+        lambda pt, va: r.check("point-ordinate", pt.y == va, "y(P)=%s v(a)=%s" % (pt.y, va)),
+        symbolic_ok=False)
 
 
 def _verify_shift_power(r: _Report, cert: TorsionCertificate, curve: Curve):
-    d, n, f, m = curve.d, curve.n, curve.f, cert.m
-    if cert.v is None or cert.a is None or cert.u is None:
+    d, f, u, v = curve.d, curve.f, cert.u, cert.v
+    if v is None or cert.a is None or u is None:
         r.check("witness-present", False, "shift-power needs u, v, a")
         return
-    u, v, a = cert.u, cert.v, cert.a
     if not r.check("u-nonzero", not u.is_zero):
         return
-    pole = max(d * u.degree + n, d * v.degree)
-    A = _match_scaled_power(u ** d * f + v ** d, Poly.x_minus(a) ** m) if pole == m else None
-    _check_identity(r, A, "u^%d*f + v^%d == A*(x-a)^%d" % (d, d, m))
-    r.check("pole-order", pole == m, "pole order %s, m = %d" % (pole, m))
-    va = v(a)
-    r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (va,))
-    pt = _check_point(r, cert, curve, a, symbolic_ok=True)
-    if pt is not None:
-        # P is the single zero of u*y - mu*v for some mu with mu^d == -1
-        r.check(
-            "point-matches-witness",
-            (u(a) * pt.y) ** d == -(va ** d),
-            "(u(a)*y)^d vs -v(a)^d",
-        )
-        r.check("ordinate-nonzero", bool(pt.y))
-    _verify_divisor_exactness(r, cert, curve)
+    # P is the single zero of u*y - mu*v for some mu with mu^d == -1
+    _verify_power(
+        r, cert, curve, u.degree, lambda: u ** d * f + v ** d, cert.a,
+        ("u^%(d)d*f + v^%(d)d == A*(x-a)^%(m)d", "pole order %(pole)s, m = %(m)d", "a"),
+        lambda pt, va: r.check("point-matches-witness", (u(cert.a) * pt.y) ** d == -(va ** d),
+                               "(u(a)*y)^d vs -v(a)^d"))
 
 
 def _verify_infinity_shift(r: _Report, cert: TorsionCertificate, curve: Curve):
-    d, n, f, m = curve.d, curve.n, curve.f, cert.m
-    if cert.v is None or cert.e < 1:
+    d, n, f, v, e = curve.d, curve.n, curve.f, cert.v, cert.e
+    if v is None or e < 1:
         r.check("witness-present", False, "infinity-shift needs v and e >= 1")
         return
-    v, e = cert.v, cert.e
-    r.check("order-form", m == n + e * d, "m=%d n=%d e=%d d=%d" % (m, n, e, d))
-    dv = d * v.degree  # -inf for the zero v
-    pole = max(e * d + n, dv)
-    # (1+x)^m has every term up to m, x^(ed)*f + v^d none strictly between dv and ed
-    gate = pole == m and e * d <= dv + 1
-    A = _match_scaled_power(Poly.x_power(e * d) * f + v ** d, Poly((1, 1)) ** m) if gate else None
-    _check_identity(r, A, "x^(ed)*f + v^%d == A*(1+x)^%d" % (d, m))
-    r.check("pole-order", pole == m, "pole order %s" % (pole,))
-    vm1 = v(Fraction(-1))
-    r.check("witness-nonzero-at-a", vm1 != 0, "v(-1)=%s" % (vm1,))
-    pt = _check_point(r, cert, curve, Fraction(-1), symbolic_ok=True)
-    if pt is not None:
+    r.check("order-form", cert.m == n + e * d, "m=%d n=%d e=%d d=%d" % (cert.m, n, e, d))
+
+    # u = x^e and a = -1: P = (-1, lam*(-1)^e*v(-1)) with lam^d == -1
+    def point_lines(pt, vm1):
         if cert.lam is None:
             r.check("lambda-present", False, "materialized point needs lambda")
-        else:
-            lam = cert.lam
-            r.check("lambda-root", lam ** d == -1, "lambda^%d" % (d,))
-            expected = lam * (Fraction(-1) ** e) * vm1
-            r.check(
-                "point-ordinate",
-                pt.y == expected,
-                "y(P)=%s expected=%s" % (pt.y, expected),
-            )
-        r.check("ordinate-nonzero", bool(pt.y))
-    _verify_divisor_exactness(r, cert, curve)
+            return
+        r.check("lambda-root", cert.lam ** d == -1, "lambda^%d" % (d,))
+        expected = cert.lam * (Fraction(-1) ** e) * vm1
+        r.check("point-ordinate", pt.y == expected, "y(P)=%s expected=%s" % (pt.y, expected))
+
+    # (1+x)^m has every term up to m, x^(ed)*f + v^d none strictly between d*deg v and ed
+    _verify_power(
+        r, cert, curve, e, lambda: Poly.x_power(e * d) * f + v ** d, Fraction(-1),
+        ("x^(ed)*f + v^%(d)d == A*(1+x)^%(m)d", "pole order %(pole)s", "-1"),
+        point_lines, gate=e * d <= d * v.degree + 1)
 
 
 def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve):
@@ -409,8 +396,8 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
     vw = v(w)
     r.check("witness-vanishes-at-link", vw == 0, "v(w)=%s" % (vw,))
     pole_ok = v.degree * 2 == n + 1
-    A = _match_scaled_power(v ** 2 - f, Poly.x_minus(a) ** n * u) if pole_ok else None
-    _check_identity(r, A, "v^2 - f == A*(x-a)^%d*(x-w)" % (n,))
+    _check_identity(r, "v^2 - f == A*(x-a)^%d*(x-w)" % (n,), pole_ok,
+                    lambda: v ** 2 - f, lambda: Poly.x_minus(a) ** n * u)
     r.check("pole-order", pole_ok, "deg v = %s, (n+1)/2 = %s" % (v.degree, Fraction(n + 1, 2)))
     va = v(a)
     r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (va,))

@@ -312,15 +312,15 @@ def test_infinity_shift_rejects_huge_e_without_building_the_product(monkeypatch,
 def _pole_mismatch_certificate(kind: str) -> TorsionCertificate:
     """A certificate whose m disagrees with its degrees: the two pinned
     d = 40 exit-path cases (deg v = 40, so v**40 has degree 1600), and a
-    two-torsion link whose v gains an x**800 term."""
-    if kind == "two-torsion-link":
-        cert = construct(5, 2, 10)
+    two-torsion link and an infinity shift whose v gains an x**800 term."""
+    if kind in ("two-torsion-link", "infinity-shift"):
+        cert = construct(5, 2, 10) if kind == "two-torsion-link" else construct_n_plus_ed(5, 2, 1)
         return cert._replace(v=cert.v + Poly.monomial(1, 800))
     case = next(c for c in _exit_path_cases() if c["name"] == "verify-%s-pole-mismatch" % (kind,))
     return TorsionCertificate.from_json_dict(json.loads(case["input"]))
 
 
-@pytest.mark.parametrize("kind", ["pure-power", "shift-power", "two-torsion-link"])
+@pytest.mark.parametrize("kind", ["pure-power", "shift-power", "infinity-shift", "two-torsion-link"])
 def test_a_pole_order_mismatch_builds_no_power_of_the_witness(monkeypatch, kind):
     """The pole-order gate fails the identity before its left side is
     built: verify builds no polynomial longer than n + 2 coefficients."""
@@ -330,6 +330,30 @@ def test_a_pole_order_mismatch_builds_no_power_of_the_witness(monkeypatch, kind)
     assert not ok
     assert {"identity", "pole-order"} <= {l.name for l in lines if not l.ok}
     assert longest <= cert.curve.n + 2
+
+
+def test_every_emitted_infinity_shift_certificate_verifies_as_shift_power():
+    """x^(ed)*f + v^d == A*(1+x)^m is the shift-power identity with u = x^e
+    and a = -1, and its point condition is shift-power's: every
+    infinity-shift certificate construct emits for d in {2, 3, 5, 7} and
+    d < n < 30 still verifies when rewritten as shift-power."""
+    rewritten = 0
+    for d in (2, 3, 5, 7):
+        for n in range(d + 1, 30):
+            if gcd(n, d) != 1:
+                continue
+            # m = n + e*d is constructive only below the congruent-step bound, so m <= 2n + 1
+            for m in range(n + d, 2 * n + 2, d):
+                if reachability_verdict(n, d, m).status != STATUS_CONSTRUCTIVE:
+                    continue
+                cert = construct(n, d, m)
+                assert cert.identity_kind == "infinity-shift"
+                shifted = cert._replace(identity_kind="shift-power", u=Poly.x_power(cert.e),
+                                        a=Fraction(-1), e=0, lam=None)
+                ok, lines = verify_certificate(shifted)
+                assert ok, (n, d, m, [str(line) for line in lines if not line.ok])
+                rewritten += 1
+    assert rewritten == 181
 
 
 def _ungated_identity_line(cert: TorsionCertificate) -> CheckLine:
