@@ -7,8 +7,8 @@ confirms d = 2 orders by divisor-class arithmetic.  The top level exports
 the five entry points below; every other name is imported from its module.
 """
 
-from .certify import reachability_verdict, verify_certificate
-from .constructors import construct
+from .certify import verify_certificate
+from .constructors import construct, reachability_verdict
 from .jacobian2 import embed_point, order_of
 
 __version__ = "0.1.0"

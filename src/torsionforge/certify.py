@@ -1,11 +1,12 @@
-"""Torsion certificates, their verifier, and the reachability verdict engine.
+"""Torsion certificates, their exactness rules and their verifier.
 
 A certificate pins down a function phi on the curve y**d = f(x) whose
 divisor is m*(P) - m*(O), which proves the class of P - O has order
 dividing m, together with an exactness rule that upgrades "divides" to
 "equals".  Each identity kind names a polynomial identity that encodes
-div(phi) completely; the verifier rechecks the identity from scratch, so
-a certificate is auditable with no access to the code that produced it.
+div(phi) completely; the verifier rechecks the identity from scratch, so a
+certificate is auditable with no access to the code that produced it: of
+this package, the module imports only scalars, polyring and curves.
 
 Identity kinds
 --------------
@@ -76,7 +77,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .curves import AffinePoint, Curve, CurveError, PreconditionError, check_shape, on_curve
+from .curves import AffinePoint, Curve, CurveError, on_curve
 from .polyring import Poly, poly_from_json, poly_to_json
 from .scalars import field_from_json, is_prime, rational_from_str, scalar_from_json, scalar_to_json
 
@@ -417,64 +418,3 @@ _KINDS = {
     ORDER_D: _Kind(_verify_order_d, {"u": None, "v": None, "e": 0, "lambda": None}),
     TWO_TORSION_LINK: _Kind(_verify_two_torsion_link, {"e": 0, "lambda": None}),
 }
-
-
-# ---------------------------------------------------------------------------
-# reachability verdicts
-# ---------------------------------------------------------------------------
-
-STATUS_CONSTRUCTIVE = "reachable-constructive"
-STATUS_UNREACHABLE = "unreachable"
-STATUS_UNDECIDED = "undecided"
-
-RULE_COVER_DEGREE = "cover-degree"
-RULE_CURVE_DEGREE = "curve-degree"
-RULE_DEGREE_FLOOR = "degree-floor"
-RULE_POLE_CONGRUENCE = "pole-congruence"
-RULE_MULTIPLE_DEFICIT = "multiple-deficit"
-RULE_DIVISIBLE_MULTIPLE = "divisible-multiple"
-RULE_STEP_THRESHOLD = "step-threshold"
-RULE_CONGRUENT_STEP = "congruent-step"
-RULE_UNDECIDED = "undecided"
-
-
-class Verdict(namedtuple("Verdict", "status deciding_rule")):
-    """Whether an order is reachable, and the rule that decided it."""
-
-    __slots__ = ()
-
-
-# (rule, status, decides(n, d, m)): reachability_verdict returns the first row
-# that decides.  Since gcd(n, d) == 1, d | m and d | m - n never hold together.
-_VERDICT_RULES = (
-    (RULE_COVER_DEGREE, STATUS_CONSTRUCTIVE, lambda n, d, m: m == d),
-    (RULE_DEGREE_FLOOR, STATUS_UNREACHABLE, lambda n, d, m: m < n),
-    (RULE_CURVE_DEGREE, STATUS_CONSTRUCTIVE, lambda n, d, m: m == n),
-    # for 1 < m < n*d, a function with pole divisor m*(O) and a single affine
-    # zero exists only if m = j*n mod d for some 0 <= j <= m//n
-    (RULE_POLE_CONGRUENCE, STATUS_UNREACHABLE,
-     lambda n, d, m: m < n * d and all((m - j * n) % d for j in range(m // n + 1))),
-    (RULE_DIVISIBLE_MULTIPLE, STATUS_CONSTRUCTIVE, lambda n, d, m: m % d == 0 and n - m + m // d >= 0),
-    # the least multiple of d above n, reached only when its deficit is negative
-    (RULE_MULTIPLE_DEFICIT, STATUS_UNREACHABLE, lambda n, d, m: m == d * ((n + d) // d)),
-    # m = n + e*d with e*d^2 - (e+1)*d < n
-    (RULE_CONGRUENT_STEP, STATUS_CONSTRUCTIVE, lambda n, d, m: (m - n) % d == 0 and (m - n) * (d - 1) - d < n),
-    # e = 1, reached only when the bound above fails
-    (RULE_STEP_THRESHOLD, STATUS_UNREACHABLE, lambda n, d, m: m == n + d),
-)
-
-
-def reachability_verdict(n: int, d: int, m: int) -> Verdict:
-    """Decide reachability of torsion order m on degree-(n, d) curves.
-
-    The first row of ``_VERDICT_RULES`` that decides gives the verdict;
-    triples no row decides come back "undecided" (the honest answer,
-    never a guess).
-    """
-    check_shape(n, d)
-    if m < 2:
-        raise PreconditionError("orders below 2 are not meaningful, got m=%d" % (m,))
-    for rule, status, decides in _VERDICT_RULES:
-        if decides(n, d, m):
-            return Verdict(status, rule)
-    return Verdict(STATUS_UNDECIDED, RULE_UNDECIDED)

@@ -23,16 +23,15 @@ import os
 import sys
 from math import gcd as int_gcd
 
-from .certify import (
-    PreconditionError,
+from .certify import TorsionCertificate, canonical_json, parse_and_verify, verify_certificate
+from .constructors import (
+    DEFAULT_SEARCH_LIMIT,
     STATUS_CONSTRUCTIVE,
-    TorsionCertificate,
-    canonical_json,
-    parse_and_verify,
+    SearchExhausted,
+    construct,
     reachability_verdict,
-    verify_certificate,
 )
-from .constructors import DEFAULT_SEARCH_LIMIT, SearchExhausted, construct
+from .curves import PreconditionError
 from .jacobian2 import OrderNotFoundError, embed_point, order_of
 
 PRESET_HYPERELLIPTIC_LADDER = "hyperelliptic-ladder"
@@ -235,13 +234,11 @@ def cmd_verify(args) -> int:
 
 def _scan_rows(args):
     n_lo, n_hi = _parse_range(args.n, "--n")
+    m_range = None if args.preset else _parse_range(args.m, "--m")
     for n in range(n_lo, n_hi + 1):
         if n <= args.d or int_gcd(n, args.d) != 1:
             continue
-        if args.preset == PRESET_HYPERELLIPTIC_LADDER:
-            m_lo, m_hi = n + 1, 2 * n + 1
-        else:
-            m_lo, m_hi = _parse_range(args.m, "--m")
+        m_lo, m_hi = m_range or (n + 1, 2 * n + 1)
         for m in range(max(2, m_lo), m_hi + 1):
             yield n, m
 

@@ -1,11 +1,11 @@
-"""Constructions of curves y**d = f(x) with a rational point of exact order m.
+"""Reachability verdicts, and curves y**d = f(x) with a point of exact order m.
 
-Every function here returns a TorsionCertificate whose claims the verifier
-in certify.py rechecks from scratch; nothing is trusted to the algebra in
-this module.  ``construct`` takes the reachability verdict of (n, d, m)
-once: the row that decides a constructive verdict picks one of the four
-families below, and every other verdict is refused there.  The private
-builders recheck none of the row's conditions on m.
+``reachability_verdict`` gives the first row of ``_VERDICT_RULES`` that
+decides (n, d, m).  ``construct`` takes that verdict once: a constructive
+row picks one of the four families below, which recheck none of its
+conditions on m, and every other verdict is refused there.  Each family
+returns a TorsionCertificate that the verifier in certify.py rechecks
+from scratch, reading no verdict and trusting no algebra of this module.
 
 order-d       f = x**n - 1, P = (1, 0).  The zero ordinate pins the
               order to exactly d.
@@ -39,6 +39,7 @@ fixed and ignore the budget.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 
@@ -46,17 +47,11 @@ from .certify import (
     INFINITY_SHIFT,
     ORDER_D,
     PURE_POWER,
-    RULE_CONGRUENT_STEP,
-    RULE_COVER_DEGREE,
-    RULE_CURVE_DEGREE,
-    RULE_DIVISIBLE_MULTIPLE,
     RULE_TWO_TORSION,
     RULE_ZERO_ORDINATE,
-    STATUS_UNREACHABLE,
     TWO_TORSION_LINK,
     TorsionCertificate,
     exactness_rule_for,
-    reachability_verdict,
 )
 from .curves import AffinePoint, Curve, CurveError, PreconditionError, check_shape
 from .polyring import Poly
@@ -258,8 +253,65 @@ def construct_n_plus_ed(n: int, d: int, e: int) -> TorsionCertificate:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# reachability verdicts and dispatch
 # ---------------------------------------------------------------------------
+
+STATUS_CONSTRUCTIVE = "reachable-constructive"
+STATUS_UNREACHABLE = "unreachable"
+STATUS_UNDECIDED = "undecided"
+
+RULE_COVER_DEGREE = "cover-degree"
+RULE_CURVE_DEGREE = "curve-degree"
+RULE_DEGREE_FLOOR = "degree-floor"
+RULE_POLE_CONGRUENCE = "pole-congruence"
+RULE_MULTIPLE_DEFICIT = "multiple-deficit"
+RULE_DIVISIBLE_MULTIPLE = "divisible-multiple"
+RULE_STEP_THRESHOLD = "step-threshold"
+RULE_CONGRUENT_STEP = "congruent-step"
+RULE_UNDECIDED = "undecided"
+
+
+class Verdict(namedtuple("Verdict", "status deciding_rule")):
+    """Whether an order is reachable, and the rule that decided it."""
+
+    __slots__ = ()
+
+
+# (rule, status, decides(n, d, m)): reachability_verdict returns the first row
+# that decides.  Since gcd(n, d) == 1, d | m and d | m - n never hold together.
+_VERDICT_RULES = (
+    (RULE_COVER_DEGREE, STATUS_CONSTRUCTIVE, lambda n, d, m: m == d),
+    (RULE_DEGREE_FLOOR, STATUS_UNREACHABLE, lambda n, d, m: m < n),
+    (RULE_CURVE_DEGREE, STATUS_CONSTRUCTIVE, lambda n, d, m: m == n),
+    # for 1 < m < n*d, a function with pole divisor m*(O) and a single affine
+    # zero exists only if m = j*n mod d for some 0 <= j <= m//n
+    (RULE_POLE_CONGRUENCE, STATUS_UNREACHABLE,
+     lambda n, d, m: m < n * d and all((m - j * n) % d for j in range(m // n + 1))),
+    (RULE_DIVISIBLE_MULTIPLE, STATUS_CONSTRUCTIVE, lambda n, d, m: m % d == 0 and n - m + m // d >= 0),
+    # the least multiple of d above n, reached only when its deficit is negative
+    (RULE_MULTIPLE_DEFICIT, STATUS_UNREACHABLE, lambda n, d, m: m == d * ((n + d) // d)),
+    # m = n + e*d with e*d^2 - (e+1)*d < n
+    (RULE_CONGRUENT_STEP, STATUS_CONSTRUCTIVE, lambda n, d, m: (m - n) % d == 0 and (m - n) * (d - 1) - d < n),
+    # e = 1, reached only when the bound above fails
+    (RULE_STEP_THRESHOLD, STATUS_UNREACHABLE, lambda n, d, m: m == n + d),
+)
+
+
+def reachability_verdict(n: int, d: int, m: int) -> Verdict:
+    """Decide reachability of torsion order m on degree-(n, d) curves.
+
+    The first row of ``_VERDICT_RULES`` that decides gives the verdict;
+    triples no row decides come back "undecided" (the honest answer,
+    never a guess).
+    """
+    check_shape(n, d)
+    if m < 2:
+        raise PreconditionError("orders below 2 are not meaningful, got m=%d" % (m,))
+    for rule, status, decides in _VERDICT_RULES:
+        if decides(n, d, m):
+            return Verdict(status, rule)
+    return Verdict(STATUS_UNDECIDED, RULE_UNDECIDED)
+
 
 def construct(n: int, d: int, m: int, search_limit: int = DEFAULT_SEARCH_LIMIT) -> TorsionCertificate:
     """The certificate of the family that the verdict's constructive row names.

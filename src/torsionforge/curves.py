@@ -11,7 +11,8 @@ its curve, so no root finding happens anywhere.
 f is a polynomial over Q.  A point's abscissa is rational; its ordinate
 may be a ``GaussianRational``, as for the d = 2 points of order n + e*d.
 
-The (n, d) rule is stated once, in ``check_shape``.  Every refused
+The (n, d) rule is stated once, in ``check_shape``, which ``Curve`` and
+the verdicts and builders of ``constructors`` call.  Every refused
 precondition is a ``PreconditionError``; ``CurveError`` is its subclass.
 """
 

@@ -16,19 +16,16 @@ from math import gcd
 import pytest
 
 from cantor_reference import cantor_add
-from torsionforge.certify import (
-    reachability_verdict,
-    PreconditionError,
-    STATUS_CONSTRUCTIVE,
-    STATUS_UNREACHABLE,
-)
 from torsionforge.cli import certify_request, main
 from torsionforge.constructors import (
     DEFAULT_SEARCH_LIMIT,
+    STATUS_CONSTRUCTIVE,
+    STATUS_UNREACHABLE,
     construct,
     construct_n_plus_ed,
+    reachability_verdict,
 )
-from torsionforge.curves import AffinePoint, Curve
+from torsionforge.curves import AffinePoint, Curve, PreconditionError
 from torsionforge.jacobian2 import (
     IDENTITY,
     add,

@@ -18,23 +18,22 @@ from torsionforge import cli, polyring
 
 from torsionforge.certify import (
     CheckLine,
-    PreconditionError,
     RULE_TWO_TORSION,
-    STATUS_CONSTRUCTIVE,
-    STATUS_UNDECIDED,
-    STATUS_UNREACHABLE,
     TorsionCertificate,
     canonical_json,
     exactness_rule_for,
     parse_and_verify,
-    reachability_verdict,
     verify_certificate,
 )
 from torsionforge.constructors import (
+    STATUS_CONSTRUCTIVE,
+    STATUS_UNDECIDED,
+    STATUS_UNREACHABLE,
     construct,
     construct_n_plus_ed,
+    reachability_verdict,
 )
-from torsionforge.curves import AffinePoint
+from torsionforge.curves import AffinePoint, PreconditionError
 from torsionforge.jacobian2 import embed_point, order_of
 from torsionforge.polyring import Poly
 from torsionforge.scalars import GAUSSIAN_I, scalar_from_json, scalar_to_json

@@ -45,7 +45,8 @@ from pathlib import Path
 import pytest
 
 from torsionforge import cli
-from torsionforge.certify import STATUS_CONSTRUCTIVE, CheckLine
+from torsionforge.certify import CheckLine
+from torsionforge.constructors import STATUS_CONSTRUCTIVE
 from torsionforge.jacobian2 import OrderNotFoundError
 
 TESTS_DIR = Path(__file__).resolve().parent

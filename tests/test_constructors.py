@@ -12,22 +12,19 @@ from math import gcd
 import pytest
 
 from torsionforge import series
-from torsionforge.certify import (
+from torsionforge.certify import verify_certificate
+from torsionforge.constructors import (
+    DEFAULT_SEARCH_LIMIT,
     STATUS_CONSTRUCTIVE,
     STATUS_UNDECIDED,
     STATUS_UNREACHABLE,
-    PreconditionError,
-    reachability_verdict,
-    verify_certificate,
-)
-from torsionforge.constructors import (
-    DEFAULT_SEARCH_LIMIT,
     SearchExhausted,
     _search,
     construct,
     construct_n_plus_ed,
+    reachability_verdict,
 )
-from torsionforge.curves import AffinePoint, CurveError
+from torsionforge.curves import AffinePoint, CurveError, PreconditionError
 from torsionforge.jacobian2 import embed_point, order_of
 from torsionforge.polyring import Poly
 from torsionforge.scalars import GAUSSIAN_I, GaussianRational, gen_binom

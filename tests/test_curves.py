@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from torsionforge import certify
-from torsionforge.certify import reachability_verdict
-from torsionforge.constructors import construct, construct_n_plus_ed
+from torsionforge import constructors
+from torsionforge.constructors import construct, construct_n_plus_ed, reachability_verdict
 from torsionforge.curves import (
     AffinePoint,
     Curve,
@@ -72,7 +71,7 @@ def test_every_shape_refusal_is_the_curve_rule(n, d):
 
 def test_every_refused_precondition_is_a_precondition_error():
     assert issubclass(CurveError, PreconditionError)
-    assert certify.PreconditionError is PreconditionError
+    assert constructors.PreconditionError is PreconditionError
 
 
 def test_wrong_degree_detected():

@@ -6,6 +6,7 @@ names breaks the traced benchmark, which no other test here runs.  Every
 public name of every module must also be used inside the package, so
 that surface only tests reach does not build up again.  The package top
 level exports exactly the names the README's library example imports.
+The verifier's module imports none of the code that produces certificates.
 """
 
 from __future__ import annotations
@@ -70,6 +71,30 @@ def test_every_public_name_is_used_inside_the_package():
     used = set().union(*map(_references, trees))
     public = {name for tree in trees for name in _definitions(tree) if not name.startswith("_")}
     assert sorted(public - used) == []
+
+
+# the reachability verdict's vocabulary, which constructors holds
+VERDICT_NAMES = (
+    "Verdict", "reachability_verdict", "_VERDICT_RULES",
+    "STATUS_CONSTRUCTIVE", "STATUS_UNREACHABLE", "STATUS_UNDECIDED",
+    "RULE_COVER_DEGREE", "RULE_CURVE_DEGREE", "RULE_DEGREE_FLOOR", "RULE_POLE_CONGRUENCE",
+    "RULE_MULTIPLE_DEFICIT", "RULE_DIVISIBLE_MULTIPLE", "RULE_STEP_THRESHOLD",
+    "RULE_CONGRUENT_STEP", "RULE_UNDECIDED",
+)
+
+
+def test_the_verifier_imports_no_code_that_produces_certificates():
+    """certify.py, the verifier's trust base, imports from the package only
+    scalars, polyring and curves, and binds no name of the verdict."""
+    tree = ast.parse((PACKAGE / "certify.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {"." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
+               for node in imports for alias in node.names}
+    package = {name for name in modules if name.startswith((".", "torsionforge"))}
+    assert package == {".scalars", ".polyring", ".curves"}
+    bound = _definitions(tree) | {alias.asname or alias.name for node in imports for alias in node.names}
+    assert sorted(bound & set(VERDICT_NAMES)) == []
+    assert all(hasattr(constructors, name) for name in VERDICT_NAMES)
 
 
 def _library_usage() -> str:
