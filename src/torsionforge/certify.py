@@ -63,7 +63,9 @@ parsed or copied with ``_replace`` (which builds through ``Curve._make``,
 so no copy bypasses the check); ``Curve`` and ``Poly`` are immutable, so
 the verifier takes ``cert.curve`` as it is.  Outside input is checked
 when it is parsed: a certificate whose curve data is invalid becomes a
-single failed ``curve-valid`` line.  Scalars, polynomials and a symbolic
+single failed ``curve-valid`` line.  ``_FIELDS`` is the one list of the
+serialized fields after the curve and the point: the serializer, the parser
+and its unknown-key check all walk it.  Scalars, polynomials and a symbolic
 point's abscissa must be spelled as the serializer spells them; any
 other spelling is malformed.  Only ``point.y`` and ``lambda`` may be
 Gaussian rationals: a Gaussian coefficient of f, u or v, a Gaussian
@@ -89,8 +91,20 @@ INFINITY_SHIFT = "infinity-shift"
 ORDER_D = "order-d"
 TWO_TORSION_LINK = "two-torsion-link"
 
-# the keys of a serialized certificate, in the serializer's order
-_CERT_KEYS = ("curve", "point", "m", "identity_kind", "u", "v", "a", "e", "lambda", "exactness_rule")
+# (key, attribute, writer, reader) per field, in the serializer's order.  No
+# writer writes the value as it is; an int or str reader means field_from_json,
+# another parses a non-null value.  lambda's calls scalar_from_json by name, so
+# that bench/tracer.py's hook on certify.scalar_from_json counts it.
+_FIELDS = (
+    ("m", "m", None, int),
+    ("identity_kind", "identity_kind", None, str),
+    ("u", "u", poly_to_json, poly_from_json),
+    ("v", "v", poly_to_json, poly_from_json),
+    ("a", "a", scalar_to_json, rational_from_str),
+    ("e", "e", None, int),
+    ("lambda", "lam", scalar_to_json, lambda obj: scalar_from_json(obj)),
+    ("exactness_rule", "exactness_rule", None, str),
+)
 
 # exactness rules
 RULE_PRIME = "prime-order"
@@ -135,18 +149,11 @@ class TorsionCertificate(namedtuple(
             }
         else:
             point = None
-        return {
-            "curve": self.curve.to_json_dict(),
-            "point": point,
-            "m": self.m,
-            "identity_kind": self.identity_kind,
-            "u": poly_to_json(self.u) if self.u is not None else None,
-            "v": poly_to_json(self.v) if self.v is not None else None,
-            "a": scalar_to_json(self.a) if self.a is not None else None,
-            "e": self.e,
-            "lambda": scalar_to_json(self.lam) if self.lam is not None else None,
-            "exactness_rule": self.exactness_rule,
-        }
+        out = {"curve": self.curve.to_json_dict(), "point": point}
+        for key, attr, writer, _ in _FIELDS:
+            value = getattr(self, attr)
+            out[key] = value if writer is None or value is None else writer(value)
+        return out
 
     def to_json_str(self) -> str:
         return canonical_json(self.to_json_dict())
@@ -157,7 +164,7 @@ class TorsionCertificate(namedtuple(
         KeyError, TypeError or ValueError (after the curve is parsed, so an
         invalid curve is reported first)."""
         curve = Curve.from_json_dict(obj["curve"])
-        unknown = set(obj) - set(_CERT_KEYS)
+        unknown = set(obj) - {"curve", "point"} - {key for key, _, _, _ in _FIELDS}
         if unknown:
             raise ValueError("unknown certificate keys %s" % (sorted(unknown),))
         pt = obj["point"]
@@ -171,20 +178,10 @@ class TorsionCertificate(namedtuple(
         point = None
         if pt is not None and not symbolic:
             point = AffinePoint(rational_from_str(pt["x"]), scalar_from_json(pt["y"]))
-        u, v, a, lam = obj["u"], obj["v"], obj["a"], obj["lambda"]
-        cert = cls(
-            curve=curve,
-            m=field_from_json("m", obj["m"], int),
-            identity_kind=field_from_json("identity_kind", obj["identity_kind"], str),
-            v=poly_from_json(v) if v is not None else None,
-            u=poly_from_json(u) if u is not None else None,
-            a=rational_from_str(a) if a is not None else None,
-            e=field_from_json("e", obj["e"], int),
-            lam=scalar_from_json(lam) if lam is not None else None,
-            exactness_rule=field_from_json("exactness_rule", obj["exactness_rule"], str),
-            point=point,
-            point_symbolic=symbolic,
-        )
+        fields = {attr: field_from_json(key, obj[key], reader) if reader in (int, str)
+                  else None if obj[key] is None else reader(obj[key])
+                  for key, attr, _, reader in _FIELDS}
+        cert = cls(curve=curve, point=point, point_symbolic=symbolic, **fields)
         # the serializer writes a symbolic point's abscissa from a
         if symbolic and scalar_from_json(pt["x"]) != cert.a:
             raise ValueError("symbolic point abscissa %r is not a = %s" % (pt["x"], cert.a))
@@ -228,10 +225,6 @@ def _check_identity(r: _Report, claim: str, gate: bool, left, target):
         A = q.leading_coefficient / t.leading_coefficient
         A = A if q == t * A else None
     r.check("identity", A is not None, claim if A is None else "%s, A=%s" % (claim, A))
-
-
-def _check_fixed_rule(r: _Report, cert: TorsionCertificate, rule: str):
-    r.check("exactness-rule", cert.exactness_rule == rule, cert.exactness_rule)
 
 
 def parse_and_verify(obj: dict) -> tuple[TorsionCertificate | None, list[CheckLine]]:
@@ -307,7 +300,7 @@ def _verify_order_d(r: _Report, cert: TorsionCertificate, curve: Curve):
     pt = _check_point(r, cert, curve, cert.a, symbolic_ok=False)
     if pt is not None:
         r.check("ordinate-zero", not pt.y, "y(P)=%s" % (pt.y,))
-    _check_fixed_rule(r, cert, RULE_ZERO_ORDINATE)
+    r.check("exactness-rule", cert.exactness_rule == RULE_ZERO_ORDINATE, cert.exactness_rule)
 
 
 def _verify_power(r: _Report, cert: TorsionCertificate, curve: Curve, du, left, a, texts, point_lines,
@@ -406,7 +399,7 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
     if pt is not None:
         r.check("point-ordinate", pt.y == -va, "y(P)=%s -v(a)=%s" % (pt.y, -va))
         r.check("ordinate-nonzero", bool(pt.y))
-    _check_fixed_rule(r, cert, RULE_TWO_TORSION)
+    r.check("exactness-rule", cert.exactness_rule == RULE_TWO_TORSION, cert.exactness_rule)
 
 
 # per identity kind: its verifier, and the serializer's value for each field it never reads

@@ -284,12 +284,9 @@ def cmd_scan(args) -> int:
 
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["n", "d", "m", "status", "deciding_rule", "certificate_path"])
-        for row in rows:
-            writer.writerow(
-                [row["n"], row["d"], row["m"], row["status"], row["deciding_rule"],
-                 row.get("certificate_path", "")]
-            )
+        columns = ("n", "d", "m", "status", "deciding_rule", "certificate_path")
+        writer.writerow(columns)
+        writer.writerows([row.get(column, "") for column in columns] for row in rows)
         report = buffer.getvalue()
     else:
         entries = [

@@ -437,6 +437,36 @@ def test_verify_certificate_json_raises_on_malformed_structure():
         parse_and_verify(obj)
 
 
+def test_every_stored_certificate_the_parser_accepts_serializes_back_to_itself():
+    """to_json_dict(from_json_dict(obj)) == obj for every certificate text in
+    data/cli_exit_paths.json and the frozen replay-verify set that parses;
+    the exit-path inputs hold the only shift-power certificates."""
+    frozen = json.loads((Path(__file__).resolve().parent.parent / "bench" / "expected"
+                         / "replay-verify.json").read_text(encoding="utf-8"))
+    texts = [case["input"] for case in _exit_path_cases() if case["input"] is not None]
+    texts += [entry["text"] for entry in frozen["certificates"] + frozen["large_e"]]
+    kinds = set()
+    for text in texts:
+        try:
+            obj = json.loads(text, object_pairs_hook=cli._unique_keys)
+            cert = TorsionCertificate.from_json_dict(obj)
+        except (KeyError, TypeError, ValueError):
+            continue
+        assert cert.to_json_dict() == obj, text
+        kinds.add(cert.identity_kind)
+    assert set(KINDS) <= kinds
+
+
+def test_the_parser_reports_the_first_defect_in_field_order():
+    """Fields are read in the serializer's order, so a non-integer m is
+    reported before the missing u that follows it."""
+    obj = json.loads(construct(5, 2, 6).to_json_str())
+    del obj["u"]
+    obj["m"] = "6"
+    with pytest.raises(TypeError, match="m must be a JSON integer"):
+        TorsionCertificate.from_json_dict(obj)
+
+
 # ---------------------------------------------------------------------------
 # canonical spellings: the parser accepts only what the serializer writes
 # ---------------------------------------------------------------------------

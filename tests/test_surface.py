@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import torsionforge
@@ -113,10 +114,15 @@ def test_the_readme_library_example_runs_and_imports_the_whole_facade(capsys):
     assert capsys.readouterr().out == "reachable-constructive divisible-multiple\n"
 
 
-def test_tracer_install_and_restore(capsys):
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    return tracer_module
+
+
+def test_tracer_install_and_restore(capsys):
+    tracer_module = _tracer_module()
     before = [dict(vars(owner)) for owner in HOOKED]
 
     tracer = tracer_module.Tracer()
@@ -137,3 +143,25 @@ def test_tracer_install_and_restore(capsys):
         now = vars(owner)
         assert now.keys() == saved.keys()
         assert all(now[key] is saved[key] for key in saved), owner
+
+
+def test_traced_n5_ladder_counts(capsys):
+    """construct --oracle over the n = 5, d = 2 ladder, traced: order_of's
+    half-way scan takes ceil(m/2) - 1 adds per order (23 in all), each of the
+    8 curves is validated once, and each n-plus-ed order (7, 9, 11) builds
+    its truncated binomial once."""
+    ladder = (2, 5, 6, 7, 8, 9, 10, 11)
+    tracer_module = _tracer_module()
+    tracer = tracer_module.Tracer()
+    restore = tracer_module.install(tracer)
+    try:
+        for m in ladder:
+            assert cli.main(["construct", "--n", "5", "--d", "2", "--m", str(m), "--oracle"]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+
+    counts = Counter(span[tracer_module.NAME] for span in tracer.spans)
+    assert counts["jacobian2.add"] == sum(-(-m // 2) - 1 for m in ladder) == 23
+    assert counts["curves.validate"] == 8
+    assert counts["series.truncated_binomial"] == 3
