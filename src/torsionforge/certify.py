@@ -342,7 +342,7 @@ def _verify_shift_power(r: _Report, cert: TorsionCertificate, curve: Curve):
     if v is None or cert.a is None or u is None:
         r.check("witness-present", False, "shift-power needs u, v, a")
         return
-    if not r.check("u-nonzero", not u.is_zero):
+    if not r.check("u-nonzero", bool(u)):
         return
     # P is the single zero of u*y - mu*v for some mu with mu^d == -1
     _verify_power(

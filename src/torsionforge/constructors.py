@@ -96,7 +96,7 @@ def _search(candidates, build, order: str, search_limit: int) -> TorsionCertific
 def _order_d(n: int, d: int) -> TorsionCertificate:
     """Curve with the point (1, 0) of exact order d: f = x**n - 1."""
     a = Fraction(1)
-    curve = Curve(d, n, Poly.x_power(n) - Poly.constant(a))
+    curve = Curve(d, n, Poly.x_power(n) - Poly((a,)))
     return TorsionCertificate(
         curve=curve,
         m=d,
@@ -168,7 +168,7 @@ def _div_d(n: int, d: int, m: int, search_limit: int) -> TorsionCertificate:
 
 
 def _div_d_with(n: int, d: int, m: int, l: int, s: int, c: Fraction) -> TorsionCertificate:
-    v = Poly.x_power(l) + Poly.monomial(Fraction(1, d), s) + Poly.constant(c)
+    v = Poly.x_power(l) + Poly.x_power(s) * Fraction(1, d) + Poly((c,))
     return _pure_power(n, d, m, v, v ** d - Poly.x_power(m))
 
 
@@ -194,7 +194,7 @@ def _two_torsion_link(n: int, search_limit: int) -> TorsionCertificate:
 
 def _two_torsion_link_with(n: int, k: int, c: Fraction) -> TorsionCertificate:
     w = Fraction(1)
-    t = Poly.x_power(k) + Poly.x_power(k - 1) + Poly.constant(c)
+    t = Poly.x_power(k) + Poly.x_power(k - 1) + Poly((c,))
     f = Poly.x_minus(w) * (Poly.x_minus(w) * t ** 2 - Poly.x_power(n))
     return TorsionCertificate(
         curve=Curve(2, n, f),

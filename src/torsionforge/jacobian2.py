@@ -63,14 +63,11 @@ class MumfordDivisor(namedtuple("MumfordDivisor", "u v")):
 
     __slots__ = ()
 
-    def is_identity(self) -> bool:
-        return self.u.degree == 0 and self.v.is_zero
-
     def __str__(self):
         return "<u=%s, v=%s>" % (self.u, self.v)
 
 
-IDENTITY = MumfordDivisor(Poly.one(), Poly.zero())
+IDENTITY = MumfordDivisor(Poly((1,)), Poly())
 
 
 def validate(f: Poly, D: MumfordDivisor):
@@ -79,9 +76,9 @@ def validate(f: Poly, D: MumfordDivisor):
         raise ValueError("u must be monic, got %s" % (D.u,))
     if 2 * D.u.degree > f.degree:
         raise ValueError("deg u = %s exceeds genus %d" % (D.u.degree, f.degree // 2))
-    if not D.v.is_zero and D.v.degree >= D.u.degree:
+    if D.v and D.v.degree >= D.u.degree:
         raise ValueError("need deg v < deg u, got %s / %s" % (D.v, D.u))
-    if not divmod(D.v ** 2 - f, D.u)[1].is_zero:
+    if divmod(D.v ** 2 - f, D.u)[1]:
         raise ValueError("u does not divide v^2 - f")
 
 
@@ -103,12 +100,7 @@ def embed_point(curve: Curve, point: AffinePoint):
         if y.im:
             f = -f
         y = y.im or y.re
-    return f, MumfordDivisor(Poly((-point.x, 1)), Poly.constant(y))
-
-
-def neg(D: MumfordDivisor) -> MumfordDivisor:
-    """-D = (u, -v): -v is already reduced modulo u, as deg v < deg u."""
-    return MumfordDivisor(D.u, -D.v)
+    return f, MumfordDivisor(Poly.x_minus(point.x), Poly((y,)))
 
 
 def add(f: Poly, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
@@ -154,10 +146,12 @@ def order_of(f: Poly, D: MumfordDivisor, bound: int) -> int:
     half = (bound + 1) // 2
     acc, prev = D, IDENTITY
     for k in range(1, bound + 1):
-        if acc.is_identity():
+        if acc == IDENTITY:  # a reduced pair with deg u = 0 is (1, 0)
             return k
         # at k = ceil(bound/2): is k*D == -(bound-k)*D, i.e. bound*D = 0?
-        if k == half and acc == neg(prev if bound % 2 else acc):
+        # -(u, v) is (u, -v): -v is already reduced modulo u, as deg v < deg u
+        M = prev if bound % 2 else acc
+        if k == half and acc == MumfordDivisor(M.u, -M.v):
             return bound
         acc, prev = add(f, acc, D), acc
     raise OrderNotFoundError("no order <= %d found for %s" % (bound, D))

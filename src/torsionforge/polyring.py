@@ -4,11 +4,14 @@ A polynomial is stored as a tuple of integer numerators, ascending (index
 k belongs to x**k), over one positive integer denominator, in lowest
 terms: the denominator is coprime to the numerators together, and the
 last numerator is nonzero.  That form is canonical, so two polynomials
-are equal exactly when their numerators and denominators are.  The
-constructor accepts ``int`` and ``Fraction`` coefficients and refuses any
-other type, Gaussian rationals included: the only non-rational numbers
-the package needs are two scalars of a certificate, a point's ordinate
-and ``lambda``, never a polynomial coefficient.
+are equal exactly when their numerators and denominators are.
+``Poly(coefficients)`` is the one constructor (``Poly()`` is zero) and
+truth the one zero test (``not p``); ``x_power`` and ``x_minus`` spell
+x**k and x - a, the two shapes the package builds.  The constructor
+accepts ``int`` and ``Fraction`` coefficients and refuses any other type,
+Gaussian rationals included: the only non-rational numbers the package
+needs are two scalars of a certificate, a point's ordinate and
+``lambda``, never a polynomial coefficient.
 
 Every kernel works on the stored integers and ends in one normalising
 gcd: ``+`` and ``-`` align the two denominators by their lcm, ``*`` is a
@@ -82,26 +85,10 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, c, k: int) -> "Poly":
+    def x_power(cls, k: int) -> "Poly":
         if k < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * k + (c,))
-
-    @classmethod
-    def x_power(cls, k: int) -> "Poly":
-        return cls.monomial(1, k)
+        return cls((0,) * k + (1,))
 
     @classmethod
     def x_minus(cls, a) -> "Poly":
@@ -116,10 +103,6 @@ class Poly:
     @property
     def degree(self) -> int | float:
         return len(self._num) - 1 if self._num else NEG_INFINITY
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
 
     @property
     def leading_coefficient(self):
@@ -196,7 +179,7 @@ class Poly:
                 coeffs.append(c * low[k - j] * high)
                 c, high = c * (k - j) // (j + 1), high * n1
             return _make(coeffs, self._den ** k)
-        return repeated_squaring(self, k) if k else Poly.one()
+        return repeated_squaring(self, k) if k else Poly((1,))
 
     def __divmod__(self, other):
         """Pseudo-division (Knuth, Algorithm R) on the numerators, scaled
@@ -212,12 +195,12 @@ class Poly:
         """
         if not isinstance(other, Poly):
             return NotImplemented
-        if other.is_zero:
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem, low, lead = list(self._num), other._num[:-1], other._num[-1]
         e = len(rem) - len(low)
         if e <= 0:
-            return Poly.zero(), self
+            return Poly(), self
         quot, scale = [0] * e, 1
         for k in range(e - 1, -1, -1):
             c = rem.pop()
@@ -243,7 +226,7 @@ class Poly:
     # -- normal form ----------------------------------------------------------
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.is_monic:
+        if not self or self.is_monic:
             return self
         return _make(list(self._num), self._num[-1])
 
@@ -253,7 +236,7 @@ class Poly:
         return "Poly([%s])" % (", ".join(str(c) for c in self.coeffs),)
 
     def __str__(self):
-        if self.is_zero:
+        if not self:
             return "0"
         parts = []
         cs = self.coeffs
@@ -277,7 +260,7 @@ class Poly:
 def exact_div(f: Poly, g: Poly) -> Poly:
     """Quotient f/g when g divides f exactly; ValueError otherwise."""
     q, r = divmod(f, g)
-    if not r.is_zero:
+    if r:
         raise ValueError("%s does not divide %s exactly (remainder %s)" % (g, f, r))
     return q
 
@@ -289,17 +272,17 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended gcd: returns (h, s, t) with h monic and s*f + t*g == h."""
-    if f.is_zero and g.is_zero:
+    if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
     r0, r1 = f, g
-    s0, s1 = Poly.one(), Poly.zero()
-    t0, t1 = Poly.zero(), Poly.one()
-    while not r1.is_zero:
+    s0, s1 = Poly((1,)), Poly()
+    t0, t1 = Poly(), Poly((1,))
+    while r1:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-        if not r1.is_zero:
+        if r1:
             lead = r1.leading_coefficient
             if lead != 1:
                 inv = 1 / lead

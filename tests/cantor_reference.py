@@ -1,5 +1,6 @@
-"""Cantor's addition of two general divisors: the tests' reference for
-``jacobian2.add``, which adds only a point to a divisor."""
+"""The tests' references for divisor arithmetic: Cantor's addition of two
+general divisors, for ``jacobian2.add``, which adds only a point to a
+divisor, and negation."""
 
 from __future__ import annotations
 
@@ -20,3 +21,8 @@ def cantor_add(f, D1, D2):
         u = exact_div(f - v ** 2, u).monic()
         v = divmod(-v, u)[1]
     return MumfordDivisor(u, v)
+
+
+def neg(D):
+    """-D = (u, -v): -v is already reduced modulo u, as deg v < deg u."""
+    return MumfordDivisor(D.u, -D.v)

@@ -189,7 +189,7 @@ def test_verifier_rejects_wrong_order():
 
 def test_verifier_rejects_tampered_witness():
     cert = construct(5, 2, 6)
-    bad = cert._replace(v=cert.v + Poly.one())
+    bad = cert._replace(v=cert.v + Poly((1,)))
     ok, lines = verify_certificate(bad)
     assert not ok
 
@@ -244,7 +244,7 @@ def test_verifier_never_raises_on_mangled_certificates():
         cert._replace(v=None),
         cert._replace(u=None),
         cert._replace(a=None),
-        cert._replace(v=Poly.zero()),
+        cert._replace(v=Poly()),
         cert._replace(u=Poly((3, 2, 1))),
         cert._replace(m=-4),
         cert._replace(point=None),
@@ -314,7 +314,7 @@ def _pole_mismatch_certificate(kind: str) -> TorsionCertificate:
     two-torsion link and an infinity shift whose v gains an x**800 term."""
     if kind in ("two-torsion-link", "infinity-shift"):
         cert = construct(5, 2, 10) if kind == "two-torsion-link" else construct_n_plus_ed(5, 2, 1)
-        return cert._replace(v=cert.v + Poly.monomial(1, 800))
+        return cert._replace(v=cert.v + Poly.x_power(800))
     case = next(c for c in _exit_path_cases() if c["name"] == "verify-%s-pole-mismatch" % (kind,))
     return TorsionCertificate.from_json_dict(json.loads(case["input"]))
 
@@ -388,8 +388,8 @@ def test_the_pole_order_gate_decides_the_identity_as_the_ungated_comparison():
         d = cert.curve.d
         variants = [cert._replace(m=cert.m + dm) for dm in (0, -1, 1, -d, d)]
         if cert.v is not None:
-            top = Poly.monomial(1, max(cert.v.degree, 0) + 1)
-            variants += [cert._replace(v=cert.v + top), cert._replace(v=Poly.zero())]
+            top = Poly.x_power(max(cert.v.degree, 0) + 1)
+            variants += [cert._replace(v=cert.v + top), cert._replace(v=Poly())]
         for variant in variants:
             line = next((l for l in verify_certificate(variant)[1] if l.name == "identity"), None)
             if line is not None:
@@ -669,7 +669,7 @@ def _mutations(cert: TorsionCertificate):
     for u in (Poly((-1, 1)), Poly((2, 3))):
         yield cert._replace(u=u)
     if cert.v is not None:
-        yield cert._replace(v=cert.v + Poly.one())
+        yield cert._replace(v=cert.v + Poly((1,)))
         yield cert._replace(v=-cert.v)
     if cert.a is not None:
         yield cert._replace(a=cert.a + 1)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantor_reference import cantor_add
+from cantor_reference import cantor_add, neg
 from torsionforge import jacobian2, polyring
 from torsionforge.constructors import (
     construct,
@@ -22,7 +22,6 @@ from torsionforge.jacobian2 import (
     OrderNotFoundError,
     add,
     embed_point,
-    neg,
     order_of,
     validate,
 )
@@ -85,7 +84,7 @@ def torsion_generators():
 # ---------------------------------------------------------------------------
 
 def test_identity_element():
-    assert IDENTITY.is_identity()
+    assert IDENTITY == (Poly((1,)), Poly())
     validate(GENUS2_SPLIT.f, IDENTITY)
 
 
@@ -93,7 +92,7 @@ def test_embed_point_shape():
     P = AffinePoint(Fraction(1), Fraction(0))
     D = embed(GENUS2_SPLIT, P)
     assert D.u == Poly((-1, 1))
-    assert D.v == Poly.zero()
+    assert D.v == Poly()
 
 
 def test_embed_rejects_points_off_the_curve():
@@ -103,9 +102,9 @@ def test_embed_rejects_points_off_the_curve():
 
 def test_validate_rejects_bad_mumford_pairs():
     with pytest.raises(ValueError):
-        validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((1, 2)), Poly.zero()))   # u not monic
+        validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((1, 2)), Poly()))   # u not monic
     with pytest.raises(ValueError):
-        validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((0, 0, 0, 1)), Poly.zero()))  # deg u > g
+        validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((0, 0, 0, 1)), Poly()))  # deg u > g
     with pytest.raises(ValueError):
         validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((-1, 1)), Poly((5,))))   # u does not divide v^2 - f
 
@@ -124,8 +123,8 @@ def test_weierstrass_points_have_order_two():
     for curve in (GENUS2_SPLIT, GENUS3_SPLIT):
         for P in weierstrass_points(curve):
             D = embed(curve, P)
-            assert not D.is_identity()
-            assert add(curve.f, D, D).is_identity()
+            assert D != IDENTITY
+            assert add(curve.f, D, D) == IDENTITY
             assert order_of(curve.f, D, bound=4) == 2
 
 
@@ -138,7 +137,7 @@ def test_identity_is_neutral():
 def test_inverse_law():
     for f, D, m in torsion_generators():
         for E in multiples(f, D, min(m, 6))[1:]:
-            assert cantor_add(f, E, neg(E)).is_identity()
+            assert cantor_add(f, E, neg(E)) == IDENTITY
 
 
 def test_500_random_additions_preserve_invariants():
@@ -189,11 +188,11 @@ def test_mixed_weierstrass_sums_reduce_correctly():
     D = add(GENUS2_SPLIT.f, W[0], W[1])
     assert D == cantor_add(GENUS2_SPLIT.f, W[0], W[1])
     assert D.u.degree == 2
-    assert D.v.is_zero
+    assert not D.v
     validate(GENUS2_SPLIT.f, D)
     # order of a sum of two distinct two-torsion classes is 2
-    assert not D.is_identity()
-    assert cantor_add(GENUS2_SPLIT.f, D, D).is_identity()
+    assert D != IDENTITY
+    assert cantor_add(GENUS2_SPLIT.f, D, D) == IDENTITY
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ def test_order_of_gaussian_point():
     cert = construct_n_plus_ed(5, 2, 1)
     model, D = embed_point(cert.curve, cert.point)
     assert order_of(model, D, bound=7) == 7
-    assert multiples(model, D, 8)[7].is_identity()
+    assert multiples(model, D, 8)[7] == IDENTITY
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def reference_order(f, D, bound):
     """The plain linear scan on the model y**2 = f: least k <= bound with k*D = 0, or None."""
     acc = D
     for k in range(1, bound + 1):
-        if acc.is_identity():
+        if acc == IDENTITY:
             return k
         acc = add(f, acc, D)
     return None
@@ -302,7 +301,7 @@ def test_twisted_pair_is_valid_on_the_twist():
     model, E = embed_point(curve, point)
     assert model == -curve.f
     assert E.u == Poly.x_minus(point.x)
-    assert E.v == Poly.constant(point.y.im)
+    assert E.v == Poly((point.y.im,))
     assert all(isinstance(c, Fraction) for c in E.v.coeffs)
     validate(model, E)
     # -f is square-free as f is, so the twist is a valid curve of the same shape
@@ -397,7 +396,7 @@ def test_newton_lift_doubles_a_point(xgcd_calls):
 
 def test_weierstrass_base_point_falls_back(xgcd_calls):
     W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
-    assert assert_step(GENUS2_SPLIT.f, W[0], W[0], "cancellation", xgcd_calls).is_identity()
+    assert assert_step(GENUS2_SPLIT.f, W[0], W[0], "cancellation", xgcd_calls) == IDENTITY
     # b = 0 but x(W[0]) is not in u1: interpolation needs no nonzero b
     assert_step(GENUS2_SPLIT.f, W[1], W[0], "interpolation", xgcd_calls)
 
@@ -413,7 +412,7 @@ def scan_steps(model, E, bound):
     half = (bound + 1) // 2
     acc, prev = E, IDENTITY
     for k in range(1, bound + 1):
-        if acc.is_identity() or k == half and acc == neg(prev if bound % 2 else acc):
+        if acc == IDENTITY or k == half and acc == neg(prev if bound % 2 else acc):
             return
         yield acc
         acc, prev = cantor_add(model, acc, E), acc

@@ -26,7 +26,7 @@ coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=0, max_size=6
 )
 polys = coeffs.map(lambda cs: Poly(cs))
-nonzero_polys = polys.filter(lambda p: not p.is_zero)
+nonzero_polys = polys.filter(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 def test_trailing_zeros_are_stripped():
     assert Poly((1, 2, 0, 0)) == Poly((1, 2))
-    assert Poly((0, 0)).is_zero
+    assert not Poly((0, 0))
     assert Poly(()).degree == NEG_INFINITY
 
 
@@ -44,13 +44,13 @@ def test_basic_constructors():
     assert x.degree == 1 and x(Fraction(7)) == 7
     assert Poly.x_power(4)(Fraction(2)) == 16
     assert Poly.x_minus(Fraction(3))(Fraction(3)) == 0
-    assert Poly.monomial(Fraction(5), 2) == Poly((0, 0, 5))
-    assert Poly.constant(Fraction(0)).is_zero
+    with pytest.raises(ValueError, match="monomial degree must be nonnegative"):
+        Poly.x_power(-1)
 
 
 def test_leading_coefficient_of_zero_raises():
     with pytest.raises(ValueError):
-        Poly.zero().leading_coefficient
+        Poly().leading_coefficient
 
 
 def test_out_of_range_coefficient_reads_zero():
@@ -70,13 +70,13 @@ def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
-    assert p - p == Poly.zero()
+    assert p - p == Poly()
 
 
 @given(polys, polys)
 def test_degree_of_product(p, q):
-    if p.is_zero or q.is_zero:
-        assert (p * q).is_zero
+    if not p or not q:
+        assert not p * q
     else:
         assert (p * q).degree == p.degree + q.degree
 
@@ -90,21 +90,21 @@ def test_evaluation_is_a_ring_map(p, t):
 
 @given(polys, st.integers(min_value=0, max_value=9))
 def test_power_matches_repeated_product(p, k):
-    expected = Poly.one()
+    expected = Poly((1,))
     for _ in range(k):
         expected = expected * p
     assert p ** k == expected
 
 
-@pytest.mark.parametrize("p", [Poly.zero(), Poly.one(), Poly((Fraction(-2, 3),)), Poly((1, -1)),
+@pytest.mark.parametrize("p", [Poly(), Poly((1,)), Poly((Fraction(-2, 3),)), Poly((1, -1)),
                                Poly((0, Fraction(-2, 3))), Poly.x_minus(Fraction(3, 10**20 + 39))],
                          ids=["zero", "one", "constant", "linear", "linear-c0-zero", "linear-wide"])
 def test_power_of_edge_operands(p):
-    expected = Poly.one()
+    expected = Poly((1,))
     for k in range(10):
         assert p ** k == expected
         expected = expected * p
-    assert p ** 0 == Poly.one()
+    assert p ** 0 == Poly((1,))
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +115,12 @@ def test_power_of_edge_operands(p):
 def test_divmod_invariant(a, b):
     q, r = divmod(a, b)
     assert a == q * b + r
-    assert r.is_zero or r.degree < b.degree
+    assert not r or r.degree < b.degree
 
 
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        divmod(Poly((1, 1)), Poly.zero())
+        divmod(Poly((1, 1)), Poly())
 
 
 @given(polys, nonzero_polys)
@@ -141,14 +141,14 @@ def test_exact_div_rejects_remainders():
 def test_gcd_contains_common_factor(p, q, r):
     g = gcd(p * r, q * r)
     # r divides both inputs, so it divides the gcd
-    assert divmod(g, r.monic())[1].is_zero
+    assert not divmod(g, r.monic())[1]
 
 
 @given(nonzero_polys, nonzero_polys)
 def test_gcd_is_monic_and_divides_both(p, q):
     g = gcd(p, q)
     assert g.is_monic
-    assert divmod(p, g)[1].is_zero and divmod(q, g)[1].is_zero
+    assert not divmod(p, g)[1] and not divmod(q, g)[1]
 
 
 @given(nonzero_polys, nonzero_polys)
@@ -156,24 +156,24 @@ def test_xgcd_bezout_identity(p, q):
     h, s, t = xgcd(p, q)
     assert s * p + t * q == h
     assert h.is_monic
-    assert divmod(p, h)[1].is_zero and divmod(q, h)[1].is_zero
+    assert not divmod(p, h)[1] and not divmod(q, h)[1]
 
 
 def test_xgcd_with_zero():
-    h, s, t = xgcd(Poly((2, 4)), Poly.zero())
+    h, s, t = xgcd(Poly((2, 4)), Poly())
     assert h == Poly((Fraction(1, 2), 1))
     assert s * Poly((2, 4)) == h
 
 
 def test_gcd_of_two_zeros_raises():
     with pytest.raises(ValueError):
-        gcd(Poly.zero(), Poly.zero())
+        gcd(Poly(), Poly())
 
 
 def test_gcd_of_coprime_cyclotomics_is_one():
     p = Poly((1, 1, 1))       # x^2 + x + 1
     q = Poly((1, 1))          # x + 1
-    assert gcd(p, q) == Poly.one()
+    assert gcd(p, q) == Poly((1,))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_squared_factors_are_detected(p):
 
 def test_is_squarefree_rejects_constants():
     with pytest.raises(ValueError):
-        is_squarefree(Poly.one())
+        is_squarefree(Poly((1,)))
 
 
 P30 = 2**30 - 35           # the largest prime below 2**30, the first prime of the walk
@@ -299,7 +299,7 @@ def test_poly_json_round_trip(p):
 def test_the_empty_encoding_is_the_zero_polynomial():
     p = poly_from_json([])
     _assert_canonical(p)
-    assert p == Poly.zero() and p.is_zero
+    assert p == Poly() and not p
 
 
 def test_poly_json_is_ascending_strings():
@@ -416,8 +416,8 @@ def test_kernels_on_edge_operands(a, b):
 
 def test_mul_by_zero_and_constants():
     p = Poly((Fraction(1, 3), -2, Fraction(5, 4)))
-    assert (p * Poly.zero()).is_zero and (Poly.zero() * p).is_zero
-    assert p * Poly.one() == p
+    assert not p * Poly() and not Poly() * p
+    assert p * Poly((1,)) == p
     assert p * Poly((Fraction(-4, 5),)) == p * Fraction(-4, 5)
 
 
@@ -443,7 +443,7 @@ def test_evaluation_kernel_matches_reference(cs, t):
 
 
 @pytest.mark.parametrize("t", [1.5, GaussianRational(0, 1), GaussianRational(2, 0), "1"])
-@pytest.mark.parametrize("p", [Poly((1, Fraction(-2, 3), 3)), Poly.zero()], ids=["quadratic", "zero"])
+@pytest.mark.parametrize("p", [Poly((1, Fraction(-2, 3), 3)), Poly()], ids=["quadratic", "zero"])
 def test_evaluation_takes_rationals_only(p, t):
     with pytest.raises(TypeError):
         p(t)
@@ -470,7 +470,7 @@ def test_linear_power_row_matches_repeated_squaring(c, k):
     base = Poly(c)
     p = base ** k
     _assert_canonical(p)
-    assert p == (repeated_squaring(base, k) if k else Poly.one())
+    assert p == (repeated_squaring(base, k) if k else Poly((1,)))
 
 
 def test_linear_power_needs_no_binomial_coefficient(monkeypatch):

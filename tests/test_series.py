@@ -86,9 +86,9 @@ def test_recurrence_with_corrected_tail_term():
         r = Fraction(m, d)
         V = truncated_binomial(m, d, E)
         V_prev = truncated_binomial(m - d, d, E - 1)
-        tail = Poly.monomial(gen_binom(r - 1, E - 1), E - 1)
+        tail = Poly.x_power(E - 1) * gen_binom(r - 1, E - 1)
         assert V == one_plus_x * V_prev + tail, (d, E, m)
-        wrong_tail = Poly.monomial(gen_binom(r - 1, E), E - 1)
+        wrong_tail = Poly.x_power(E - 1) * gen_binom(r - 1, E)
         assert V != one_plus_x * V_prev + wrong_tail or gen_binom(r - 1, E) == gen_binom(r - 1, E - 1)
         checked += 1
     assert checked > 100

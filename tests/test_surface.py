@@ -74,6 +74,25 @@ def test_every_public_name_is_used_inside_the_package():
     assert sorted(public - used) == []
 
 
+def _attributes(node: ast.AST) -> Counter:
+    """How often each attribute name is read under node."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def test_every_public_method_is_read_as_an_attribute_inside_the_package():
+    """Each public method or property defined in a class body is read as an
+    attribute somewhere in the package outside its own body, so that an
+    alias only tests reach does not come back."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    read = sum(map(_attributes, trees), Counter())
+    methods = ["%s.%s" % (cls.name, stmt.name)
+               for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for stmt in cls.body
+               if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+               and read[stmt.name] <= _attributes(stmt)[stmt.name]]
+    assert methods == []
+
+
 # the reachability verdict's vocabulary, which constructors holds
 VERDICT_NAMES = (
     "Verdict", "reachability_verdict", "_VERDICT_RULES",
