@@ -12,7 +12,7 @@ f is a polynomial over Q.  A point's abscissa is rational; its ordinate
 may be a ``GaussianRational``, as for the d = 2 points of order n + e*d.
 
 The (n, d) rule is stated once, in ``check_shape``, which ``Curve`` and
-the verdicts and builders of ``constructors`` call.  Every refused
+``constructors.reachability_verdict`` call.  Every refused
 precondition is a ``PreconditionError``; ``CurveError`` is its subclass.
 """
 

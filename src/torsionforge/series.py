@@ -5,14 +5,15 @@ the series V(x) = sum_{k<E} binom(r, k) x**k is the unique polynomial of
 degree < E with (1+x)**m - V**d vanishing to order exactly E at x = 0,
 provided m > d*(E-1).  That exact vanishing order is what lets a curve
 of degree n = m - d*E carry a point whose pole divisor reaches order m,
-so this module is the engine room of the n+e*d constructions.  A
-construction makes three calls, once each: the gate
-:func:`check_truncation_valuation` (the m > d*(E-1) hypothesis, whose
-docstring proves the exact order), :func:`truncated_binomial` for V,
-and :func:`truncation_quotient`, one exact division of
-(1+x)**m - V**d by x**E.  Each takes (m, d, E) as given: callers
-guarantee d >= 2, m >= 1, E >= 1 and gcd(m, d) = 1 (the n+e*d shape
-check n > d >= 2, gcd(n, d) = 1 and e >= 1 proves all four).
+so this module is the engine room of the n+e*d constructions.  The
+gate :func:`check_truncation_valuation` states the m > d*(E-1)
+hypothesis, and its docstring proves the exact order; the congruent-step
+row of ``constructors.reachability_verdict`` decides with it.  A build
+then makes two calls, once each: :func:`truncated_binomial` for V, and
+:func:`truncation_quotient`, one exact division of (1+x)**m - V**d by
+x**E.  Each takes (m, d, E) as given: callers guarantee d >= 2, m >= 1,
+E >= 1 and gcd(m, d) = 1 (the verdict's shape check n > d >= 2,
+gcd(n, d) = 1 and its row's E = m - n > 0 with d | E prove all four).
 
 Two classical identities hold; acceptance criterion 7 checks them:
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curves import PreconditionError
 from .polyring import Poly, exact_div
 from .scalars import gen_binom
 
@@ -38,8 +38,8 @@ def truncated_binomial(m: int, d: int, E: int) -> Poly:
     return Poly(tuple(gen_binom(r, k) for k in range(E)))
 
 
-def check_truncation_valuation(m: int, d: int, E: int) -> None:
-    """Raise PreconditionError unless m > d*(E-1).
+def check_truncation_valuation(m: int, d: int, E: int) -> bool:
+    """Whether m > d*(E-1).
 
     Under that hypothesis (1+x)**m - V**d, V the truncated series,
     vanishes to order exactly E at x = 0: with V(0) = 1 and T =
@@ -48,11 +48,7 @@ def check_truncation_valuation(m: int, d: int, E: int) -> None:
     binom(m/d, E) != 0 because m/d is not an integer.  The difference is
     never zero: deg V**d = d*(E-1) < m.
     """
-    floor = d * (E - 1)
-    if m <= floor:
-        raise PreconditionError(
-            "need m > d*(E-1): m=%d, d*(E-1)=%d" % (m, floor)
-        )
+    return m > d * (E - 1)
 
 
 def truncation_quotient(m: int, d: int, E: int, v: Poly) -> Poly:

@@ -113,7 +113,7 @@ def test_criterion_04_obstructed_orders_are_refused():
     assert v2.status == STATUS_UNREACHABLE
     assert v2.deciding_rule == "step-threshold"
     with pytest.raises(PreconditionError):
-        construct_n_plus_ed(7, 4, 1)
+        construct(7, 4, 11)
 
     print(
         "CRITERION 4 PASS: orders 10 on (7,5) and 11 on (7,4) ruled out "
@@ -149,7 +149,7 @@ def truncation_grid(max_m: int = 40):
 def test_criterion_06_truncation_valuation_and_quotients():
     cases = 0
     for d, E, m in truncation_grid():
-        check_truncation_valuation(m, d, E)
+        assert check_truncation_valuation(m, d, E)
         V = truncated_binomial(m, d, E)
         diff = Poly((1, 1)) ** m - V ** d
         assert next(k for k, c in enumerate(diff.coeffs) if c) == E, (d, E, m)

@@ -211,10 +211,31 @@ def test_n_plus_ed_symbolic_point_for_even_d():
 
 
 def test_n_plus_ed_hypothesis_violations_raise():
-    with pytest.raises(PreconditionError, match=re.escape("m=11, d*(E-1)=12")):
-        construct_n_plus_ed(7, 4, 1)
-    with pytest.raises(PreconditionError, match=re.escape("m=13, d*(E-1)=14")):
-        construct_n_plus_ed(5, 2, 4)
+    # the gate m > d*(E-1) fails at 11 <= 12 and 13 <= 14; construct refuses
+    # both orders itself, before the builder runs
+    unreachable = "order m=11 is unreachable on (n=7, d=4) curves"
+    with pytest.raises(PreconditionError, match=re.escape(unreachable)) as info:
+        construct(7, 4, 11)
+    assert info.value.rule == "step-threshold"
+    undecided = "no construction family covers m=13 on (n=5, d=2) curves"
+    with pytest.raises(PreconditionError, match=re.escape(undecided)):
+        construct(5, 2, 13)
+
+
+def test_congruent_step_is_exactly_a_degree_n_quotient():
+    # the converse of the gate, from the series itself: for m = n + e*d the
+    # verdict is congruent-step exactly when the truncated quotient has degree
+    # n; every other such m leaves a quotient of larger degree
+    cases = Counter()
+    for d in (2, 3, 4, 5, 7):
+        for n in (n for n in range(d + 1, 26) if gcd(n, d) == 1):
+            for e in (1, 2, 3):
+                m, E = n + e * d, e * d
+                degree = series.truncation_quotient(m, d, E, series.truncated_binomial(m, d, E)).degree
+                congruent = reachability_verdict(n, d, m).deciding_rule == "congruent-step"
+                assert degree == n if congruent else degree > n, (n, d, e)
+                cases[congruent] += 1
+    assert cases[True] > 0 and cases[False] > 0
 
 
 def test_n_plus_ed_builds_the_series_once(monkeypatch):

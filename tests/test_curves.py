@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from torsionforge import constructors
-from torsionforge.constructors import construct, construct_n_plus_ed, reachability_verdict
+from torsionforge.constructors import construct, reachability_verdict
 from torsionforge.curves import (
     AffinePoint,
     Curve,
@@ -61,7 +61,6 @@ def test_every_shape_refusal_is_the_curve_rule(n, d):
     refusals = (
         lambda: reachability_verdict(n, d, 6),
         lambda: construct(n, d, 6),
-        lambda: construct_n_plus_ed(n, d, 1),
     )
     for refuse in refusals:
         with pytest.raises(CurveError) as caught:
