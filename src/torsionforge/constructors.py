@@ -1,11 +1,12 @@
 """Reachability verdicts, and curves y**d = f(x) with a point of exact order m.
 
 ``reachability_verdict`` gives the first row of ``_VERDICT_RULES`` that
-decides (n, d, m).  ``construct`` takes that verdict once: a constructive
-row picks one of the four families below, which recheck none of its
-conditions, and every other verdict is refused there.  Each family
-returns a TorsionCertificate that the verifier in certify.py rechecks
-from scratch, reading no verdict and trusting no algebra of this module.
+decides (n, d, m): constructive when ``_FAMILIES`` builds its rule, else
+unreachable.  ``construct`` takes that verdict once and calls the family,
+which rechecks none of the row's conditions; every other verdict is
+refused there.  Each family returns a TorsionCertificate that the
+verifier in certify.py rechecks from scratch, reading no verdict and
+trusting no algebra of this module.
 
 order-d       f = x**n - 1, P = (1, 0).  The zero ordinate pins the
               order to exactly d.
@@ -31,10 +32,10 @@ n-plus-ed     m = n + e*d.  Truncating the binomial series of
 Search is deterministic, so rerunning a construction always reproduces
 the same certificate.  Three constructions search: order-n tries
 v = x + 1, x + 2, ...; div-d and the d = 2 two-torsion link try the
-constants 1, -1, 2, -2, ...  Every search runs through ``_search``, which
-alone applies the budget: the caller's ``search_limit`` candidates
-(default 64).  The n = 3 link and the zero-deficit div-d witness are
-fixed and ignore the budget.
+constants 1, -1, 2, -2, ... through one local ``build``.  Every search
+runs through ``_search``, which alone applies the budget: the caller's
+``search_limit`` candidates (default 64).  The n = 3 link and the
+zero-deficit div-d witness are ``build(0)`` and ignore the budget.
 """
 
 from __future__ import annotations
@@ -93,13 +94,13 @@ def _search(candidates, build, order: str, search_limit: int) -> TorsionCertific
 # order-d: points with zero ordinate
 # ---------------------------------------------------------------------------
 
-def _order_d(n: int, d: int) -> TorsionCertificate:
-    """Curve with the point (1, 0) of exact order d: f = x**n - 1."""
+def _order_d(n: int, d: int, m: int, search_limit: int) -> TorsionCertificate:
+    """Curve with the point (1, 0) of exact order m = d: f = x**n - 1."""
     a = Fraction(1)
     curve = Curve(d, n, Poly.x_power(n) - Poly((a,)))
     return TorsionCertificate(
         curve=curve,
-        m=d,
+        m=m,
         identity_kind=ORDER_D,
         v=None,
         a=a,
@@ -112,8 +113,8 @@ def _order_d(n: int, d: int) -> TorsionCertificate:
 # order-n
 # ---------------------------------------------------------------------------
 
-def _order_n(n: int, d: int, search_limit: int) -> TorsionCertificate:
-    """Curve f = x**n + v**d with P = (0, v(0)) of exact order n.
+def _order_n(n: int, d: int, m: int, search_limit: int) -> TorsionCertificate:
+    """Curve f = x**n + v**d with P = (0, v(0)) of exact order m = n.
 
     The witnesses v = x + 1, x + 2, ... are tried until f is square-free;
     n > d admits deg v = 1, and v(0) != 0 keeps P off the x-axis.
@@ -126,7 +127,7 @@ def _order_n(n: int, d: int, search_limit: int) -> TorsionCertificate:
     """
     return _search(
         (Poly((k, 1)) for k in count(1)),
-        lambda v: _pure_power(n, d, n, v, Poly.x_power(n) + v ** d),
+        lambda v: _pure_power(n, d, m, v, Poly.x_power(n) + v ** d),
         "n=%d" % (n,),
         search_limit,
     )
@@ -157,19 +158,14 @@ def _div_d(n: int, d: int, m: int, search_limit: int) -> TorsionCertificate:
     s = n - m + l
     if s == 0 and d == 2:
         return _two_torsion_link(n, search_limit)
+
+    def build(c: Fraction) -> TorsionCertificate:
+        v = Poly.x_power(l) + Poly.x_power(s) * Fraction(1, d) + Poly((c,))
+        return _pure_power(n, d, m, v, v ** d - Poly.x_power(m))
+
     if s == 0:
-        return _div_d_with(n, d, m, l, s, Fraction(0))
-    return _search(
-        _constants({Fraction(0), -Fraction(1, d)}),
-        lambda c: _div_d_with(n, d, m, l, s, c),
-        "m=%d" % (m,),
-        search_limit,
-    )
-
-
-def _div_d_with(n: int, d: int, m: int, l: int, s: int, c: Fraction) -> TorsionCertificate:
-    v = Poly.x_power(l) + Poly.x_power(s) * Fraction(1, d) + Poly((c,))
-    return _pure_power(n, d, m, v, v ** d - Poly.x_power(m))
+        return build(Fraction(0))
+    return _search(_constants({Fraction(0), -Fraction(1, d)}), build, "m=%d" % (m,), search_limit)
 
 
 def _two_torsion_link(n: int, search_limit: int) -> TorsionCertificate:
@@ -182,30 +178,25 @@ def _two_torsion_link(n: int, search_limit: int) -> TorsionCertificate:
     2n.  For n = 3 the monic condition already fixes t = x + 1 (c = 0).
     """
     k = (n - 1) // 2
-    if k == 1:
-        return _two_torsion_link_with(n, k, Fraction(0))
-    return _search(
-        _constants({Fraction(0)}),
-        lambda c: _two_torsion_link_with(n, k, c),
-        "2n=%d" % (2 * n,),
-        search_limit,
-    )
-
-
-def _two_torsion_link_with(n: int, k: int, c: Fraction) -> TorsionCertificate:
     w = Fraction(1)
-    t = Poly.x_power(k) + Poly.x_power(k - 1) + Poly((c,))
-    f = Poly.x_minus(w) * (Poly.x_minus(w) * t ** 2 - Poly.x_power(n))
-    return TorsionCertificate(
-        curve=Curve(2, n, f),
-        m=2 * n,
-        identity_kind=TWO_TORSION_LINK,
-        u=Poly.x_minus(w),
-        v=Poly.x_minus(w) * t,
-        a=Fraction(0),
-        point=AffinePoint(Fraction(0), t(Fraction(0))),
-        exactness_rule=RULE_TWO_TORSION,
-    )
+
+    def build(c: Fraction) -> TorsionCertificate:
+        t = Poly.x_power(k) + Poly.x_power(k - 1) + Poly((c,))
+        f = Poly.x_minus(w) * (Poly.x_minus(w) * t ** 2 - Poly.x_power(n))
+        return TorsionCertificate(
+            curve=Curve(2, n, f),
+            m=2 * n,
+            identity_kind=TWO_TORSION_LINK,
+            u=Poly.x_minus(w),
+            v=Poly.x_minus(w) * t,
+            a=Fraction(0),
+            point=AffinePoint(Fraction(0), t(Fraction(0))),
+            exactness_rule=RULE_TWO_TORSION,
+        )
+
+    if k == 1:
+        return build(Fraction(0))
+    return _search(_constants({Fraction(0)}), build, "2n=%d" % (2 * n,), search_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -273,61 +264,62 @@ class Verdict(namedtuple("Verdict", "status deciding_rule")):
     __slots__ = ()
 
 
-# (rule, status, decides(n, d, m)): reachability_verdict returns the first row
-# that decides.  Since gcd(n, d) == 1, d | m and d | m - n never hold together.
+# build(n, d, m, search_limit) of each constructive rule; every other rule is an
+# obstruction.  construct_n_plus_ed is called by name, so its rebinding is seen.
+_FAMILIES = {
+    RULE_COVER_DEGREE: _order_d,
+    RULE_CURVE_DEGREE: _order_n,
+    RULE_DIVISIBLE_MULTIPLE: _div_d,
+    RULE_CONGRUENT_STEP: lambda n, d, m, search_limit: construct_n_plus_ed(n, d, (m - n) // d),
+}
+
+# (rule, decides(n, d, m)): reachability_verdict returns the first row that
+# decides.  Since gcd(n, d) == 1, d | m and d | m - n never hold together.
 _VERDICT_RULES = (
-    (RULE_COVER_DEGREE, STATUS_CONSTRUCTIVE, lambda n, d, m: m == d),
-    (RULE_DEGREE_FLOOR, STATUS_UNREACHABLE, lambda n, d, m: m < n),
-    (RULE_CURVE_DEGREE, STATUS_CONSTRUCTIVE, lambda n, d, m: m == n),
+    (RULE_COVER_DEGREE, lambda n, d, m: m == d),
+    (RULE_DEGREE_FLOOR, lambda n, d, m: m < n),
+    (RULE_CURVE_DEGREE, lambda n, d, m: m == n),
     # for 1 < m < n*d, a function with pole divisor m*(O) and a single affine
     # zero exists only if m = j*n mod d for some 0 <= j <= m//n
-    (RULE_POLE_CONGRUENCE, STATUS_UNREACHABLE,
-     lambda n, d, m: m < n * d and all((m - j * n) % d for j in range(m // n + 1))),
-    (RULE_DIVISIBLE_MULTIPLE, STATUS_CONSTRUCTIVE, lambda n, d, m: m % d == 0 and n - m + m // d >= 0),
+    (RULE_POLE_CONGRUENCE, lambda n, d, m: m < n * d and all((m - j * n) % d for j in range(m // n + 1))),
+    (RULE_DIVISIBLE_MULTIPLE, lambda n, d, m: m % d == 0 and n - m + m // d >= 0),
     # the least multiple of d above n, reached only when its deficit is negative
-    (RULE_MULTIPLE_DEFICIT, STATUS_UNREACHABLE, lambda n, d, m: m == d * ((n + d) // d)),
+    (RULE_MULTIPLE_DEFICIT, lambda n, d, m: m == d * ((n + d) // d)),
     # m = n + e*d whose series passes the gate m > d*(E-1), E = e*d = m - n
-    (RULE_CONGRUENT_STEP, STATUS_CONSTRUCTIVE,
-     lambda n, d, m: (m - n) % d == 0 and check_truncation_valuation(m, d, m - n)),
+    (RULE_CONGRUENT_STEP, lambda n, d, m: (m - n) % d == 0 and check_truncation_valuation(m, d, m - n)),
     # e = 1, reached only when the bound above fails
-    (RULE_STEP_THRESHOLD, STATUS_UNREACHABLE, lambda n, d, m: m == n + d),
+    (RULE_STEP_THRESHOLD, lambda n, d, m: m == n + d),
 )
 
 
 def reachability_verdict(n: int, d: int, m: int) -> Verdict:
     """Decide reachability of torsion order m on degree-(n, d) curves.
 
-    The first row of ``_VERDICT_RULES`` that decides gives the verdict;
-    triples no row decides come back "undecided" (the honest answer,
-    never a guess).
+    The first row of ``_VERDICT_RULES`` that decides gives the verdict,
+    constructive if ``_FAMILIES`` builds its rule, else unreachable; a
+    triple no row decides is "undecided" (the honest answer, never a guess).
     """
     check_shape(n, d)
     if m < 2:
         raise PreconditionError("orders below 2 are not meaningful, got m=%d" % (m,))
-    for rule, status, decides in _VERDICT_RULES:
+    for rule, decides in _VERDICT_RULES:
         if decides(n, d, m):
-            return Verdict(status, rule)
+            return Verdict(STATUS_CONSTRUCTIVE if rule in _FAMILIES else STATUS_UNREACHABLE, rule)
     return Verdict(STATUS_UNDECIDED, RULE_UNDECIDED)
 
 
 def construct(n: int, d: int, m: int, search_limit: int = DEFAULT_SEARCH_LIMIT) -> TorsionCertificate:
-    """The certificate of the family that the verdict's constructive row names.
+    """The certificate of the family that the verdict's constructive rule names.
 
-    ``reachability_verdict`` decides m once, and its deciding row picks the
-    builder: cover-degree is order-d, curve-degree order-n,
-    divisible-multiple div-d and congruent-step n-plus-ed.  Every other
-    verdict is refused with a PreconditionError, which for an unreachable
-    order carries the deciding rule as its attribute ``rule``."""
+    ``reachability_verdict`` decides m once, and ``_FAMILIES`` maps its
+    deciding rule to the builder: cover-degree is order-d, curve-degree
+    order-n, divisible-multiple div-d and congruent-step n-plus-ed.  Every
+    other verdict is refused with a PreconditionError, which for an
+    unreachable order carries the deciding rule as its attribute ``rule``."""
     verdict = reachability_verdict(n, d, m)
     rule = verdict.deciding_rule
-    if rule == RULE_COVER_DEGREE:
-        return _order_d(n, d)
-    if rule == RULE_CURVE_DEGREE:
-        return _order_n(n, d, search_limit)
-    if rule == RULE_DIVISIBLE_MULTIPLE:
-        return _div_d(n, d, m, search_limit)
-    if rule == RULE_CONGRUENT_STEP:
-        return construct_n_plus_ed(n, d, (m - n) // d)
+    if rule in _FAMILIES:
+        return _FAMILIES[rule](n, d, m, search_limit)
     if verdict.status == STATUS_UNREACHABLE:
         error = PreconditionError("order m=%d is unreachable on (n=%d, d=%d) curves" % (m, n, d))
         error.rule = rule

@@ -11,8 +11,10 @@ its curve, so no root finding happens anywhere.
 f is a polynomial over Q.  A point's abscissa is rational; its ordinate
 may be a ``GaussianRational``, as for the d = 2 points of order n + e*d.
 
-The (n, d) rule is stated once, in ``check_shape``, which ``Curve`` and
-``constructors.reachability_verdict`` call.  Every refused
+The (n, d) rule is stated once in the library, in ``check_shape``, which
+``Curve`` and ``constructors.reachability_verdict`` call; the CLI restates
+it (``_check_shape_args``, the ``_scan_rows`` filter, ``cmd_scan``'s
+``d < 2``) for its pinned exit-2 usage messages.  Every refused
 precondition is a ``PreconditionError``; ``CurveError`` is its subclass.
 """
 

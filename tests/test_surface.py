@@ -95,7 +95,7 @@ def test_every_public_method_is_read_as_an_attribute_inside_the_package():
 
 # the reachability verdict's vocabulary, which constructors holds
 VERDICT_NAMES = (
-    "Verdict", "reachability_verdict", "_VERDICT_RULES",
+    "Verdict", "reachability_verdict", "_VERDICT_RULES", "_FAMILIES",
     "STATUS_CONSTRUCTIVE", "STATUS_UNREACHABLE", "STATUS_UNDECIDED",
     "RULE_COVER_DEGREE", "RULE_CURVE_DEGREE", "RULE_DEGREE_FLOOR", "RULE_POLE_CONGRUENCE",
     "RULE_MULTIPLE_DEFICIT", "RULE_DIVISIBLE_MULTIPLE", "RULE_STEP_THRESHOLD",
@@ -105,7 +105,8 @@ VERDICT_NAMES = (
 
 def test_the_verifier_imports_no_code_that_produces_certificates():
     """certify.py, the verifier's trust base, imports from the package only
-    scalars, polyring and curves, and binds no name of the verdict."""
+    scalars, polyring and curves, and binds no name of the verdict or of
+    its family table."""
     tree = ast.parse((PACKAGE / "certify.py").read_text(encoding="utf-8"))
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     modules = {"." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
