@@ -10,7 +10,7 @@ Jacobian of a hyperelliptic curve", Math. Comp. 48, 1987).  Nothing
 assumes f monic.
 
 Orders are found by scanning the multiples k*D, and the scan stops at
-the half-way point when it can.  Three facts keep that work over Q,
+the half-way point when it can.  Four facts keep that work over Q,
 short and free of gcds:
 
 * Quadratic twist.  f and x(P) are rational, so y(P)**2 = f(x(P)) is
@@ -35,6 +35,20 @@ short and free of gcds:
   reduction step is enough: deg u1 <= g, so deg u <= g + 1 after any
   case, and when deg u = g + 1, deg v <= g makes deg(f - v**2) = 2g + 1,
   so u' = (f - v**2)/u has degree g.  :func:`validate` checks each sum.
+* Series prefix.  When b = y(P) != 0 and k <= g, k*P - k*O holds no
+  opposite pair and is reduced, so k*D = ((x - a)**k, v_k) needs no step
+  (Cantor, section 3): v_k is the one v of degree < k with v(a) = b and
+  (x - a)**k | v**2 - f, the square root of f = sum T_j*(x - a)**j through
+  b cut to k terms, v_k = sum_{j<k} s_j*(x - a)**j with s_0 = b and
+  2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i}.  :func:`order_of` builds K*D and
+  (K-1)*D so for K = min(g, ceil(bound/2)), or K = 1 when b = 0, and
+  scans on from k = K.  One check covers every k <= K: :func:`validate`
+  proves (x - a)**K | v_K**2 - f, so v_K is one of the two square roots of
+  f modulo (x - a)**K (two, as 2b != 0), and v_K(a) = b picks the one
+  through b; for k < K, (x - a)**k | (x - a)**K and v_k = v_K mod
+  (x - a)**k.  None of these k*D is the identity, as deg u = k >= 1, and
+  K <= half = ceil(bound/2), so the half-way test below still meets the
+  true (half-1)*D and half*D.
 * Half-length scan.  Once 2k >= bound, k*D + (bound-k)*D = bound*D, so
   bound*D = 0 exactly when k*D equals -(bound-k)*D (reduced Mumford
   pairs are unique).  Then the order divides bound, and each proper
@@ -129,23 +143,49 @@ def add(f: Poly, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
     return out
 
 
+def _sqrt_series(T: Poly, b, K: int) -> list:
+    """s_0..s_{K-1} with (sum s_j*t**j)**2 = T mod t**K and s_0 = b, for T(0) = b**2 != 0."""
+    s = [b]
+    for j in range(1, K):
+        s.append((T[j] - sum(s[i] * s[j - i] for i in range(1, j))) / (2 * b))
+    return s
+
+
+def _series_prefix(f: Poly, D: MumfordDivisor, K: int):
+    """(K*D, (K-1)*D) for D = (x - a, b) with b != 0 and 2 <= K <= g, from the
+    square-root series of f at a, checked once (see the module docstring)."""
+    a, b = -D.u[0], D.v[0]
+    v = Poly(_sqrt_series(f.shift(a), b, K)).shift(-a)
+    low = D.u ** (K - 1)
+    out = MumfordDivisor(low * D.u, v)
+    validate(f, out)
+    if v(a) != b:
+        raise ValueError("v = %s does not pass through (%s, %s)" % (v, a, b))
+    # v_{K-1} = v_K mod (x - a)**(K-1): drop v_K's x**(K-1) term with the monic low
+    return out, MumfordDivisor(low, v - low * v[K - 1])
+
+
 def order_of(f: Poly, D: MumfordDivisor, bound: int) -> int:
     """Least k >= 1 with k*D = 0, for k up to bound, where D = P - O and
     its model y**2 = f are what :func:`embed_point` returns.
 
-    Returns bound after ceil(bound/2) multiples when bound*D = 0 (see
-    the module docstring); otherwise every multiple up to bound is
-    checked against the identity.  Either way the returned k is the
-    exact order, never a proper multiple of it.  Raises ValueError for
-    a base of degree other than 1 and OrderNotFoundError past the bound.
+    When y(P) != 0, k*D for k <= min(g, ceil(bound/2)) comes from one
+    square-root series of f at x(P), checked once; ``add`` takes every
+    later step (see the module docstring).  Returns bound after
+    ceil(bound/2) multiples when bound*D = 0; otherwise every multiple up
+    to bound is checked against the identity.  Either way the returned k
+    is the exact order, never a proper multiple of it.  Raises ValueError
+    for a base of degree other than 1 or a prefix that fails its check,
+    and OrderNotFoundError past the bound.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %r" % (bound,))
     if D.u.degree != 1:
         raise ValueError("the base must be a point (x - a, b), got %s" % (D,))
     half = (bound + 1) // 2
-    acc, prev = D, IDENTITY
-    for k in range(1, bound + 1):
+    K = min(f.degree // 2, half) if D.v else 1
+    acc, prev = _series_prefix(f, D, K) if K > 1 else (D, IDENTITY)
+    for k in range(K, bound + 1):
         if acc == IDENTITY:  # a reduced pair with deg u = 0 is (1, 0)
             return k
         # at k = ceil(bound/2): is k*D == -(bound-k)*D, i.e. bound*D = 0?

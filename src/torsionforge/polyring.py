@@ -16,9 +16,10 @@ needs are two scalars of a certificate, a point's ordinate and
 Every kernel works on the stored integers and ends in one normalising
 gcd: ``+`` and ``-`` align the two denominators by their lcm, ``*`` is a
 schoolbook convolution of the numerators, (n0 + n1*x)**k is expanded by
-the binomial theorem, evaluation at p/q is Horner's rule on p and q, and
-``divmod`` is pseudo-division (Knuth, *TAOCP* vol. 2, section 4.6.1,
-Algorithm R), scaled at each step only as far as that step needs.
+the binomial theorem, evaluation at p/q is Horner's rule on p and q, the
+shift x -> x + p/q is synthetic division homogenised by q, and ``divmod``
+is pseudo-division (Knuth, *TAOCP* vol. 2, section 4.6.1, Algorithm R),
+scaled at each step only as far as that step needs.
 ``Fraction``s are built only at the edges: ``coeffs``, ``[k]``,
 ``leading_coefficient`` and the value of a polynomial at a point, never
 in the serializer, which spells each c/den as ``str(Fraction)`` would.
@@ -222,6 +223,21 @@ class Poly:
         for c in reversed(self._num):
             acc, qk = acc * p + c * qk, qk * q
         return Fraction(acc * q, self._den * qk)
+
+    def shift(self, a) -> "Poly":
+        """self(x + a), for a rational a = p/q, by Taylor's shift kept in the
+        integers: with F over den of degree n, G_i = F_i*q^(n-i) gives
+        q^n*den*self(X/q) = G(X); n passes of synthetic division by X - p
+        give G(X + p) = sum H_j X^j, so self(x + a) = sum H_j*q^j x^j / (q^n*den)."""
+        if not self:
+            return self
+        p, q = _rational(a).numerator, a.denominator
+        n = len(self._num) - 1
+        G = [c * q ** (n - i) for i, c in enumerate(self._num)]
+        for j in range(n):
+            for i in range(n - 1, j - 1, -1):
+                G[i] += p * G[i + 1]
+        return _make([h * q ** j for j, h in enumerate(G)], q ** n * self._den)
 
     # -- normal form ----------------------------------------------------------
 

@@ -57,23 +57,22 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def gen_binom(r: int | Fraction, k: int) -> Fraction:
+def gen_binom(r: int | Fraction, k: int, below: Fraction | None = None) -> Fraction:
     """Generalized binomial coefficient binom(r, k) for rational r.
 
-    Defined by the falling factorial r(r-1)...(r-k+1)/k!.  For a
-    noninteger rational r the value is nonzero for every k >= 0, because
-    no factor of the falling factorial can vanish.
+    Defined by the falling factorial r(r-1)...(r-k+1)/k!, and computed by
+    its recurrence binom(r, j) = binom(r, j-1)*(r-j+1)/j from binom(r, 0) = 1:
+    all k steps, or only the last when below = binom(r, k-1) is given, so a
+    row binom(r, 0..E-1) costs E steps.  For a noninteger rational r the
+    value is nonzero for every k >= 0, because no factor of the falling
+    factorial can vanish.
     """
     if k < 0:
         raise ValueError("binomial index k must be nonnegative, got %r" % (k,))
-    r = Fraction(r)
-    num = Fraction(1)
-    for t in range(k):
-        num *= r - t
-    fact = 1
-    for t in range(2, k + 1):
-        fact *= t
-    return num / fact
+    start, c = (1, Fraction(1)) if below is None else (k, below)
+    for j in range(start, k + 1):
+        c = c * (r - j + 1) / j
+    return c
 
 
 def repeated_squaring(base, k: int):

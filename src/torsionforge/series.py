@@ -27,15 +27,17 @@ binom(r-1, E) there is a classic slip, which the test suite pins down.)
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .polyring import Poly, exact_div
 from .scalars import gen_binom
 
 
 def truncated_binomial(m: int, d: int, E: int) -> Poly:
-    """The polynomial sum_{k<E} binom(m/d, k) x**k, of degree exactly E-1."""
+    """The polynomial sum_{k<E} binom(m/d, k) x**k, of degree exactly E-1,
+    each coefficient one step of the recurrence from binom(m/d, 0) = 1."""
     r = Fraction(m, d)
-    return Poly(tuple(gen_binom(r, k) for k in range(E)))
+    return Poly(accumulate(range(1, E), lambda c, k: gen_binom(r, k, c), initial=Fraction(1)))
 
 
 def check_truncation_valuation(m: int, d: int, E: int) -> bool:

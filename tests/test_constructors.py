@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from torsionforge import series
+from torsionforge import constructors, series
 from torsionforge.certify import verify_certificate
 from torsionforge.constructors import (
     DEFAULT_SEARCH_LIMIT,
@@ -27,7 +27,7 @@ from torsionforge.constructors import (
 from torsionforge.curves import AffinePoint, CurveError, PreconditionError
 from torsionforge.jacobian2 import embed_point, order_of
 from torsionforge.polyring import Poly
-from torsionforge.scalars import GAUSSIAN_I, GaussianRational, gen_binom
+from torsionforge.scalars import GAUSSIAN_I, GaussianRational
 
 
 def assert_verifies(cert):
@@ -239,16 +239,16 @@ def test_congruent_step_is_exactly_a_degree_n_quotient():
 
 
 def test_n_plus_ed_builds_the_series_once(monkeypatch):
-    # one series of E = e*d = 4 terms, one gen_binom call per term
+    # one series of E = e*d = 4 terms for m = n + e*d = 9, built by one call
     calls = []
 
-    def counted(r, k):
-        calls.append((r, k))
-        return gen_binom(r, k)
+    def counted(m, d, E):
+        calls.append((m, d, E))
+        return series.truncated_binomial(m, d, E)
 
-    monkeypatch.setattr(series, "gen_binom", counted)
+    monkeypatch.setattr(constructors, "truncated_binomial", counted)
     construct_n_plus_ed(5, 2, 2)
-    assert calls == [(Fraction(9, 2), k) for k in range(4)]
+    assert calls == [(9, 2, 4)]
 
 
 def test_n_plus_ed_tight_boundary():

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cantor_reference import cantor_add, neg
 from torsionforge import jacobian2, polyring
@@ -25,7 +25,7 @@ from torsionforge.jacobian2 import (
     order_of,
     validate,
 )
-from torsionforge.polyring import Poly, xgcd
+from torsionforge.polyring import Poly, is_squarefree, xgcd
 from torsionforge.scalars import GaussianRational
 
 
@@ -439,12 +439,19 @@ def test_order_of_makes_no_extended_gcd_on_the_ladder_grid(xgcd_calls):
     assert len(xgcd_calls) == 0
 
 
+@functools.cache
+def n65_point():
+    """The model and P - O of the n = 65, m = 131 infinity-shift certificate."""
+    cert = construct_n_plus_ed(65, 2, 33)
+    assert cert.m == 131
+    return embed_point(cert.curve, cert.point)
+
+
 def test_order_of_keeps_numerators_small_at_n65(monkeypatch):
     """Every divisor the oracle divides by is monic, so its exact divisions
     scale nothing: no numerator or denominator through ``polyring._make``
     grows past 1,024 bits on the n = 65, m = 131 infinity-shift point."""
-    cert = construct_n_plus_ed(65, 2, 33)
-    model, D = embed_point(cert.curve, cert.point)
+    model, D = n65_point()
     make, widest = polyring._make, 0
 
     def recording_make(num, den):
@@ -453,8 +460,22 @@ def test_order_of_keeps_numerators_small_at_n65(monkeypatch):
         return make(num, den)
 
     monkeypatch.setattr(polyring, "_make", recording_make)
-    assert order_of(model, D, bound=cert.m) == cert.m == 131
+    assert order_of(model, D, bound=131) == 131
     assert widest <= 1024
+
+
+def test_order_of_takes_the_series_prefix_at_n65(monkeypatch):
+    """On genus 32, m = 131, order_of builds 32*D from the series of f and
+    adds D ceil(131/2) - 32 = 34 times, where the plain scan adds it 65 times."""
+    model, D = n65_point()
+    adds, validations = [], []
+    monkeypatch.setattr(jacobian2, "add", lambda *args: adds.append(args) or add(*args))
+    monkeypatch.setattr(jacobian2, "validate",
+                        lambda *args: validations.append(args) or validate(*args))
+    assert order_of(model, D, bound=131) == 131
+    assert len(adds) == 34
+    # one check for the prefix, and add's own check at each step
+    assert len(validations) == 34 + 1
 
 
 def test_neg_divides_nothing_on_the_ladder(monkeypatch):
@@ -514,3 +535,89 @@ def _step_pools():
 def test_add_equals_cantor_add_property(step):
     f, D, E = step
     assert add(f, D, E) == cantor_add(f, D, E)
+
+
+# ---------------------------------------------------------------------------
+# order_of's series prefix: k*D for k <= g from the square root of f at x(P)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def series_points(draw, min_genus=1):
+    """(f, D, g): a square-free f = b**2 + (x - a)*h of degree 2g + 1, a = p/q
+    with q in {1, 2, 3, 7}, and D = (x - a, b) from ``embed_point``, either of
+    the point (a, b) on y**2 = f or of the Gaussian point (a, i*b) on y**2 = -f."""
+    g = draw(st.integers(min_genus, 5))
+    a = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from((1, 2, 3, 7))))
+    b = Fraction(draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1))), draw(st.integers(1, 4)))
+    h = draw(st.lists(st.integers(-5, 5), min_size=2 * g, max_size=2 * g))
+    h = Poly(h + [draw(st.sampled_from((1, -1, 2, -3)))]) * Fraction(1, draw(st.integers(1, 3)))
+    f = Poly((b * b,)) + Poly.x_minus(a) * h
+    assume(is_squarefree(f))
+    if draw(st.booleans()):
+        model, D = embed_point(Curve(2, 2 * g + 1, -f), AffinePoint(a, GaussianRational(0, b)))
+    else:
+        model, D = embed_point(Curve(2, 2 * g + 1, f), AffinePoint(a, b))
+    assert model == f and D == MumfordDivisor(Poly.x_minus(a), Poly((b,)))
+    return f, D, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_points())
+def test_series_prefix_equals_repeated_adds(case):
+    """For every 2 <= K <= g, the prefix's K*D and (K-1)*D are what K - 1 and
+    K - 2 ``add`` calls reach from D."""
+    f, D, g = case
+    reached = multiples(f, D, g + 1)
+    for K in range(2, g + 1):
+        assert jacobian2._series_prefix(f, D, K) == (reached[K], reached[K - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_points(min_genus=2), st.data())
+def test_series_prefix_check_refuses_a_wrong_series(case, data):
+    """The prefix's one check raises ValueError when the series gives -v, the
+    other square root, or one wrong coefficient."""
+    f, D, g = case
+    K = data.draw(st.integers(2, g))
+    j = data.draw(st.integers(0, K - 1))
+    real = jacobian2._sqrt_series
+    wrong = (lambda T, b, K: [-c for c in real(T, b, K)],
+             lambda T, b, K: [c + (i == j) for i, c in enumerate(real(T, b, K))])
+    for series in wrong:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jacobian2, "_sqrt_series", series)
+            with pytest.raises(ValueError):
+                order_of(f, D, bound=2 * K)
+
+
+def cantor_order(f, D, bound):
+    """Least k <= bound with k*D = 0 by Cantor's addition alone, or None."""
+    acc = D
+    for k in range(1, bound + 1):
+        if acc == IDENTITY:
+            return k
+        acc = cantor_add(f, acc, D)
+    return None
+
+
+@functools.cache
+def _small_ladder():
+    return list(ladder_certificates(9))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 29), st.integers(-3, 3), st.sampled_from((2, 3, 7)), st.data())
+def test_order_of_agrees_with_cantor_on_a_shifted_abscissa(index, whole, q, data):
+    """A ladder certificate moved by x -> x + c, c = whole + r/q with 0 < r < q,
+    keeps its order and gets an abscissa with denominator q > 1; order_of
+    agrees with a plain scan by Cantor's addition at bounds m - 1, m, m + 1 and 2m."""
+    cert = _small_ladder()[index]
+    c, m = whole + Fraction(data.draw(st.integers(1, q - 1)), q), cert.m
+    curve = Curve(2, cert.curve.n, cert.curve.f.shift(-c))
+    f, D = embed_point(curve, AffinePoint(cert.point.x + c, cert.point.y))
+    assert D.u[0].denominator == q
+    assert cantor_order(f, D, 2 * m) == m
+    with pytest.raises(OrderNotFoundError):
+        order_of(f, D, m - 1)
+    for bound in (m, m + 1, 2 * m):
+        assert order_of(f, D, bound) == m

@@ -48,6 +48,13 @@ def test_gen_binom_pascal_identity(r, k):
     assert gen_binom(r, k) == gen_binom(r - 1, k - 1) + gen_binom(r - 1, k)
 
 
+@given(st.fractions(min_value=-10, max_value=10, max_denominator=6),
+       st.integers(min_value=1, max_value=12))
+def test_gen_binom_steps_from_the_coefficient_below(r, k):
+    # one step binom(r, k-1)*(r-k+1)/k of the recurrence gives the falling factorial's value
+    assert gen_binom(r, k, gen_binom(r, k - 1)) == gen_binom(r, k)
+
+
 def test_gen_binom_rejects_negative_lower_index():
     with pytest.raises(ValueError):
         gen_binom(Fraction(3, 2), -1)

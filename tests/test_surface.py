@@ -156,8 +156,11 @@ def test_tracer_install_and_restore(capsys):
     names = {span[tracer_module.NAME] for span in tracer.spans}
     assert {"constructors.construct", "certify.verify.infinity-shift",
             "jacobian2.order_of.rational", "curves.validate"} <= names
-    # order_of's scan to the half-way point of m = 7 takes ceil(7/2) - 1 = 3 steps, each an add
-    assert sum(span[tracer_module.NAME] == "jacobian2.add" for span in tracer.spans) == 3
+    # on genus 2, order_of builds K*D for K = min(2, ceil(7/2)) = 2 from the series of f,
+    # validated once, and scans on to the half-way point of m = 7 in ceil(7/2) - 2 = 2 adds
+    counts = Counter(span[tracer_module.NAME] for span in tracer.spans)
+    assert counts["jacobian2.add"] == 2
+    assert counts["jacobian2.validate"] == 2 + 1
     assert tracer.max_coeff_bits > 0
     for owner, saved in zip(HOOKED, before):
         now = vars(owner)
@@ -166,10 +169,12 @@ def test_tracer_install_and_restore(capsys):
 
 
 def test_traced_n5_ladder_counts(capsys):
-    """construct --oracle over the n = 5, d = 2 ladder, traced: order_of's
-    half-way scan takes ceil(m/2) - 1 adds per order (23 in all), each of the
-    8 curves is validated once, and each n-plus-ed order (7, 9, 11) builds
-    its truncated binomial once."""
+    """construct --oracle over the n = 5, d = 2 ladder, traced: order_of
+    builds K*D for K = min(g, ceil(m/2)) = min(2, ceil(m/2)) from the series
+    of f, validated once, wherever K > 1 (every order but m = 2, whose point
+    has y = 0), then its half-way scan takes ceil(m/2) - K adds per order
+    (16 in all), each of the 8 curves is validated once, and each n-plus-ed
+    order (7, 9, 11) builds its truncated binomial once."""
     ladder = (2, 5, 6, 7, 8, 9, 10, 11)
     tracer_module = _tracer_module()
     tracer = tracer_module.Tracer()
@@ -182,6 +187,9 @@ def test_traced_n5_ladder_counts(capsys):
     capsys.readouterr()
 
     counts = Counter(span[tracer_module.NAME] for span in tracer.spans)
-    assert counts["jacobian2.add"] == sum(-(-m // 2) - 1 for m in ladder) == 23
+    halves = [-(-m // 2) for m in ladder]
+    assert counts["jacobian2.add"] == sum(h - min(2, h) for h in halves) == 16
+    prefixes = sum(min(2, h) > 1 for h in halves)
+    assert counts["jacobian2.validate"] == counts["jacobian2.add"] + prefixes == 16 + 7
     assert counts["curves.validate"] == 8
     assert counts["series.truncated_binomial"] == 3
