@@ -7,11 +7,8 @@ classes are held in Mumford form (u, v) with u monic, deg v < deg u <= g,
 and u | v**2 - f, all over Q.  Each step adds one point to a reduced
 divisor and then takes one step of Cantor's reduction ("Computing in the
 Jacobian of a hyperelliptic curve", Math. Comp. 48, 1987).  Nothing
-assumes f monic.
-
-Orders are found by scanning the multiples k*D, and the scan stops at
-the half-way point when it can.  Four facts keep that work over Q,
-short and free of gcds:
+assumes f monic.  Five facts keep the scan of the multiples k*D over Q,
+short, and free of gcds and of polynomial division:
 
 * Quadratic twist.  f and x(P) are rational, so y(P)**2 = f(x(P)) is
   rational and y(P) lies in Q or in i*Q (the points the infinity-shift
@@ -19,36 +16,42 @@ short and free of gcds:
   isomorphism over Q(i) from y**2 = f onto y**2 = -f that fixes O, so
   :func:`embed_point` returns -f as the model and P - O as a divisor over
   Q of the same order on it, and every step of the scan runs on rationals.
-* One group law.  :func:`add` adds a point E = (x - a, b) of the model,
-  so b**2 = f(a), to D = (u1, v1) in one of three ways, then reduces:
-  - interpolation: if u1(a) != 0, u = u1*(x - a) and v = v1 + c*u1,
-    where c = (b - v1(a))/u1(a) makes v(a) = b;
-  - Newton lift: if u1(a) = 0 and v1(a) = b != 0, w = (f - v1**2)/u1 is
-    a polynomial, and c = w(a)/(2b) makes that u divide v**2 - f;
-  - cancellation: otherwise u1(a) = 0 forces v1(a)**2 = b**2, so
-    v1(a) = -b and D holds -E = (a, -b); a reduced divisor holds (a, 0)
-    at most once.  D + E drops one copy of -E: u = u1/(x - a) and
-    v = v1 mod u, already reduced.
-  In the first two cases gcd(u1, x - a, v1 + b) = 1, so Cantor's
-  composition yields the same u and the same v modulo u; reduced
-  Mumford pairs are unique, so reducing gives Cantor's sum.  One
-  reduction step is enough: deg u1 <= g, so deg u <= g + 1 after any
-  case, and when deg u = g + 1, deg v <= g makes deg(f - v**2) = 2g + 1,
-  so u' = (f - v**2)/u has degree g.  :func:`validate` checks each sum.
-* Series prefix.  When b = y(P) != 0 and k <= g, k*P - k*O holds no
-  opposite pair and is reduced, so k*D = ((x - a)**k, v_k) needs no step
-  (Cantor, section 3): v_k is the one v of degree < k with v(a) = b and
-  (x - a)**k | v**2 - f, the square root of f = sum T_j*(x - a)**j through
-  b cut to k terms, v_k = sum_{j<k} s_j*(x - a)**j with s_0 = b and
-  2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i}.  :func:`order_of` builds K*D and
-  (K-1)*D so for K = min(g, ceil(bound/2)), or K = 1 when b = 0, and
-  scans on from k = K.  One check covers every k <= K: :func:`validate`
-  proves (x - a)**K | v_K**2 - f, so v_K is one of the two square roots of
-  f modulo (x - a)**K (two, as 2b != 0), and v_K(a) = b picks the one
-  through b; for k < K, (x - a)**k | (x - a)**K and v_k = v_K mod
-  (x - a)**k.  None of these k*D is the identity, as deg u = k >= 1, and
-  K <= half = ceil(bound/2), so the half-way test below still meets the
-  true (half-1)*D and half*D.
+* The point's own coordinate.  :func:`order_of` moves f to t = x - x(P)
+  once, so P = (0, b), a value at x(P) is a constant term and a division
+  by x - x(P) drops a constant term that must be 0.  The scan carries
+  triples (u, v, w) with f = u*w + v**2 (Cohen and Frey, eds., *Handbook
+  of Elliptic and Hyperelliptic Curve Cryptography*, 2006, ch. 14).
+* One group law.  :func:`add` adds E = (t, b), b**2 = f(0), to
+  D = (u, v, w) with constant terms u0, v0, w0 in one of three ways:
+  - interpolation: if u0 != 0, c = (b - v0)/u0 makes v(0) = b;
+  - Newton lift: if u0 = 0 and v0 = b != 0, c = w0/(2b);
+    both set u' = t*u, v' = v + c*u and w' = (w - c*(v + v'))/t, whose
+    dropped term w0 - c*(2*v0 + c*u0) is 0 (u0*w0 = b**2 - v0**2);
+  - cancellation: otherwise u0 = 0 forces v0**2 = b**2, so v0 = -b and D
+    holds -E = (0, -b) (a reduced divisor holds (0, 0) at most once);
+    D + E drops one copy of it: u' = u/t, r = v[deg u'], v' = v - r*u'
+    and w' = t*w + r*(v + v'), already reduced.
+  In the first two cases gcd(u, t, v + b) = 1, so Cantor's composition
+  yields the same u and the same v modulo u; reduced Mumford pairs are
+  unique, so reducing gives Cantor's sum.  One reduction step is enough:
+  deg u' <= g + 1, and when deg u' = g + 1, deg(f - v'**2) = 2g + 1, so
+  w' has degree g; with L = lc(w') and q = v'[g] the sum is u'' = w'/L,
+  v'' = q*u'' - v' and w'' = L*u' + q*(v' - v'').  Each update keeps
+  u*w + v**2 as a polynomial, as v'**2 - v**2 = c*u*(v + v'),
+  v**2 - v'**2 = r*u'*(v + v') and v''*(v'' - q*u'') = -v'*v''; so a step
+  is O(g) and divides nothing, and :func:`validate` checks u*w + v**2 == f.
+* Series prefix.  When b != 0 and k <= g, k*P - k*O holds no opposite
+  pair and is reduced, so k*D = (t**k, S_k, (f - S_k**2)/t**k) needs no
+  step (Cantor, section 3): S_k is the one v of degree < k with v(0) = b
+  and t**k | f - v**2, the square root of f = sum T_j*t**j through b cut
+  to k terms, s_0 = b and 2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i}.
+  :func:`order_of` builds K*D so for K = min(g, ceil(bound/2)), or K = 1
+  when b = 0, and scans on from k = K.  Two conditions check it: the K
+  low coefficients of f - S_K**2 vanish, so S_K is one of the two square
+  roots of f modulo t**K (two, as 2b != 0), and S_K(0) = b picks the one
+  through b; for k < K, t**k | t**K and S_k = S_K mod t**k.  No such k*D
+  is the identity, as deg u = k >= 1, and K <= half = ceil(bound/2), so
+  the half-way test below still meets the true (half-1)*D and half*D.
 * Half-length scan.  Once 2k >= bound, k*D + (bound-k)*D = bound*D, so
   bound*D = 0 exactly when k*D equals -(bound-k)*D (reduced Mumford
   pairs are unique).  Then the order divides bound, and each proper
@@ -60,11 +63,13 @@ short and free of gcds:
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
+from fractions import Fraction
 
 from .curves import AffinePoint, Curve, on_curve
 # xgcd is not called here, but bench/tracer.py hooks jacobian2.xgcd by name
-from .polyring import Poly, exact_div, xgcd
+from .polyring import Poly, combine, is_product_sum, xgcd
 from .scalars import GaussianRational
 
 
@@ -72,28 +77,26 @@ class OrderNotFoundError(RuntimeError):
     """No multiple k*D with k <= bound vanished."""
 
 
-class MumfordDivisor(namedtuple("MumfordDivisor", "u v")):
-    """Reduced Mumford pair (u, v): u monic, deg v < deg u <= g, u | v**2 - f."""
+#: A reduced Mumford pair (u, v): u monic, deg v < deg u <= g, u | v**2 - f;
+#: in the scan it carries its cofactor w = (f - v**2)/u as well.
+MumfordDivisor = namedtuple("MumfordDivisor", "u v w", defaults=(None,))
 
-    __slots__ = ()
-
-    def __str__(self):
-        return "<u=%s, v=%s>" % (self.u, self.v)
-
-
-IDENTITY = MumfordDivisor(Poly((1,)), Poly())
+#: t, the u of P - O in P's own coordinate t = x - x(P)
+_T = Poly.x_power(1)
 
 
 def validate(f: Poly, D: MumfordDivisor):
-    """Check the Mumford invariants on y**2 = f; raises ValueError on violation."""
-    if not D.u.is_monic:
-        raise ValueError("u must be monic, got %s" % (D.u,))
-    if 2 * D.u.degree > f.degree:
-        raise ValueError("deg u = %s exceeds genus %d" % (D.u.degree, f.degree // 2))
-    if D.v and D.v.degree >= D.u.degree:
-        raise ValueError("need deg v < deg u, got %s / %s" % (D.v, D.u))
-    if divmod(D.v ** 2 - f, D.u)[1]:
-        raise ValueError("u does not divide v^2 - f")
+    """Check a triple on y**2 = f: u monic, deg v < deg u <= g and
+    u*w + v**2 == f exactly; raises ValueError on violation."""
+    u, v, w = D
+    if not u.is_monic:
+        raise ValueError("u must be monic, got %s" % (u,))
+    if 2 * u.degree > f.degree:
+        raise ValueError("deg u = %s exceeds genus %d" % (u.degree, f.degree // 2))
+    if v and v.degree >= u.degree:
+        raise ValueError("need deg v < deg u, got %s / %s" % (v, u))
+    if not is_product_sum(f, (u, w), (v, v)):
+        raise ValueError("u*w + v^2 != f for u = %s, v = %s" % (u, v))
 
 
 def embed_point(curve: Curve, point: AffinePoint):
@@ -117,81 +120,90 @@ def embed_point(curve: Curve, point: AffinePoint):
     return f, MumfordDivisor(Poly.x_minus(point.x), Poly((y,)))
 
 
-def add(f: Poly, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
-    """D + E on y**2 = f for a point E = (x - a, b), so b**2 = f(a): one of
-    the three cases of the module docstring, then one reduction step and
-    :func:`validate`.  Raises ValueError for a summand E that is not a point."""
-    if E.u.degree != 1:
-        raise ValueError("the summand must be a point (x - a, b), got E = %s" % (E,))
-    u1, v1 = D.u, D.v
-    a, b = -E.u[0], E.v[0]
-    at_a = u1(a)
-    if at_a:  # interpolation
-        u, v = u1 * E.u, v1 + u1 * ((b - v1(a)) / at_a)
-    elif b and v1(a) == b:  # Newton lift
-        u, v = u1 * E.u, v1 + u1 * (exact_div(f - v1 ** 2, u1)(a) / (2 * b))
-    else:  # cancellation: v1(a) = -b, so D holds -E
-        u = exact_div(u1, E.u)
-        v = divmod(v1, u)[1]
+def _drop(D: MumfordDivisor) -> MumfordDivisor:
+    """Cancellation's update, for u(0) = 0: u/t, and v and w to match."""
+    u, v, w = D
+    r, u = v[u.degree - 1], u >> 1
+    v2 = combine((1, v), (-r, u))
+    return MumfordDivisor(u, v2, combine((1, w << 1), (r, v), (r, v2)))
 
-    # reduction: one step suffices (see the module docstring)
-    if 2 * u.degree > f.degree:
-        u = exact_div(f - v ** 2, u).monic()
-        v = divmod(-v, u)[1]
-    out = MumfordDivisor(u, v)
+
+def add(f: Poly, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
+    """D + E on y**2 = f for the point E = (t, b), b**2 = f(0), as triples:
+    one of the three updates of the module docstring, at most one
+    reduction step, then :func:`validate`.  Raises ValueError for a
+    summand E other than (t, b)."""
+    if E.u != _T:
+        raise ValueError("the summand must be a point (t, b), got E = %s" % (E,))
+    u, v, w = D
+    b, u0, v0 = E.v[0], u[0], v[0]
+    if u0 or b and v0 == b:  # interpolation, or the Newton lift
+        c = (b - v0) / u0 if u0 else w[0] / (2 * b)
+        v2 = combine((1, v), (c, u))
+        D = MumfordDivisor(u << 1, v2, combine((1, w), (-c, v), (-c, v2)) >> 1)
+    else:  # cancellation: v(0) = -b, so D holds -E
+        D = _drop(D)
+    u, v, w = D
+    if 2 * u.degree > f.degree:  # reduction
+        L, q = w.leading_coefficient, v[u.degree - 1]
+        u2 = w * (1 / L)
+        v2 = combine((q, u2), (-1, v))
+        D = MumfordDivisor(u2, v2, combine((L, u), (q, v), (-q, v2)))
+    validate(f, D)
+    return D
+
+
+def _sqrt_series(T: Poly, b, K: int) -> list:
+    """s_0..s_{K-1} with (sum s_j*t**j)**2 = T mod t**K and s_0 = b, for T(0) = b**2 != 0: the sum
+    in 2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i} runs over one denominator, each product once."""
+    s = [b]
+    for j in range(1, K):
+        terms = [(s[i], s[j - i], 1 + (2 * i < j)) for i in range(1, j // 2 + 1)]
+        den = math.lcm(*[x.denominator * y.denominator for x, y, _ in terms])
+        dot = sum(k * x.numerator * y.numerator * (den // (x.denominator * y.denominator))
+                  for x, y, k in terms)
+        s.append((T[j] - Fraction(dot, den)) / (2 * b))
+    return s
+
+
+def _series_prefix(f: Poly, b, K: int) -> MumfordDivisor:
+    """K*D for D = (t, b) with b != 0 and 2 <= K <= g, from the square-root
+    series of f at t = 0, checked once (see the module docstring)."""
+    S = Poly(_sqrt_series(f, b, K))
+    if S[0] != b:
+        raise ValueError("the series %s does not pass through (0, %s)" % (S, b))
+    out = MumfordDivisor(Poly.x_power(K), S, (f - S * S) >> K)
     validate(f, out)
     return out
 
 
-def _sqrt_series(T: Poly, b, K: int) -> list:
-    """s_0..s_{K-1} with (sum s_j*t**j)**2 = T mod t**K and s_0 = b, for T(0) = b**2 != 0."""
-    s = [b]
-    for j in range(1, K):
-        s.append((T[j] - sum(s[i] * s[j - i] for i in range(1, j))) / (2 * b))
-    return s
-
-
-def _series_prefix(f: Poly, D: MumfordDivisor, K: int):
-    """(K*D, (K-1)*D) for D = (x - a, b) with b != 0 and 2 <= K <= g, from the
-    square-root series of f at a, checked once (see the module docstring)."""
-    a, b = -D.u[0], D.v[0]
-    v = Poly(_sqrt_series(f.shift(a), b, K)).shift(-a)
-    low = D.u ** (K - 1)
-    out = MumfordDivisor(low * D.u, v)
-    validate(f, out)
-    if v(a) != b:
-        raise ValueError("v = %s does not pass through (%s, %s)" % (v, a, b))
-    # v_{K-1} = v_K mod (x - a)**(K-1): drop v_K's x**(K-1) term with the monic low
-    return out, MumfordDivisor(low, v - low * v[K - 1])
-
-
 def order_of(f: Poly, D: MumfordDivisor, bound: int) -> int:
     """Least k >= 1 with k*D = 0, for k up to bound, where D = P - O and
-    its model y**2 = f are what :func:`embed_point` returns.
-
-    When y(P) != 0, k*D for k <= min(g, ceil(bound/2)) comes from one
-    square-root series of f at x(P), checked once; ``add`` takes every
-    later step (see the module docstring).  Returns bound after
-    ceil(bound/2) multiples when bound*D = 0; otherwise every multiple up
-    to bound is checked against the identity.  Either way the returned k
-    is the exact order, never a proper multiple of it.  Raises ValueError
-    for a base of degree other than 1 or a prefix that fails its check,
-    and OrderNotFoundError past the bound.
+    its model y**2 = f are what :func:`embed_point` returns: the series
+    prefix, then ``add`` at each step, then the half-way test (see the
+    module docstring), so the returned k is the exact order, never a
+    proper multiple of it.  Raises ValueError for a base of degree other
+    than 1, a base off the model or a prefix that fails its check, and
+    OrderNotFoundError past the bound.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %r" % (bound,))
     if D.u.degree != 1:
         raise ValueError("the base must be a point (x - a, b), got %s" % (D,))
+    b, f = D.v[0], f.shift(-D.u[0])
+    E = MumfordDivisor(_T, D.v)  # the summand: add reads only t and b
     half = (bound + 1) // 2
-    K = min(f.degree // 2, half) if D.v else 1
-    acc, prev = _series_prefix(f, D, K) if K > 1 else (D, IDENTITY)
+    K = min(f.degree // 2, half) if b else 1
+    # D itself as a triple: the division by t is exact when f(0) = b**2
+    acc, prev = _series_prefix(f, b, K) if K > 1 else E._replace(w=(f - D.v * D.v) >> 1), None
     for k in range(K, bound + 1):
-        if acc == IDENTITY:  # a reduced pair with deg u = 0 is (1, 0)
+        if not acc.u.degree:  # a reduced pair with deg u = 0 is (1, 0)
             return k
         # at k = ceil(bound/2): is k*D == -(bound-k)*D, i.e. bound*D = 0?
         # -(u, v) is (u, -v): -v is already reduced modulo u, as deg v < deg u
-        M = prev if bound % 2 else acc
-        if k == half and acc == MumfordDivisor(M.u, -M.v):
-            return bound
-        acc, prev = add(f, acc, D), acc
+        if k == half:
+            M = (prev or _drop(acc)) if bound % 2 else acc  # at k = K, prev is K*D less one t
+            if acc.u == M.u and acc.v == -M.v:
+                return bound
+        acc, prev = add(f, acc, E), acc
     raise OrderNotFoundError("no order <= %d found for %s" % (bound, D))

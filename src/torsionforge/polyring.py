@@ -14,12 +14,14 @@ needs are two scalars of a certificate, a point's ordinate and
 ``lambda``, never a polynomial coefficient.
 
 Every kernel works on the stored integers and ends in one normalising
-gcd: ``+`` and ``-`` align the two denominators by their lcm, ``*`` is a
-schoolbook convolution of the numerators, (n0 + n1*x)**k is expanded by
-the binomial theorem, evaluation at p/q is Horner's rule on p and q, the
-shift x -> x + p/q is synthetic division homogenised by q, and ``divmod``
-is pseudo-division (Knuth, *TAOCP* vol. 2, section 4.6.1, Algorithm R),
-scaled at each step only as far as that step needs.
+gcd: :func:`combine`, the sum of rational multiples behind ``+`` and
+``-``, aligns the denominators by their lcm, ``*`` is a schoolbook
+convolution of the numerators (a square takes each cross product once),
+(n0 + n1*x)**k is expanded by the binomial theorem, evaluation at p/q is
+Horner's rule on p and q, the shift x -> x + p/q is synthetic division
+homogenised by q, and ``p << k`` and ``p >> k`` multiply and divide
+exactly by x**k.  :func:`is_product_sum` decides f == sum p*q with no
+gcd at all.  Only the extended gcd divides, by plain long division.
 ``Fraction``s are built only at the edges: ``coeffs``, ``[k]``,
 ``leading_coefficient`` and the value of a polynomial at a point, never
 in the serializer, which spells each c/den as ``str(Fraction)`` would.
@@ -132,23 +134,11 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _plus(self, other, sign: int):
-        """self + sign*other, over the lcm of the two denominators."""
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self._num, other._num
-        den = math.lcm(self._den, other._den)
-        sa, sb = den // self._den, sign * (den // other._den)
-        out = [c * sa for c in a] + [0] * (len(b) - len(a))
-        for k, c in enumerate(b):
-            out[k] += c * sb
-        return _make(out, den)
-
     def __add__(self, other):
-        return self._plus(other, 1)
+        return combine((1, self), (1, other)) if isinstance(other, Poly) else NotImplemented
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        return combine((1, self), (-1, other)) if isinstance(other, Poly) else NotImplemented
 
     def __neg__(self):
         return _make([-c for c in self._num], self._den)
@@ -158,14 +148,7 @@ class Poly:
             return _make([c * other.numerator for c in self._num], self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        # a schoolbook convolution of the numerators
-        a, b = self._num, other._num
-        acc = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    acc[j] += x * y
-        return _make(acc, self._den * other._den)
+        return _make(_convolve(self._num, other._num), self._den * other._den)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -183,37 +166,26 @@ class Poly:
         return repeated_squaring(self, k) if k else Poly((1,))
 
     def __divmod__(self, other):
-        """Pseudo-division (Knuth, Algorithm R) on the numerators, scaled
-        only as far as each step needs.
-
-        With self = A/da, other = B/db and L the leading numerator of B,
-        a step whose top remainder numerator is c scales the remainder and
-        the quotient so far by s = |L| / gcd(c, L) and takes c*s/L as its
-        quotient term.  With S the product of the s, S*A = Q*B + R, so the
-        quotient is Q*db / (S*da) and the remainder R / (S*da).  A monic
-        divisor has primitive numerators, so by Gauss's lemma an exact
-        division by it has s = 1 at every step and scales nothing.
-        """
+        """Long division: (q, r) with self = q*other + r and deg r < deg other."""
         if not isinstance(other, Poly):
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem, low, lead = list(self._num), other._num[:-1], other._num[-1]
-        e = len(rem) - len(low)
-        if e <= 0:
-            return Poly(), self
-        quot, scale = [0] * e, 1
-        for k in range(e - 1, -1, -1):
-            c = rem.pop()
-            s = abs(lead) // math.gcd(c, lead)
-            if s != 1:
-                rem, quot, scale = [s * r for r in rem], [s * q for q in quot], scale * s
-            quot[k] = q = c * s // lead
-            if q:
-                for j, y in enumerate(low, k):
-                    rem[j] -= q * y
-        den = scale * self._den
-        return _make([q * other._den for q in quot], den), _make(rem, den)
+        quot, rem, n = [], self, len(other._num) - 1
+        for k in range(len(self._num) - 1 - n, -1, -1):
+            quot.append(rem[k + n] / other.leading_coefficient)
+            rem = rem - (other << k) * quot[-1]
+        return Poly(reversed(quot)), rem
+
+    def __lshift__(self, k: int) -> "Poly":
+        """self * x**k."""
+        return _make([0] * k + list(self._num), self._den)
+
+    def __rshift__(self, k: int) -> "Poly":
+        """self / x**k, exact: ValueError unless the k low coefficients are 0."""
+        if any(self._num[:k]):
+            raise ValueError("x^%d does not divide %s" % (k, self))
+        return _make(list(self._num[k:]), self._den)
 
     def __call__(self, t):
         """Evaluate at a rational t = p/q: Horner's rule on the numerators
@@ -229,7 +201,7 @@ class Poly:
         integers: with F over den of degree n, G_i = F_i*q^(n-i) gives
         q^n*den*self(X/q) = G(X); n passes of synthetic division by X - p
         give G(X + p) = sum H_j X^j, so self(x + a) = sum H_j*q^j x^j / (q^n*den)."""
-        if not self:
+        if not self or not a:
             return self
         p, q = _rational(a).numerator, a.denominator
         n = len(self._num) - 1
@@ -238,13 +210,6 @@ class Poly:
             for i in range(n - 1, j - 1, -1):
                 G[i] += p * G[i + 1]
         return _make([h * q ** j for j, h in enumerate(G)], q ** n * self._den)
-
-    # -- normal form ----------------------------------------------------------
-
-    def monic(self) -> "Poly":
-        if not self or self.is_monic:
-            return self
-        return _make(list(self._num), self._num[-1])
 
     # -- display --------------------------------------------------------------
 
@@ -273,12 +238,44 @@ class Poly:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def exact_div(f: Poly, g: Poly) -> Poly:
-    """Quotient f/g when g divides f exactly; ValueError otherwise."""
-    q, r = divmod(f, g)
-    if r:
-        raise ValueError("%s does not divide %s exactly (remainder %s)" % (g, f, r))
-    return q
+def _convolve(a, b) -> list:
+    """The convolution of integer lists a and b; a square (a is b) doubles each cross product."""
+    acc = [0] * (len(a) + len(b) - 1)
+    if a is b:
+        for i, x in enumerate(a):
+            acc[2 * i] += x * x
+            x += x
+            for j, y in enumerate(a[i + 1:], 2 * i + 1):
+                acc[j] += x * y
+        return acc
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+    return acc
+
+
+def combine(*terms) -> Poly:
+    """The sum of c*p over the terms (c, p), c rational, over the lcm of the denominators."""
+    den = math.lcm(*[c.denominator * p._den for c, p in terms])
+    out = [0] * max([len(p._num) for _, p in terms])
+    for c, p in terms:
+        s = c.numerator * (den // (c.denominator * p._den))
+        for k, x in enumerate(p._num):
+            out[k] += s * x
+    return _make(out, den)
+
+
+def is_product_sum(f: Poly, *pairs) -> bool:
+    """Whether f == sum of p*q over the pairs (p, q), on the stored integers
+    scaled to the lcm of the denominators after each convolution."""
+    den = math.lcm(f._den, *[p._den * q._den for p, q in pairs])
+    out = [-c * (den // f._den) for c in f._num] + [0] * sum(len(p._num) + len(q._num) for p, q in pairs)
+    for p, q in pairs:
+        s = den // (p._den * q._den)
+        for k, c in enumerate(_convolve(p._num, q._num)):
+            out[k] += s * c
+    return not any(out)
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
@@ -290,24 +287,12 @@ def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended gcd: returns (h, s, t) with h monic and s*f + t*g == h."""
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
-    r0, r1 = f, g
-    s0, s1 = Poly((1,)), Poly()
-    t0, t1 = Poly(), Poly((1,))
+    (r0, s0, t0), (r1, s1, t1) = (f, Poly((1,)), Poly()), (g, Poly(), Poly((1,)))
     while r1:
         q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-        if r1:
-            lead = r1.leading_coefficient
-            if lead != 1:
-                inv = 1 / lead
-                r1, s1, t1 = r1 * inv, s1 * inv, t1 * inv
-    lead = r0.leading_coefficient
-    if lead != 1:
-        inv = 1 / lead
-        r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
-    return r0, s0, t0
+        (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), (r, s0 - q * s1, t0 - q * t1)
+    inv = 1 / r0.leading_coefficient
+    return r0 * inv, s0 * inv, t0 * inv
 
 
 def is_squarefree(f: Poly) -> bool:

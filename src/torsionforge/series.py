@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .polyring import Poly, exact_div
+from .polyring import Poly
 from .scalars import gen_binom
 
 
@@ -61,4 +61,4 @@ def truncation_quotient(m: int, d: int, E: int, v: Poly) -> Poly:
     that, so a short vanishing order raises ValueError.
     """
     diff = Poly((1, 1)) ** m - v ** d
-    return exact_div(diff, Poly.x_power(E))
+    return diff >> E

@@ -1,4 +1,5 @@
-"""Divisor-class arithmetic on hyperelliptic curves via Mumford pairs."""
+"""Divisor-class arithmetic on hyperelliptic curves via Mumford pairs, and
+the oracle's triples (u, v, w) in the point's own coordinate."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cantor_reference import cantor_add, neg
+from cantor_reference import IDENTITY, add_point, at, cantor_add, neg, triple, validate_pair
 from torsionforge import jacobian2, polyring
 from torsionforge.constructors import (
     construct,
@@ -17,7 +18,6 @@ from torsionforge.constructors import (
 )
 from torsionforge.curves import AffinePoint, Curve
 from torsionforge.jacobian2 import (
-    IDENTITY,
     MumfordDivisor,
     OrderNotFoundError,
     add,
@@ -53,7 +53,7 @@ def multiples(f, D, count):
     """[0*D, 1*D, ..., (count-1)*D] on y**2 = f by repeated addition."""
     out = [IDENTITY]
     while len(out) < count:
-        out.append(add(f, out[-1], D))
+        out.append(add_point(f, out[-1], D))
     return out
 
 
@@ -84,8 +84,10 @@ def torsion_generators():
 # ---------------------------------------------------------------------------
 
 def test_identity_element():
-    assert IDENTITY == (Poly((1,)), Poly())
-    validate(GENUS2_SPLIT.f, IDENTITY)
+    assert IDENTITY == MumfordDivisor(Poly((1,)), Poly())
+    # as a triple, (1, 0, f)
+    assert triple(GENUS2_SPLIT.f, IDENTITY) == (Poly((1,)), Poly(), GENUS2_SPLIT.f)
+    validate_pair(GENUS2_SPLIT.f, IDENTITY)
 
 
 def test_embed_point_shape():
@@ -101,12 +103,19 @@ def test_embed_rejects_points_off_the_curve():
 
 
 def test_validate_rejects_bad_mumford_pairs():
-    with pytest.raises(ValueError):
-        validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((1, 2)), Poly()))   # u not monic
-    with pytest.raises(ValueError):
-        validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((0, 0, 0, 1)), Poly()))  # deg u > g
-    with pytest.raises(ValueError):
-        validate(GENUS2_SPLIT.f, MumfordDivisor(Poly((-1, 1)), Poly((5,))))   # u does not divide v^2 - f
+    """Each bad pair's triple, with w the quotient of f - v**2 by u, is refused;
+    so is a good triple with w off in one coefficient."""
+    f = GENUS2_SPLIT.f
+    for bad in (MumfordDivisor(Poly((1, 2)), Poly()),        # u not monic
+                MumfordDivisor(Poly((0, 0, 0, 1)), Poly()),  # deg u > g
+                MumfordDivisor(Poly((-1, 1)), Poly((5,))),   # u does not divide v^2 - f
+                MumfordDivisor(Poly((0, 1)), Poly((0, 1)))):  # deg v = deg u
+        with pytest.raises(ValueError):
+            validate(f, triple(f, bad))
+    good = triple(f, embed(GENUS2_SPLIT, AffinePoint(Fraction(1), Fraction(0))))
+    validate(f, good)
+    with pytest.raises(ValueError, match="u\\*w \\+ v\\^2 != f"):
+        validate(f, good._replace(w=good.w + Poly.x_power(2)))
 
 
 def test_only_hyperelliptic_covers_supported():
@@ -124,14 +133,14 @@ def test_weierstrass_points_have_order_two():
         for P in weierstrass_points(curve):
             D = embed(curve, P)
             assert D != IDENTITY
-            assert add(curve.f, D, D) == IDENTITY
+            assert add_point(curve.f, D, D) == IDENTITY
             assert order_of(curve.f, D, bound=4) == 2
 
 
 def test_identity_is_neutral():
     D = embed(GENUS2_SPLIT, AffinePoint(Fraction(2), Fraction(0)))
     assert cantor_add(GENUS2_SPLIT.f, D, IDENTITY) == D
-    assert add(GENUS2_SPLIT.f, IDENTITY, D) == D
+    assert add_point(GENUS2_SPLIT.f, IDENTITY, D) == D
 
 
 def test_inverse_law():
@@ -157,7 +166,7 @@ def test_500_random_additions_preserve_invariants():
         a = pool[rng.randrange(len(pool))]
         b = pool[rng.randrange(len(pool))]
         s = cantor_add(f, a, b)
-        validate(f, s)
+        validate_pair(f, s)
         assert cantor_add(f, b, a) == s
         additions += 2
         commutes += 1
@@ -185,11 +194,11 @@ def test_associativity_on_random_triples():
 def test_mixed_weierstrass_sums_reduce_correctly():
     # adding distinct branch points yields a degree-2 divisor with v = 0
     W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
-    D = add(GENUS2_SPLIT.f, W[0], W[1])
+    D = add_point(GENUS2_SPLIT.f, W[0], W[1])
     assert D == cantor_add(GENUS2_SPLIT.f, W[0], W[1])
     assert D.u.degree == 2
     assert not D.v
-    validate(GENUS2_SPLIT.f, D)
+    validate_pair(GENUS2_SPLIT.f, D)
     # order of a sum of two distinct two-torsion classes is 2
     assert D != IDENTITY
     assert cantor_add(GENUS2_SPLIT.f, D, D) == IDENTITY
@@ -227,7 +236,7 @@ def reference_order(f, D, bound):
     for k in range(1, bound + 1):
         if acc == IDENTITY:
             return k
-        acc = add(f, acc, D)
+        acc = add_point(f, acc, D)
     return None
 
 
@@ -275,7 +284,7 @@ def test_order_of_small_bounds_on_a_weierstrass_point():
 
 def test_order_of_refuses_a_base_other_than_a_point():
     W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
-    D = add(GENUS2_SPLIT.f, W[0], W[1])
+    D = add_point(GENUS2_SPLIT.f, W[0], W[1])
     assert D.u.degree == 2
     for base in (D, IDENTITY):
         with pytest.raises(ValueError):
@@ -285,12 +294,20 @@ def test_order_of_refuses_a_base_other_than_a_point():
 def test_add_refuses_a_summand_other_than_a_point():
     cert = construct(n=7, d=2, m=8)
     model, P = embed_point(cert.curve, cert.point)
-    E = add(model, P, P)
+    E = add_point(model, P, P)
     assert E.u.degree == 2
-    # the sum exists, but add's three cases read E as the point (x - E.u[0], E.v[0])
-    assert str(cantor_add(model, E, E)) == "<u=x^3 + 2, v=0>"
+    # the sum exists, but add's three cases read its summand as the point (t, b)
+    S = cantor_add(model, E, E)
+    assert (str(S.u), str(S.v)) == ("x^3 + 2", "0")
+    a = -P.u[0]
+    f_t = model.shift(a)
+    E_t = triple(f_t, at(E, a))
     with pytest.raises(ValueError, match="summand must be a point"):
-        add(model, E, E)
+        add(f_t, E_t, E_t)
+    # nor is a point away from t = 0 a summand
+    P_t = triple(f_t, at(P, a))
+    with pytest.raises(ValueError, match="summand must be a point"):
+        add(f_t, P_t, P_t._replace(u=Poly.x_minus(1)))
 
 
 def test_twisted_pair_is_valid_on_the_twist():
@@ -303,7 +320,7 @@ def test_twisted_pair_is_valid_on_the_twist():
     assert E.u == Poly.x_minus(point.x)
     assert E.v == Poly((point.y.im,))
     assert all(isinstance(c, Fraction) for c in E.v.coeffs)
-    validate(model, E)
+    validate_pair(model, E)
     # -f is square-free as f is, so the twist is a valid curve of the same shape
     assert Curve(2, curve.n, model).genus == curve.genus
 
@@ -369,11 +386,11 @@ def branch(D, E):
 
 
 def assert_step(f, D, E, expected, xgcd_calls):
-    """add equals cantor_add on D + E, takes the named case without an
-    extended gcd and returns the sum."""
+    """add, run in E's own coordinate, equals cantor_add on D + E, takes the
+    named case without an extended gcd and returns the sum."""
     assert branch(D, E) == expected
     before = len(xgcd_calls)
-    out = add(f, D, E)
+    out = add_point(f, D, E)
     assert len(xgcd_calls) == before
     assert out == cantor_add(f, D, E)
     return out
@@ -448,9 +465,9 @@ def n65_point():
 
 
 def test_order_of_keeps_numerators_small_at_n65(monkeypatch):
-    """Every divisor the oracle divides by is monic, so its exact divisions
-    scale nothing: no numerator or denominator through ``polyring._make``
-    grows past 1,024 bits on the n = 65, m = 131 infinity-shift point."""
+    """Every update of the scan is a sum of rational multiples normalised
+    once: no numerator or denominator through ``polyring._make`` grows past
+    1,024 bits on the n = 65, m = 131 infinity-shift point."""
     model, D = n65_point()
     make, widest = polyring._make, 0
 
@@ -476,6 +493,21 @@ def test_order_of_takes_the_series_prefix_at_n65(monkeypatch):
     assert len(adds) == 34
     # one check for the prefix, and add's own check at each step
     assert len(validations) == 34 + 1
+
+
+def test_order_of_divides_no_polynomial_at_n65(monkeypatch):
+    """The scan on triples takes no ``Poly.__divmod__``: each division by t
+    drops a constant term, and no step divides f - v**2 by u."""
+    model, D = n65_point()
+    divisions, real_divmod = [], Poly.__divmod__
+
+    def counted(f, g):
+        divisions.append((f, g))
+        return real_divmod(f, g)
+
+    monkeypatch.setattr(Poly, "__divmod__", counted)
+    assert order_of(model, D, bound=131) == 131
+    assert divisions == []
 
 
 def test_neg_divides_nothing_on_the_ladder(monkeypatch):
@@ -523,7 +555,7 @@ def _step_pools():
         W = [embed(curve, P) for P in weierstrass_points(curve)]
         sums = [IDENTITY]
         for w in W:
-            sums += [add(curve.f, s, w) for s in sums]
+            sums += [add_point(curve.f, s, w) for s in sums]
         pools.append((curve.f, sums, W))
     for f, E, m in torsion_generators():
         pools.append((f, multiples(f, E, m), [E]))
@@ -534,7 +566,39 @@ def _step_pools():
 @given(base_point_steps())
 def test_add_equals_cantor_add_property(step):
     f, D, E = step
-    assert add(f, D, E) == cantor_add(f, D, E)
+    assert add_point(f, D, E) == cantor_add(f, D, E)
+
+
+@settings(max_examples=80, deadline=None)
+@given(base_point_steps(), st.fractions(max_denominator=50), st.integers(0, 12), st.data())
+def test_triple_updates_keep_u_w_plus_v_squared(step, c, k, data):
+    """Each update of the module docstring keeps u*w + v**2 as a polynomial
+    for any rational c (interpolation and the Newton lift, before the
+    division by t), r (cancellation) and q (reduction); add's step, moved
+    back to x, is Cantor's sum; and a triple whose w is off in one
+    coefficient makes add raise ValueError."""
+    f, D, E = step
+    a = -E.u[0]
+    f_t = f.shift(a)
+    u, v, w = X = triple(f_t, at(D, a))
+    t = Poly.x_power(1)
+    r, q = (data.draw(st.fractions(max_denominator=50)) for _ in range(2))
+    keep = u * w + v * v
+    assert keep == f_t
+    v2 = v + u * c  # interpolation and the Newton lift: u' = t*u, w' = (w - c*(v + v'))/t
+    assert u * (w - (v + v2) * c) + v2 * v2 == keep
+    v2 = v - u * r  # cancellation of t from u*t: u' = u, w' = t*w + r*(v + v')
+    assert u * (t * w + (v + v2) * r) + v2 * v2 == (t * u) * w + v * v
+    if w:  # reduction, with w/lc(w) for u'
+        u2 = w * (1 / w.leading_coefficient)
+        v2 = u2 * q - v
+        assert u2 * (u * w.leading_coefficient + (v - v2) * q) + v2 * v2 == keep
+    E_t = triple(f_t, at(E, a))
+    S = add(f_t, X, E_t)
+    validate(f_t, S)
+    assert at(S, -a) == cantor_add(f, D, E)
+    with pytest.raises(ValueError):
+        add(f_t, X._replace(w=w + Poly.x_power(k) * (c or 1)), E_t)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +628,19 @@ def series_points(draw, min_genus=1):
 @settings(max_examples=60, deadline=None)
 @given(series_points())
 def test_series_prefix_equals_repeated_adds(case):
-    """For every 2 <= K <= g, the prefix's K*D and (K-1)*D are what K - 1 and
-    K - 2 ``add`` calls reach from D."""
+    """For every 2 <= K <= g, the prefix's K*D, moved back to x, is what K - 1
+    ``add`` calls reach from D, its w is (f - v**2)/u, and K*D with one t
+    dropped, (K-1)*D for the half-way test, is what K - 2 calls reach."""
     f, D, g = case
+    a, b = -D.u[0], D.v[0]
+    f_t = f.shift(a)
     reached = multiples(f, D, g + 1)
     for K in range(2, g + 1):
-        assert jacobian2._series_prefix(f, D, K) == (reached[K], reached[K - 1])
+        S = jacobian2._series_prefix(f_t, b, K)
+        assert S.u == Poly.x_power(K)
+        assert at(S, -a) == reached[K]
+        assert S == triple(f_t, at(reached[K], a))
+        assert at(jacobian2._drop(S), -a) == reached[K - 1]
 
 
 @settings(max_examples=40, deadline=None)

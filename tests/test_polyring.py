@@ -13,8 +13,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from torsionforge.polyring import (
     NEG_INFINITY,
     Poly,
-    exact_div,
+    combine,
     gcd,
+    is_product_sum,
     is_squarefree,
     poly_from_json,
     poly_to_json,
@@ -123,14 +124,20 @@ def test_division_by_zero_raises():
         divmod(Poly((1, 1)), Poly())
 
 
-@given(polys, nonzero_polys)
-def test_exact_div_inverts_multiplication(a, b):
-    assert exact_div(a * b, b) == a
+@given(polys, nonzero_polys, st.integers(0, 4))
+def test_exact_div_inverts_multiplication(a, b, k):
+    """Exact division: divmod of a product by a factor, and >> of a multiple of x**k."""
+    assert divmod(a * b, b) == (a, Poly())
+    assert (a << k) >> k == a
+    assert a << k == a * Poly.x_power(k)
 
 
 def test_exact_div_rejects_remainders():
+    assert divmod(Poly((1, 0, 1)), Poly((1, 1)))[1] == Poly((2,))
+    # x + x**3 is divisible by x but not by x**2, and >> refuses a nonzero dropped term
+    assert Poly((0, 1, 0, 1)) >> 1 == Poly((1, 0, 1))
     with pytest.raises(ValueError, match="does not divide"):
-        exact_div(Poly((1, 0, 1)), Poly((1, 1)))
+        Poly((0, 1, 0, 1)) >> 2
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +148,7 @@ def test_exact_div_rejects_remainders():
 def test_gcd_contains_common_factor(p, q, r):
     g = gcd(p * r, q * r)
     # r divides both inputs, so it divides the gcd
-    assert not divmod(g, r.monic())[1]
+    assert not divmod(g, r)[1]
 
 
 @given(nonzero_polys, nonzero_polys)
@@ -376,6 +383,31 @@ def test_mul_kernel_matches_reference(a, b):
     p = Poly(a) * Poly(b)
     _assert_canonical(p)
     assert list(p.coeffs) == _ref_mul(_strip(a), _strip(b))
+    # a square (one operand twice) takes each cross product once
+    sq = Poly(a)
+    _assert_canonical(sq * sq)
+    assert list((sq * sq).coeffs) == _ref_mul(_strip(a), _strip(a))
+
+
+@given(st.lists(st.tuples(st.fractions(max_denominator=9), wide_coeffs), min_size=1, max_size=4))
+def test_combine_is_the_sum_of_the_multiples(terms):
+    out = combine(*[(c, Poly(p)) for c, p in terms])
+    _assert_canonical(out)
+    assert out == sum((Poly(p) * c for c, p in terms), Poly())
+
+
+@given(wide_coeffs, wide_coeffs, wide_coeffs, wide_coeffs, st.integers(0, 7), wide_fractions)
+def test_is_product_sum_decides_the_identity(a, b, c, extra, k, e):
+    """f == a*b + c*c holds for f built so, and fails once any coefficient
+    of f, inside or past the products' degrees, moves by a nonzero e."""
+    pa, pb, pc = Poly(a), Poly(b), Poly(c)
+    f = pa * pb + pc * pc
+    assert is_product_sum(f, (pa, pb), (pc, pc))
+    assert is_product_sum(f + Poly(extra) * Poly(extra) - Poly(extra) * Poly(extra), (pa, pb), (pc, pc))
+    if e:
+        assert not is_product_sum(f + Poly.x_power(k) * e, (pa, pb), (pc, pc))
+    # a factor far wider than f must not overrun the comparison
+    assert not is_product_sum(Poly((1,)), (Poly.x_power(9), Poly.x_power(k)), (pc, pc))
 
 
 @given(wide_coeffs, wide_nonzero)

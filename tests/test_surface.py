@@ -38,14 +38,18 @@ def test_every_public_name_resolves():
 
 def _references(tree: ast.Module) -> set[str]:
     """Names read in a module, except a top-level definition's own name
-    inside its body (a recursive call is not a use)."""
+    inside its body (a recursive call is not a use) and an attribute of a
+    module imported whole (``math.gcd`` is no use of ``polyring.gcd``)."""
+    modules = {alias.asname or alias.name
+               for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     found = set()
     for stmt in tree.body:
         names = set()
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and not (
+                    isinstance(node.value, ast.Name) and node.value.id in modules):
                 names.add(node.attr)
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             names.discard(stmt.name)
@@ -66,12 +70,19 @@ def _definitions(tree: ast.Module) -> set[str]:
     return found
 
 
+# Public names that no code in the package calls, kept only because
+# bench/tracer.py hooks them by name: its install fails on a missing one.
+HOOKED_ONLY = {"gcd"}
+
+
 def test_every_public_name_is_used_inside_the_package():
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     used = set().union(*map(_references, trees))
     public = {name for tree in trees for name in _definitions(tree) if not name.startswith("_")}
-    assert sorted(public - used) == []
+    assert sorted(public - used) == sorted(HOOKED_ONLY)
+    tracer = TRACER.read_text(encoding="utf-8")
+    assert all('"%s"' % (name,) in tracer for name in HOOKED_ONLY)
 
 
 def _attributes(node: ast.AST) -> Counter:
