@@ -21,15 +21,15 @@ short, and free of gcds and of polynomial division:
   by x - x(P) drops a constant term that must be 0.  The scan carries
   triples (u, v, w) with f = u*w + v**2 (Cohen and Frey, eds., *Handbook
   of Elliptic and Hyperelliptic Curve Cryptography*, 2006, ch. 14).
-* One group law.  :func:`add` adds E = (t, b), b**2 = f(0), to
-  D = (u, v, w) with constant terms u0, v0, w0 in one of three ways:
+* One group law.  :func:`add` adds P = (t, b), b**2 = f(0), given by b,
+  to D = (u, v, w) with constant terms u0, v0, w0 in one of three ways:
   - interpolation: if u0 != 0, c = (b - v0)/u0 makes v(0) = b;
   - Newton lift: if u0 = 0 and v0 = b != 0, c = w0/(2b);
     both set u' = t*u, v' = v + c*u and w' = (w - c*(v + v'))/t, whose
     dropped term w0 - c*(2*v0 + c*u0) is 0 (u0*w0 = b**2 - v0**2);
   - cancellation: otherwise u0 = 0 forces v0**2 = b**2, so v0 = -b and D
-    holds -E = (0, -b) (a reduced divisor holds (0, 0) at most once);
-    D + E drops one copy of it: u' = u/t, r = v[deg u'], v' = v - r*u'
+    holds -P = (0, -b) (a reduced divisor holds (0, 0) at most once);
+    D + P drops one copy of it: u' = u/t, r = v[deg u'], v' = v - r*u'
     and w' = t*w + r*(v + v'), already reduced.
   In the first two cases gcd(u, t, v + b) = 1, so Cantor's composition
   yields the same u and the same v modulo u; reduced Mumford pairs are
@@ -45,19 +45,20 @@ short, and free of gcds and of polynomial division:
   step (Cantor, section 3): S_k is the one v of degree < k with v(0) = b
   and t**k | f - v**2, the square root of f = sum T_j*t**j through b cut
   to k terms, s_0 = b and 2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i}.
-  :func:`order_of` builds K*D so for K = min(g, ceil(bound/2)), or K = 1
-  when b = 0, and scans on from k = K.  Two conditions check it: the K
-  low coefficients of f - S_K**2 vanish, so S_K is one of the two square
-  roots of f modulo t**K (two, as 2b != 0), and S_K(0) = b picks the one
-  through b; for k < K, t**k | t**K and S_k = S_K mod t**k.  No such k*D
-  is the identity, as deg u = k >= 1, and K <= half = ceil(bound/2), so
-  the half-way test below still meets the true (half-1)*D and half*D.
+  :func:`order_of` always starts from K*D so built, K = min(g, ceil(bound/2)),
+  or K = 1 when b = 0 (S_1 = b divides by nothing), and scans on from k = K.
+  Two conditions check it: the K low coefficients of f - S_K**2 vanish, so
+  S_K is one of the two square roots of f modulo t**K (at K = 1: the base
+  is on the model), and S_K(0) = b picks the one through b; for k < K,
+  t**k | t**K and S_k = S_K mod t**k.  No such k*D is the identity, as
+  deg u = k >= 1, and K <= half = ceil(bound/2), so the half-way test
+  below still meets the true (half-1)*D and half*D.
 * Half-length scan.  Once 2k >= bound, k*D + (bound-k)*D = bound*D, so
   bound*D = 0 exactly when k*D equals -(bound-k)*D (reduced Mumford
   pairs are unique).  Then the order divides bound, and each proper
   divisor of bound is at most bound/2 <= k and was already checked
   against the identity, so the order is bound itself.  Otherwise the
-  scan goes on to bound, so the least k with k*D = 0 is still found
+  scan stops at bound*D, so the least k with k*D = 0 is still found
   exactly.
 """
 
@@ -80,9 +81,6 @@ class OrderNotFoundError(RuntimeError):
 #: A reduced Mumford pair (u, v): u monic, deg v < deg u <= g, u | v**2 - f;
 #: in the scan it carries its cofactor w = (f - v**2)/u as well.
 MumfordDivisor = namedtuple("MumfordDivisor", "u v w", defaults=(None,))
-
-#: t, the u of P - O in P's own coordinate t = x - x(P)
-_T = Poly.x_power(1)
 
 
 def validate(f: Poly, D: MumfordDivisor):
@@ -128,20 +126,17 @@ def _drop(D: MumfordDivisor) -> MumfordDivisor:
     return MumfordDivisor(u, v2, combine((1, w << 1), (r, v), (r, v2)))
 
 
-def add(f: Poly, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
-    """D + E on y**2 = f for the point E = (t, b), b**2 = f(0), as triples:
-    one of the three updates of the module docstring, at most one
-    reduction step, then :func:`validate`.  Raises ValueError for a
-    summand E other than (t, b)."""
-    if E.u != _T:
-        raise ValueError("the summand must be a point (t, b), got E = %s" % (E,))
+def add(f: Poly, D: MumfordDivisor, b) -> MumfordDivisor:
+    """D + (t, b) on y**2 = f, for the point (t, b) with b**2 = f(0), as
+    triples: one of the three updates of the module docstring, at most one
+    reduction step, then :func:`validate`."""
     u, v, w = D
-    b, u0, v0 = E.v[0], u[0], v[0]
+    u0, v0 = u[0], v[0]
     if u0 or b and v0 == b:  # interpolation, or the Newton lift
         c = (b - v0) / u0 if u0 else w[0] / (2 * b)
         v2 = combine((1, v), (c, u))
         D = MumfordDivisor(u << 1, v2, combine((1, w), (-c, v), (-c, v2)) >> 1)
-    else:  # cancellation: v(0) = -b, so D holds -E
+    else:  # cancellation: v(0) = -b, so D holds -P
         D = _drop(D)
     u, v, w = D
     if 2 * u.degree > f.degree:  # reduction
@@ -154,7 +149,7 @@ def add(f: Poly, D: MumfordDivisor, E: MumfordDivisor) -> MumfordDivisor:
 
 
 def _sqrt_series(T: Poly, b, K: int) -> list:
-    """s_0..s_{K-1} with (sum s_j*t**j)**2 = T mod t**K and s_0 = b, for T(0) = b**2 != 0: the sum
+    """s_0..s_{K-1} with (sum s_j*t**j)**2 = T mod t**K and s_0 = b, for T(0) = b**2 (!= 0 if K > 1): the sum
     in 2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i} runs over one denominator, each product once."""
     s = [b]
     for j in range(1, K):
@@ -167,8 +162,8 @@ def _sqrt_series(T: Poly, b, K: int) -> list:
 
 
 def _series_prefix(f: Poly, b, K: int) -> MumfordDivisor:
-    """K*D for D = (t, b) with b != 0 and 2 <= K <= g, from the square-root
-    series of f at t = 0, checked once (see the module docstring)."""
+    """K*D for D = (t, b), 1 <= K <= g and b != 0 if K > 1, from the
+    square-root series of f at t = 0, checked once (see the module docstring)."""
     S = Poly(_sqrt_series(f, b, K))
     if S[0] != b:
         raise ValueError("the series %s does not pass through (0, %s)" % (S, b))
@@ -180,30 +175,29 @@ def _series_prefix(f: Poly, b, K: int) -> MumfordDivisor:
 def order_of(f: Poly, D: MumfordDivisor, bound: int) -> int:
     """Least k >= 1 with k*D = 0, for k up to bound, where D = P - O and
     its model y**2 = f are what :func:`embed_point` returns: the series
-    prefix, then ``add`` at each step, then the half-way test (see the
-    module docstring), so the returned k is the exact order, never a
-    proper multiple of it.  Raises ValueError for a base of degree other
-    than 1, a base off the model or a prefix that fails its check, and
-    OrderNotFoundError past the bound.
+    prefix K*D, then ``add`` at each step up to bound*D and the half-way
+    test (see the module docstring), so the returned k is the exact order,
+    never a proper multiple of it.  Raises ValueError for a base of degree
+    other than 1, a base off the model or a prefix that fails its check,
+    and OrderNotFoundError, after bound - K adds, past the bound.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %r" % (bound,))
     if D.u.degree != 1:
         raise ValueError("the base must be a point (x - a, b), got %s" % (D,))
     b, f = D.v[0], f.shift(-D.u[0])
-    E = MumfordDivisor(_T, D.v)  # the summand: add reads only t and b
     half = (bound + 1) // 2
     K = min(f.degree // 2, half) if b else 1
-    # D itself as a triple: the division by t is exact when f(0) = b**2
-    acc, prev = _series_prefix(f, b, K) if K > 1 else E._replace(w=(f - D.v * D.v) >> 1), None
+    acc, prev = _series_prefix(f, b, K), None
     for k in range(K, bound + 1):
+        if k > K:
+            acc, prev = add(f, acc, b), acc
         if not acc.u.degree:  # a reduced pair with deg u = 0 is (1, 0)
             return k
         # at k = ceil(bound/2): is k*D == -(bound-k)*D, i.e. bound*D = 0?
         # -(u, v) is (u, -v): -v is already reduced modulo u, as deg v < deg u
         if k == half:
-            M = (prev or _drop(acc)) if bound % 2 else acc  # at k = K, prev is K*D less one t
+            M = (prev or _drop(acc)) if bound % 2 else acc  # at k = K, (K-1)*D is K*D less one t
             if acc.u == M.u and acc.v == -M.v:
                 return bound
-        acc, prev = add(f, acc, E), acc
     raise OrderNotFoundError("no order <= %d found for %s" % (bound, D))

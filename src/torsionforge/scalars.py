@@ -103,7 +103,7 @@ class GaussianRational:
 
     Every binary operator takes its operand by one rule, :func:`_field`: an
     ``int`` or a ``Fraction`` on either side is lifted and any other type is
-    left to Python.  ``GaussianRational(3, 0) == Fraction(3)``, with one hash.
+    left to Python.  ``GaussianRational(3, 0) == Fraction(3)``.
     """
 
     __slots__ = ("re", "im")
@@ -160,11 +160,6 @@ class GaussianRational:
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
 
     def __repr__(self):
         return "GaussianRational(%s, %s)" % (self.re, self.im)

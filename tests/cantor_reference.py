@@ -59,5 +59,5 @@ def add_point(f, D, E):
     triples in E's own coordinate t = x - a, with the sum moved back to x."""
     a = -E.u[0]
     f_t = f.shift(a)
-    S = add(f_t, triple(f_t, at(D, a)), triple(f_t, at(E, a)))
+    S = add(f_t, triple(f_t, at(D, a)), E.v[0])
     return at(S, -a)

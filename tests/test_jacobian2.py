@@ -147,6 +147,13 @@ def test_inverse_law():
     for f, D, m in torsion_generators():
         for E in multiples(f, D, min(m, 6))[1:]:
             assert cantor_add(f, E, neg(E)) == IDENTITY
+    # on the n = 7, m = 8 point, 2*D + 2*D = 4*D has v = 0: it is its own inverse
+    cert = construct(n=7, d=2, m=8)
+    model, P = embed_point(cert.curve, cert.point)
+    E = add_point(model, P, P)
+    assert E.u.degree == 2
+    S = cantor_add(model, E, E)
+    assert (str(S.u), str(S.v)) == ("x^3 + 2", "0")
 
 
 def test_500_random_additions_preserve_invariants():
@@ -272,6 +279,34 @@ def test_order_of_contract(generator):
         order_of(f, D, m - 1)
 
 
+def test_order_of_adds_nothing_past_the_bound(monkeypatch):
+    """Past the bound, the scan raises after bound - K adds, K = min(g, ceil(bound/2)):
+    on the n = 7, m = 8 point (g = 3) bounds 1, 2, 3 and 7 take 0, 1, 1 and 4,
+    with no add after the check of bound*D."""
+    cert = construct(7, 2, 8)
+    model, D = embed_point(cert.curve, cert.point)
+    adds = []
+    monkeypatch.setattr(jacobian2, "add", lambda *args: adds.append(args) or add(*args))
+    for bound, expected in ((1, 0), (2, 1), (3, 1), (7, 4)):
+        adds.clear()
+        with pytest.raises(OrderNotFoundError):
+            order_of(model, D, bound)
+        assert len(adds) == expected, bound
+
+
+def test_order_of_refuses_a_base_off_the_model():
+    """(x - a, b) with b**2 != f(a) raises ValueError, for b = 0 and b != 0, from a
+    start at K = 1 (bound 2) and, for b != 0, at K = 2 (bound 4); b = 0 always has K = 1."""
+    cert = construct(7, 2, 8)
+    model, D = embed_point(cert.curve, cert.point)
+    b = D.v[0]
+    assert b and model(-D.u[0]) == b * b
+    for wrong in (0, 2 * b):
+        for bound in (2, 4):
+            with pytest.raises(ValueError):
+                order_of(model, D._replace(v=Poly((wrong,))), bound)
+
+
 def test_order_of_small_bounds_on_a_weierstrass_point():
     D = embed(GENUS2_SPLIT, weierstrass_points(GENUS2_SPLIT)[0])
     with pytest.raises(OrderNotFoundError):
@@ -289,25 +324,6 @@ def test_order_of_refuses_a_base_other_than_a_point():
     for base in (D, IDENTITY):
         with pytest.raises(ValueError):
             order_of(GENUS2_SPLIT.f, base, bound=4)
-
-
-def test_add_refuses_a_summand_other_than_a_point():
-    cert = construct(n=7, d=2, m=8)
-    model, P = embed_point(cert.curve, cert.point)
-    E = add_point(model, P, P)
-    assert E.u.degree == 2
-    # the sum exists, but add's three cases read its summand as the point (t, b)
-    S = cantor_add(model, E, E)
-    assert (str(S.u), str(S.v)) == ("x^3 + 2", "0")
-    a = -P.u[0]
-    f_t = model.shift(a)
-    E_t = triple(f_t, at(E, a))
-    with pytest.raises(ValueError, match="summand must be a point"):
-        add(f_t, E_t, E_t)
-    # nor is a point away from t = 0 a summand
-    P_t = triple(f_t, at(P, a))
-    with pytest.raises(ValueError, match="summand must be a point"):
-        add(f_t, P_t, P_t._replace(u=Poly.x_minus(1)))
 
 
 def test_twisted_pair_is_valid_on_the_twist():
@@ -514,8 +530,8 @@ def test_neg_divides_nothing_on_the_ladder(monkeypatch):
     """-(u, v) = (u, -v) with no division, on every multiple order_of scans."""
     scanned, real_add = [], jacobian2.add
 
-    def recording_add(f, D, E):
-        out = real_add(f, D, E)
+    def recording_add(f, D, b):
+        out = real_add(f, D, b)
         scanned.append(out)
         return out
 
@@ -593,12 +609,12 @@ def test_triple_updates_keep_u_w_plus_v_squared(step, c, k, data):
         u2 = w * (1 / w.leading_coefficient)
         v2 = u2 * q - v
         assert u2 * (u * w.leading_coefficient + (v - v2) * q) + v2 * v2 == keep
-    E_t = triple(f_t, at(E, a))
-    S = add(f_t, X, E_t)
+    b = E.v[0]
+    S = add(f_t, X, b)
     validate(f_t, S)
     assert at(S, -a) == cantor_add(f, D, E)
     with pytest.raises(ValueError):
-        add(f_t, X._replace(w=w + Poly.x_power(k) * (c or 1)), E_t)
+        add(f_t, X._replace(w=w + Poly.x_power(k) * (c or 1)), b)
 
 
 # ---------------------------------------------------------------------------
