@@ -44,9 +44,7 @@ EXIT_SEARCH_EXHAUSTED = 4
 
 
 def _error_json(exc_type: str, message: str, **extra) -> str:
-    body = {"type": exc_type, "message": message}
-    body.update(extra)
-    return canonical_json({"error": body})
+    return canonical_json({"error": {"type": exc_type, "message": message, **extra}})
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -73,9 +71,7 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     """Parse "7" or "2..11" into an inclusive integer interval."""
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            return int(lo), int(hi)
-        return int(text), int(text)
+        return int(lo), int(hi if sep else lo)
     except ValueError:
         _usage_error("%s expects an integer or a..b range, got %r" % (flag, text))
 
@@ -396,11 +392,8 @@ def main(argv: list[str] | None = None) -> int:
             args.command = name
     if args is None or extras:
         args = build_parser().parse_args(argv)
-    if args.command == "construct":
-        return cmd_construct(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_scan(args)
+    commands = {"construct": cmd_construct, "verify": cmd_verify, "scan": cmd_scan}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

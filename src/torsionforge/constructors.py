@@ -258,10 +258,8 @@ RULE_CONGRUENT_STEP = "congruent-step"
 RULE_UNDECIDED = "undecided"
 
 
-class Verdict(namedtuple("Verdict", "status deciding_rule")):
-    """Whether an order is reachable, and the rule that decided it."""
-
-    __slots__ = ()
+#: Whether an order is reachable, and the rule that decided it.
+Verdict = namedtuple("Verdict", "status deciding_rule")
 
 
 # build(n, d, m, search_limit) of each constructive rule; every other rule is an

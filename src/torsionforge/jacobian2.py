@@ -43,8 +43,8 @@ short, and free of gcds and of polynomial division:
 * Series prefix.  When b != 0 and k <= g, k*P - k*O holds no opposite
   pair and is reduced, so k*D = (t**k, S_k, (f - S_k**2)/t**k) needs no
   step (Cantor, section 3): S_k is the one v of degree < k with v(0) = b
-  and t**k | f - v**2, the square root of f = sum T_j*t**j through b cut
-  to k terms, s_0 = b and 2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i}.
+  and t**k | f - v**2, the square root of f through b cut to k terms,
+  which ``polyring.sqrt_series`` computes on integer pairs.
   :func:`order_of` always starts from K*D so built, K = min(g, ceil(bound/2)),
   or K = 1 when b = 0 (S_1 = b divides by nothing), and scans on from k = K.
   Two conditions check it: the K low coefficients of f - S_K**2 vanish, so
@@ -64,13 +64,12 @@ short, and free of gcds and of polynomial division:
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .curves import AffinePoint, Curve, on_curve
 # xgcd is not called here, but bench/tracer.py hooks jacobian2.xgcd by name
-from .polyring import Poly, combine, is_product_sum, xgcd
+from .polyring import Poly, combine, is_product_sum, sqrt_series, xgcd
 from .scalars import GaussianRational
 
 
@@ -128,12 +127,14 @@ def _drop(D: MumfordDivisor) -> MumfordDivisor:
 
 def add(f: Poly, D: MumfordDivisor, b) -> MumfordDivisor:
     """D + (t, b) on y**2 = f, for the point (t, b) with b**2 = f(0), as
-    triples: one of the three updates of the module docstring, at most one
-    reduction step, then :func:`validate`."""
+    triples: one of the three updates of the module docstring, its c one
+    ``Fraction`` of the stored constant terms, at most one reduction step,
+    then :func:`validate`."""
     u, v, w = D
-    u0, v0 = u[0], v[0]
-    if u0 or b and v0 == b:  # interpolation, or the Newton lift
-        c = (b - v0) / u0 if u0 else w[0] / (2 * b)
+    (u0, du), (v0, dv), (w0, dw) = u.constant_pair, v.constant_pair, w.constant_pair
+    bn, bd = b.numerator, b.denominator
+    if u0 or bn and v0 * bd == bn * dv:  # interpolation, c = (b - v0)/u0, or the Newton lift, c = w0/(2b)
+        c = Fraction((bn * dv - v0 * bd) * du, bd * dv * u0) if u0 else Fraction(w0 * bd, 2 * bn * dw)
         v2 = combine((1, v), (c, u))
         D = MumfordDivisor(u << 1, v2, combine((1, w), (-c, v), (-c, v2)) >> 1)
     else:  # cancellation: v(0) = -b, so D holds -P
@@ -141,30 +142,17 @@ def add(f: Poly, D: MumfordDivisor, b) -> MumfordDivisor:
     u, v, w = D
     if 2 * u.degree > f.degree:  # reduction
         L, q = w.leading_coefficient, v[u.degree - 1]
-        u2 = w * (1 / L)
+        u2 = w.monic()
         v2 = combine((q, u2), (-1, v))
         D = MumfordDivisor(u2, v2, combine((L, u), (q, v), (-q, v2)))
     validate(f, D)
     return D
 
 
-def _sqrt_series(T: Poly, b, K: int) -> list:
-    """s_0..s_{K-1} with (sum s_j*t**j)**2 = T mod t**K and s_0 = b, for T(0) = b**2 (!= 0 if K > 1): the sum
-    in 2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i} runs over one denominator, each product once."""
-    s = [b]
-    for j in range(1, K):
-        terms = [(s[i], s[j - i], 1 + (2 * i < j)) for i in range(1, j // 2 + 1)]
-        den = math.lcm(*[x.denominator * y.denominator for x, y, _ in terms])
-        dot = sum(k * x.numerator * y.numerator * (den // (x.denominator * y.denominator))
-                  for x, y, k in terms)
-        s.append((T[j] - Fraction(dot, den)) / (2 * b))
-    return s
-
-
 def _series_prefix(f: Poly, b, K: int) -> MumfordDivisor:
     """K*D for D = (t, b), 1 <= K <= g and b != 0 if K > 1, from the
     square-root series of f at t = 0, checked once (see the module docstring)."""
-    S = Poly(_sqrt_series(f, b, K))
+    S = sqrt_series(f, b, K)
     if S[0] != b:
         raise ValueError("the series %s does not pass through (0, %s)" % (S, b))
     out = MumfordDivisor(Poly.x_power(K), S, (f - S * S) >> K)
@@ -177,13 +165,13 @@ def order_of(f: Poly, D: MumfordDivisor, bound: int) -> int:
     its model y**2 = f are what :func:`embed_point` returns: the series
     prefix K*D, then ``add`` at each step up to bound*D and the half-way
     test (see the module docstring), so the returned k is the exact order,
-    never a proper multiple of it.  Raises ValueError for a base of degree
-    other than 1, a base off the model or a prefix that fails its check,
+    never a proper multiple of it.  Raises ValueError for a base that is not
+    a point (x - a, b), a base off the model or a prefix that fails its check,
     and OrderNotFoundError, after bound - K adds, past the bound.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %r" % (bound,))
-    if D.u.degree != 1:
+    if D.u.degree != 1 or D.v.degree > 0:
         raise ValueError("the base must be a point (x - a, b), got %s" % (D,))
     b, f = D.v[0], f.shift(-D.u[0])
     half = (bound + 1) // 2

@@ -20,18 +20,16 @@ convolution of the numerators (a square takes each cross product once),
 (n0 + n1*x)**k is expanded by the binomial theorem, evaluation at p/q is
 Horner's rule on p and q, the shift x -> x + p/q is synthetic division
 homogenised by q, and ``p << k`` and ``p >> k`` multiply and divide
-exactly by x**k.  :func:`is_product_sum` decides f == sum p*q with no
-gcd at all.  Only the extended gcd divides, by plain long division.
+exactly by x**k.  :func:`sqrt_series` runs its recurrence on integer
+pairs in lowest terms.  :func:`is_product_sum` decides f == sum p*q with
+no gcd at all.  Only the extended gcd divides, by plain long division.
 ``Fraction``s are built only at the edges: ``coeffs``, ``[k]``,
 ``leading_coefficient`` and the value of a polynomial at a point, never
-in the serializer, which spells each c/den as ``str(Fraction)`` would.
+in the serializer, which spells each c/den as ``str(Fraction)`` would,
+nor in the reader, which parses each string to its integer pair.
 
-Square-freeness is decided modulo primes only, on plain ``int`` lists
-with ``pow(x, -1, p)`` inverses, so no coefficient grows: a unit gcd of
-f and f' modulo one prime proves True, and enough primes dividing the
-resultant of f and f' prove False (see :func:`is_squarefree`).  Each
-prime is below 2**30, so every product fits in two CPython digits.  No
-answer is probabilistic, and no Euclid over Q runs.
+Square-freeness is decided modulo primes below 2**30, exactly and with no
+Euclid over Q (see :func:`is_squarefree`).
 
 The degree of the zero polynomial is the distinguished sentinel
 :data:`NEG_INFINITY` (``float('-inf')``), never an ordinary integer, so
@@ -44,7 +42,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, chain, count, repeat
 
-from .scalars import is_prime, repeated_squaring, scalar_from_json
+from .scalars import is_prime, rational_pair, repeated_squaring, scalar_from_json
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -117,6 +115,15 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self._num) and self._num[-1] == self._den
 
+    @property
+    def constant_pair(self) -> tuple:
+        """(c, den) with c/den the constant term, not reduced: no ``Fraction`` is built."""
+        return (self._num[0] if self._num else 0), self._den
+
+    def monic(self) -> "Poly":
+        """self divided by its leading coefficient."""
+        return _make(list(self._num), self._num[-1])
+
     def __getitem__(self, k: int):
         if 0 <= k < len(self._num):
             return Fraction(self._num[k], self._den)
@@ -130,7 +137,7 @@ class Poly:
             return NotImplemented
         return (self._num, self._den) == (other._num, other._den)
 
-    __hash__ = None  # mutable-free but unhashable; never used as a key
+    __hash__ = __iter__ = None  # never a key; and [k] reads 0 past the degree, so iteration would not end
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -217,21 +224,12 @@ class Poly:
         return "Poly([%s])" % (", ".join(str(c) for c in self.coeffs),)
 
     def __str__(self):
-        if not self:
-            return "0"
         parts = []
-        cs = self.coeffs
-        for k in range(len(cs) - 1, -1, -1):
-            c = cs[k]
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append("x" if c == 1 else "%s*x" % (c,))
-            else:
-                parts.append("x^%d" % k if c == 1 else "%s*x^%d" % (c, k))
-        return " + ".join(parts)
+        for k, c in reversed(list(enumerate(self.coeffs))):
+            if c:
+                x = "" if k == 0 else "x" if k == 1 else "x^%d" % k
+                parts.append(str(c) if not x else x if c == 1 else "%s*%s" % (c, x))
+        return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +274,23 @@ def is_product_sum(f: Poly, *pairs) -> bool:
         for k, c in enumerate(_convolve(p._num, q._num)):
             out[k] += s * c
     return not any(out)
+
+
+def sqrt_series(T: Poly, b, K: int) -> Poly:
+    """S of degree < K with S**2 = T mod x**K and S(0) = b, for T(0) = b**2 (b != 0 if K > 1), by
+    2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i} on integer pairs in lowest terms: the sum over the lcm
+    of its denominators, each cross product once, one gcd per term and one _make at the end."""
+    p, q, t, dt = b.numerator, b.denominator, T._num + (0,) * K, T._den
+    s = [(p, q)]
+    for j in range(1, K):
+        terms = [(s[i], s[j - i], 1 + (2 * i < j)) for i in range(1, j // 2 + 1)]
+        lcm = math.lcm(*[xd * yd for (_, xd), (_, yd), _ in terms])
+        dot = sum(k * xn * yn * (lcm // (xd * yd)) for (xn, xd), (yn, yd), k in terms)
+        n, d = (t[j] * lcm - dot * dt) * q, 2 * p * dt * lcm  # (t_j/dt - dot/lcm)/(2p/q)
+        g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+        s.append((n // g, d // g))
+    lcm = math.lcm(*[d for _, d in s])
+    return _make([c * (lcm // d) for c, d in s], lcm)
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
@@ -359,7 +374,11 @@ def poly_to_json(f: Poly) -> list:
 def poly_from_json(obj) -> Poly:
     if not isinstance(obj, list):
         raise ValueError("polynomial encoding must be a JSON array, got %r" % (obj,))
-    p = Poly(tuple(scalar_from_json(c) for c in obj))
+    pairs = [rational_pair(c) if isinstance(c, str) else scalar_from_json(c) for c in obj]
+    for gaussian in [c for c in pairs if not isinstance(c, tuple)]:
+        _rational(gaussian)  # refused after every element has parsed, so a malformed one is reported first
+    den = math.lcm(*[d for _, d in pairs])
+    p = _make([c * (den // d) for c, d in pairs], den)
     if len(p._num) != len(obj):
         raise ValueError("polynomial encoding ends in a zero coefficient: %r" % (obj,))
     return p

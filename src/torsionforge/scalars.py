@@ -16,6 +16,7 @@ Everything in this module is immutable and purely functional.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -161,9 +162,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def __repr__(self):
-        return "GaussianRational(%s, %s)" % (self.re, self.im)
-
     def __str__(self):
         if self.im == 0:
             return str(self.re)
@@ -185,17 +183,21 @@ GAUSSIAN_I = GaussianRational(0, 1)
 _CANONICAL_RATIONAL = re.compile(r"0|-?[1-9][0-9]*(/([2-9]|[1-9][0-9]+))?")
 
 
-def rational_from_str(s: str) -> Fraction:
-    """The rational that ``str(Fraction)`` spells as exactly s, else
-    ValueError.  The form is checked before any integer is built."""
+def rational_pair(s: str) -> tuple[int, int]:
+    """(numerator, denominator) of the rational that ``str(Fraction)`` spells as exactly s, else
+    ValueError.  The form is checked before any integer is built, and a ``Fraction`` only to refuse s."""
     if not (isinstance(s, str) and _CANONICAL_RATIONAL.fullmatch(s)):
         raise ValueError("Invalid literal for Fraction: %r" % (s,))
-    num, _, den_text = s.partition("/")
-    den = int(den_text or 1)
-    q = Fraction(int(num), den)
-    if q.denominator != den:
-        raise ValueError("rational %r is not the canonical spelling %r" % (s, str(q)))
-    return q
+    num, _, den = s.partition("/")
+    den, num = int(den or 1), int(num)  # den first: of two integers past the digit limit, den's is reported
+    if math.gcd(num, den) != 1:
+        raise ValueError("rational %r is not the canonical spelling %r" % (s, str(Fraction(num, den))))
+    return num, den
+
+
+def rational_from_str(s: str) -> Fraction:
+    """The rational that ``str(Fraction)`` spells as exactly s, else ValueError."""
+    return Fraction(*rational_pair(s))
 
 
 def scalar_to_json(x: Fraction | GaussianRational | int):

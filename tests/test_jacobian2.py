@@ -318,12 +318,21 @@ def test_order_of_small_bounds_on_a_weierstrass_point():
 
 
 def test_order_of_refuses_a_base_other_than_a_point():
+    """A base whose u is not of degree 1, or whose v is not the constant b of
+    a point (x - a, b), is refused with the same ValueError: (x - a, v) with
+    deg v >= 1 is not a Mumford pair, and must not get the order of (x - a, v(0))."""
     W = [embed(GENUS2_SPLIT, P) for P in weierstrass_points(GENUS2_SPLIT)]
     D = add_point(GENUS2_SPLIT.f, W[0], W[1])
     assert D.u.degree == 2
-    for base in (D, IDENTITY):
-        with pytest.raises(ValueError):
-            order_of(GENUS2_SPLIT.f, base, bound=4)
+    cert = construct(7, 2, 8)
+    model, P = embed_point(cert.curve, cert.point)
+    assert order_of(model, P, 8) == 8
+    t = Poly.x_power(1)
+    cases = [(GENUS2_SPLIT.f, D), (GENUS2_SPLIT.f, IDENTITY), (GENUS2_SPLIT.f, W[0]._replace(v=t)),
+             (model, P._replace(v=P.v + t)), (model, P._replace(v=P.v + t * t))]
+    for f, base in cases:
+        with pytest.raises(ValueError, match="^the base must be a point"):
+            order_of(f, base, bound=8)
 
 
 def test_twisted_pair_is_valid_on_the_twist():
@@ -497,6 +506,21 @@ def test_order_of_keeps_numerators_small_at_n65(monkeypatch):
     assert widest <= 1024
 
 
+def test_sqrt_series_at_n65():
+    """At the n = 65, m = 131 point (genus 32), the series of f at x(P) through
+    b to K = 32 terms is a square root of f modulo t**32 and agrees with the
+    same recurrence run one Fraction operation at a time."""
+    model, D = n65_point()
+    b, f_t = D.v[0], model.shift(-D.u[0])
+    S = jacobian2.sqrt_series(f_t, b, 32)
+    assert S[0] == b and S.degree <= 31
+    assert not any((f_t - S * S).coeffs[:32])
+    s = [b]
+    for j in range(1, 32):
+        s.append((f_t[j] - sum(s[i] * s[j - i] for i in range(1, j))) / (2 * b))
+    assert S == Poly(s)
+
+
 def test_order_of_takes_the_series_prefix_at_n65(monkeypatch):
     """On genus 32, m = 131, order_of builds 32*D from the series of f and
     adds D ceil(131/2) - 32 = 34 times, where the plain scan adds it 65 times."""
@@ -667,12 +691,12 @@ def test_series_prefix_check_refuses_a_wrong_series(case, data):
     f, D, g = case
     K = data.draw(st.integers(2, g))
     j = data.draw(st.integers(0, K - 1))
-    real = jacobian2._sqrt_series
-    wrong = (lambda T, b, K: [-c for c in real(T, b, K)],
-             lambda T, b, K: [c + (i == j) for i, c in enumerate(real(T, b, K))])
+    real = jacobian2.sqrt_series
+    wrong = (lambda T, b, K: -real(T, b, K),
+             lambda T, b, K: real(T, b, K) + Poly.x_power(j))
     for series in wrong:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(jacobian2, "_sqrt_series", series)
+            patch.setattr(jacobian2, "sqrt_series", series)
             with pytest.raises(ValueError):
                 order_of(f, D, bound=2 * K)
 

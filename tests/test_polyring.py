@@ -19,9 +19,17 @@ from torsionforge.polyring import (
     is_squarefree,
     poly_from_json,
     poly_to_json,
+    sqrt_series,
     xgcd,
 )
-from torsionforge.scalars import GaussianRational, is_prime, repeated_squaring
+from torsionforge.scalars import (
+    GaussianRational,
+    is_prime,
+    rational_from_str,
+    repeated_squaring,
+    scalar_from_json,
+)
+from test_scalars import NON_CANONICAL
 
 coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=0, max_size=6
@@ -58,6 +66,15 @@ def test_out_of_range_coefficient_reads_zero():
     p = Poly((1, 2))
     assert p[5] == 0
     assert p[0] == 1
+
+
+@pytest.mark.parametrize("use", [iter, list, tuple, Poly, lambda p: 3 in p, lambda p: [c for c in p]],
+                         ids=["iter", "list", "tuple", "Poly", "in", "comprehension"])
+def test_a_poly_is_not_iterable(use):
+    """[k] reads 0 past the degree, so iteration by __getitem__ would never
+    end; every iterating use raises TypeError instead."""
+    with pytest.raises(TypeError):
+        use(Poly((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +395,69 @@ def test_poly_json_spells_each_coefficient_as_str_fraction(cs):
     assert poly_to_json(f) == [str(c) for c in f.coeffs]
 
 
+def _reference_poly_from_json(obj):
+    """The reference reader: every element through scalar_from_json, then
+    the constructor, then the trailing-zero check."""
+    p = Poly(tuple(scalar_from_json(c) for c in obj))
+    if len(p.coeffs) != len(obj):
+        raise ValueError("polynomial encoding ends in a zero coefficient: %r" % (obj,))
+    return p
+
+
+def _outcome(read, obj):
+    """read(obj), or the type and message of the exception it raises."""
+    try:
+        return read(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+canonical_encodings = wide_coeffs.map(lambda cs: [str(c) for c in cs])
+
+
+@given(canonical_encodings)
+@example(["0"])
+@example(["1", "0"])
+def test_poly_from_json_reads_canonical_strings(obj):
+    if obj and obj[-1] == "0":
+        with pytest.raises(ValueError, match="ends in a zero coefficient"):
+            poly_from_json(obj)
+        return
+    p = poly_from_json(obj)
+    _assert_canonical(p)
+    assert p == Poly(map(rational_from_str, obj))
+    assert poly_to_json(p) == obj
+
+
+GAUSSIAN_ENCODINGS = [{"re": "0", "im": "1"}, {"re": "-1/2", "im": "3"}]
+MALFORMED_ELEMENTS = NON_CANONICAL + GAUSSIAN_ENCODINGS + [
+    {"re": "1", "im": "0"}, {"re": "01", "im": "1"}, {"re": "1"}, 0, 1.5, None, ["1"], True,
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED_ELEMENTS, ids=repr)
+@settings(max_examples=20)
+@given(canonical_encodings.filter(lambda obj: not obj or obj[-1] != "0"), st.data())
+def test_poly_from_json_refuses_as_the_reference_reader_does(bad, obj, data):
+    """A non-canonical spelling, a non-scalar or a Gaussian rational at any
+    position raises the exception type and message of the reference reader."""
+    obj = list(obj)
+    obj.insert(data.draw(st.integers(0, len(obj))), bad)
+    expected = _outcome(_reference_poly_from_json, obj)
+    assert isinstance(expected, tuple)
+    assert _outcome(poly_from_json, obj) == expected
+    if bad in GAUSSIAN_ENCODINGS:
+        assert expected == (TypeError, "unsupported coefficient type: 'GaussianRational'")
+
+
+def test_poly_from_json_reports_a_bad_string_after_a_gaussian_first():
+    """Every element is parsed before a Gaussian rational is refused, as in the reference reader."""
+    for obj in ([{"re": "0", "im": "1"}, "01"], ["1", {"re": "0", "im": "1"}, "2/4"]):
+        expected = _outcome(_reference_poly_from_json, obj)
+        assert expected[0] is ValueError
+        assert _outcome(poly_from_json, obj) == expected
+
+
 @given(wide_coeffs, wide_coeffs)
 def test_mul_kernel_matches_reference(a, b):
     p = Poly(a) * Poly(b)
@@ -444,6 +524,33 @@ def test_kernels_on_edge_operands(a, b):
     q, r = divmod(pa, pb)
     assert (list(q.coeffs), list(r.coeffs)) == _ref_divmod(list(pa.coeffs), list(pb.coeffs))
     assert q * pb + r == pa and r.degree < pb.degree
+
+
+def _ref_sqrt_series(T, b, K):
+    """s_0..s_{K-1} by 2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i}, one Fraction operation at a time."""
+    s = [b]
+    for j in range(1, K):
+        s.append((T[j] - sum(s[i] * s[j - i] for i in range(1, j))) / (2 * b))
+    return s
+
+
+non_integral = st.builds(Fraction, st.integers(1, 10**12), st.integers(2, 10**9)).filter(
+    lambda b: b.denominator > 1)
+
+
+@given(non_integral, st.booleans(), st.lists(wide_fractions, max_size=10), st.integers(1, 9))
+@example(Fraction(3, 2), True, [], 9)
+@example(Fraction(7, 10**9 + 7), False, [Fraction(-1, 3)] * 10, 1)
+def test_sqrt_series_matches_the_fraction_recurrence(b, negative, tail, K):
+    """The integer-pair kernel equals the Fraction recurrence, and its S is a
+    square root of T through b modulo x**K, for b non-integral of either sign."""
+    b = -b if negative else b
+    T = Poly([b * b] + tail)
+    S = sqrt_series(T, b, K)
+    _assert_canonical(S)
+    assert S == Poly(_ref_sqrt_series(T, b, K))
+    assert S[0] == b and S.degree < K
+    assert not any((T - S * S).coeffs[:K])
 
 
 def test_mul_by_zero_and_constants():

@@ -104,6 +104,35 @@ def test_every_public_method_is_read_as_an_attribute_inside_the_package():
     assert methods == []
 
 
+# the stored form of a Poly, and the one function that normalises it
+POLY_INTERNALS = {"_make", "_num", "_den"}
+
+
+def test_only_polyring_touches_the_stored_form_of_a_poly():
+    """No module but polyring imports or reads ``_make``, ``_num`` or ``_den``,
+    by name, as an attribute or as a ``getattr`` string: every Poly is
+    normalised by ``polyring._make``, looked up on the module, so a test that
+    patches it there sees every numerator, and the stored numerators are read
+    elsewhere only through polyring's accessors."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "polyring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Constant):
+                names = {node.value}
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names & POLY_INTERNALS]
+    assert found == []
+
+
 # the reachability verdict's vocabulary, which constructors holds
 VERDICT_NAMES = (
     "Verdict", "reachability_verdict", "_VERDICT_RULES", "_FAMILIES",
