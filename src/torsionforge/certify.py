@@ -80,8 +80,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .curves import AffinePoint, Curve, CurveError, on_curve
-from .polyring import Poly, poly_from_json, poly_to_json
-from .scalars import field_from_json, is_prime, rational_from_str, scalar_from_json, scalar_to_json
+from .polyring import Poly, is_scaled_power, poly_from_json, poly_to_json
+from .scalars import GaussianRational, field_from_json, is_prime, rational_from_str, scalar_from_json, scalar_to_json
 
 
 # identity kinds
@@ -216,15 +216,30 @@ class _Report(list):
         return bool(ok)
 
 
-def _check_identity(r: _Report, claim: str, gate: bool, left, target):
-    """The identity line: left() == A*target(), both built only if the gate
-    passes, which makes left() nonzero and of the target's degree, so A != 0."""
-    A = None
-    if gate:
-        q, t = left(), target()
-        A = q.leading_coefficient / t.leading_coefficient
-        A = A if q == t * A else None
-    r.check("identity", A is not None, claim if A is None else "%s, A=%s" % (claim, A))
+_CHUNK, _SHOWN = 10 ** 640, 10 ** 4300  # the least int<->str limit an environment can set; the default
+
+
+def _shown(x) -> str:
+    """str(x) for a computed int, Fraction or GaussianRational, with each integer converted in chunks
+    of 640 digits, so that no int<->str limit applies, and past 4,300 digits written as its size."""
+    if isinstance(x, GaussianRational):
+        return x.text(_shown)
+    if -_CHUNK < x.numerator < _CHUNK and x.denominator < _CHUNK:
+        return str(x)
+    if x.denominator != 1:
+        return "%s/%s" % (_shown(x.numerator), _shown(x.denominator))
+    sign, n = "-" * (x < 0), abs(x.numerator)
+    if n >= _SHOWN:
+        return sign + "<%d-bit integer>" % n.bit_length()
+    return sign + _shown(n // _CHUNK) + "%0640d" % (n % _CHUNK)
+
+
+def _check_identity(r: _Report, claim: str, gate: bool, left, a, k: int, u: Poly = Poly((1,))):
+    """The identity line: L = left(), built only if the gate passes, is A*(x - a)**k*u for a monic u
+    exactly when (x - a)*u*L' == (k*u + (x - a)*u')*L (``is_scaled_power``), and then A = lc(L)."""
+    L = left() if gate else None
+    ok = gate and is_scaled_power(L, a, k, u)
+    r.check("identity", ok, "%s, A=%s" % (claim, _shown(L.leading_coefficient)) if ok else claim)
 
 
 def parse_and_verify(obj: dict) -> tuple[TorsionCertificate | None, list[CheckLine]]:
@@ -310,11 +325,11 @@ def _verify_power(r: _Report, cert: TorsionCertificate, curve: Curve, du, left, 
     pole-order detail and name of a, are formatted with d, m, a and the pole."""
     d, n, m, v = curve.d, curve.n, cert.m, cert.v
     pole = max(d * du + n, d * v.degree)  # v.degree is -inf for the zero v
-    claim, pole_detail, a_name = (t % {"d": d, "m": m, "a": a, "pole": pole} for t in texts)
-    _check_identity(r, claim, pole == m and gate, left, lambda: Poly.x_minus(a) ** m)
+    claim, pole_detail, a_name = (t % {"d": d, "m": m, "a": a, "pole": _shown(pole)} for t in texts)
+    _check_identity(r, claim, pole == m and gate, left, a, m)
     r.check("pole-order", pole == m, pole_detail)
     va = v(a)
-    r.check("witness-nonzero-at-a", va != 0, "v(%s)=%s" % (a_name, va))
+    r.check("witness-nonzero-at-a", va != 0, "v(%s)=%s" % (a_name, _shown(va)))
     pt = _check_point(r, cert, curve, a, symbolic_ok)
     if pt is not None:
         point_lines(pt, va)
@@ -333,7 +348,7 @@ def _verify_pure_power(r: _Report, cert: TorsionCertificate, curve: Curve):
     _verify_power(
         r, cert, curve, 0, lambda: f - v ** d, cert.a,
         ("f - v^%(d)d == A*(x-a)^%(m)d, a=%(a)s", "max(n, d*deg v) = %(pole)s, m = %(m)d", "a"),
-        lambda pt, va: r.check("point-ordinate", pt.y == va, "y(P)=%s v(a)=%s" % (pt.y, va)),
+        lambda pt, va: r.check("point-ordinate", pt.y == va, "y(P)=%s v(a)=%s" % (pt.y, _shown(va))),
         symbolic_ok=False)
 
 
@@ -366,7 +381,7 @@ def _verify_infinity_shift(r: _Report, cert: TorsionCertificate, curve: Curve):
             return
         r.check("lambda-root", cert.lam ** d == -1, "lambda^%d" % (d,))
         expected = cert.lam * (Fraction(-1) ** e) * vm1
-        r.check("point-ordinate", pt.y == expected, "y(P)=%s expected=%s" % (pt.y, expected))
+        r.check("point-ordinate", pt.y == expected, "y(P)=%s expected=%s" % (pt.y, _shown(expected)))
 
     # (1+x)^m has every term up to m, x^(ed)*f + v^d none strictly between d*deg v and ed
     _verify_power(
@@ -388,16 +403,15 @@ def _verify_two_torsion_link(r: _Report, cert: TorsionCertificate, curve: Curve)
     w = -u[0]
     r.check("link-root-distinct", w != a, "w=%s a=%s" % (w, a))
     vw = v(w)
-    r.check("witness-vanishes-at-link", vw == 0, "v(w)=%s" % (vw,))
+    r.check("witness-vanishes-at-link", vw == 0, "v(w)=%s" % (_shown(vw),))
     pole_ok = v.degree * 2 == n + 1
-    _check_identity(r, "v^2 - f == A*(x-a)^%d*(x-w)" % (n,), pole_ok,
-                    lambda: v ** 2 - f, lambda: Poly.x_minus(a) ** n * u)
+    _check_identity(r, "v^2 - f == A*(x-a)^%d*(x-w)" % (n,), pole_ok, lambda: v ** 2 - f, a, n, u)
     r.check("pole-order", pole_ok, "deg v = %s, (n+1)/2 = %s" % (v.degree, Fraction(n + 1, 2)))
     va = v(a)
-    r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (va,))
+    r.check("witness-nonzero-at-a", va != 0, "v(a)=%s" % (_shown(va),))
     pt = _check_point(r, cert, curve, a, symbolic_ok=False)
     if pt is not None:
-        r.check("point-ordinate", pt.y == -va, "y(P)=%s -v(a)=%s" % (pt.y, -va))
+        r.check("point-ordinate", pt.y == -va, "y(P)=%s -v(a)=%s" % (pt.y, _shown(-va)))
         r.check("ordinate-nonzero", bool(pt.y))
     r.check("exactness-rule", cert.exactness_rule == RULE_TWO_TORSION, cert.exactness_rule)
 

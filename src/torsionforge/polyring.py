@@ -28,8 +28,8 @@ no gcd at all.  Only the extended gcd divides, by plain long division.
 in the serializer, which spells each c/den as ``str(Fraction)`` would,
 nor in the reader, which parses each string to its integer pair.
 
-Square-freeness is decided modulo primes below 2**30, exactly and with no
-Euclid over Q (see :func:`is_squarefree`).
+Square-freeness is decided by one integer gcd or modulo primes below 2**30
+(:func:`is_squarefree`), and L == lc(L)*(x - a)**k*u by its log-derivative.
 
 The degree of the zero polynomial is the distinguished sentinel
 :data:`NEG_INFINITY` (``float('-inf')``), never an ordinary integer, so
@@ -46,6 +46,7 @@ from .scalars import is_prime, rational_pair, repeated_squaring, scalar_from_jso
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
+_SCREEN_BITS = 256  # the widest numerator, in bits, for is_squarefree's integer gcd
 
 
 def _rational(c):
@@ -310,25 +311,50 @@ def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     return r0 * inv, s0 * inv, t0 * inv
 
 
+def is_scaled_power(L: Poly, a, k: int, u: Poly) -> bool:
+    """Whether L == lc(L)*(x - a)**k*u, for a rational a = p/q and a monic u, with no (x - a)**k
+    built: L != 0 is a multiple of T = (x - a)**k*u exactly when (L/T)' = 0, or P*L' == R*L on
+    L's numerators (its denominator cancels) with u's numerators U, P = (q*x - p)*U and
+    R = k*q*U + (q*x - p)*U'.  For L = 0 the two sides differ in length."""
+    N, U, qx_p = L._num, u._num, [-a.numerator, a.denominator]
+    dN, dU = ([i * c for i, c in enumerate(X)][1:] for X in (N, U))
+    R = [k * a.denominator * c + e for c, e in zip(U, _convolve(qx_p, dU))]
+    return _convolve(_convolve(qx_p, U), dN) == _convolve(R, N)
+
+
 def is_squarefree(f: Poly) -> bool:
     """True when f shares no root with its derivative (no repeated factor).
 
     Constant and zero inputs are rejected: square-freeness is a question
     about polynomials with roots.
 
-    F is f's stored integer numerators, n its degree.  The primes p are
-    walked down from 1073741789 = 2**30 - 35, skipping those dividing lc(F),
-    so F̄ and F̄′ keep degrees n and n − 1 and Res(F̄, F̄′) = Res(F, F′) mod p.
-    A unit gcd(F̄, F̄′) over F_p makes the resultant nonzero: True.
-    Otherwise p divides it, and once the product of such primes, squared,
-    exceeds the Hadamard bound (ΣF_i²)^(n−1)·(ΣF′_i²)^n on Res², the
-    resultant is 0: False (von zur Gathen and Gerhard, *Modern Computer
-    Algebra*, ch. 6).  As p² > 2**58, at most bound.bit_length() // 58 + 1
-    primes fail, so a repeated-root f costs work linear in the bound's bits.
+    F is f's stored integer numerators, n its degree and b the bits of the
+    widest.  While b <= _SCREEN_BITS = 256 (past it CPython's quadratic
+    gcd is slower than the walk), with B = b + 8, gcd(F(2**B), F′(2**B)) <
+    2**B − 2**b proves True, by the root bound behind GCDHEU (Char, Geddes
+    and Gonnet, *J. Symbolic Computation* 7, 1989): each root z has
+    |z| < 2**b (Cauchy), so a primitive h of degree ≥ 1 dividing F and F′
+    divides the gcd and |h(2**B)| ≥ Π|2**B − z| > 2**B − 2**b.  Otherwise
+    the primes p are walked down from 1073741789 = 2**30 - 35, skipping
+    those dividing lc(F), so F̄ and F̄′ keep degrees n and n − 1 and
+    Res(F̄, F̄′) = Res(F, F′) mod p.  A unit gcd(F̄, F̄′) over F_p makes
+    the resultant nonzero: True.  Otherwise p divides it, and once the
+    product of such primes, squared, exceeds the Hadamard bound
+    (ΣF_i²)^(n−1)·(ΣF′_i²)^n on Res², the resultant is 0: False (von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).  As p² > 2**58,
+    at most bound.bit_length() // 58 + 1 primes fail, so a repeated-root f
+    costs work linear in the bound's bits.
     """
     if f.degree < 1:
         raise ValueError("square-freeness needs degree >= 1, got %r" % (f,))
     F = f._num
+    b = max(map(abs, F)).bit_length()
+    if b <= _SCREEN_BITS:
+        B, X, Y = b + 8, 0, 0
+        for k in range(len(F) - 1, 0, -1):  # Horner's rule at 2**B by shifts
+            X, Y = (X << B) + F[k], (Y << B) + k * F[k]
+        if math.gcd((X << B) + F[0], Y) < (1 << B) - (1 << b):
+            return True
     n, bound, proof = len(F) - 1, None, 1
     # 1073741789 = 2**30 - 35 is prime; only the primes below it are tested
     for p in chain((1073741789,), filter(is_prime, count(1073741787, -2))):

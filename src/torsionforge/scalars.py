@@ -109,9 +109,6 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    re: Fraction
-    im: Fraction
-
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
@@ -162,13 +159,16 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def __str__(self):
+    def text(self, rational=str) -> str:
+        """str(self), with each rational part written by rational."""
         if self.im == 0:
-            return str(self.re)
+            return rational(self.re)
         if self.re == 0:
-            return "%s*i" % (self.im,)
+            return "%s*i" % (rational(self.im),)
         sign = "+" if self.im > 0 else "-"
-        return "%s%s%s*i" % (self.re, sign, abs(self.im))
+        return "%s%s%s*i" % (rational(self.re), sign, rational(abs(self.im)))
+
+    __str__ = text
 
 
 #: The square root of -1 used by ordinates on cover-degree-2 curves.

@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torsionforge import cli, polyring
+from torsionforge import certify, cli, polyring
 
 from torsionforge.certify import (
     CheckLine,
@@ -36,7 +39,7 @@ from torsionforge.constructors import (
 from torsionforge.curves import AffinePoint, PreconditionError
 from torsionforge.jacobian2 import embed_point, order_of
 from torsionforge.polyring import Poly
-from torsionforge.scalars import GAUSSIAN_I, scalar_from_json, scalar_to_json
+from torsionforge.scalars import GAUSSIAN_I, GaussianRational, scalar_from_json, scalar_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -694,13 +697,9 @@ def test_verifier_reports_over_the_mutation_corpus_are_pinned():
     assert digest.hexdigest() == MUTATION_CORPUS_SHA256
 
 
-def test_every_constructed_certificate_validates_without_the_exact_gcd(euclid_primes):
-    """Square-freeness of every constructed curve is decided mod 2^30 - 35.
-
-    Building and re-parsing each certificate construct emits for
-    d in {2, 3, 4, 5, 7}, coprime d < n <= 25 and m = 2..2n+1 runs one
-    modular Euclid per curve, on the first prime of the walk.
-    """
+def _build_and_reparse_the_grid() -> int:
+    """Build and re-parse each certificate construct emits for d in {2, 3, 4, 5, 7},
+    coprime d < n <= 25 and m = 2..2n+1; returns how many it built."""
     built = 0
     for d in (2, 3, 4, 5, 7):
         for n in range(d + 1, 26):
@@ -714,4 +713,50 @@ def test_every_constructed_certificate_validates_without_the_exact_gcd(euclid_pr
                     continue
                 assert TorsionCertificate.from_json_dict(cert.to_json_dict()) == cert
                 built += 1
-    assert (built, set(euclid_primes)) == (451, {2**30 - 35})
+    return built
+
+
+def test_every_constructed_certificate_validates_without_the_exact_gcd(euclid_primes):
+    """With the integer-gcd screen off, square-freeness of every constructed
+    curve is decided mod 2^30 - 35: one modular Euclid per curve, on the
+    first prime of the walk."""
+    assert (_build_and_reparse_the_grid(), set(euclid_primes)) == (451, {2**30 - 35})
+
+
+def test_every_constructed_certificate_validates_by_the_integer_gcd(monkeypatch):
+    """With the screen on, its one integer gcd proves every constructed curve
+    square-free (the widest numerator is 115 bits), and no modular Euclid runs."""
+    walked = []
+    monkeypatch.setattr(polyring, "_coprime_mod_p", lambda a, b, p: walked.append(p))
+    assert (_build_and_reparse_the_grid(), walked) == (451, [])
+
+
+# ---------------------------------------------------------------------------
+# computed values in report lines, under any int<->str limit
+# ---------------------------------------------------------------------------
+
+# each evaluates to a value whose integers have at most 4,300 digits, CPython's default limit
+SHOWN_EXACTLY = ("10**4300 - 1", "-(10**4299 + 7)", "Fraction(-(10**4000 + 1), 10**3000 + 3)", "0", "-5",
+                 "GaussianRational(Fraction(1, 10**1000 + 1), -(10**2000 + 9))", "GaussianRational(0, 10**700)")
+
+
+def test_computed_values_print_their_exact_digits_under_the_least_limit():
+    # under PYTHONINTMAXSTRDIGITS=640 str() refuses these; the report's formatter converts 640 digits at a time
+    src = str(Path(polyring.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); from fractions import Fraction; "
+            "from torsionforge.scalars import GaussianRational; from torsionforge.certify import _shown; "
+            "print('\\n'.join(_shown(eval(e)) for e in %r))" % (src, SHOWN_EXACTLY))
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    namespace = {"Fraction": Fraction, "GaussianRational": GaussianRational}
+    assert out.stdout.splitlines() == [str(eval(e, namespace)) for e in SHOWN_EXACTLY]
+
+
+def test_computed_values_past_4300_digits_print_their_size():
+    big = 10**4300
+    bits = big.bit_length()
+    assert certify._shown(big) == "<%d-bit integer>" % bits
+    assert certify._shown(-big) == "-<%d-bit integer>" % bits
+    assert certify._shown(Fraction(3, big)) == "3/<%d-bit integer>" % bits
+    assert certify._shown(GaussianRational(1, -big)) == "1-<%d-bit integer>*i" % bits
+    assert certify._shown(big - 1) == str(big - 1)

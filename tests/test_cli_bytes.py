@@ -31,13 +31,19 @@ parser only for help and errors; at COLUMNS=37, where Python versions wrap
 differently, the parser cases are compared with runs that parse every argv
 with the top-level parser rather than pinned, and every argv the benchmark
 runs must parse to the same namespace either way.
+
+Values the verifier computes are printed without CPython's int<->str
+limit: the two ``-past-digit-limit`` cases, and an honest report, give the
+same bytes in a child interpreter whatever PYTHONINTMAXSTRDIGITS is.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -259,3 +265,41 @@ def test_the_named_commands_parser_parses_like_the_full_parser():
         assert extras == [], argv
         got.command = argv[0]
         assert got == cli.build_parser().parse_args(argv), argv
+
+
+# ---------------------------------------------------------------------------
+# CPython's int<->str limit changes no report byte
+# ---------------------------------------------------------------------------
+
+SRC = Path(cli.__file__).resolve().parent.parent
+DIGIT_LIMIT_CASES = [case for case in EXIT_PATHS if case["name"].endswith("-past-digit-limit")]
+
+
+def _verify_in_a_child(tmp_path, text: str, limit: str | None):
+    """``verify`` of text in a fresh interpreter with PYTHONINTMAXSTRDIGITS unset or set to limit."""
+    path = tmp_path / "cert.json"
+    path.write_text(text, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(SRC)
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    run = subprocess.run([sys.executable, "-m", "torsionforge.cli", "verify", str(path)],
+                         env=env, capture_output=True, encoding="utf-8", timeout=120)
+    return run.returncode, run.stdout, run.stderr
+
+
+@pytest.mark.parametrize("limit", [None, "0"])
+@pytest.mark.parametrize("case", DIGIT_LIMIT_CASES, ids=[case["name"] for case in DIGIT_LIMIT_CASES])
+def test_a_computed_value_past_4300_digits_prints_the_same_report_under_any_limit(tmp_path, case, limit):
+    # a v(a) of 4,401 digits and a pole order of 4,301: each line states the size, and exits 1
+    assert len(DIGIT_LIMIT_CASES) == 2
+    assert _verify_in_a_child(tmp_path, case["input"], limit) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("limit", [None, "640", "0"])
+def test_an_honest_report_is_the_same_under_any_int_str_limit(capsys, tmp_path, limit):
+    cli.main(["construct", "--n", "5", "--d", "2", "--m", "7"])  # infinity-shift, Gaussian ordinate
+    text = capsys.readouterr().out
+    expected = run_cli(capsys, tmp_path, ["verify", "{input}"], text)
+    assert expected[0] == 0 and "expected=5/2*i" in expected[1]
+    assert _verify_in_a_child(tmp_path, text, limit) == expected

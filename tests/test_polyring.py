@@ -6,16 +6,19 @@ import math
 import random
 from fractions import Fraction
 from math import gcd as gcd_int, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from torsionforge import polyring
 from torsionforge.polyring import (
     NEG_INFINITY,
     Poly,
     combine,
     gcd,
     is_product_sum,
+    is_scaled_power,
     is_squarefree,
     poly_from_json,
     poly_to_json,
@@ -289,6 +292,114 @@ def test_primes_walked_are_bounded_by_the_input(euclid_primes, g, h, square, hos
     # every walked prime exceeds 2**29, so k failing primes have a product whose square
     # exceeds 2**(58k); once 58k >= bound.bit_length() it exceeds the bound and proves False
     assert len(walked) <= bound.bit_length() // 58 + 1 + len(skipped)
+
+
+class _Walked(Exception):
+    """Raised in place of the modular walk, to tell the integer-gcd screen's answers apart."""
+
+
+def _screen_proves(f) -> bool:
+    """Whether is_squarefree(f) answers without walking a prime: its integer gcd proved f square-free."""
+    def walk(a, b, p):
+        raise _Walked
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "_coprime_mod_p", walk)
+        try:
+            return is_squarefree(f)
+        except _Walked:
+            return False
+
+
+def _lc_times(p, c):
+    return Poly(p.coeffs[:-1] + (p.coeffs[-1] * c,))
+
+
+# scalings that put p = P30, the walk's first prime, into a leading coefficient or a denominator
+HOSTILE_SCALES = st.sampled_from((1, P30, -3 * P30, Fraction(1, P30), Fraction(-7, P30 * P30_NEXT)))
+
+
+@settings(deadline=None)
+@given(nonzero_polys.filter(lambda p: p.degree >= 1), nonzero_polys, HOSTILE_SCALES, HOSTILE_SCALES)
+def test_the_integer_gcd_screen_never_passes_a_square(g, h, lc, scale):
+    f = _lc_times(g, lc) ** 2 * h * scale
+    assert not _screen_proves(f)
+    assert not is_squarefree(f)
+
+
+@settings(deadline=None)
+@given(nonzero_polys.filter(lambda p: p.degree >= 1), HOSTILE_SCALES, HOSTILE_SCALES)
+@example(Poly((Fraction(21, 2), Fraction(-56, 5), Fraction(63, 5), Fraction(21, 2))), 1, 1)
+def test_the_integer_gcd_screen_agrees_with_the_walk(f, lc, scale):
+    # the screen may decline a square-free f (here 21/2*x^3 + ... does, by its content), never misjudge one
+    f = _lc_times(f, lc) * scale
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "_SCREEN_BITS", -1)
+        walked = is_squarefree(f)
+    assert is_squarefree(f) == walked
+    assert walked or not _screen_proves(f)
+
+
+@pytest.mark.parametrize("bits, gcds", [(16, 1), (256, 1), (257, 0), (512, 0)])
+def test_one_integer_gcd_runs_up_to_the_256_bit_cap_and_none_past_it(monkeypatch, bits, gcds):
+    f = Poly((1, 2 ** (bits - 1), 0, 0, 0, 1))  # x^5 + 2^(bits-1)*x + 1: its widest numerator has `bits` bits
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(polyring, "math", SimpleNamespace(gcd=counted))
+    assert is_squarefree(f)
+    assert len(calls) == gcds
+    assert _screen_proves(f) == bool(gcds)
+
+
+# ---------------------------------------------------------------------------
+# the identity kernel L == lc(L)*(x - a)**k*u, against its expansion
+# ---------------------------------------------------------------------------
+
+small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def _expanded_match(L, a, k, u) -> bool:
+    return bool(L) and L == Poly.x_minus(a) ** k * u * L.leading_coefficient
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_rationals, small_rationals, st.integers(0, 9), small_rationals.filter(bool), st.booleans(),
+       st.sampled_from(("exact", "perturbed", "wrong-root", "cut-short", "zero", "wrong-k")), st.data())
+def test_the_identity_kernel_matches_the_expansion(a, w, k, A, link, miss, data):
+    u = Poly.x_minus(w) if link else Poly((1,))
+    L = Poly.x_minus(a) ** k * u * A
+    if miss == "perturbed":
+        i = data.draw(st.integers(0, L.degree))
+        L = L + Poly.x_power(i) * data.draw(small_rationals.filter(bool))
+    elif miss == "wrong-root":
+        L = Poly.x_minus(a + data.draw(small_rationals.filter(bool))) ** k * u * A
+    elif miss == "cut-short":
+        L = L - Poly.x_power(L.degree) * A  # the leading term cancels, so the degree drops
+    elif miss == "zero":
+        L = Poly()
+    elif miss == "wrong-k":
+        k += data.draw(st.sampled_from((-1, 1)))
+    k = max(k, 0)
+    assert is_scaled_power(L, a, k, u) == _expanded_match(L, a, k, u)
+    if miss == "exact":
+        assert is_scaled_power(L, a, k, u)
+
+
+def test_the_identity_kernel_near_misses():
+    a, w = Fraction(-3, 7), Fraction(5, 2)
+    for u in (Poly((1,)), Poly.x_minus(w)):
+        L = Poly.x_minus(a) ** 6 * u * Fraction(-4, 9)
+        assert is_scaled_power(L, a, 6, u)
+        assert not is_scaled_power(L, a, 5, u) and not is_scaled_power(L, a, 7, u)
+        assert not is_scaled_power(L, -a, 6, u)
+        assert not is_scaled_power(L + Poly((Fraction(1, 10**30),)), a, 6, u)
+        assert not is_scaled_power(Poly(), a, 6, u)
+    assert not is_scaled_power(Poly.x_minus(a) ** 7, a, 6, Poly.x_minus(w))
+    assert is_scaled_power(Poly.x_minus(a) ** 7, a, 6, Poly.x_minus(a))
 
 
 # ---------------------------------------------------------------------------
