@@ -385,7 +385,7 @@ def _verify_infinity_shift(r: _Report, cert: TorsionCertificate, curve: Curve):
 
     # (1+x)^m has every term up to m, x^(ed)*f + v^d none strictly between d*deg v and ed
     _verify_power(
-        r, cert, curve, e, lambda: Poly.x_power(e * d) * f + v ** d, Fraction(-1),
+        r, cert, curve, e, lambda: (f << e * d) + v ** d, Fraction(-1),
         ("x^(ed)*f + v^%(d)d == A*(1+x)^%(m)d", "pole order %(pole)s", "-1"),
         point_lines, gate=e * d <= d * v.degree + 1)
 

@@ -7,11 +7,12 @@ last numerator is nonzero.  That form is canonical, so two polynomials
 are equal exactly when their numerators and denominators are.
 ``Poly(coefficients)`` is the one constructor (``Poly()`` is zero) and
 truth the one zero test (``not p``); ``x_power`` and ``x_minus`` spell
-x**k and x - a, the two shapes the package builds.  The constructor
-accepts ``int`` and ``Fraction`` coefficients and refuses any other type,
-Gaussian rationals included: the only non-rational numbers the package
-needs are two scalars of a certificate, a point's ordinate and
-``lambda``, never a polynomial coefficient.
+x**k and x - a, the two shapes the package builds, from integers, and
+integer pairs (n, d) enter by the one door :func:`poly_from_pairs`.  The
+constructor accepts ``int`` and ``Fraction`` coefficients and refuses
+any other type, Gaussian rationals included: the only non-rational
+numbers the package needs are two scalars of a certificate, a point's
+ordinate and ``lambda``, never a polynomial coefficient.
 
 Every kernel works on the stored integers and ends in one normalising
 gcd: :func:`combine`, the sum of rational multiples behind ``+`` and
@@ -77,9 +78,7 @@ class Poly:
     __slots__ = ("_num", "_den")
 
     def __new__(cls, coeffs=()):
-        cs = [_rational(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        return _make([c.numerator * (den // c.denominator) for c in cs], den)
+        return poly_from_pairs([(c.numerator, c.denominator) for c in map(_rational, coeffs)])
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
@@ -90,11 +89,12 @@ class Poly:
     def x_power(cls, k: int) -> "Poly":
         if k < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * k + (1,))
+        return _make([0] * k + [1], 1)
 
     @classmethod
     def x_minus(cls, a) -> "Poly":
-        return cls((-a, 1))
+        p, q = _rational(a).numerator, a.denominator
+        return _make([-p, q], q)
 
     # -- structure ----------------------------------------------------------
 
@@ -254,6 +254,12 @@ def _convolve(a, b) -> list:
     return acc
 
 
+def poly_from_pairs(pairs: list) -> Poly:
+    """The Poly with coefficients n/d for the integer pairs (n, d), d > 0, over the lcm of the d."""
+    den = math.lcm(*[d for _, d in pairs])
+    return _make([n * (den // d) for n, d in pairs], den)
+
+
 def combine(*terms) -> Poly:
     """The sum of c*p over the terms (c, p), c rational, over the lcm of the denominators."""
     den = math.lcm(*[c.denominator * p._den for c, p in terms])
@@ -290,8 +296,7 @@ def sqrt_series(T: Poly, b, K: int) -> Poly:
         n, d = (t[j] * lcm - dot * dt) * q, 2 * p * dt * lcm  # (t_j/dt - dot/lcm)/(2p/q)
         g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
         s.append((n // g, d // g))
-    lcm = math.lcm(*[d for _, d in s])
-    return _make([c * (lcm // d) for c, d in s], lcm)
+    return poly_from_pairs(s)
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
@@ -403,8 +408,7 @@ def poly_from_json(obj) -> Poly:
     pairs = [rational_pair(c) if isinstance(c, str) else scalar_from_json(c) for c in obj]
     for gaussian in [c for c in pairs if not isinstance(c, tuple)]:
         _rational(gaussian)  # refused after every element has parsed, so a malformed one is reported first
-    den = math.lcm(*[d for _, d in pairs])
-    p = _make([c * (den // d) for c, d in pairs], den)
+    p = poly_from_pairs(pairs)
     if len(p._num) != len(obj):
         raise ValueError("polynomial encoding ends in a zero coefficient: %r" % (obj,))
     return p

@@ -291,14 +291,14 @@ def _verify_recording_the_longest_poly(monkeypatch, cert):
 
 @pytest.mark.parametrize("consistent_m", [False, True])
 def test_infinity_shift_rejects_huge_e_without_building_the_product(monkeypatch, consistent_m):
-    """x^(ed) is never built when the identity's degree or low terms cannot match."""
-    x_power = Poly.x_power
+    """x^(ed)*f is never built when the identity's degree or low terms cannot match."""
+    lshift = Poly.__lshift__
 
-    def bounded_x_power(k):
-        assert k <= 10 ** 4, "x^%d built" % (k,)
-        return x_power(k)
+    def bounded_lshift(p, k):
+        assert k <= 10 ** 4, "x^%d*f built" % (k,)
+        return lshift(p, k)
 
-    monkeypatch.setattr(Poly, "x_power", staticmethod(bounded_x_power))
+    monkeypatch.setattr(Poly, "__lshift__", bounded_lshift)
     cert = construct_n_plus_ed(5, 2, 1)
     e = 10 ** 9
     bad = cert._replace(e=e, m=5 + 2 * e if consistent_m else cert.m)
@@ -309,6 +309,29 @@ def test_infinity_shift_rejects_huge_e_without_building_the_product(monkeypatch,
     assert ("order-form" in failed) is not consistent_m
     assert longest <= bad.curve.n + 2
     assert verify_certificate(cert)[0]
+
+
+def _is_monomial(p) -> bool:
+    """Whether p is c*x^k for some k >= 1."""
+    return isinstance(p, Poly) and p.degree >= 1 and not any(p.coeffs[:-1])
+
+
+@pytest.mark.parametrize("n, d, e", [(5, 2, 1), (7, 2, 3), (10, 3, 2), (13, 4, 1)])
+def test_infinity_shift_builds_x_to_the_ed_times_f_as_a_shift(monkeypatch, n, d, e):
+    """A counter, not a timer: verify multiplies no polynomial by a monomial."""
+    mul, products = Poly.__mul__, []
+
+    def counting_mul(p, q):
+        products.append(_is_monomial(p) or _is_monomial(q))
+        return mul(p, q)
+
+    cert = construct_n_plus_ed(n, d, e)
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    assert Poly.x_power(3) * Poly((1, 1)) and products == [True]  # the counter sees x^k*p
+    products.clear()
+    ok, lines = verify_certificate(cert)
+    assert ok and cert.identity_kind == "infinity-shift" and cert.e == e
+    assert not any(products)  # v^d multiplies when deg v >= 2; f times x^(ed) never
 
 
 def _pole_mismatch_certificate(kind: str) -> TorsionCertificate:

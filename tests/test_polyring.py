@@ -21,6 +21,7 @@ from torsionforge.polyring import (
     is_scaled_power,
     is_squarefree,
     poly_from_json,
+    poly_from_pairs,
     poly_to_json,
     sqrt_series,
     xgcd,
@@ -58,6 +59,36 @@ def test_basic_constructors():
     assert Poly.x_minus(Fraction(3))(Fraction(3)) == 0
     with pytest.raises(ValueError, match="monomial degree must be nonnegative"):
         Poly.x_power(-1)
+
+
+def test_x_power_and_x_minus_are_the_polynomials_they_spell():
+    for k in range(301):
+        assert Poly.x_power(k) == Poly((0,) * k + (1,))
+    for a in (0, 1, -1, 12, -12, True, Fraction(7, 3), Fraction(-7, 3), Fraction(1, 12), Fraction(-5, 4)):
+        assert Poly.x_minus(a) == Poly((-a, 1)), a
+
+
+@pytest.mark.parametrize("pairs, num, den", [
+    ([(1, 6), (1, 10), (1, 15)], (5, 3, 2), 30),  # lcm 30 of denominators sharing 2, 3 and 5
+    ([(1, 6), (1, 2)], (1, 3), 6),
+    ([(1, 4), (3, 4), (1, 12)], (3, 9, 1), 12),
+    ([(2, 6), (4, 6)], (1, 2), 3),  # pairs not in lowest terms, one common factor 2 left over
+    ([(3, 9), (6, 4), (0, 8)], (2, 9), 6),  # a trailing zero dropped
+    ([(-4, 6), (2, 2)], (-2, 3), 3),
+    ([(0, 6), (0, 4)], (), 1),
+    ([], (), 1),
+])
+def test_poly_from_pairs_gives_lowest_terms(pairs, num, den):
+    p = poly_from_pairs(pairs)
+    assert (p._num, p._den) == (num, den)
+    assert p == Poly([Fraction(n, d) for n, d in pairs])
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 60)), max_size=8))
+def test_poly_from_pairs_is_the_constructor_on_fractions(pairs):
+    p = poly_from_pairs(pairs)
+    assert p == Poly([Fraction(n, d) for n, d in pairs])
+    assert math.gcd(p._den, *p._num) == 1 and (not p._num or p._num[-1])
 
 
 def test_leading_coefficient_of_zero_raises():
@@ -412,6 +443,8 @@ def test_coefficients_are_rational_only(c):
         Poly((1, c))
     with pytest.raises(TypeError):
         Poly((1, 1)) * c
+    with pytest.raises(TypeError):
+        Poly.x_minus(c)
 
 
 def test_a_gaussian_coefficient_does_not_parse():

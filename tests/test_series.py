@@ -30,11 +30,59 @@ def test_grid_is_large_enough_to_mean_something():
 
 
 def test_truncated_binomial_is_a_series_prefix():
-    # coefficients are exactly the generalized binomials C(m/d, k)
+    # coefficients are exactly the generalized binomials C(m/d, k), against the Fraction reference
     V = truncated_binomial(7, 2, 2)
     assert V == Poly((1, Fraction(7, 2)))
-    V = truncated_binomial(9, 2, 4)
-    assert [V[k] for k in range(4)] == [gen_binom(Fraction(9, 2), k) for k in range(4)]
+    # the grid, and rows where the step m - d*(k-1) changes sign (m < d*(E-1), outside the gate)
+    for d, E, m in [*grid(), (2, 12, 1), (3, 12, 7), (7, 9, 44)]:
+        r = Fraction(m, d)
+        assert truncated_binomial(m, d, E) == Poly([gen_binom(r, k) for k in range(E)]), (d, E, m)
+
+
+@pytest.mark.parametrize("E", [66, 200, 514])
+def test_long_truncated_binomial_rows_match_the_fraction_recurrence(E):
+    # gen_binom stepped from the coefficient below, so a row of E costs E Fraction steps
+    for d, m in [(2, 2 * E - 1), (3, 3 * E - 2), (7, 7 * E + 3)]:
+        r, row = Fraction(m, d), [Fraction(1)]
+        for k in range(1, E):
+            row.append(gen_binom(r, k, row[-1]))
+        V = truncated_binomial(m, d, E)
+        assert V == Poly(row) and V.degree == E - 1, (d, E, m)
+
+
+def _count_fractions_built(monkeypatch) -> list:
+    """Count every Fraction built from here on: by ``Fraction(...)``, and on
+    Python 3.12+ also by the arithmetic's ``_from_coprime_ints``."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if hasattr(Fraction, "_from_coprime_ints"):
+        from_coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_from_coprime(cls, n, d):
+            built.append((n, d))
+            return from_coprime(cls, n, d)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_from_coprime))
+    return built
+
+
+def test_the_binomial_row_and_the_shaped_polynomials_build_no_fraction(monkeypatch):
+    """A counter, not a timer: the row steps on integer pairs, and x^k and
+    x - a go straight to their stored integers."""
+    a = Fraction(-7, 3)
+    built = _count_fractions_built(monkeypatch)
+    V, X, L = truncated_binomial(37, 3, 12), Poly.x_power(75), Poly.x_minus(a)
+    assert built == []
+    assert gen_binom(Fraction(37, 3), 2) and built  # the counter sees the Fraction reference
+    monkeypatch.undo()
+    assert V == Poly([gen_binom(Fraction(37, 3), k) for k in range(12)])
+    assert X == Poly((0,) * 75 + (1,)) and L == Poly((Fraction(7, 3), 1))
 
 
 def test_valuation_hypothesis_is_enforced():
