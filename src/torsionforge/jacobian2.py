@@ -7,8 +7,8 @@ classes are held in Mumford form (u, v) with u monic, deg v < deg u <= g,
 and u | v**2 - f, all over Q.  Each step adds one point to a reduced
 divisor and then takes one step of Cantor's reduction ("Computing in the
 Jacobian of a hyperelliptic curve", Math. Comp. 48, 1987).  Nothing
-assumes f monic.  Five facts keep the scan of the multiples k*D over Q,
-short, and free of gcds and of polynomial division:
+assumes f monic.  Six facts keep the scan of the multiples k*D over Q,
+short, cheap to guard, and free of gcds and of polynomial division:
 
 * Quadratic twist.  f and x(P) are rational, so y(P)**2 = f(x(P)) is
   rational and y(P) lies in Q or in i*Q (the points the infinity-shift
@@ -39,7 +39,15 @@ short, and free of gcds and of polynomial division:
   v'' = q*u'' - v' and w'' = L*u' + q*(v' - v'').  Each update keeps
   u*w + v**2 as a polynomial, as v'**2 - v**2 = c*u*(v + v'),
   v**2 - v'**2 = r*u'*(v + v') and v''*(v'' - q*u'') = -v'*v''; so a step
-  is O(g) and divides nothing, and :func:`validate` checks u*w + v**2 == f.
+  is O(g), divides nothing and keeps its scalars c, r, L and q as integer pairs.
+* One exact check.  Every update keeps u*w + v**2 as a polynomial whatever
+  the triple, and its only divisions, by t, by t**K and by L, are exact or
+  raise; so a triple off f stays off f by the same polynomial until the
+  scan stops.  :func:`validate` guards each step in O(g): u monic,
+  deg v < deg u <= g, and u*w + v**2 == f at x = 2**20 (``is_spot_sum``).
+  :func:`order_of` decides u*w + v**2 == f exactly (``is_product_sum``)
+  once, on the triple its answer reads, just before it returns or raises
+  OrderNotFoundError; that holds the identity for every triple before it.
 * Series prefix.  When b != 0 and k <= g, k*P - k*O holds no opposite
   pair and is reduced, so k*D = (t**k, S_k, (f - S_k**2)/t**k) needs no
   step (Cantor, section 3): S_k is the one v of degree < k with v(0) = b
@@ -64,12 +72,12 @@ short, and free of gcds and of polynomial division:
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .curves import AffinePoint, Curve, on_curve
 # xgcd is not called here, but bench/tracer.py hooks jacobian2.xgcd by name
-from .polyring import Poly, combine, is_product_sum, sqrt_series, xgcd
+from .polyring import Poly, combine, is_product_sum, is_spot_sum, sqrt_series, xgcd
 from .scalars import GaussianRational
 
 
@@ -84,7 +92,8 @@ MumfordDivisor = namedtuple("MumfordDivisor", "u v w", defaults=(None,))
 
 def validate(f: Poly, D: MumfordDivisor):
     """Check a triple on y**2 = f: u monic, deg v < deg u <= g and
-    u*w + v**2 == f exactly; raises ValueError on violation."""
+    u*w + v**2 == f at x = 2**20, the O(g) guard of each step; raises
+    ValueError on violation.  :func:`order_of` decides the identity exactly."""
     u, v, w = D
     if not u.is_monic:
         raise ValueError("u must be monic, got %s" % (u,))
@@ -92,8 +101,15 @@ def validate(f: Poly, D: MumfordDivisor):
         raise ValueError("deg u = %s exceeds genus %d" % (u.degree, f.degree // 2))
     if v and v.degree >= u.degree:
         raise ValueError("need deg v < deg u, got %s / %s" % (v, u))
-    if not is_product_sum(f, (u, w), (v, v)):
+    if not is_spot_sum(f, (u, w), (v, v)):
         raise ValueError("u*w + v^2 != f for u = %s, v = %s" % (u, v))
+
+
+def _check_conserved(f: Poly, D: MumfordDivisor):
+    """Decide u*w + v**2 == f exactly on the triple that order_of's answer reads,
+    and so on every triple before it (see the module docstring); ValueError if not."""
+    if not is_product_sum(f, (D.u, D.w), (D.v, D.v)):
+        raise ValueError("u*w + v^2 != f where the scan stops, for u = %s, v = %s" % (D.u, D.v))
 
 
 def embed_point(curve: Curve, point: AffinePoint):
@@ -120,31 +136,34 @@ def embed_point(curve: Curve, point: AffinePoint):
 def _drop(D: MumfordDivisor) -> MumfordDivisor:
     """Cancellation's update, for u(0) = 0: u/t, and v and w to match."""
     u, v, w = D
-    r, u = v[u.degree - 1], u >> 1
-    v2 = combine((1, v), (-r, u))
-    return MumfordDivisor(u, v2, combine((1, w << 1), (r, v), (r, v2)))
+    (r, dr), u = v.pair(u.degree - 1), u >> 1
+    v2 = combine(((1, 1), v), ((-r, dr), u))
+    return MumfordDivisor(u, v2, combine(((1, 1), w << 1), ((r, dr), v), ((r, dr), v2)))
 
 
 def add(f: Poly, D: MumfordDivisor, b) -> MumfordDivisor:
     """D + (t, b) on y**2 = f, for the point (t, b) with b**2 = f(0), as
-    triples: one of the three updates of the module docstring, its c one
-    ``Fraction`` of the stored constant terms, at most one reduction step,
-    then :func:`validate`."""
+    triples: one of the three updates of the module docstring, at most one
+    reduction step, then :func:`validate`.  Every scalar, c, r, L = lc(w) and
+    q, is an integer pair of stored coefficients read by ``Poly.pair`` and goes
+    into one ``combine`` per polynomial, and w' is divided by t exactly with
+    ``>> 1``: no ``Fraction`` is built."""
     u, v, w = D
-    (u0, du), (v0, dv), (w0, dw) = u.constant_pair, v.constant_pair, w.constant_pair
+    (u0, du), (v0, dv), (w0, dw) = u.pair(0), v.pair(0), w.pair(0)
     bn, bd = b.numerator, b.denominator
     if u0 or bn and v0 * bd == bn * dv:  # interpolation, c = (b - v0)/u0, or the Newton lift, c = w0/(2b)
-        c = Fraction((bn * dv - v0 * bd) * du, bd * dv * u0) if u0 else Fraction(w0 * bd, 2 * bn * dw)
-        v2 = combine((1, v), (c, u))
-        D = MumfordDivisor(u << 1, v2, combine((1, w), (-c, v), (-c, v2)) >> 1)
+        c, dc = ((bn * dv - v0 * bd) * du, bd * dv * u0) if u0 else (w0 * bd, 2 * bn * dw)
+        g = math.gcd(c, dc)
+        c, dc = c // g, dc // g
+        v2 = combine(((1, 1), v), ((c, dc), u))
+        D = MumfordDivisor(u << 1, v2, combine(((1, 1), w), ((-c, dc), v), ((-c, dc), v2)) >> 1)
     else:  # cancellation: v(0) = -b, so D holds -P
         D = _drop(D)
     u, v, w = D
     if 2 * u.degree > f.degree:  # reduction
-        L, q = w.leading_coefficient, v[u.degree - 1]
-        u2 = w.monic()
-        v2 = combine((q, u2), (-1, v))
-        D = MumfordDivisor(u2, v2, combine((L, u), (q, v), (-q, v2)))
+        u2, L, (q, dq) = w.monic(), w.pair(w.degree), v.pair(u.degree - 1)
+        v2 = combine(((q, dq), u2), ((-1, 1), v))
+        D = MumfordDivisor(u2, v2, combine((L, u), ((q, dq), v), ((-q, dq), v2)))
     validate(f, D)
     return D
 
@@ -166,8 +185,9 @@ def order_of(f: Poly, D: MumfordDivisor, bound: int) -> int:
     prefix K*D, then ``add`` at each step up to bound*D and the half-way
     test (see the module docstring), so the returned k is the exact order,
     never a proper multiple of it.  Raises ValueError for a base that is not
-    a point (x - a, b), a base off the model or a prefix that fails its check,
-    and OrderNotFoundError, after bound - K adds, past the bound.
+    a point (x - a, b), a base off the model, a prefix that fails its check or
+    a triple off f where the scan stops, and OrderNotFoundError, after
+    bound - K adds, past the bound.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %r" % (bound,))
@@ -181,11 +201,14 @@ def order_of(f: Poly, D: MumfordDivisor, bound: int) -> int:
         if k > K:
             acc, prev = add(f, acc, b), acc
         if not acc.u.degree:  # a reduced pair with deg u = 0 is (1, 0)
+            _check_conserved(f, acc)
             return k
         # at k = ceil(bound/2): is k*D == -(bound-k)*D, i.e. bound*D = 0?
         # -(u, v) is (u, -v): -v is already reduced modulo u, as deg v < deg u
         if k == half:
             M = (prev or _drop(acc)) if bound % 2 else acc  # at k = K, (K-1)*D is K*D less one t
             if acc.u == M.u and acc.v == -M.v:
+                _check_conserved(f, acc)
                 return bound
+    _check_conserved(f, acc)
     raise OrderNotFoundError("no order <= %d found for %s" % (bound, D))

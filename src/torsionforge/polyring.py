@@ -15,15 +15,19 @@ numbers the package needs are two scalars of a certificate, a point's
 ordinate and ``lambda``, never a polynomial coefficient.
 
 Every kernel works on the stored integers and ends in one normalising
-gcd: :func:`combine`, the sum of rational multiples behind ``+`` and
-``-``, aligns the denominators by their lcm, ``*`` is a schoolbook
-convolution of the numerators (a square takes each cross product once),
+gcd: :func:`combine`, the sum of multiples behind ``+`` and ``-``, takes
+its scalars as integer pairs (n, d), such as ``p.pair(k)`` reads, and
+aligns the denominators by their lcm, ``*`` is a schoolbook convolution
+of the numerators (a square takes each cross product once),
 (n0 + n1*x)**k is expanded by the binomial theorem, evaluation at p/q is
-Horner's rule on p and q, the shift x -> x + p/q is synthetic division
-homogenised by q, and ``p << k`` and ``p >> k`` multiply and divide
-exactly by x**k.  :func:`sqrt_series` runs its recurrence on integer
+Horner's rule on p and q, and the shift x -> x + p/q is synthetic
+division homogenised by q.  ``p << k`` and
+``p >> k`` multiply and divide exactly by x**k with no gcd, as a shift
+keeps lowest terms.  :func:`sqrt_series` runs its recurrence on integer
 pairs in lowest terms.  :func:`is_product_sum` decides f == sum p*q with
-no gcd at all.  Only the extended gcd divides, by plain long division.
+no gcd at all, and :func:`is_spot_sum` compares the two sides at
+x = 2**20 only, each value a sum of shifted numerators, in O(deg) work.
+Only the extended gcd divides, by plain long division.
 ``Fraction``s are built only at the edges: ``coeffs``, ``[k]``,
 ``leading_coefficient`` and the value of a polynomial at a point, never
 in the serializer, which spells each c/den as ``str(Fraction)`` would,
@@ -66,8 +70,13 @@ def _make(num: list, den: int) -> "Poly":
         g = -g
     if g != 1:
         num, den = [c // g for c in num], den // g
+    return _stored(tuple(num), den)
+
+
+def _stored(num: tuple, den: int) -> "Poly":
+    """The Poly num/den, for num and den already in lowest terms."""
     p = object.__new__(Poly)
-    object.__setattr__(p, "_num", tuple(num))
+    object.__setattr__(p, "_num", num)
     object.__setattr__(p, "_den", den)
     return p
 
@@ -116,13 +125,14 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self._num) and self._num[-1] == self._den
 
-    @property
-    def constant_pair(self) -> tuple:
-        """(c, den) with c/den the constant term, not reduced: no ``Fraction`` is built."""
-        return (self._num[0] if self._num else 0), self._den
+    def pair(self, k: int) -> tuple:
+        """(c, den) with c/den the coefficient of x**k, not reduced: no ``Fraction`` is built."""
+        return (self._num[k] if 0 <= k < len(self._num) else 0), self._den
 
     def monic(self) -> "Poly":
         """self divided by its leading coefficient."""
+        if not self._num:
+            raise ValueError("the zero polynomial has no leading coefficient")
         return _make(list(self._num), self._num[-1])
 
     def __getitem__(self, k: int):
@@ -143,10 +153,10 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        return combine((1, self), (1, other)) if isinstance(other, Poly) else NotImplemented
+        return combine(((1, 1), self), ((1, 1), other)) if isinstance(other, Poly) else NotImplemented
 
     def __sub__(self, other):
-        return combine((1, self), (-1, other)) if isinstance(other, Poly) else NotImplemented
+        return combine(((1, 1), self), ((-1, 1), other)) if isinstance(other, Poly) else NotImplemented
 
     def __neg__(self):
         return _make([-c for c in self._num], self._den)
@@ -186,14 +196,19 @@ class Poly:
         return Poly(reversed(quot)), rem
 
     def __lshift__(self, k: int) -> "Poly":
-        """self * x**k."""
-        return _make([0] * k + list(self._num), self._den)
+        """self * x**k, still in lowest terms; ValueError for k < 0, as ``int`` gives."""
+        if k < 0:
+            raise ValueError("negative shift count")
+        return _stored((0,) * k + self._num if self._num else (), self._den)
 
     def __rshift__(self, k: int) -> "Poly":
-        """self / x**k, exact: ValueError unless the k low coefficients are 0."""
+        """self / x**k, exact and still in lowest terms: ValueError for k < 0 or
+        unless the k low coefficients are 0."""
+        if k < 0:
+            raise ValueError("negative shift count")
         if any(self._num[:k]):
             raise ValueError("x^%d does not divide %s" % (k, self))
-        return _make(list(self._num[k:]), self._den)
+        return _stored(self._num[k:], self._den)
 
     def __call__(self, t):
         """Evaluate at a rational t = p/q: Horner's rule on the numerators
@@ -261,11 +276,11 @@ def poly_from_pairs(pairs: list) -> Poly:
 
 
 def combine(*terms) -> Poly:
-    """The sum of c*p over the terms (c, p), c rational, over the lcm of the denominators."""
-    den = math.lcm(*[c.denominator * p._den for c, p in terms])
+    """The sum of (n/d)*p over the terms ((n, d), p), integers n and d != 0, over the lcm of the denominators."""
+    den = math.lcm(*[d * p._den for (_, d), p in terms])
     out = [0] * max([len(p._num) for _, p in terms])
-    for c, p in terms:
-        s = c.numerator * (den // (c.denominator * p._den))
+    for (n, d), p in terms:
+        s = n * (den // (d * p._den))
         for k, x in enumerate(p._num):
             out[k] += s * x
     return _make(out, den)
@@ -281,6 +296,18 @@ def is_product_sum(f: Poly, *pairs) -> bool:
         for k, c in enumerate(_convolve(p._num, q._num)):
             out[k] += s * c
     return not any(out)
+
+
+def is_spot_sum(f: Poly, *pairs) -> bool:
+    """Whether f and the sum of p*q over the pairs (p, q) agree at x = 2**20: each side's stored
+    numerators summed as shifts, the values compared cross-multiplied by the denominators."""
+    def at(num):
+        return sum(map(int.__lshift__, num, range(0, 20 * len(num), 20)))
+    lhs, den = at(f._num), f._den  # f(2**20) - the sum so far, as lhs/den
+    for p, q in pairs:
+        d, value = p._den * q._den, at(p._num)
+        lhs, den = lhs * d - value * (value if p is q else at(q._num)) * den, den * d
+    return not lhs
 
 
 def sqrt_series(T: Poly, b, K: int) -> Poly:

@@ -6,7 +6,7 @@ triple step on Mumford pairs in x."""
 from __future__ import annotations
 
 from torsionforge.jacobian2 import MumfordDivisor, add, validate
-from torsionforge.polyring import Poly, xgcd
+from torsionforge.polyring import Poly, is_product_sum, xgcd
 
 IDENTITY = MumfordDivisor(Poly((1,)), Poly())
 
@@ -40,13 +40,16 @@ def neg(D):
 
 def triple(f, D):
     """(u, v, w) for a pair (u, v) on y**2 = f, with w the quotient of
-    f - v**2 by u; ``validate`` refuses the triple if that left a remainder."""
+    f - v**2 by u; the triple is off f if that left a remainder."""
     return MumfordDivisor(D.u, D.v, divmod(f - D.v ** 2, D.u)[0])
 
 
 def validate_pair(f, D):
-    """``jacobian2.validate`` on the triple of a pair (u, v)."""
-    validate(f, triple(f, D))
+    """``jacobian2.validate`` on the triple of a pair (u, v), and the exact
+    identity u*w + v**2 == f, which ``validate`` checks only at x = 2**20."""
+    T = triple(f, D)
+    validate(f, T)
+    assert is_product_sum(f, (T.u, T.w), (T.v, T.v)), "u*w + v^2 != f for %s" % (D,)
 
 
 def at(D, a):

@@ -25,7 +25,7 @@ from torsionforge.jacobian2 import (
     order_of,
     validate,
 )
-from torsionforge.polyring import Poly, is_squarefree, xgcd
+from torsionforge.polyring import Poly, is_product_sum, is_squarefree, xgcd
 from torsionforge.scalars import GaussianRational
 
 
@@ -550,6 +550,60 @@ def test_order_of_divides_no_polynomial_at_n65(monkeypatch):
     assert divisions == []
 
 
+def test_order_of_decides_the_identity_exactly_once_at_n65(monkeypatch):
+    """The exact u*w + v**2 == f runs once per order_of, on the triple its answer
+    reads: at the half-way exit (bound 131), the identity exit (bound 261) and
+    past the bound (130); each step's guard is the O(g) check at x = 2**20."""
+    model, D = n65_point()
+    calls = []
+    monkeypatch.setattr(jacobian2, "is_product_sum",
+                        lambda *args: calls.append(args) or polyring.is_product_sum(*args))
+    for bound in (131, 261):
+        calls.clear()
+        assert order_of(model, D, bound) == 131
+        assert len(calls) == 1, bound
+    calls.clear()
+    with pytest.raises(OrderNotFoundError):
+        order_of(model, D, 130)
+    assert len(calls) == 1
+
+
+def invisible(M, j, delta):
+    """M with w moved by delta*(x - 2**20)*x**j: u*w + v**2 moves by a multiple
+    of x - 2**20, which the per-step guard at x = 2**20 cannot see."""
+    return M._replace(w=M.w + Poly.x_minus(2 ** 20) * Poly.x_power(j) * delta)
+
+
+@pytest.mark.parametrize("j, delta", [(1, 1), (2, -1), (3, Fraction(1, 3))])
+def test_an_invisible_perturbation_fails_at_the_exit(monkeypatch, j, delta):
+    """A triple moved off f by a multiple of x - 2**20 passes validate, and once it
+    enters the scan, as the series prefix or as the sum of one add, order_of's
+    one exact check raises ValueError where the scan stops.  (With j = 0 and
+    u(0) != 0 the constant term moves too, and the next division by t raises.)"""
+    cert = construct(7, 2, 8)
+    model, D = embed_point(cert.curve, cert.point)
+    b, f = D.v[0], model.shift(-D.u[0])
+    prefix = jacobian2._series_prefix(f, b, 3)
+    validate(f, invisible(prefix, j, delta))
+    validate(f, invisible(add(f, prefix, b), j, delta))
+    real_prefix, real_add, added = jacobian2._series_prefix, jacobian2.add, []
+    with monkeypatch.context() as patch:
+        patch.setattr(jacobian2, "_series_prefix", lambda *args: invisible(real_prefix(*args), j, delta))
+        with pytest.raises(ValueError, match="^u\\*w \\+ v\\^2 != f where the scan stops"):
+            order_of(model, D, 8)
+
+    def add_once(*args):  # the first sum of the scan only
+        added.append(args)
+        out = real_add(*args)
+        return invisible(out, j, delta) if len(added) == 1 else out
+
+    monkeypatch.setattr(jacobian2, "add", add_once)
+    for bound in (7, 8, 16):
+        added.clear()
+        with pytest.raises(ValueError, match="^u\\*w \\+ v\\^2 != f where the scan stops"):
+            order_of(model, D, bound)
+
+
 def test_neg_divides_nothing_on_the_ladder(monkeypatch):
     """-(u, v) = (u, -v) with no division, on every multiple order_of scans."""
     scanned, real_add = [], jacobian2.add
@@ -636,9 +690,29 @@ def test_triple_updates_keep_u_w_plus_v_squared(step, c, k, data):
     b = E.v[0]
     S = add(f_t, X, b)
     validate(f_t, S)
+    assert is_product_sum(f_t, (S.u, S.w), (S.v, S.v))  # validate checks it only at x = 2**20
     assert at(S, -a) == cantor_add(f, D, E)
     with pytest.raises(ValueError):
         add(f_t, X._replace(w=w + Poly.x_power(k) * (c or 1)), b)
+
+
+def test_every_one_coefficient_perturbation_of_w_makes_add_raise():
+    """Over every step of the Hypothesis pools, w moved by delta*x**k, for k <= 12
+    and delta in {1, -1, 1/3}, makes add raise ValueError: each update keeps
+    u*w + v**2, so the sum is off f by u*delta*x**k, nonzero at x = 2**20."""
+    refused = 0
+    for f, pool, points in _step_pools():
+        for E in points:
+            a, b = -E.u[0], E.v[0]
+            f_t = f.shift(a)
+            for D in pool:
+                X = triple(f_t, at(D, a))
+                for k in range(13):
+                    for delta in (1, -1, Fraction(1, 3)):
+                        with pytest.raises(ValueError):
+                            add(f_t, X._replace(w=X.w + Poly.x_power(k) * delta), b)
+                        refused += 1
+    assert refused == 44109
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from torsionforge.polyring import (
     gcd,
     is_product_sum,
     is_scaled_power,
+    is_spot_sum,
     is_squarefree,
     poly_from_json,
     poly_from_pairs,
@@ -177,10 +178,13 @@ def test_division_by_zero_raises():
 
 @given(polys, nonzero_polys, st.integers(0, 4))
 def test_exact_div_inverts_multiplication(a, b, k):
-    """Exact division: divmod of a product by a factor, and >> of a multiple of x**k."""
+    """Exact division: divmod of a product by a factor, and >> of a multiple of x**k;
+    the shifts keep the stored form in lowest terms with no normalising gcd."""
     assert divmod(a * b, b) == (a, Poly())
     assert (a << k) >> k == a
     assert a << k == a * Poly.x_power(k)
+    _assert_canonical(a << k)
+    _assert_canonical((a << k) >> k)
 
 
 def test_exact_div_rejects_remainders():
@@ -189,6 +193,21 @@ def test_exact_div_rejects_remainders():
     assert Poly((0, 1, 0, 1)) >> 1 == Poly((1, 0, 1))
     with pytest.raises(ValueError, match="does not divide"):
         Poly((0, 1, 0, 1)) >> 2
+
+
+@pytest.mark.parametrize("shift", [lambda p, k: p << k, lambda p, k: p >> k], ids=["<<", ">>"])
+@pytest.mark.parametrize("k", [-1, -2, -7])
+def test_negative_shift_counts_are_refused(shift, k):
+    """As for ``int``: x**2 >> -1 was 1 and q << -2 was q, silently."""
+    for p in (Poly.x_power(2), Poly((Fraction(1, 2), 3)), Poly()):
+        with pytest.raises(ValueError, match="^negative shift count$"):
+            shift(p, k)
+
+
+def test_monic_of_zero_raises_value_error():
+    with pytest.raises(ValueError, match="^the zero polynomial has no leading coefficient$"):
+        Poly().monic()
+    assert Poly((2, 4)).monic() == Poly((Fraction(1, 2), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +632,14 @@ def test_mul_kernel_matches_reference(a, b):
     assert list((sq * sq).coeffs) == _ref_mul(_strip(a), _strip(a))
 
 
-@given(st.lists(st.tuples(st.fractions(max_denominator=9), wide_coeffs), min_size=1, max_size=4))
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-12, 12).filter(bool), wide_coeffs),
+                min_size=1, max_size=4))
 def test_combine_is_the_sum_of_the_multiples(terms):
-    out = combine(*[(c, Poly(p)) for c, p in terms])
+    """The scalars are integer pairs (n, d), d != 0 of either sign and not reduced."""
+    expected = sum((Poly(p) * Fraction(n, d) for n, d, p in terms), Poly())
+    out = combine(*[((n, d), Poly(p)) for n, d, p in terms])
     _assert_canonical(out)
-    assert out == sum((Poly(p) * c for c, p in terms), Poly())
+    assert out == expected
 
 
 @given(wide_coeffs, wide_coeffs, wide_coeffs, wide_coeffs, st.integers(0, 7), wide_fractions)
@@ -632,6 +654,21 @@ def test_is_product_sum_decides_the_identity(a, b, c, extra, k, e):
         assert not is_product_sum(f + Poly.x_power(k) * e, (pa, pb), (pc, pc))
     # a factor far wider than f must not overrun the comparison
     assert not is_product_sum(Poly((1,)), (Poly.x_power(9), Poly.x_power(k)), (pc, pc))
+
+
+@given(wide_coeffs, wide_coeffs, wide_coeffs, st.integers(0, 7), wide_fractions)
+def test_is_spot_sum_agrees_with_the_identity_at_2_to_20(a, b, c, k, e):
+    """is_spot_sum holds where f == a*b + c*c holds, fails where f moves by e*x**k,
+    e != 0, and cannot see a change that vanishes at x = 2**20."""
+    pa, pb, pc = Poly(a), Poly(b), Poly(c)
+    f = pa * pb + pc * pc
+    assert is_spot_sum(f, (pa, pb), (pc, pc))
+    assert is_spot_sum(f, (pc, pc), (pa, pb)) and is_spot_sum(f, (pb, pa), (pc, Poly(c)))
+    if e:
+        assert not is_spot_sum(f + Poly.x_power(k) * e, (pa, pb), (pc, pc))
+        invisible = Poly.x_minus(2 ** 20) * Poly.x_power(k) * e
+        assert is_spot_sum(f + invisible, (pa, pb), (pc, pc))
+        assert not is_product_sum(f + invisible, (pa, pb), (pc, pc))
 
 
 @given(wide_coeffs, wide_nonzero)

@@ -112,9 +112,9 @@ POLY_INTERNALS = {"_make", "_num", "_den"}
 def test_only_polyring_touches_the_stored_form_of_a_poly():
     """No module but polyring imports or reads ``_make``, ``_num`` or ``_den``,
     by name, as an attribute or as a ``getattr`` string: every Poly is
-    normalised by ``polyring._make``, looked up on the module, so a test that
-    patches it there sees every numerator, and the stored numerators are read
-    elsewhere only through polyring's accessors."""
+    normalised by ``polyring._make``, looked up on the module, or is a shift
+    of one, so a test that patches it there sees every numerator, and the
+    stored numerators are read elsewhere only through polyring's accessors."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "polyring.py":
