@@ -45,8 +45,8 @@ short, cheap to guard, and free of gcds and of polynomial division:
   raise; so a triple off f stays off f by the same polynomial until the
   scan stops.  :func:`validate` guards each step in O(g): u monic,
   deg v < deg u <= g, and u*w + v**2 == f at x = 2**20 (``is_spot_sum``).
-  :func:`order_of` decides u*w + v**2 == f exactly (``is_product_sum``)
-  once, on the triple its answer reads, just before it returns or raises
+  At its one exit :func:`order_of` decides u*w + v**2 == f exactly, with ``*``,
+  ``+`` and ``==``, on the triple its answer reads, before it returns or raises
   OrderNotFoundError; that holds the identity for every triple before it.
 * Series prefix.  When b != 0 and k <= g, k*P - k*O holds no opposite
   pair and is reduced, so k*D = (t**k, S_k, (f - S_k**2)/t**k) needs no
@@ -77,7 +77,7 @@ from collections import namedtuple
 
 from .curves import AffinePoint, Curve, on_curve
 # xgcd is not called here, but bench/tracer.py hooks jacobian2.xgcd by name
-from .polyring import Poly, combine, is_product_sum, is_spot_sum, sqrt_series, xgcd
+from .polyring import Poly, combine, is_spot_sum, sqrt_series, xgcd
 from .scalars import GaussianRational
 
 
@@ -108,7 +108,7 @@ def validate(f: Poly, D: MumfordDivisor):
 def _check_conserved(f: Poly, D: MumfordDivisor):
     """Decide u*w + v**2 == f exactly on the triple that order_of's answer reads,
     and so on every triple before it (see the module docstring); ValueError if not."""
-    if not is_product_sum(f, (D.u, D.w), (D.v, D.v)):
+    if D.u * D.w + D.v * D.v != f:
         raise ValueError("u*w + v^2 != f where the scan stops, for u = %s, v = %s" % (D.u, D.v))
 
 
@@ -184,10 +184,10 @@ def order_of(f: Poly, D: MumfordDivisor, bound: int) -> int:
     its model y**2 = f are what :func:`embed_point` returns: the series
     prefix K*D, then ``add`` at each step up to bound*D and the half-way
     test (see the module docstring), so the returned k is the exact order,
-    never a proper multiple of it.  Raises ValueError for a base that is not
-    a point (x - a, b), a base off the model, a prefix that fails its check or
-    a triple off f where the scan stops, and OrderNotFoundError, after
-    bound - K adds, past the bound.
+    never a proper multiple of it.  The one exit decides u*w + v**2 == f by
+    ``*``, ``+`` and ``==``, and raises ValueError if not, as for a base that
+    is not a point (x - a, b), a base off the model or a prefix that fails its
+    check; OrderNotFoundError, after bound - K adds, past the bound.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %r" % (bound,))
@@ -201,14 +201,17 @@ def order_of(f: Poly, D: MumfordDivisor, bound: int) -> int:
         if k > K:
             acc, prev = add(f, acc, b), acc
         if not acc.u.degree:  # a reduced pair with deg u = 0 is (1, 0)
-            _check_conserved(f, acc)
-            return k
+            break
         # at k = ceil(bound/2): is k*D == -(bound-k)*D, i.e. bound*D = 0?
         # -(u, v) is (u, -v): -v is already reduced modulo u, as deg v < deg u
         if k == half:
             M = (prev or _drop(acc)) if bound % 2 else acc  # at k = K, (K-1)*D is K*D less one t
             if acc.u == M.u and acc.v == -M.v:
-                _check_conserved(f, acc)
-                return bound
+                k = bound
+                break
+    else:  # bound*D != 0
+        k = None
     _check_conserved(f, acc)
-    raise OrderNotFoundError("no order <= %d found for %s" % (bound, D))
+    if k is None:
+        raise OrderNotFoundError("no order <= %d found for %s" % (bound, D))
+    return k

@@ -24,8 +24,7 @@ Horner's rule on p and q, and the shift x -> x + p/q is synthetic
 division homogenised by q.  ``p << k`` and
 ``p >> k`` multiply and divide exactly by x**k with no gcd, as a shift
 keeps lowest terms.  :func:`sqrt_series` runs its recurrence on integer
-pairs in lowest terms.  :func:`is_product_sum` decides f == sum p*q with
-no gcd at all, and :func:`is_spot_sum` compares the two sides at
+pairs in lowest terms, and :func:`is_spot_sum` compares f and sum p*q at
 x = 2**20 only, each value a sum of shifted numerators, in O(deg) work.
 Only the extended gcd divides, by plain long division.
 ``Fraction``s are built only at the edges: ``coeffs``, ``[k]``,
@@ -224,9 +223,9 @@ class Poly:
         integers: with F over den of degree n, G_i = F_i*q^(n-i) gives
         q^n*den*self(X/q) = G(X); n passes of synthetic division by X - p
         give G(X + p) = sum H_j X^j, so self(x + a) = sum H_j*q^j x^j / (q^n*den)."""
+        p, q = _rational(a).numerator, a.denominator
         if not self or not a:
             return self
-        p, q = _rational(a).numerator, a.denominator
         n = len(self._num) - 1
         G = [c * q ** (n - i) for i, c in enumerate(self._num)]
         for j in range(n):
@@ -284,18 +283,6 @@ def combine(*terms) -> Poly:
         for k, x in enumerate(p._num):
             out[k] += s * x
     return _make(out, den)
-
-
-def is_product_sum(f: Poly, *pairs) -> bool:
-    """Whether f == sum of p*q over the pairs (p, q), on the stored integers
-    scaled to the lcm of the denominators after each convolution."""
-    den = math.lcm(f._den, *[p._den * q._den for p, q in pairs])
-    out = [-c * (den // f._den) for c in f._num] + [0] * sum(len(p._num) + len(q._num) for p, q in pairs)
-    for p, q in pairs:
-        s = den // (p._den * q._den)
-        for k, c in enumerate(_convolve(p._num, q._num)):
-            out[k] += s * c
-    return not any(out)
 
 
 def is_spot_sum(f: Poly, *pairs) -> bool:

@@ -25,7 +25,7 @@ from torsionforge.jacobian2 import (
     order_of,
     validate,
 )
-from torsionforge.polyring import Poly, is_product_sum, is_squarefree, xgcd
+from torsionforge.polyring import Poly, is_squarefree, xgcd
 from torsionforge.scalars import GaussianRational
 
 
@@ -552,12 +552,11 @@ def test_order_of_divides_no_polynomial_at_n65(monkeypatch):
 
 def test_order_of_decides_the_identity_exactly_once_at_n65(monkeypatch):
     """The exact u*w + v**2 == f runs once per order_of, on the triple its answer
-    reads: at the half-way exit (bound 131), the identity exit (bound 261) and
+    reads: after the half-way test (bound 131), at the identity (bound 261) and
     past the bound (130); each step's guard is the O(g) check at x = 2**20."""
     model, D = n65_point()
-    calls = []
-    monkeypatch.setattr(jacobian2, "is_product_sum",
-                        lambda *args: calls.append(args) or polyring.is_product_sum(*args))
+    calls, check = [], jacobian2._check_conserved
+    monkeypatch.setattr(jacobian2, "_check_conserved", lambda *args: calls.append(args) or check(*args))
     for bound in (131, 261):
         calls.clear()
         assert order_of(model, D, bound) == 131
@@ -690,7 +689,7 @@ def test_triple_updates_keep_u_w_plus_v_squared(step, c, k, data):
     b = E.v[0]
     S = add(f_t, X, b)
     validate(f_t, S)
-    assert is_product_sum(f_t, (S.u, S.w), (S.v, S.v))  # validate checks it only at x = 2**20
+    assert S.u * S.w + S.v * S.v == f_t  # validate checks it only at x = 2**20
     assert at(S, -a) == cantor_add(f, D, E)
     with pytest.raises(ValueError):
         add(f_t, X._replace(w=w + Poly.x_power(k) * (c or 1)), b)

@@ -17,7 +17,6 @@ from torsionforge.polyring import (
     Poly,
     combine,
     gcd,
-    is_product_sum,
     is_scaled_power,
     is_spot_sum,
     is_squarefree,
@@ -642,20 +641,6 @@ def test_combine_is_the_sum_of_the_multiples(terms):
     assert out == expected
 
 
-@given(wide_coeffs, wide_coeffs, wide_coeffs, wide_coeffs, st.integers(0, 7), wide_fractions)
-def test_is_product_sum_decides_the_identity(a, b, c, extra, k, e):
-    """f == a*b + c*c holds for f built so, and fails once any coefficient
-    of f, inside or past the products' degrees, moves by a nonzero e."""
-    pa, pb, pc = Poly(a), Poly(b), Poly(c)
-    f = pa * pb + pc * pc
-    assert is_product_sum(f, (pa, pb), (pc, pc))
-    assert is_product_sum(f + Poly(extra) * Poly(extra) - Poly(extra) * Poly(extra), (pa, pb), (pc, pc))
-    if e:
-        assert not is_product_sum(f + Poly.x_power(k) * e, (pa, pb), (pc, pc))
-    # a factor far wider than f must not overrun the comparison
-    assert not is_product_sum(Poly((1,)), (Poly.x_power(9), Poly.x_power(k)), (pc, pc))
-
-
 @given(wide_coeffs, wide_coeffs, wide_coeffs, st.integers(0, 7), wide_fractions)
 def test_is_spot_sum_agrees_with_the_identity_at_2_to_20(a, b, c, k, e):
     """is_spot_sum holds where f == a*b + c*c holds, fails where f moves by e*x**k,
@@ -668,7 +653,7 @@ def test_is_spot_sum_agrees_with_the_identity_at_2_to_20(a, b, c, k, e):
         assert not is_spot_sum(f + Poly.x_power(k) * e, (pa, pb), (pc, pc))
         invisible = Poly.x_minus(2 ** 20) * Poly.x_power(k) * e
         assert is_spot_sum(f + invisible, (pa, pb), (pc, pc))
-        assert not is_product_sum(f + invisible, (pa, pb), (pc, pc))
+        assert pa * pb + pc * pc != f + invisible
 
 
 @given(wide_coeffs, wide_nonzero)
@@ -767,6 +752,19 @@ def test_evaluation_kernel_matches_reference(cs, t):
 def test_evaluation_takes_rationals_only(p, t):
     with pytest.raises(TypeError):
         p(t)
+
+
+@pytest.mark.parametrize("p, a", [(Poly((1, 2, 3)), 0.0), (Poly(), 0.5)], ids=["zero-float", "zero-poly"])
+def test_shift_takes_rationals_only(p, a):
+    """The shift's type is checked before the early return for a zero shift or a zero polynomial."""
+    with pytest.raises(TypeError, match="^unsupported coefficient type: 'float'$"):
+        p.shift(a)
+
+
+@pytest.mark.parametrize("a", [0, Fraction(0)], ids=["int", "Fraction"])
+def test_a_zero_shift_returns_the_polynomial_itself(a):
+    p = Poly((1, Fraction(-2, 3), 3))
+    assert p.shift(a) is p
 
 
 @given(st.tuples(wide_fractions, wide_fractions.filter(bool)), st.integers(min_value=0, max_value=12))
