@@ -52,7 +52,7 @@ short, cheap to guard, and free of gcds and of polynomial division:
   pair and is reduced, so k*D = (t**k, S_k, (f - S_k**2)/t**k) needs no
   step (Cantor, section 3): S_k is the one v of degree < k with v(0) = b
   and t**k | f - v**2, the square root of f through b cut to k terms,
-  which ``polyring.sqrt_series`` computes on integer pairs.
+  which ``polyring.power_series`` computes at r = 1/2 on integer pairs.
   :func:`order_of` always starts from K*D so built, K = min(g, ceil(bound/2)),
   or K = 1 when b = 0 (S_1 = b divides by nothing), and scans on from k = K.
   Two conditions check it: the K low coefficients of f - S_K**2 vanish, so
@@ -77,7 +77,7 @@ from collections import namedtuple
 
 from .curves import AffinePoint, Curve, on_curve
 # xgcd is not called here, but bench/tracer.py hooks jacobian2.xgcd by name
-from .polyring import Poly, combine, is_spot_sum, sqrt_series, xgcd
+from .polyring import Poly, combine, is_spot_sum, power_series, xgcd
 from .scalars import GaussianRational
 
 
@@ -171,7 +171,7 @@ def add(f: Poly, D: MumfordDivisor, b) -> MumfordDivisor:
 def _series_prefix(f: Poly, b, K: int) -> MumfordDivisor:
     """K*D for D = (t, b), 1 <= K <= g and b != 0 if K > 1, from the
     square-root series of f at t = 0, checked once (see the module docstring)."""
-    S = sqrt_series(f, b, K)
+    S = power_series(f, (1, 2), (b.numerator, b.denominator), K)
     if S[0] != b:
         raise ValueError("the series %s does not pass through (0, %s)" % (S, b))
     out = MumfordDivisor(Poly.x_power(K), S, (f - S * S) >> K)

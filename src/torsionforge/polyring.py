@@ -23,9 +23,10 @@ of the numerators (a square takes each cross product once),
 Horner's rule on p and q, and the shift x -> x + p/q is synthetic
 division homogenised by q.  ``p << k`` and
 ``p >> k`` multiply and divide exactly by x**k with no gcd, as a shift
-keeps lowest terms.  :func:`sqrt_series` runs its recurrence on integer
-pairs in lowest terms, and :func:`is_spot_sum` compares f and sum p*q at
-x = 2**20 only, each value a sum of shifted numerators, in O(deg) work.
+keeps lowest terms.  :func:`power_series` cuts every power T**r the
+package builds at x**K, by Miller's recurrence on integer pairs in lowest
+terms.  :func:`is_spot_sum` compares f and sum p*q at x = 2**20 only,
+each value a sum of shifted numerators, in O(deg) work.
 Only the extended gcd divides, by plain long division.
 ``Fraction``s are built only at the edges: ``coeffs``, ``[k]``,
 ``leading_coefficient`` and the value of a polynomial at a point, never
@@ -135,9 +136,7 @@ class Poly:
         return _make(list(self._num), self._num[-1])
 
     def __getitem__(self, k: int):
-        if 0 <= k < len(self._num):
-            return Fraction(self._num[k], self._den)
-        return Fraction(0)
+        return Fraction(*self.pair(k))
 
     def __bool__(self):
         return bool(self._num)
@@ -297,17 +296,24 @@ def is_spot_sum(f: Poly, *pairs) -> bool:
     return not lhs
 
 
-def sqrt_series(T: Poly, b, K: int) -> Poly:
-    """S of degree < K with S**2 = T mod x**K and S(0) = b, for T(0) = b**2 (b != 0 if K > 1), by
-    2b*s_j = T_j - sum_{0<i<j} s_i*s_{j-i} on integer pairs in lowest terms: the sum over the lcm
-    of its denominators, each cross product once, one gcd per term and one _make at the end."""
-    p, q, t, dt = b.numerator, b.denominator, T._num + (0,) * K, T._den
-    s = [(p, q)]
-    for j in range(1, K):
-        terms = [(s[i], s[j - i], 1 + (2 * i < j)) for i in range(1, j // 2 + 1)]
-        lcm = math.lcm(*[xd * yd for (_, xd), (_, yd), _ in terms])
-        dot = sum(k * xn * yn * (lcm // (xd * yd)) for (xn, xd), (yn, yd), k in terms)
-        n, d = (t[j] * lcm - dot * dt) * q, 2 * p * dt * lcm  # (t_j/dt - dot/lcm)/(2p/q)
+def power_series(T: Poly, r, s0, K: int) -> Poly:
+    """S of degree < K with S = T**r mod x**K and S(0) = s0, for integer pairs r = (p, q) and s0,
+    T(0) != 0 if K > 1, by J.C.P. Miller's recurrence (Knuth, *TAOCP* vol. 2, section 4.7):
+    k*T_0*S_k = sum_{0<j<=k} ((p+q)*j - q*k)*T_j*S_{k-j}/q on T's numerators (their denominator
+    cancels), S kept as pairs in lowest terms: each step's sum over a running lcm, then one gcd."""
+    (p, q), t = r, T._num
+    s = [s0]
+    for k in range(1, K):
+        n, L, c = 0, s[-1][1], -q * k
+        for tj, (sn, sd) in zip(t[1:k + 1], reversed(s)):  # T_j and S_{k-j}, j = 1, 2, ...
+            c += p + q
+            if sd != L:
+                if L % sd:
+                    g = sd // math.gcd(L, sd)
+                    n, L = n * g, L * g
+                sn *= L // sd
+            n += c * tj * sn
+        d = q * k * t[0] * L
         g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
         s.append((n // g, d // g))
     return poly_from_pairs(s)

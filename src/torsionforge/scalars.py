@@ -58,20 +58,18 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def gen_binom(r: int | Fraction, k: int, below: Fraction | None = None) -> Fraction:
+def gen_binom(r: int | Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient binom(r, k) for rational r.
 
     Defined by the falling factorial r(r-1)...(r-k+1)/k!, and computed by
-    its recurrence binom(r, j) = binom(r, j-1)*(r-j+1)/j from binom(r, 0) = 1:
-    all k steps, or only the last when below = binom(r, k-1) is given, so a
-    row binom(r, 0..E-1) costs E steps.  For a noninteger rational r the
-    value is nonzero for every k >= 0, because no factor of the falling
-    factorial can vanish.
+    its recurrence binom(r, j) = binom(r, j-1)*(r-j+1)/j from binom(r, 0) = 1.
+    For a noninteger rational r the value is nonzero for every k >= 0,
+    because no factor of the falling factorial can vanish.
     """
     if k < 0:
         raise ValueError("binomial index k must be nonnegative, got %r" % (k,))
-    start, c = (1, Fraction(1)) if below is None else (k, below)
-    for j in range(start, k + 1):
+    c = Fraction(1)
+    for j in range(1, k + 1):
         c = c * (r - j + 1) / j
     return c
 

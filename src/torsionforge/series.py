@@ -26,25 +26,15 @@ binom(r-1, E) there is a classic slip, which the test suite pins down.)
 
 from __future__ import annotations
 
-import math
-
-from .polyring import Poly, poly_from_pairs
+from .polyring import Poly, power_series
 # gen_binom is not called here, but bench/tracer.py hooks series.gen_binom by name
 from .scalars import gen_binom
 
 
 def truncated_binomial(m: int, d: int, E: int) -> Poly:
-    """The polynomial sum_{k<E} binom(m/d, k) x**k, of degree exactly E-1, stepped from binom(m/d, 0)
-    = 1 by binom(m/d, k) = binom(m/d, k-1)*a/b with a/b = (m - d*(k-1))/(d*k), on integer pairs in
-    lowest terms: a/b is reduced first, then gcd(a, q) and gcd(n, b) cancel across n/q times a/b."""
-    row = [(1, 1)]
-    for k in range(1, E):
-        (n, q), a, b = row[-1], m - d * (k - 1), d * k
-        g = math.gcd(a, b)
-        a, b = a // g, b // g
-        g, h = math.gcd(a, q), math.gcd(n, b)
-        row.append(((a // g) * (n // h), (q // g) * (b // h)))
-    return poly_from_pairs(row)
+    """The polynomial sum_{k<E} binom(m/d, k) x**k, of degree exactly E-1: the power series
+    (1+x)**(m/d) cut at x**E, by ``polyring.power_series`` at T = 1 + x and r = m/d."""
+    return power_series(Poly((1, 1)), (m, d), (1, 1), E)
 
 
 def check_truncation_valuation(m: int, d: int, E: int) -> bool:

@@ -506,13 +506,14 @@ def test_order_of_keeps_numerators_small_at_n65(monkeypatch):
     assert widest <= 1024
 
 
-def test_sqrt_series_at_n65():
-    """At the n = 65, m = 131 point (genus 32), the series of f at x(P) through
-    b to K = 32 terms is a square root of f modulo t**32 and agrees with the
-    same recurrence run one Fraction operation at a time."""
+def test_square_root_series_at_n65():
+    """At the n = 65, m = 131 point (genus 32), Miller's recurrence at r = 1/2
+    gives the series of f at x(P) through b to K = 32 terms: a square root of
+    f modulo t**32 that agrees with the convolution recurrence
+    2b*s_j = f_j - sum s_i*s_{j-i} run one Fraction operation at a time."""
     model, D = n65_point()
     b, f_t = D.v[0], model.shift(-D.u[0])
-    S = jacobian2.sqrt_series(f_t, b, 32)
+    S = jacobian2.power_series(f_t, (1, 2), (b.numerator, b.denominator), 32)
     assert S[0] == b and S.degree <= 31
     assert not any((f_t - S * S).coeffs[:32])
     s = [b]
@@ -764,12 +765,12 @@ def test_series_prefix_check_refuses_a_wrong_series(case, data):
     f, D, g = case
     K = data.draw(st.integers(2, g))
     j = data.draw(st.integers(0, K - 1))
-    real = jacobian2.sqrt_series
-    wrong = (lambda T, b, K: -real(T, b, K),
-             lambda T, b, K: real(T, b, K) + Poly.x_power(j))
+    real = jacobian2.power_series
+    wrong = (lambda T, r, s0, K: -real(T, r, s0, K),
+             lambda T, r, s0, K: real(T, r, s0, K) + Poly.x_power(j))
     for series in wrong:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(jacobian2, "sqrt_series", series)
+            patch.setattr(jacobian2, "power_series", series)
             with pytest.raises(ValueError):
                 order_of(f, D, bound=2 * K)
 

@@ -9,7 +9,7 @@ from math import gcd as gcd_int, lcm
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from torsionforge import polyring
 from torsionforge.polyring import (
@@ -23,7 +23,7 @@ from torsionforge.polyring import (
     poly_from_json,
     poly_from_pairs,
     poly_to_json,
-    sqrt_series,
+    power_series,
     xgcd,
 )
 from torsionforge.scalars import (
@@ -97,9 +97,11 @@ def test_leading_coefficient_of_zero_raises():
 
 
 def test_out_of_range_coefficient_reads_zero():
-    p = Poly((1, 2))
-    assert p[5] == 0
-    assert p[0] == 1
+    p, h = Poly((1, 2)), Poly((Fraction(1, 3), Fraction(-2, 3)))
+    assert p[5] == 0 and p[2] == 0 and p[-1] == 0
+    assert p[0] == 1 and h[1] == Fraction(-2, 3) and h[-1] == h[2] == 0
+    assert Poly()[0] == Poly()[-1] == Poly()[3] == 0
+    assert all(type(c[k]) is Fraction for c in (p, h, Poly()) for k in (-1, 0, 1, 5))
 
 
 @pytest.mark.parametrize("use", [iter, list, tuple, Poly, lambda p: 3 in p, lambda p: [c for c in p]],
@@ -707,16 +709,34 @@ non_integral = st.builds(Fraction, st.integers(1, 10**12), st.integers(2, 10**9)
 @given(non_integral, st.booleans(), st.lists(wide_fractions, max_size=10), st.integers(1, 9))
 @example(Fraction(3, 2), True, [], 9)
 @example(Fraction(7, 10**9 + 7), False, [Fraction(-1, 3)] * 10, 1)
-def test_sqrt_series_matches_the_fraction_recurrence(b, negative, tail, K):
-    """The integer-pair kernel equals the Fraction recurrence, and its S is a
-    square root of T through b modulo x**K, for b non-integral of either sign."""
+def test_power_series_at_one_half_matches_the_fraction_recurrence(b, negative, tail, K):
+    """Miller's recurrence at r = 1/2 equals the convolution recurrence run on
+    Fractions, and its S is a square root of T through b modulo x**K, for b
+    non-integral of either sign."""
     b = -b if negative else b
     T = Poly([b * b] + tail)
-    S = sqrt_series(T, b, K)
+    S = power_series(T, (1, 2), (b.numerator, b.denominator), K)
     _assert_canonical(S)
     assert S == Poly(_ref_sqrt_series(T, b, K))
     assert S[0] == b and S.degree < K
     assert not any((T - S * S).coeffs[:K])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(-12, 12), st.integers(-9, 9).filter(bool), st.integers(1, 4),
+       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), max_size=8), st.integers(1, 8))
+def test_power_series_is_a_truncated_power(q, p, a, a_den, tail, K):
+    """For r = p/q in lowest terms, T(0) = a**q and s0 = a**p (a < 0 only with
+    q odd, so a is the real q-th root), S(0) = s0, deg S < K and
+    S**q = T**p mod x**K."""
+    assume(math.gcd(p, q) == 1 and (a > 0 or q % 2))
+    a = Fraction(a, a_den)
+    T, s0 = Poly([a ** q] + tail), a ** p
+    S = power_series(T, (p, q), (s0.numerator, s0.denominator), K)
+    _assert_canonical(S)
+    assert S[0] == s0 and S.degree < K
+    lhs, rhs = (S ** q, T ** p) if p > 0 else (S ** q * T ** -p, Poly((1,)))  # T**p = 1/T**|p|
+    assert not any((lhs - rhs).coeffs[:K])
 
 
 def test_mul_by_zero_and_constants():

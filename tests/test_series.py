@@ -7,7 +7,9 @@ from math import gcd
 
 import pytest
 
-from torsionforge.polyring import Poly, is_squarefree
+from torsionforge.constructors import construct
+from torsionforge.jacobian2 import embed_point
+from torsionforge.polyring import Poly, is_squarefree, power_series
 from torsionforge.scalars import gen_binom
 from torsionforge.series import (
     check_truncation_valuation,
@@ -41,11 +43,11 @@ def test_truncated_binomial_is_a_series_prefix():
 
 @pytest.mark.parametrize("E", [66, 200, 514])
 def test_long_truncated_binomial_rows_match_the_fraction_recurrence(E):
-    # gen_binom stepped from the coefficient below, so a row of E costs E Fraction steps
+    # binom(r, k) = binom(r, k-1)*(r-k+1)/k stepped inline, so a row of E costs E Fraction steps
     for d, m in [(2, 2 * E - 1), (3, 3 * E - 2), (7, 7 * E + 3)]:
         r, row = Fraction(m, d), [Fraction(1)]
         for k in range(1, E):
-            row.append(gen_binom(r, k, row[-1]))
+            row.append(row[-1] * (r - k + 1) / k)
         V = truncated_binomial(m, d, E)
         assert V == Poly(row) and V.degree == E - 1, (d, E, m)
 
@@ -73,16 +75,23 @@ def _count_fractions_built(monkeypatch) -> list:
 
 
 def test_the_binomial_row_and_the_shaped_polynomials_build_no_fraction(monkeypatch):
-    """A counter, not a timer: the row steps on integer pairs, and x^k and
-    x - a go straight to their stored integers."""
+    """A counter, not a timer: both callers of the power-series kernel, the
+    row at r = 37/3 and the oracle's square root at r = 1/2 on the n = 17,
+    m = 35 ladder prefix, step on integer pairs, and x^k and x - a go straight
+    to their stored integers."""
     a = Fraction(-7, 3)
+    cert = construct(17, 2, 35)
+    f, D = embed_point(cert.curve, cert.point)
+    f_t, b = f.shift(-D.u[0]), D.v[0]
     built = _count_fractions_built(monkeypatch)
     V, X, L = truncated_binomial(37, 3, 12), Poly.x_power(75), Poly.x_minus(a)
+    S = power_series(f_t, (1, 2), (b.numerator, b.denominator), 8)
     assert built == []
     assert gen_binom(Fraction(37, 3), 2) and built  # the counter sees the Fraction reference
     monkeypatch.undo()
     assert V == Poly([gen_binom(Fraction(37, 3), k) for k in range(12)])
     assert X == Poly((0,) * 75 + (1,)) and L == Poly((Fraction(7, 3), 1))
+    assert b and S[0] == b and S.degree == 7 and not any((f_t - S * S).coeffs[:8])
 
 
 def test_valuation_hypothesis_is_enforced():
