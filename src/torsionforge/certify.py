@@ -193,9 +193,15 @@ class TorsionCertificate(namedtuple(
         return cert
 
 
+_ENCODER = json.JSONEncoder(indent=2, ensure_ascii=True)
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: fixed key order, two-space indent, newline."""
-    return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
+    """Deterministic JSON text: fixed key order, two-space indent, newline.
+    A JSON string holds no raw control character (RFC 8259, section 7), so the
+    text of a value k levels deep in a larger one is this text, less its last
+    newline, with 2*k spaces after each other newline: ``scan`` embeds so."""
+    return _ENCODER.encode(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------

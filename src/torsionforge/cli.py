@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from math import gcd as int_gcd
 
 from .certify import TorsionCertificate, canonical_json, parse_and_verify, verify_certificate
@@ -35,6 +36,9 @@ from .curves import PreconditionError
 from .jacobian2 import OrderNotFoundError, embed_point, order_of
 
 PRESET_HYPERELLIPTIC_LADDER = "hyperelliptic-ladder"
+
+# a scan row's five plain fields, as canonical_json indents them two levels down
+_ROW = '    {\n      "n": %d,\n      "d": %d,\n      "m": %d,\n      "status": %s,\n      "deciding_rule": %s'
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -239,6 +243,20 @@ def _scan_rows(args):
             yield n, m
 
 
+def _scan_report(d: int, rows: list) -> str:
+    """``canonical_json({"d": d, "rows": rows})``, each row's certificate being
+    its own text there, indented to its depth (see ``canonical_json``)."""
+    parts = []
+    for row in rows:
+        text = _ROW % (row["n"], row["d"], row["m"], _json_string(row["status"]), _json_string(row["deciding_rule"]))
+        if "certificate" in row:
+            text += ',\n      "certificate": ' + row["certificate"][:-1].replace("\n", "\n      ")
+        if "certificate_path" in row:
+            text += ',\n      "certificate_path": ' + _json_string(row["certificate_path"])
+        parts.append(text + "\n    }")
+    return '{\n  "d": %d,\n  "rows": %s\n}\n' % (d, "[\n%s\n  ]" % ",\n".join(parts) if parts else "[]")
+
+
 def cmd_scan(args) -> int:
     if args.d < 2:
         _usage_error("--d must be at least 2, got %d" % (args.d,))
@@ -252,8 +270,8 @@ def cmd_scan(args) -> int:
         _usage_error("scan needs --n")
     _check_budget(args.c_range)
 
-    # one dict per row; a constructed row also carries its "certificate"
-    # and, with --out, the "certificate_path" it is written to
+    # one dict per row; a constructed row also carries its "certificate" text, encoded
+    # once if the report or a file shows it, and with --out its "certificate_path"
     base = None if args.out is None else os.path.splitext(args.out)[0]
     rows = []
     for n, m in _scan_rows(args):
@@ -269,7 +287,8 @@ def cmd_scan(args) -> int:
             code, cert = certify_request(n, args.d, m, args.c_range, args.oracle, scan_row=True)
             if code != EXIT_OK:
                 return code
-            row["certificate"] = cert
+            if args.format == "json" or base is not None:
+                row["certificate"] = cert.to_json_str()
             if base is not None:
                 row["certificate_path"] = "%s-n%d-m%d.cert.json" % (base, n, m)
         rows.append(row)
@@ -285,23 +304,33 @@ def cmd_scan(args) -> int:
         writer.writerows([row.get(column, "") for column in columns] for row in rows)
         report = buffer.getvalue()
     else:
-        entries = [
-            {key: value.to_json_dict() if key == "certificate" else value for key, value in row.items()}
-            for row in rows
-        ]
-        report = canonical_json({"d": args.d, "rows": entries})
+        report = _scan_report(args.d, rows)
 
     # the report first, so an unwritable --out leaves no certificate file
     code = _emit(report, args.out)
     for row in rows:
         if code == EXIT_OK and "certificate_path" in row:
-            code = _emit(row["certificate"].to_json_str(), row["certificate_path"])
+            code = _emit(row["certificate"], row["certificate_path"])
     return code
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _invalid_choice(text: str, choices) -> str:
+    """argparse's refusal of a choice as 3.10 to 3.13.0 word it (later releases drop the quotes)."""
+    return "invalid choice: %r (choose from %s)" % (text, ", ".join(map(repr, choices)))
+
+
+def _choice(*choices: str):
+    """An argparse ``type`` admitting only ``choices``, refused in the same words on every Python."""
+    def check(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(_invalid_choice(text, choices))
+        return text
+    return check
+
 
 def _construct_arguments(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=True, help="degree of f")
@@ -336,11 +365,8 @@ def _scan_arguments(p: argparse.ArgumentParser):
     p.add_argument("--d", type=int, required=True, help="cover degree")
     p.add_argument("--n", help="degree of f: integer or a..b range")
     p.add_argument("--m", help="torsion orders: integer or a..b range")
-    p.add_argument(
-        "--preset",
-        choices=[PRESET_HYPERELLIPTIC_LADDER],
-        help="named grid: m in n+1..2n+1 with d=2",
-    )
+    p.add_argument("--preset", type=_choice(PRESET_HYPERELLIPTIC_LADDER), metavar="{hyperelliptic-ladder}",
+                   help="named grid: m in n+1..2n+1 with d=2")
     p.add_argument(
         "--construct",
         action="store_true",
@@ -353,7 +379,8 @@ def _scan_arguments(p: argparse.ArgumentParser):
     )
     p.add_argument("--c-range", dest="c_range", type=int, default=DEFAULT_SEARCH_LIMIT,
                    help="candidate budget for constant searches")
-    p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
+    p.add_argument("--format", type=_choice("json", "csv"), metavar="{json,csv}", default="json",
+                   help="output format")
     p.add_argument("--out", help="write the report to this path")
 
 
@@ -380,9 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse with the parser of the subcommand named first, by the call the top-level
-    parser makes on it; the top-level parser parses only if none is named or args are left."""
+    parser makes on it; the top-level parser parses only if none is named or args are left,
+    and refuses a first word that is no command and no option as argparse 3.10 to 3.13.0 do."""
     if argv is None:
         argv = sys.argv[1:]
+    commands = {"construct": cmd_construct, "verify": cmd_verify, "scan": cmd_scan}
+    if argv and not argv[0].startswith("-") and argv[0] not in commands:
+        _usage_error("argument command: " + _invalid_choice(argv[0], commands))
     args = extras = None
     for name, _, add_arguments in _COMMANDS:
         if argv and argv[0] == name:
@@ -392,7 +423,6 @@ def main(argv: list[str] | None = None) -> int:
             args.command = name
     if args is None or extras:
         args = build_parser().parse_args(argv)
-    commands = {"construct": cmd_construct, "verify": cmd_verify, "scan": cmd_scan}
     return commands[args.command](args)
 
 

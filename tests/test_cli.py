@@ -8,8 +8,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torsionforge import cli, constructors
+from torsionforge.certify import TorsionCertificate, canonical_json
 from torsionforge.cli import main
 from torsionforge.polyring import Poly, poly_from_json
 
@@ -374,7 +376,63 @@ def test_scan_preset_refuses_m(capsys):
 def test_scan_empty_grid_is_ok(capsys):
     code, out, _ = run_cli(capsys, "scan", "--d", "2", "--n", "5", "--m", "9..8")
     assert code == 0
-    assert json.loads(out)["rows"] == []
+    assert out == '{\n  "d": 2,\n  "rows": []\n}\n'
+
+
+# certificates of every emitted kind at d = 2, 3 and 7, as (text, dict)
+REPORT_CERTIFICATES = [
+    (cert.to_json_str(), cert.to_json_dict())
+    for cert in (constructors.construct(n, d, m) for n, d, m in (
+        (5, 2, 2), (5, 2, 6), (5, 2, 7), (5, 2, 10), (5, 3, 3), (7, 3, 10), (8, 7, 7), (8, 7, 8), (37, 7, 44)))
+]
+# path text with what JSON must escape: a quote, a backslash, control characters,
+# DEL, non-ASCII and non-BMP characters, and a lone surrogate (from surrogateescape)
+PATH_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7f/é€\U0001f600\udcff'), st.characters()))
+
+
+@st.composite
+def scan_rows(draw):
+    """A scan's rows as ``_scan_report`` reads them, and as ``canonical_json`` would."""
+    rows, dicts = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        row = {"n": draw(st.integers(0, 10**6)), "d": draw(st.integers(2, 9)), "m": draw(st.integers(2, 10**6)),
+               "status": draw(st.sampled_from(("unreachable", "undecided")) | st.text()),
+               "deciding_rule": draw(st.sampled_from(("pole-congruence", "congruent-step")) | st.text())}
+        as_dict = dict(row)
+        if draw(st.booleans()):
+            row["certificate"], as_dict["certificate"] = draw(st.sampled_from(REPORT_CERTIFICATES))
+        if draw(st.booleans()):
+            row["certificate_path"] = as_dict["certificate_path"] = draw(PATH_TEXT)
+        rows.append(row)
+        dicts.append(as_dict)
+    return rows, dicts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9), scan_rows())
+@example(2, ([], []))
+def test_scan_report_is_the_canonical_json_of_its_rows(d, rows_and_dicts):
+    rows, dicts = rows_and_dicts
+    assert cli._scan_report(d, rows) == canonical_json({"d": d, "rows": dicts})
+
+
+def test_scan_encodes_each_certificate_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    to_json_dict = TorsionCertificate.to_json_dict
+
+    def counted(self):
+        calls.append(self.m)
+        return to_json_dict(self)
+
+    monkeypatch.setattr(TorsionCertificate, "to_json_dict", counted)
+    grid = ("scan", "--d", "3", "--n", "5..11", "--m", "2..30", "--construct")
+    code, _, _ = run_cli(capsys, *grid, "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    assert len(list(tmp_path.glob("r-n*-m*.cert.json"))) == len(calls) == 25
+    calls.clear()
+    code, out, _ = run_cli(capsys, *grid, "--format", "csv")
+    assert code == 0 and out.count("reachable-constructive") == 25
+    assert calls == []
 
 
 def test_scan_skips_invalid_degrees_in_range(capsys):
