@@ -78,6 +78,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .curves import AffinePoint, Curve, CurveError, on_curve
 from .polyring import Poly, is_scaled_power, poly_from_json, poly_to_json
@@ -156,7 +157,9 @@ class TorsionCertificate(namedtuple(
         return out
 
     def to_json_str(self) -> str:
-        return canonical_json(self.to_json_dict())
+        """``canonical_json(self.to_json_dict())``, laid out by ``_TEMPLATE``."""
+        curve, *values = self.to_json_dict().values()
+        return _TEMPLATE % (curve["d"], curve["n"], '",\n      "'.join(curve["f"]), *map(_json_text, values))
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TorsionCertificate":
@@ -200,8 +203,30 @@ def canonical_json(obj) -> str:
     """Deterministic JSON text: fixed key order, two-space indent, newline.
     A JSON string holds no raw control character (RFC 8259, section 7), so the
     text of a value k levels deep in a larger one is this text, less its last
-    newline, with 2*k spaces after each other newline: ``scan`` embeds so."""
+    newline, with 2*k spaces after each other newline: ``scan`` embeds so.
+    Certificate text comes from ``to_json_str``'s template, byte for byte this
+    text of ``to_json_dict()``; the encoder writes the CLI's error JSON."""
     return _ENCODER.encode(obj) + "\n"
+
+
+# a certificate's text: the curve's lines, then one %s for the point and one for each _FIELDS key
+_TEMPLATE = ('{\n  "curve": {\n    "d": %d,\n    "n": %d,\n    "f": [\n      "%s"\n    ]\n  },\n  "point": %s,\n'
+             + ",\n".join("  %s: %%s" % _json_string(key) for key, _, _, _ in _FIELDS) + "\n}\n")
+
+
+def _json_text(value, indent: str = "  ") -> str:
+    """canonical_json's text, less its newline, of a value that to_json_dict writes after the curve, at
+    the depth of ``indent``: an int, a string, None, the point, an {"re", "im"} pair or a coefficient
+    list, one level down.  A coefficient is digits, "-" and "/", which JSON writes as they are."""
+    if value.__class__ is str:
+        return _json_string(value)
+    if value.__class__ is list:
+        return '[\n    "%s"\n  ]' % '",\n    "'.join(value) if value else "[]"
+    if value.__class__ is dict:
+        inner = indent + "  "
+        return "{\n%s\n%s}" % (",\n".join(["%s%s: %s" % (inner, _json_string(key), _json_text(item, inner))
+                                            for key, item in value.items()]), indent)
+    return "null" if value is None else "true" if value is True else int.__repr__(value)
 
 
 # ---------------------------------------------------------------------------

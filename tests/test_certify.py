@@ -571,6 +571,38 @@ def test_scalar_spellings_round_trip_or_are_malformed(data):
         assert cert.to_json_str() == canonical_json(obj)
 
 
+EVERY_KIND = certificates_of_every_kind()
+# text JSON must escape: a quote, a backslash, control characters, DEL, non-ASCII and
+# non-BMP characters, and a lone surrogate
+ESCAPED_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7f/é€\U0001f600\udcff'), st.characters()))
+gaussians = gaussian_parts.map(lambda parts: GaussianRational(*parts))
+
+
+@st.composite
+def varied_certificates(draw):
+    """A certificate of every kind, its fields varied over each shape ``to_json_dict`` writes."""
+    cert = draw(st.sampled_from(EVERY_KIND))
+    u = draw(st.sampled_from((cert.u, None, Poly((Fraction(-3, 2), 1)))))
+    v = draw(st.sampled_from((cert.v, Poly())))  # the zero v is written []
+    point, symbolic = draw(st.one_of(
+        st.just((cert.point, cert.point_symbolic)),
+        st.just((None, False)),
+        st.just((None, True)),
+        st.tuples(rationals, st.one_of(rationals, gaussians)).map(lambda xy: (AffinePoint(*xy), False)),
+    ))
+    lam = draw(st.one_of(st.none(), rationals, gaussians))
+    kind = draw(st.just(cert.identity_kind) | ESCAPED_TEXT)
+    rule = draw(st.sampled_from((cert.exactness_rule, None)) | ESCAPED_TEXT)
+    return cert._replace(u=u, v=v, point=point, point_symbolic=symbolic, lam=lam, identity_kind=kind,
+                         exactness_rule=rule)
+
+
+@settings(max_examples=300, deadline=None)
+@given(varied_certificates())
+def test_certificate_text_is_the_stdlib_encoding_of_its_dict(cert):
+    assert cert.to_json_str() == json.dumps(cert.to_json_dict(), indent=2, ensure_ascii=True) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # d = 2: a certificate the verifier accepts has the order the oracle finds
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torsionforge import cli, constructors
+from torsionforge import certify, cli, constructors
 from torsionforge.certify import TorsionCertificate, canonical_json
 from torsionforge.cli import main
 from torsionforge.polyring import Poly, poly_from_json
@@ -433,6 +433,43 @@ def test_scan_encodes_each_certificate_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *grid, "--format", "csv")
     assert code == 0 and out.count("reachable-constructive") == 25
     assert calls == []
+
+
+class _RefusingEncoder:
+    def encode(self, obj):
+        raise AssertionError("the indented encoder ran on %r" % (obj,))
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--n", "7", "--d", "2", "--m", "11", "--oracle"),
+    ("scan", "--d", "3", "--n", "5..7", "--m", "2..14", "--construct"),
+])
+def test_certificate_output_never_runs_the_indented_encoder(argv, tmp_path, capsys, monkeypatch):
+    """construct and scan --construct write each certificate from its template, with and
+    without --out; the error JSON is still canonical_json's."""
+    def outputs(run: str):
+        """(exit code, stdout, stderr, files written) of argv without and with --out, in new directories."""
+        runs = []
+        for out in ((), ("--out", "c.json")):
+            workdir = tmp_path / ("%s%d" % (run, len(out)))
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            runs.append((*run_cli(capsys, *argv, *out),
+                         {path.name: path.read_text(encoding="utf-8") for path in sorted(workdir.iterdir())}))
+        return runs
+
+    plain = outputs("plain")
+    monkeypatch.setattr(certify, "_ENCODER", _RefusingEncoder())
+    assert outputs("patched") == plain
+    (code, stdout, _, _), (code_out, _, _, files) = plain
+    assert code == code_out == 0
+    assert '"curve": {' in stdout and "c.json" in files
+    if argv[0] == "construct":
+        assert files == {"c.json": stdout}
+    else:
+        assert len(files) > 1 and all(name.endswith(".cert.json") for name in files if name != "c.json")
+    with pytest.raises(AssertionError, match="the indented encoder ran"):
+        main(["construct", "--n", "7", "--d", "4", "--m", "11"])
 
 
 def test_scan_skips_invalid_degrees_in_range(capsys):
