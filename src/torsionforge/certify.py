@@ -157,9 +157,9 @@ class TorsionCertificate(namedtuple(
         return out
 
     def to_json_str(self) -> str:
-        """``canonical_json(self.to_json_dict())``, laid out by ``_TEMPLATE``."""
+        """``json.dumps(self.to_json_dict(), indent=2)`` and a newline, laid out by ``_TEMPLATE``."""
         curve, *values = self.to_json_dict().values()
-        return _TEMPLATE % (curve["d"], curve["n"], '",\n      "'.join(curve["f"]), *map(_json_text, values))
+        return _TEMPLATE % (curve["d"], curve["n"], '",\n      "'.join(curve["f"]), *map(json_text, values))
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TorsionCertificate":
@@ -196,35 +196,24 @@ class TorsionCertificate(namedtuple(
         return cert
 
 
-_ENCODER = json.JSONEncoder(indent=2, ensure_ascii=True)
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON text: fixed key order, two-space indent, newline.
-    A JSON string holds no raw control character (RFC 8259, section 7), so the
-    text of a value k levels deep in a larger one is this text, less its last
-    newline, with 2*k spaces after each other newline: ``scan`` embeds so.
-    Certificate text comes from ``to_json_str``'s template, byte for byte this
-    text of ``to_json_dict()``; the encoder writes the CLI's error JSON."""
-    return _ENCODER.encode(obj) + "\n"
-
-
 # a certificate's text: the curve's lines, then one %s for the point and one for each _FIELDS key
 _TEMPLATE = ('{\n  "curve": {\n    "d": %d,\n    "n": %d,\n    "f": [\n      "%s"\n    ]\n  },\n  "point": %s,\n'
              + ",\n".join("  %s: %%s" % _json_string(key) for key, _, _, _ in _FIELDS) + "\n}\n")
 
 
-def _json_text(value, indent: str = "  ") -> str:
-    """canonical_json's text, less its newline, of a value that to_json_dict writes after the curve, at
-    the depth of ``indent``: an int, a string, None, the point, an {"re", "im"} pair or a coefficient
-    list, one level down.  A coefficient is digits, "-" and "/", which JSON writes as they are."""
+def json_text(value, indent: str = "  ") -> str:
+    """``json.dumps(value, indent=2)``, written at the depth of ``indent``, for a str, an int, None,
+    True, a coefficient list one level down, or a non-empty dict of these.  A coefficient is digits,
+    "-" and "/", which JSON writes as they are.  A JSON string holds no raw control character
+    (RFC 8259, section 7), so the text of a value k levels deep in a larger one is its own text with
+    2*k spaces after each newline: ``scan`` embeds each certificate's text so."""
     if value.__class__ is str:
         return _json_string(value)
     if value.__class__ is list:
         return '[\n    "%s"\n  ]' % '",\n    "'.join(value) if value else "[]"
     if value.__class__ is dict:
         inner = indent + "  "
-        return "{\n%s\n%s}" % (",\n".join(["%s%s: %s" % (inner, _json_string(key), _json_text(item, inner))
+        return "{\n%s\n%s}" % (",\n".join(["%s%s: %s" % (inner, _json_string(key), json_text(item, inner))
                                             for key, item in value.items()]), indent)
     return "null" if value is None else "true" if value is True else int.__repr__(value)
 

@@ -24,7 +24,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_string
 from math import gcd as int_gcd
 
-from .certify import TorsionCertificate, canonical_json, parse_and_verify, verify_certificate
+from .certify import TorsionCertificate, json_text, parse_and_verify, verify_certificate
 from .constructors import (
     DEFAULT_SEARCH_LIMIT,
     STATUS_CONSTRUCTIVE,
@@ -37,7 +37,7 @@ from .jacobian2 import OrderNotFoundError, embed_point, order_of
 
 PRESET_HYPERELLIPTIC_LADDER = "hyperelliptic-ladder"
 
-# a scan row's five plain fields, as canonical_json indents them two levels down
+# a scan row's five plain fields, as json.dumps(indent=2) indents them two levels down
 _ROW = '    {\n      "n": %d,\n      "d": %d,\n      "m": %d,\n      "status": %s,\n      "deciding_rule": %s'
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ EXIT_SEARCH_EXHAUSTED = 4
 
 
 def _error_json(exc_type: str, message: str, **extra) -> str:
-    return canonical_json({"error": {"type": exc_type, "message": message, **extra}})
+    return json_text({"error": {"type": exc_type, "message": message, **extra}}, "") + "\n"
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -244,8 +244,8 @@ def _scan_rows(args):
 
 
 def _scan_report(d: int, rows: list) -> str:
-    """``canonical_json({"d": d, "rows": rows})``, each row's certificate being
-    its own text there, indented to its depth (see ``canonical_json``)."""
+    """``json.dumps({"d": d, "rows": rows}, indent=2)`` and a newline, each row's certificate
+    being its own text there, indented to its depth (see ``json_text``)."""
     parts = []
     for row in rows:
         text = _ROW % (row["n"], row["d"], row["m"], _json_string(row["status"]), _json_string(row["deciding_rule"]))

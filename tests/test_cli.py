@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torsionforge import certify, cli, constructors
-from torsionforge.certify import TorsionCertificate, canonical_json
+from torsionforge import cli, constructors
+from torsionforge.certify import TorsionCertificate
 from torsionforge.cli import main
 from torsionforge.polyring import Poly, poly_from_json
 
@@ -385,14 +387,14 @@ REPORT_CERTIFICATES = [
     for cert in (constructors.construct(n, d, m) for n, d, m in (
         (5, 2, 2), (5, 2, 6), (5, 2, 7), (5, 2, 10), (5, 3, 3), (7, 3, 10), (8, 7, 7), (8, 7, 8), (37, 7, 44)))
 ]
-# path text with what JSON must escape: a quote, a backslash, control characters,
-# DEL, non-ASCII and non-BMP characters, and a lone surrogate (from surrogateescape)
-PATH_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7f/é€\U0001f600\udcff'), st.characters()))
+# text with what JSON must escape: a quote, a backslash, control characters, DEL,
+# non-ASCII and non-BMP characters, and a lone surrogate (a path's, from surrogateescape)
+ESCAPED_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7f/é€\U0001f600\udcff'), st.characters()))
 
 
 @st.composite
 def scan_rows(draw):
-    """A scan's rows as ``_scan_report`` reads them, and as ``canonical_json`` would."""
+    """A scan's rows as ``_scan_report`` reads them, and as ``json.dumps`` would."""
     rows, dicts = [], []
     for _ in range(draw(st.integers(0, 4))):
         row = {"n": draw(st.integers(0, 10**6)), "d": draw(st.integers(2, 9)), "m": draw(st.integers(2, 10**6)),
@@ -402,7 +404,7 @@ def scan_rows(draw):
         if draw(st.booleans()):
             row["certificate"], as_dict["certificate"] = draw(st.sampled_from(REPORT_CERTIFICATES))
         if draw(st.booleans()):
-            row["certificate_path"] = as_dict["certificate_path"] = draw(PATH_TEXT)
+            row["certificate_path"] = as_dict["certificate_path"] = draw(ESCAPED_TEXT)
         rows.append(row)
         dicts.append(as_dict)
     return rows, dicts
@@ -413,7 +415,7 @@ def scan_rows(draw):
 @example(2, ([], []))
 def test_scan_report_is_the_canonical_json_of_its_rows(d, rows_and_dicts):
     rows, dicts = rows_and_dicts
-    assert cli._scan_report(d, rows) == canonical_json({"d": d, "rows": dicts})
+    assert cli._scan_report(d, rows) == json.dumps({"d": d, "rows": dicts}, indent=2) + "\n"
 
 
 def test_scan_encodes_each_certificate_once(tmp_path, capsys, monkeypatch):
@@ -435,41 +437,60 @@ def test_scan_encodes_each_certificate_once(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-class _RefusingEncoder:
-    def encode(self, obj):
-        raise AssertionError("the indented encoder ran on %r" % (obj,))
-
-
 @pytest.mark.parametrize("argv", [
     ("construct", "--n", "7", "--d", "2", "--m", "11", "--oracle"),
     ("scan", "--d", "3", "--n", "5..7", "--m", "2..14", "--construct"),
 ])
-def test_certificate_output_never_runs_the_indented_encoder(argv, tmp_path, capsys, monkeypatch):
-    """construct and scan --construct write each certificate from its template, with and
-    without --out; the error JSON is still canonical_json's."""
-    def outputs(run: str):
-        """(exit code, stdout, stderr, files written) of argv without and with --out, in new directories."""
-        runs = []
-        for out in ((), ("--out", "c.json")):
-            workdir = tmp_path / ("%s%d" % (run, len(out)))
-            workdir.mkdir()
-            monkeypatch.chdir(workdir)
-            runs.append((*run_cli(capsys, *argv, *out),
-                         {path.name: path.read_text(encoding="utf-8") for path in sorted(workdir.iterdir())}))
-        return runs
-
-    plain = outputs("plain")
-    monkeypatch.setattr(certify, "_ENCODER", _RefusingEncoder())
-    assert outputs("patched") == plain
-    (code, stdout, _, _), (code_out, _, _, files) = plain
+def test_certificate_files_hold_the_printed_certificate_text(argv, tmp_path, capsys, monkeypatch):
+    """construct --out writes what construct prints; scan --out writes each certificate
+    file with the text its report embeds, indented there to its depth."""
+    runs = []
+    for out in ((), ("--out", "c.json")):
+        workdir = tmp_path / str(len(out))
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        runs.append((*run_cli(capsys, *argv, *out),
+                     {path.name: path.read_text(encoding="utf-8") for path in sorted(workdir.iterdir())}))
+    (code, stdout, _, _), (code_out, _, _, files) = runs
     assert code == code_out == 0
     assert '"curve": {' in stdout and "c.json" in files
     if argv[0] == "construct":
         assert files == {"c.json": stdout}
-    else:
-        assert len(files) > 1 and all(name.endswith(".cert.json") for name in files if name != "c.json")
-    with pytest.raises(AssertionError, match="the indented encoder ran"):
-        main(["construct", "--n", "7", "--d", "4", "--m", "11"])
+        return
+    report = files.pop("c.json")
+    assert len(files) == report.count('"certificate": ') > 1
+    for name, text in files.items():
+        assert name.endswith(".cert.json")
+        assert '"certificate": %s,\n      "certificate_path": %s' % (
+            text[:-1].replace("\n", "\n      "), json.dumps(name)) in report
+
+
+@settings(max_examples=200, deadline=None)
+@given(ESCAPED_TEXT, ESCAPED_TEXT, st.fixed_dictionaries({}, optional={
+    "n": st.integers(), "m": st.integers(), "rule": ESCAPED_TEXT}))
+@example("PreconditionError", "m = 11 is unreachable", {"n": 7, "m": 11, "rule": "step-threshold"})
+def test_error_json_is_the_stdlib_encoding(exc_type, message, extra):
+    error = {"type": exc_type, "message": message, **extra}
+    assert cli._error_json(exc_type, message, **extra) == json.dumps({"error": error}, indent=2) + "\n"
+
+
+def _json_writers(tree):
+    """Each json.JSONEncoder construction and each json.dump(s) call given an indent in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            if name == "JSONEncoder" or name in ("dump", "dumps") and any(
+                    keyword.arg == "indent" for keyword in node.keywords):
+                yield name, node.lineno
+
+
+def test_the_package_writes_indented_json_only_through_json_text():
+    package = Path(cli.__file__).parent
+    found = {path.name: list(_json_writers(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+    assert list(_json_writers(ast.parse("json.JSONEncoder(indent=2)\njson.dumps(x, indent=2)"))) == [
+        ("JSONEncoder", 1), ("dumps", 2)]
 
 
 def test_scan_skips_invalid_degrees_in_range(capsys):
