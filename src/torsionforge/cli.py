@@ -244,16 +244,16 @@ def _scan_rows(args):
 
 
 def _scan_report(d: int, rows: list) -> str:
-    """``json.dumps({"d": d, "rows": rows}, indent=2)`` and a newline, each row's certificate
-    being its own text there, indented to its depth (see ``json_text``)."""
+    """``json.dumps({"d": d, "rows": rows}, indent=2)`` and a newline for ``cmd_scan``'s row tuples,
+    a certificate text embedded as itself, indented to its depth (see ``json_text``)."""
     parts = []
-    for row in rows:
-        text = _ROW % (row["n"], row["d"], row["m"], _json_string(row["status"]), _json_string(row["deciding_rule"]))
-        if "certificate" in row:
-            text += ',\n      "certificate": ' + row["certificate"][:-1].replace("\n", "\n      ")
-        if "certificate_path" in row:
-            text += ',\n      "certificate_path": ' + _json_string(row["certificate_path"])
-        parts.append(text + "\n    }")
+    for n, row_d, m, status, rule, text, path in rows:
+        row = _ROW % (n, row_d, m, _json_string(status), _json_string(rule))
+        if text is not None:
+            row += ',\n      "certificate": ' + text[:-1].replace("\n", "\n      ")
+        if path is not None:
+            row += ',\n      "certificate_path": ' + _json_string(path)
+        parts.append(row + "\n    }")
     return '{\n  "d": %d,\n  "rows": %s\n}\n' % (d, "[\n%s\n  ]" % ",\n".join(parts) if parts else "[]")
 
 
@@ -270,28 +270,22 @@ def cmd_scan(args) -> int:
         _usage_error("scan needs --n")
     _check_budget(args.c_range)
 
-    # one dict per row; a constructed row also carries its "certificate" text, encoded
-    # once if the report or a file shows it, and with --out its "certificate_path"
+    # a row is (n, d, m, status, deciding_rule, text, path): a constructed row's certificate text,
+    # encoded once if the report or a file shows it, and with --out its path; else None
     base = None if args.out is None else os.path.splitext(args.out)[0]
     rows = []
     for n, m in _scan_rows(args):
         verdict = reachability_verdict(n, args.d, m)
-        row = {
-            "n": n,
-            "d": args.d,
-            "m": m,
-            "status": verdict.status,
-            "deciding_rule": verdict.deciding_rule,
-        }
+        text = path = None
         if args.construct and verdict.status == STATUS_CONSTRUCTIVE:
             code, cert = certify_request(n, args.d, m, args.c_range, args.oracle, scan_row=True)
             if code != EXIT_OK:
                 return code
             if args.format == "json" or base is not None:
-                row["certificate"] = cert.to_json_str()
+                text = cert.to_json_str()
             if base is not None:
-                row["certificate_path"] = "%s-n%d-m%d.cert.json" % (base, n, m)
-        rows.append(row)
+                path = "%s-n%d-m%d.cert.json" % (base, n, m)
+        rows.append((n, args.d, m, verdict.status, verdict.deciding_rule, text, path))
 
     if args.format == "csv":
         import csv
@@ -299,18 +293,18 @@ def cmd_scan(args) -> int:
 
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        columns = ("n", "d", "m", "status", "deciding_rule", "certificate_path")
-        writer.writerow(columns)
-        writer.writerows([row.get(column, "") for column in columns] for row in rows)
+        writer.writerow(("n", "d", "m", "status", "deciding_rule", "certificate_path"))
+        # csv writes a None path as an empty field
+        writer.writerows((n, d, m, status, rule, path) for n, d, m, status, rule, _, path in rows)
         report = buffer.getvalue()
     else:
         report = _scan_report(args.d, rows)
 
     # the report first, so an unwritable --out leaves no certificate file
     code = _emit(report, args.out)
-    for row in rows:
-        if code == EXIT_OK and "certificate_path" in row:
-            code = _emit(row["certificate"], row["certificate_path"])
+    for *_, text, path in rows:
+        if code == EXIT_OK and path is not None:
+            code = _emit(text, path)
     return code
 
 
@@ -384,12 +378,12 @@ def _scan_arguments(p: argparse.ArgumentParser):
     p.add_argument("--out", help="write the report to this path")
 
 
-# (name, help, add_arguments) of each subcommand, in the order --help lists them
-_COMMANDS = (
-    ("construct", "build a certificate for a point of exact order m", _construct_arguments),
-    ("verify", "check a certificate file", _verify_arguments),
-    ("scan", "tabulate reachability verdicts over an (n, m) grid", _scan_arguments),
-)
+# name: (help, add_arguments, run) of each subcommand, in the order --help lists them
+_COMMANDS = {
+    "construct": ("build a certificate for a point of exact order m", _construct_arguments, cmd_construct),
+    "verify": ("check a certificate file", _verify_arguments, cmd_verify),
+    "scan": ("tabulate reachability verdicts over an (n, m) grid", _scan_arguments, cmd_scan),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for superelliptic curves y^d = f(x).",
     )
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    for name, help_text, add_arguments in _COMMANDS:
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -411,19 +405,17 @@ def main(argv: list[str] | None = None) -> int:
     and refuses a first word that is no command and no option as argparse 3.10 to 3.13.0 do."""
     if argv is None:
         argv = sys.argv[1:]
-    commands = {"construct": cmd_construct, "verify": cmd_verify, "scan": cmd_scan}
-    if argv and not argv[0].startswith("-") and argv[0] not in commands:
-        _usage_error("argument command: " + _invalid_choice(argv[0], commands))
-    args = extras = None
-    for name, _, add_arguments in _COMMANDS:
-        if argv and argv[0] == name:
-            parser = argparse.ArgumentParser(prog="torsion-forge " + name)
-            add_arguments(parser)
-            args, extras = parser.parse_known_args(argv[1:])
-            args.command = name
-    if args is None or extras:
-        args = build_parser().parse_args(argv)
-    return commands[args.command](args)
+    if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
+        _usage_error("argument command: " + _invalid_choice(argv[0], _COMMANDS))
+    if argv and argv[0] in _COMMANDS:
+        _, add_arguments, run = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog="torsion-forge " + argv[0])
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return run(args)
+    args = build_parser().parse_args(argv)
+    return _COMMANDS[args.command][2](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,8 +25,9 @@ division homogenised by q.  ``p << k`` and
 ``p >> k`` multiply and divide exactly by x**k with no gcd, as a shift
 keeps lowest terms.  :func:`power_series` cuts every power T**r the
 package builds at x**K, by Miller's recurrence on integer pairs in lowest
-terms.  :func:`is_spot_sum` compares f and sum p*q at x = 2**20 only,
-each value a sum of shifted numerators, in O(deg) work.
+terms.  ``_pack`` evaluates numerators at x = 2**B by shifts:
+:func:`is_spot_sum` compares f and sum p*q at x = 2**20 by it, in O(deg)
+work, and the square-free screen reads F(2**B) and F′(2**B) by it.
 Only the extended gcd divides, by plain long division.
 ``Fraction``s are built only at the edges: ``coeffs``, ``[k]``,
 ``leading_coefficient`` and the value of a polynomial at a point, never
@@ -284,15 +285,21 @@ def combine(*terms) -> Poly:
     return _make(out, den)
 
 
+def _pack(num, B: int) -> int:
+    """The integers ``num``, ascending, evaluated at x = 2**B, by Horner's rule on shifts."""
+    value = 0
+    for c in reversed(num):
+        value = (value << B) + c
+    return value
+
+
 def is_spot_sum(f: Poly, *pairs) -> bool:
     """Whether f and the sum of p*q over the pairs (p, q) agree at x = 2**20: each side's stored
-    numerators summed as shifts, the values compared cross-multiplied by the denominators."""
-    def at(num):
-        return sum(map(int.__lshift__, num, range(0, 20 * len(num), 20)))
-    lhs, den = at(f._num), f._den  # f(2**20) - the sum so far, as lhs/den
+    numerators packed at 2**20, the values compared cross-multiplied by the denominators."""
+    lhs, den = _pack(f._num, 20), f._den  # f(2**20) - the sum so far, as lhs/den
     for p, q in pairs:
-        d, value = p._den * q._den, at(p._num)
-        lhs, den = lhs * d - value * (value if p is q else at(q._num)) * den, den * d
+        d, value = p._den * q._den, _pack(p._num, 20)
+        lhs, den = lhs * d - value * (value if p is q else _pack(q._num, 20)) * den, den * d
     return not lhs
 
 
@@ -375,10 +382,8 @@ def is_squarefree(f: Poly) -> bool:
     F = f._num
     b = max(map(abs, F)).bit_length()
     if b <= _SCREEN_BITS:
-        B, X, Y = b + 8, 0, 0
-        for k in range(len(F) - 1, 0, -1):  # Horner's rule at 2**B by shifts
-            X, Y = (X << B) + F[k], (Y << B) + k * F[k]
-        if math.gcd((X << B) + F[0], Y) < (1 << B) - (1 << b):
+        B = b + 8
+        if math.gcd(_pack(F, B), _pack([k * c for k, c in enumerate(F)][1:], B)) < (1 << B) - (1 << b):
             return True
     n, bound, proof = len(F) - 1, None, 1
     # 1073741789 = 2**30 - 35 is prime; only the primes below it are tested

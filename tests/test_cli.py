@@ -397,15 +397,16 @@ def scan_rows(draw):
     """A scan's rows as ``_scan_report`` reads them, and as ``json.dumps`` would."""
     rows, dicts = [], []
     for _ in range(draw(st.integers(0, 4))):
-        row = {"n": draw(st.integers(0, 10**6)), "d": draw(st.integers(2, 9)), "m": draw(st.integers(2, 10**6)),
-               "status": draw(st.sampled_from(("unreachable", "undecided")) | st.text()),
-               "deciding_rule": draw(st.sampled_from(("pole-congruence", "congruent-step")) | st.text())}
-        as_dict = dict(row)
+        row = (draw(st.integers(0, 10**6)), draw(st.integers(2, 9)), draw(st.integers(2, 10**6)),
+               draw(st.sampled_from(("unreachable", "undecided")) | st.text()),
+               draw(st.sampled_from(("pole-congruence", "congruent-step")) | st.text()))
+        as_dict = dict(zip(("n", "d", "m", "status", "deciding_rule"), row))
+        text = path = None
         if draw(st.booleans()):
-            row["certificate"], as_dict["certificate"] = draw(st.sampled_from(REPORT_CERTIFICATES))
+            text, as_dict["certificate"] = draw(st.sampled_from(REPORT_CERTIFICATES))
         if draw(st.booleans()):
-            row["certificate_path"] = as_dict["certificate_path"] = draw(ESCAPED_TEXT)
-        rows.append(row)
+            path = as_dict["certificate_path"] = draw(ESCAPED_TEXT)
+        rows.append(row + (text, path))
         dicts.append(as_dict)
     return rows, dicts
 
@@ -525,6 +526,22 @@ def test_scan_out_writes_certificate_files(tmp_path, capsys):
         assert cert_obj["m"] == row["m"]
         verify_code, _, _ = run_cli(capsys, "verify", path)
         assert verify_code == 0
+
+
+def test_scan_csv_out_names_each_certificate_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    grid = ["scan", "--d", "3", "--n", "5..7", "--m", "2..14", "--construct"]
+    code, report, _ = run_cli(capsys, *grid)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *grid, "--format", "csv", "--out", "r.csv")
+    assert (code, out) == (0, "")
+    header, *rows = csv.reader(io.StringIO((tmp_path / "r.csv").read_text()))
+    assert header == ["n", "d", "m", "status", "deciding_rule", "certificate_path"]
+    columns = header[:5]
+    assert [row[:5] for row in rows] == [[str(row[k]) for k in columns] for row in json.loads(report)["rows"]]
+    written = sorted(path.name for path in tmp_path.glob("r-n*-m*.cert.json"))
+    assert len(written) == 8
+    assert sorted(row[5] for row in rows if row[5]) == written
 
 
 def test_scan_unwritable_certificate_path_exits_2(tmp_path, capsys):

@@ -175,8 +175,8 @@ def _main_by_the_full_parser(argv):
     """``cli.main`` with its one-parser path switched off: every argv is
     parsed by ``build_parser().parse_args``."""
     args = cli.build_parser().parse_args(argv)
-    commands = {"construct": cli.cmd_construct, "verify": cli.cmd_verify, "scan": cli.cmd_scan}
-    return commands[args.command](args)
+    _, _, run = cli._COMMANDS[args.command]
+    return run(args)
 
 
 @pytest.mark.parametrize("case", PARSER_CASES, ids=[case["name"] for case in PARSER_CASES])
@@ -207,9 +207,8 @@ def built_parsers(monkeypatch) -> list:
 
 def test_main_builds_one_parser_for_a_named_command(monkeypatch, built_parsers):
     argvs = _parsed_argvs()
-    monkeypatch.setattr(cli, "cmd_construct", lambda args: 0)
-    monkeypatch.setattr(cli, "cmd_verify", lambda args: 0)
-    monkeypatch.setattr(cli, "cmd_scan", lambda args: 0)
+    for name, (help_text, add_arguments, _) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, add_arguments, lambda args: 0))
     for argv in argvs:
         built_parsers.clear()
         assert cli.main(list(argv)) == 0
@@ -257,7 +256,7 @@ def _parsed_argvs() -> list[list[str]]:
 def test_the_named_commands_parser_parses_like_the_full_parser():
     argvs = _parsed_argvs()
     assert len(argvs) == 98 + 58 + 345 + 2
-    add_arguments = {name: add for name, _, add in cli._COMMANDS}
+    add_arguments = {name: add for name, (_, add, _) in cli._COMMANDS.items()}
     for argv in argvs:
         parser = argparse.ArgumentParser(prog="torsion-forge " + argv[0])
         add_arguments[argv[0]](parser)
